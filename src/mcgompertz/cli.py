@@ -386,10 +386,15 @@ def cmd_eval(cfg):
     spec, params = _build_params(cfg.model, cfg.params)
     ys = _grid(cfg)
     if isinstance(params, McEParams):
-        pdf_v = np.asarray([exp_limit_pdf(params, y) for y in ys])
-        cdf_v = np.asarray([exp_limit_cdf(params, y) for y in ys])
-        sur_v = np.asarray([exp_limit_survival(params, y) for y in ys])
-        haz_v = pdf_v / sur_v
+        pdf_v = np.asarray(exp_limit_pdf(params, ys))
+        cdf_v = np.asarray(exp_limit_cdf(params, ys))
+        sur_v = np.asarray(exp_limit_survival(params, ys))
+        # past w = theta*y = 700 the hazard is its asymptote b*theta, as
+        # core.hazard has it with gamma = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            haz_v = np.where(
+                params.theta * ys > core._W_DEEP, params.b * params.theta, pdf_v / sur_v
+            )
     else:
         pdf_v = np.asarray(core.pdf(params, ys))
         cdf_v = np.asarray(core.cdf(params, ys))

@@ -164,61 +164,74 @@ def pdf(p: McGParams, y):
     return out
 
 
-def cdf(p: McGParams, y, tol: Tolerance | None = None):
-    """F(y) = I(G(y)^c; a/c, b), routed through the log-argument
-    incomplete beta so G^c may underflow without losing the value."""
+def _cdf_survival_w(a, b, c, w):
+    """(F, S) at base cumulative hazards w > 0, where G = 1 - e^{-w}.
+
+    F = I(G^c; a/c, b) is routed through the log-argument incomplete beta
+    so G^c may underflow without losing the value.  Where G^c > 1/2 the
+    complement 1 - G^c is formed by expm1 and fed to the swapped-argument
+    incomplete beta, so S keeps relative precision in the upper tail;
+    past w = 700, where e^{-w} underflows, ln(1 - G^c) is its asymptote
+    ln c - w.  Each side is one minus the other.
+    """
+    alpha = a / c
+    with np.errstate(under="ignore"):
+        u = c * log1mexp(w)
+    F = np.empty_like(w)
+    S = np.empty_like(w)
+    lo = u <= -math.log(2.0)
+    deep = ~lo & (w > _W_DEEP)
+    mid = ~lo & ~deep
+    F[lo] = inc_beta_reg_logx(u[lo], alpha, b)
+    S[lo] = 1.0 - F[lo]
+    with np.errstate(under="ignore"):
+        S[mid] = inc_beta_reg(-np.expm1(u[mid]), b, alpha)
+    S[deep] = inc_beta_reg_logx(math.log(c) - w[deep], b, alpha)
+    F[~lo] = 1.0 - S[~lo]
+    return F, S
+
+
+def cdf(p: McGParams, y):
+    """F(y) = I(G(y)^c; a/c, b), exact where G^c underflows and where
+    1 - G^c does."""
     arr, scalar = _checked_y(y)
-    alpha = p.a / p.c
     w = _w_of(p.theta, p.gamma, arr)
     out = np.zeros_like(w)
     pos = w > 0.0
-    if np.any(pos):
-        with np.errstate(under="ignore"):
-            ln_g = log1mexp(w[pos])
-        out[pos] = np.asarray(
-            inc_beta_reg_logx(p.c * ln_g, alpha, p.b, tol)
-        )
+    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[0]
     return _maybe_scalar(out, scalar)
 
 
-def survival(p: McGParams, y, tol: Tolerance | None = None):
+def survival(p: McGParams, y):
     """1 - F(y), keeping relative precision in the deep upper tail.
 
-    When G^c > 1/2 the complement 1 - G^c is formed by expm1 and fed to
-    the swapped-argument incomplete beta, so survival stays exact down
-    to the underflow floor.  Otherwise G^c itself may be log-small (the
-    fitted fiber shapes push it below e^{-1000} at observed data), and
-    the value is 1 minus the log-argument cdf route.
+    G^c may be log-small (the fitted fiber shapes push it below e^{-1000}
+    at observed data) and 1 - G^c may underflow (tiny b puts the upper
+    quantiles past w = 700); both are handled in log space.
     """
     arr, scalar = _checked_y(y)
-    alpha = p.a / p.c
     w = _w_of(p.theta, p.gamma, arr)
     out = np.ones_like(w)
     pos = w > 0.0
-    if np.any(pos):
-        with np.errstate(under="ignore"):
-            ln_g = log1mexp(w[pos])
-        u = p.c * ln_g
-        vals = np.empty_like(u)
-        hi = u > -math.log(2.0)
-        if np.any(hi):
-            with np.errstate(under="ignore"):
-                z = -np.expm1(u[hi])
-            vals[hi] = np.asarray(inc_beta_reg(z, p.b, alpha, tol))
-        if np.any(~hi):
-            vals[~hi] = 1.0 - np.asarray(
-                inc_beta_reg_logx(u[~hi], alpha, p.b, tol)
-            )
-        out[pos] = vals
+    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[1]
     return _maybe_scalar(out, scalar)
 
 
 def hazard(p: McGParams, y):
-    """f/(1-F).  Raises where the survival underflows to zero."""
-    s = np.asarray(survival(p, y))
-    if np.any(s == 0.0):
+    """f/(1-F).  Past w = 700 this is the asymptote b*theta*e^{gamma y}
+    (exact to O(e^{-w})), so it stays finite where the survival
+    underflows; elsewhere raises where the survival underflows to zero."""
+    arr, scalar = _checked_y(y)
+    w = _w_of(p.theta, p.gamma, arr)
+    deep = w > _W_DEEP
+    s = np.asarray(survival(p, arr))
+    if np.any((s == 0.0) & ~deep):
         raise ValueError("hazard undefined: survival underflows to 0")
-    return pdf(p, y) / _maybe_scalar(s, np.ndim(y) == 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.where(
+            deep, p.b * p.theta * np.exp(p.gamma * arr), np.asarray(pdf(p, arr)) / s
+        )
+    return _maybe_scalar(out, scalar)
 
 
 def reversed_hazard(p: McGParams, y):
@@ -229,26 +242,43 @@ def reversed_hazard(p: McGParams, y):
     return pdf(p, y) / _maybe_scalar(f_val, np.ndim(y) == 0)
 
 
+def _w_of_t(a, b, c, t, tol):
+    """Base cumulative hazards w with I(G^c; a/c, b) = t, G = 1 - e^{-w}.
+
+    V = I^{-1}(t; a/c, b) enters only through logs: ln V where V <= 1/2,
+    so tiny a/c (V underflows) stays exact, and ln(1 - V) =
+    ln I^{-1}(1 - t; b, a/c) above, so tiny b (1 - V underflows) does too.
+    Where 1 - V < e^{-700} the inverse of the survival asymptote,
+    w = ln c - ln(1 - V), is exact and avoids subnormal intermediates.
+    """
+    alpha = a / c
+    w = np.empty_like(t)
+    hi = t > inc_beta_reg(0.5, alpha, b)
+    with np.errstate(divide="ignore", under="ignore"):
+        if np.any(~hi):
+            ln_v = np.asarray(inc_beta_inv_log(t[~hi], alpha, b, tol))
+            w[~hi] = -log1mexp(-ln_v / c)
+        if np.any(hi):
+            ln_1mv = np.asarray(inc_beta_inv_log(1.0 - t[hi], b, alpha, tol))
+            w_mid = -log1mexp(-log1mexp(-ln_1mv) / c)
+            w[hi] = np.where(ln_1mv < -_W_DEEP, math.log(c) - ln_1mv, w_mid)
+    return w
+
+
 def quantile(p: McGParams, t, tol: Tolerance | None = None):
     """Q(t) for t in (0, 1): invert the beta stage in log space, then
     the Gompertz base in closed form.
 
-    V = I^{-1}(t; a/c, b) enters only through ln V, so the quantile
-    stays accurate even when V itself underflows (tiny a/c, as in
-    fitted glass-fiber shapes).  |cdf(Q(t)) - t| <= 1e-8 throughout.
+    Finite for every t in (0, 1), including the deep upper tail of tiny b
+    and the underflowing lower tail of tiny a/c.
+    |cdf(Q(t)) - t| <= 1e-8 throughout.
     """
     arr, scalar = _as_float_array(t)
     arr = arr.astype(float)
     if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0)):
         raise ValueError("quantile requires t in (0, 1)")
-    alpha = p.a / p.c
-    ln_v = np.asarray(inc_beta_inv_log(arr, alpha, p.b, tol))
-    u = ln_v / p.c
-    # w_target = -ln(1 - V^{1/c}); log1mexp handles both u -> 0 and
-    # u -> -inf without cancellation
-    with np.errstate(divide="ignore", under="ignore"):
-        w_target = -log1mexp(-u)
-        out = np.log1p((p.gamma / p.theta) * w_target) / p.gamma
+    w = _w_of_t(p.a, p.b, p.c, arr.ravel(), tol).reshape(arr.shape)
+    out = np.log1p((p.gamma / p.theta) * w) / p.gamma
     return _maybe_scalar(out, scalar)
 
 

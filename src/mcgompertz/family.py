@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GompertzBase, McGParams, cdf as _mcg_cdf
-from .specfun import (
-    Tolerance,
-    inc_beta_inv_log,
-    inc_beta_reg,
-    inc_beta_reg_logx,
-    log1mexp,
-    log_beta,
+from .core import (
+    _W_DEEP,
+    GompertzBase,
+    McGParams,
+    _cdf_survival_w,
+    _w_of_t,
+    cdf as _mcg_cdf,
 )
-
-_W_DEEP = 700.0
+from .specfun import inc_beta_reg, log1mexp, log_beta
 
 
 @dataclass(frozen=True)
@@ -187,13 +185,10 @@ def exp_limit_cdf(p, y):
     """Distribution function I(G^c; a/c, b) with G = 1 - exp(-theta*y)."""
     arr = _exp_checked_y(y)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    w = p.theta * arr
+    w = np.atleast_1d(p.theta * arr)
     out = np.zeros_like(w)
     pos = w > 0.0
-    if np.any(pos):
-        lnG = log1mexp(w[pos])
-        out[pos] = inc_beta_reg_logx(p.c * lnG, p.a / p.c, p.b)
+    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[0]
     return float(out[0]) if scalar else out
 
 
@@ -201,20 +196,10 @@ def exp_limit_survival(p, y):
     """Survival function of the exponential-base model."""
     arr = _exp_checked_y(y)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    alpha = p.a / p.c
-    w = p.theta * arr
+    w = np.atleast_1d(p.theta * arr)
     out = np.ones_like(w)
     pos = w > 0.0
-    if np.any(pos):
-        u = p.c * log1mexp(w[pos])
-        res = np.empty_like(u)
-        hi = u > -math.log(2.0)
-        if np.any(hi):
-            res[hi] = inc_beta_reg(-np.expm1(u[hi]), p.b, alpha)
-        if np.any(~hi):
-            res[~hi] = 1.0 - inc_beta_reg_logx(u[~hi], alpha, p.b)
-        out[pos] = res
+    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[1]
     return float(out[0]) if scalar else out
 
 
@@ -225,10 +210,7 @@ def exp_limit_quantile(p, t):
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    ln_v = inc_beta_inv_log(arr, p.a / p.c, p.b)
-    u = ln_v / p.c
-    w = -log1mexp(-u)
-    y = w / p.theta
+    y = _w_of_t(p.a, p.b, p.c, arr.ravel(), None).reshape(arr.shape) / p.theta
     return float(y[0]) if scalar else y
 
 
@@ -240,7 +222,7 @@ def exp_limit_sample(p, n, seed):
     return exp_limit_quantile(p, u)
 
 
-def order_stat_identity_check(i, n, base, y, tol=None):
+def order_stat_identity_check(i, n, base, y):
     """The i-th order statistic of a base sample, two ways.
 
     Returns the pair (model cdf at (a=i, b=n-i+1, c=1), exact order-statistic
@@ -249,11 +231,10 @@ def order_stat_identity_check(i, n, base, y, tol=None):
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    tol = tol or Tolerance()
     params = McGParams(float(i), float(n - i + 1), 1.0, base.theta, base.gamma)
     lhs = _mcg_cdf(params, y)
     arr = np.asarray(y, dtype=float)
     w = (base.theta / base.gamma) * np.expm1(base.gamma * arr)
     g_of_y = -np.expm1(-w)
-    rhs = inc_beta_reg(g_of_y, float(i), float(n - i + 1), tol)
+    rhs = inc_beta_reg(g_of_y, float(i), float(n - i + 1))
     return lhs, rhs

@@ -10,11 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .core import cdf, log_pdf, pdf, quantile, survival
+from .core import cdf, pdf, survival
 from .expansions import TruncationPolicy, cdf_power_coeffs, component_moment
-from .shape import QuadratureSpec
+from .shape import QuadratureSpec, _panel_quad
 from .specfun import inc_beta_reg, log_beta
 
 
@@ -78,13 +77,7 @@ def os_moment(p, spec, s, q=None):
     i, n = spec.i, spec.n
     lb = log_beta(i, n - i + 1)
 
-    def integrand(u):
-        y = math.exp(u)
-        if y == 0.0 or math.isinf(y):
-            return 0.0
-        lp = log_pdf(p, y)
-        if not math.isfinite(lp):
-            return 0.0
+    def integrand(u, y, lp):
         F = cdf(p, y)
         S = survival(p, y)
         if (i > 1 and F == 0.0) or (n > i and S == 0.0):
@@ -95,15 +88,7 @@ def os_moment(p, spec, s, q=None):
         v -= lb
         return math.exp(v) if v > -700.0 else 0.0
 
-    cuts = [math.log(quantile(p, t)) for t in (1e-9, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-10)]
-    pieces = [(-math.inf, cuts[0])] + list(zip(cuts[:-1], cuts[1:]))
-    total = 0.0
-    for lo, hi in pieces:
-        val, _ = integrate.quad(
-            integrand, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions
-        )
-        total += val
-    return total
+    return _panel_quad(p, integrand, q)
 
 
 def os_moment_series(p, spec, s, policy=None):

@@ -85,10 +85,16 @@ def ks_test(data, cdf_fn):
     D is the maximum over the sorted sample of both one-sided gaps between
     the empirical step function and cdf_fn, which handles ties correctly.
     The p-value is the asymptotic Kolmogorov law (no estimation correction).
+    cdf_fn is called once on the sorted sample; one that takes only
+    scalars (raises TypeError or ValueError on an array) is called point
+    by point, where a genuine error raises again.
     """
     ys = np.sort(data.array)
     n = ys.size
-    fv = np.array([float(cdf_fn(v)) for v in ys])
+    try:
+        fv = np.asarray(cdf_fn(ys), dtype=float)
+    except (TypeError, ValueError):
+        fv = np.array([float(cdf_fn(v)) for v in ys])
     i = np.arange(1, n + 1)
     d = float(np.max(np.maximum(i / n - fv, fv - (i - 1) / n)))
     return d, kolmogorov_sf(d, n)

@@ -11,6 +11,7 @@ at fixed quantiles of the distribution itself.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from .core import log_pdf, quantile
@@ -32,34 +33,47 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive and max_subdivisions >= 1")
 
 
-def _panel_integral(p, log_integrand, q):
-    """Integrate exp(log_integrand(u, y, lp)) du over u = ln y on (-inf, hi].
+def _panel_quad(p, integrand, q):
+    """Integrate integrand(u, y, lp) du over the whole line u = ln y.
 
-    log_integrand receives u, y = e^u, and lp = log f(y) and returns the full
-    log of the du-integrand (the e^u Jacobian included by the caller).  Points
-    where y underflows to zero or lp is not finite contribute nothing: every
-    engine here integrates only when its integrand vanishes at both ends.
+    integrand receives u, y = e^u, and lp = log f(y) and returns the
+    du-integrand (the e^u Jacobian included by the caller).  Points where y
+    underflows to zero or overflows, or lp is not finite, contribute
+    nothing: every engine here integrates only when its integrand vanishes
+    at both ends.  The pieces are split at the quantiles _PANEL_CUTS, and
+    the last one runs from ln Q(1 - 1e-10) to +inf, so no tail is dropped.
     """
 
     def f(u):
+        if u > 709.0:  # e^u overflows a double past ~709.78
+            return 0.0
         y = math.exp(u)
-        if y == 0.0 or math.isinf(y):
+        if y == 0.0:
             return 0.0
         lp = log_pdf(p, y)
         if not math.isfinite(lp):
             return 0.0
-        v = log_integrand(u, y, lp)
-        return math.exp(v) if v > -700.0 else 0.0
+        return integrand(u, y, lp)
 
-    cuts = [math.log(quantile(p, t)) for t in _PANEL_CUTS]
-    pieces = [(-math.inf, cuts[0])] + list(zip(cuts[:-1], cuts[1:]))
+    cuts = np.log(quantile(p, np.array(_PANEL_CUTS))).tolist()
+    edges = [-math.inf] + cuts + [math.inf]
     total = 0.0
-    for lo, hi in pieces:
+    for lo, hi in zip(edges[:-1], edges[1:]):
         val, _ = integrate.quad(
             f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions
         )
         total += val
     return total
+
+
+def _panel_integral(p, log_integrand, q):
+    """_panel_quad of exp(log_integrand(u, y, lp))."""
+
+    def integrand(u, y, lp):
+        v = log_integrand(u, y, lp)
+        return math.exp(v) if v > -700.0 else 0.0
+
+    return _panel_quad(p, integrand, q)
 
 
 def moment_numeric(p, k, q=None):
@@ -84,24 +98,10 @@ def shannon_numeric(p, q=None):
     """Shannon differential entropy -E[log f(Y)] by quadrature."""
     q = q or QuadratureSpec()
 
-    def f(u):
-        y = math.exp(u)
-        if y == 0.0 or math.isinf(y):
-            return 0.0
-        lp = log_pdf(p, y)
-        if not math.isfinite(lp) or u + lp < -700.0:
-            return 0.0
-        return -math.exp(u + lp) * lp
+    def integrand(u, y, lp):
+        return -math.exp(u + lp) * lp if u + lp >= -700.0 else 0.0
 
-    cuts = [math.log(quantile(p, t)) for t in _PANEL_CUTS]
-    pieces = [(-math.inf, cuts[0])] + list(zip(cuts[:-1], cuts[1:]))
-    total = 0.0
-    for lo, hi in pieces:
-        val, _ = integrate.quad(
-            f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions
-        )
-        total += val
-    return total
+    return _panel_quad(p, integrand, q)
 
 
 def shannon_closed(p, q=None):

@@ -160,6 +160,15 @@ def test_survival_complement():
 def test_hazard_gompertz_closed_form():
     # a=b=c=1 reduces to the Gompertz hazard theta*e^{gamma y}
     assert_allclose(hazard(McGParams(1, 1, 1, 1, 0.5), 2.0), math.e, rtol=1e-12)
+    # past w = 700 the survival underflows but the hazard is finite; there
+    # it is b*theta*e^{gamma y} to O(e^{-w})
+    assert_allclose(hazard(McGParams(1, 1, 1, 1, 1), 8.0), math.exp(8.0), rtol=1e-12)
+    ys = np.array([20.0, 30.0])
+    assert_allclose(
+        hazard(McGParams(0.5, 0.8, 2.0, 0.1, 0.5), ys),
+        0.8 * 0.1 * np.exp(0.5 * ys),
+        rtol=1e-12,
+    )
 
 
 def test_hazard_identities():
