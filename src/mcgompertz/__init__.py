@@ -9,6 +9,7 @@ Gompertz, and their exponential-base limits).
 """
 
 from mcgompertz.core import (
+    McEParams,
     McGParams,
     cdf,
     hazard,
@@ -18,7 +19,7 @@ from mcgompertz.core import (
     sample,
     survival,
 )
-from mcgompertz.family import McEParams, make_submodel, model_spec
+from mcgompertz.family import make_submodel, model_spec
 from mcgompertz.inference import Dataset, OptimizerConfig, fit_mle
 from mcgompertz.selection import gof_report, info_criteria, ks_test, lrt
 

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .family import (
-    McEParams,
-    exp_limit_cdf,
-    exp_limit_pdf,
-    exp_limit_sample,
-    exp_limit_survival,
-    make_submodel,
-    model_spec,
-)
+from .family import make_submodel, model_spec
 from .inference import Dataset, OptimizerConfig, fit_mle
 from .selection import gof_report, lrt
 from .shape import curves_to_csv, shape_curves
@@ -356,10 +348,7 @@ def cmd_sample(cfg):
     if cfg.n < 1:
         raise InputError("--n must be a positive integer")
     spec, params = _build_params(cfg.model, cfg.params)
-    if isinstance(params, McEParams):
-        draws = exp_limit_sample(params, cfg.n, cfg.seed)
-    else:
-        draws = core.sample(params, cfg.n, cfg.seed)
+    draws = core.sample(params, cfg.n, cfg.seed)
     values = [float(v) for v in np.asarray(draws)]
     table = "value\n" + "\n".join(_fmt_float(v) for v in values) + "\n"
     payload = {
@@ -385,20 +374,9 @@ def _grid(cfg):
 def cmd_eval(cfg):
     spec, params = _build_params(cfg.model, cfg.params)
     ys = _grid(cfg)
-    if isinstance(params, McEParams):
-        pdf_v = np.asarray(exp_limit_pdf(params, ys))
-        cdf_v = np.asarray(exp_limit_cdf(params, ys))
-        sur_v = np.asarray(exp_limit_survival(params, ys))
-        # past w = theta*y = 700 the hazard is its asymptote b*theta, as
-        # core.hazard has it with gamma = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            haz_v = np.where(
-                params.theta * ys > core._W_DEEP, params.b * params.theta, pdf_v / sur_v
-            )
-    else:
-        pdf_v = np.asarray(core.pdf(params, ys))
-        cdf_v = np.asarray(core.cdf(params, ys))
-        haz_v = np.asarray(core.hazard(params, ys))
+    pdf_v = np.asarray(core.pdf(params, ys))
+    cdf_v = np.asarray(core.cdf(params, ys))
+    haz_v = np.asarray(core.hazard(params, ys))
     rows = ["y,pdf,cdf,hazard"]
     for y, f, F, h in zip(ys, pdf_v, cdf_v, haz_v):
         rows.append(f"{_fmt_float(y)},{_fmt_float(f)},{_fmt_float(F)},{_fmt_float(h)}")

@@ -1,11 +1,14 @@
-"""Distribution functions for the five-parameter McDonald-Gompertz law.
+"""Distribution functions for the McDonald generator over a lifetime base.
 
-The family arises by passing a Gompertz base cdf
-G(y) = 1 - exp(-(theta/gamma)(e^{gamma y} - 1)) through the McDonald
-(GB1) generator F = I(G^c; a/c, b) where I is the regularized
-incomplete beta function.  Every tail-sensitive quantity is assembled
-in log space: device-lifetime data push gamma*y high enough that the
-intermediate w(y) = (theta/gamma)(e^{gamma y} - 1) spans hundreds of
+The family arises by passing a base cdf G(y) = 1 - exp(-w(y)) through the
+McDonald (GB1) generator F = I(G^c; a/c, b) where I is the regularized
+incomplete beta function.  The base enters only through its cumulative
+hazard w(y), ln w'(y) and the inverse y(w): the Gompertz base has
+w = (theta/gamma)(e^{gamma y} - 1) (McGParams), and its gamma -> 0 limit,
+the exponential base, has w = theta*y (McEParams).  The limit gets its own
+parameter type instead of a tiny gamma, because (e^{gamma y} - 1)/gamma
+cancels catastrophically in doubles.  Every tail-sensitive quantity is
+assembled in log space: device-lifetime data push w(y) across hundreds of
 orders of magnitude, and the generator argument G^c can underflow while
 the cdf is still macroscopically far from 0.
 """
@@ -31,7 +34,9 @@ from .specfun import (
 
 __all__ = [
     "GompertzBase",
+    "ExpBaseParams",
     "McGParams",
+    "McEParams",
     "base_cdf",
     "base_pdf",
     "pdf",
@@ -50,6 +55,13 @@ __all__ = [
 _W_DEEP = 700.0
 
 
+def _check_positive(obj, names):
+    for name in names:
+        v = getattr(obj, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class GompertzBase:
     """Gompertz base law: cdf 1 - exp(-(theta/gamma)(e^{gamma y} - 1))."""
@@ -58,10 +70,44 @@ class GompertzBase:
     gamma: float
 
     def __post_init__(self):
-        for name in ("theta", "gamma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_positive(self, ("theta", "gamma"))
+
+    def w(self, y):
+        """Cumulative hazard (theta/gamma)(e^{gamma y} - 1); +inf when it
+        overflows, which downstream code treats as G = 1 exactly."""
+        with np.errstate(over="ignore"):
+            return (self.theta / self.gamma) * np.expm1(self.gamma * y)
+
+    def log_dw(self, y):
+        """ln w'(y) = ln theta + gamma y."""
+        return math.log(self.theta) + self.gamma * y
+
+    def y_of_w(self, w):
+        """The y with w(y) = w."""
+        return np.log1p((self.gamma / self.theta) * w) / self.gamma
+
+
+@dataclass(frozen=True)
+class ExpBaseParams:
+    """Exponential base, the gamma -> 0 limit of the Gompertz base:
+    cdf 1 - exp(-theta*y)."""
+
+    theta: float
+
+    def __post_init__(self):
+        _check_positive(self, ("theta",))
+
+    def w(self, y):
+        """Cumulative hazard theta*y."""
+        return self.theta * y
+
+    def log_dw(self, y):
+        """ln w'(y) = ln theta at every y."""
+        return np.full(np.shape(y), math.log(self.theta))
+
+    def y_of_w(self, w):
+        """The y with w(y) = w."""
+        return w / self.theta
 
 
 @dataclass(frozen=True)
@@ -76,87 +122,86 @@ class McGParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "theta", "gamma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_positive(self, ("a", "b", "c", "theta", "gamma"))
 
     @property
     def base(self) -> GompertzBase:
         return GompertzBase(self.theta, self.gamma)
 
 
+@dataclass(frozen=True)
+class McEParams:
+    """Exponential-base analogue of McGParams: shapes a, b, c over rate
+    theta.  All four parameters are strictly positive and finite."""
+
+    a: float
+    b: float
+    c: float
+    theta: float
+
+    def __post_init__(self):
+        _check_positive(self, ("a", "b", "c", "theta"))
+
+    @property
+    def base(self) -> ExpBaseParams:
+        return ExpBaseParams(self.theta)
+
+
 def _checked_y(y):
     arr, scalar = _as_float_array(y)
-    arr = arr.astype(float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+    # NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValueError("y must be nonnegative and finite")
     return arr, scalar
 
 
-def _w_of(theta, gamma, y):
-    # w(y) = (theta/gamma)(e^{gamma y} - 1); +inf when it overflows,
-    # which downstream code treats as G = 1 exactly
-    with np.errstate(over="ignore"):
-        return (theta / gamma) * np.expm1(gamma * y)
-
-
-def base_cdf(base: GompertzBase, y):
-    """G(y) for the Gompertz base; 0 at y = 0, 1 once w(y) overflows."""
+def base_cdf(base, y):
+    """G(y) = 1 - exp(-w(y)); 0 at y = 0, 1 once w(y) overflows."""
     arr, scalar = _checked_y(y)
-    w = _w_of(base.theta, base.gamma, arr)
     with np.errstate(under="ignore"):
-        out = -np.expm1(-w)
+        out = -np.expm1(-base.w(arr))
     return _maybe_scalar(out, scalar)
 
 
-def base_pdf(base: GompertzBase, y):
-    """g(y) = theta e^{gamma y} exp(-w(y)), the Gompertz density."""
+def base_pdf(base, y):
+    """g(y) = w'(y) exp(-w(y)), the base density."""
     arr, scalar = _checked_y(y)
-    gy = base.gamma * arr
-    w = _w_of(base.theta, base.gamma, arr)
     with np.errstate(under="ignore"):
-        out = base.theta * np.exp(gy - w)
+        out = np.exp(base.log_dw(arr) - base.w(arr))
     return _maybe_scalar(out, scalar)
 
 
-def log_pdf(p: McGParams, y):
+def log_pdf(p, y):
     """ln f(y), assembled entirely in log space.
 
     Returns -inf where the density vanishes and +inf at y = 0 when
     a < 1 (the boundary spike).  The three regimes are w = 0 (the
     boundary itself), moderate w (all factors representable via
     log1p/expm1 complements), and w > 700 where exp(-w) underflows and
-    ln(1 - (1-t)^c) is replaced by its asymptote ln c - w.
+    ln(1 - (1-t)^c) is replaced by its asymptote ln c - w.  The moderate
+    form is evaluated on the whole array and the other two patched in
+    only where they occur: the likelihood sums this on every objective
+    call of a fit.
     """
     arr, scalar = _checked_y(y)
     a, b, c = p.a, p.b, p.c
-    lead = math.log(c) + math.log(p.theta) - log_beta(a / c, b)
-    gy = p.gamma * arr
-    w = _w_of(p.theta, p.gamma, arr)
-    out = np.empty_like(w)
-    zero = w == 0.0
+    base = p.base
+    lead = math.log(c) - log_beta(a / c, b) + base.log_dw(arr)
+    w = base.w(arr)
+    with np.errstate(under="ignore", invalid="ignore"):
+        ln_g = log1mexp(w)
+        out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * log1mexp(-c * ln_g)
     deep = w > _W_DEEP
-    mid = ~zero & ~deep
-    if np.any(mid):
-        wm = w[mid]
-        with np.errstate(under="ignore"):
-            ln_g = log1mexp(wm)
-            ln_k = log1mexp(-c * ln_g)
-        out[mid] = lead + gy[mid] - wm + (a - 1.0) * ln_g + (b - 1.0) * ln_k
-    if np.any(deep):
-        out[deep] = lead + gy[deep] + (b - 1.0) * math.log(c) - b * w[deep]
-    if np.any(zero):
-        if a < 1.0:
-            out[zero] = math.inf
-        elif a == 1.0:
-            out[zero] = lead
-        else:
-            out[zero] = -math.inf
+    if deep.any():
+        out = np.where(deep, lead + (b - 1.0) * math.log(c) - b * w, out)
+    zero = w == 0.0
+    if zero.any():
+        at_zero = math.inf if a < 1.0 else (lead if a == 1.0 else -math.inf)
+        out = np.where(zero, at_zero, out)
     return _maybe_scalar(out, scalar)
 
 
-def pdf(p: McGParams, y):
+def pdf(p, y):
     """f(y) = exp(log_pdf); +inf at y = 0 when a < 1."""
     val = log_pdf(p, y)
     with np.errstate(over="ignore", under="ignore"):
@@ -191,18 +236,18 @@ def _cdf_survival_w(a, b, c, w):
     return F, S
 
 
-def cdf(p: McGParams, y):
+def cdf(p, y):
     """F(y) = I(G(y)^c; a/c, b), exact where G^c underflows and where
     1 - G^c does."""
     arr, scalar = _checked_y(y)
-    w = _w_of(p.theta, p.gamma, arr)
+    w = p.base.w(arr)
     out = np.zeros_like(w)
     pos = w > 0.0
     out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[0]
     return _maybe_scalar(out, scalar)
 
 
-def survival(p: McGParams, y):
+def survival(p, y):
     """1 - F(y), keeping relative precision in the deep upper tail.
 
     G^c may be log-small (the fitted fiber shapes push it below e^{-1000}
@@ -210,31 +255,34 @@ def survival(p: McGParams, y):
     quantiles past w = 700); both are handled in log space.
     """
     arr, scalar = _checked_y(y)
-    w = _w_of(p.theta, p.gamma, arr)
+    w = p.base.w(arr)
     out = np.ones_like(w)
     pos = w > 0.0
     out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[1]
     return _maybe_scalar(out, scalar)
 
 
-def hazard(p: McGParams, y):
-    """f/(1-F).  Past w = 700 this is the asymptote b*theta*e^{gamma y}
-    (exact to O(e^{-w})), so it stays finite where the survival
-    underflows; elsewhere raises where the survival underflows to zero."""
+def hazard(p, y):
+    """f/(1-F).
+
+    Where (a + c) e^{-w} <= 1e-16 this is the asymptote b*w'(y): the
+    relative correction to it is of that order, so it is exact in double
+    precision and stays finite where the survival underflows.  Elsewhere
+    raises where the survival underflows to zero.
+    """
     arr, scalar = _checked_y(y)
-    w = _w_of(p.theta, p.gamma, arr)
-    deep = w > _W_DEEP
+    base = p.base
+    with np.errstate(under="ignore"):
+        tail = (p.a + p.c) * np.exp(-base.w(arr)) <= 1e-16
     s = np.asarray(survival(p, arr))
-    if np.any((s == 0.0) & ~deep):
+    if np.any((s == 0.0) & ~tail):
         raise ValueError("hazard undefined: survival underflows to 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(
-            deep, p.b * p.theta * np.exp(p.gamma * arr), np.asarray(pdf(p, arr)) / s
-        )
+        out = np.where(tail, p.b * np.exp(base.log_dw(arr)), np.asarray(pdf(p, arr)) / s)
     return _maybe_scalar(out, scalar)
 
 
-def reversed_hazard(p: McGParams, y):
+def reversed_hazard(p, y):
     """f/F.  Raises where the cdf is exactly zero (y = 0 included)."""
     f_val = np.asarray(cdf(p, y))
     if np.any(f_val == 0.0):
@@ -265,24 +313,22 @@ def _w_of_t(a, b, c, t, tol):
     return w
 
 
-def quantile(p: McGParams, t, tol: Tolerance | None = None):
+def quantile(p, t, tol: Tolerance | None = None):
     """Q(t) for t in (0, 1): invert the beta stage in log space, then
-    the Gompertz base in closed form.
+    the base in closed form.
 
     Finite for every t in (0, 1), including the deep upper tail of tiny b
-    and the underflowing lower tail of tiny a/c.
+    and the underflowing lower tail of tiny a/c; NaN is rejected.
     |cdf(Q(t)) - t| <= 1e-8 throughout.
     """
     arr, scalar = _as_float_array(t)
-    arr = arr.astype(float)
-    if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0)):
+    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile requires t in (0, 1)")
     w = _w_of_t(p.a, p.b, p.c, arr.ravel(), tol).reshape(arr.shape)
-    out = np.log1p((p.gamma / p.theta) * w) / p.gamma
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(p.base.y_of_w(w), scalar)
 
 
-def sample(p: McGParams, n: int, seed: int):
+def sample(p, n: int, seed: int):
     """n inverse-transform draws, deterministic for a fixed seed.
 
     Uniform deviates are taken strictly inside (0, 1) by centering a
@@ -296,11 +342,11 @@ def sample(p: McGParams, n: int, seed: int):
     return np.asarray(quantile(p, u))
 
 
-def density_limit_at_zero(p: McGParams):
-    """lim_{y -> 0+} f(y): theta*c/B(1/c, b) at a = 1, 0 above, +inf
+def density_limit_at_zero(p):
+    """lim_{y -> 0+} f(y): c w'(0)/B(1/c, b) at a = 1, 0 above, +inf
     below.  (The density always decays to 0 as y -> inf.)"""
     if p.a < 1.0:
         return math.inf
     if p.a > 1.0:
         return 0.0
-    return p.theta * p.c / beta_fn(1.0 / p.c, p.b)
+    return math.exp(p.base.log_dw(0.0)) * p.c / beta_fn(1.0 / p.c, p.b)

@@ -19,9 +19,9 @@ from statistics import NormalDist
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .core import McGParams
-from .family import McEParams, ModelSpec, make_submodel, model_spec
-from .specfun import digamma, log1mexp, log_beta, trigamma
+from .core import McEParams, McGParams, log_pdf
+from .family import ModelSpec, make_submodel, model_spec
+from .specfun import digamma, log1mexp, trigamma
 
 _BASE_ORDER = {
     "gompertz": ("a", "b", "c", "theta", "gamma"),
@@ -219,26 +219,10 @@ def _zeta(r, s):
 
 
 def _loglik_value(params, y):
-    """Log-likelihood of a full parameter point on raw observations."""
-    a, b, c, theta = params.a, params.b, params.c, params.theta
-    n = y.size
-    w, _, n_rate = _w_terms(params, y)
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        return -math.inf
-    lnG = log1mexp(w)
-    ln1mV = log1mexp(-c * lnG)
-    # Once exp(-w) underflows, lnG collapses to -0.0 and the ln(1 - G^c)
-    # term degenerates; its exact asymptote is ln(c) - w.
-    dead = ~np.isfinite(ln1mV)
-    if np.any(dead):
-        ln1mV = np.where(dead, math.log(c) - w, ln1mV)
-    value = n * math.log(c * theta) - n * log_beta(a / c, b) - w.sum()
-    if n_rate == 2:
-        value += params.gamma * y.sum()
-    value += (a - 1.0) * lnG.sum() + (b - 1.0) * ln1mV.sum()
-    if not math.isfinite(value):
-        return -math.inf
-    return float(value)
+    """Log-likelihood of a full parameter point on raw observations; -inf
+    where it is not finite."""
+    value = float(log_pdf(params, y).sum())
+    return value if math.isfinite(value) else -math.inf
 
 
 def _score_full(params, y):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import McGParams, cdf as mcg_cdf
-from .family import ModelSpec, exp_limit_cdf
+from .core import cdf
+from .family import ModelSpec
 from .specfun import inc_gamma_upper_reg, kolmogorov_sf
 
 
@@ -131,12 +131,6 @@ def chi_square_sf(x, df):
     return inc_gamma_upper_reg(df / 2.0, x / 2.0)
 
 
-def _cdf_handle(params):
-    if isinstance(params, McGParams):
-        return lambda y: mcg_cdf(params, y)
-    return lambda y: exp_limit_cdf(params, y)
-
-
 def gof_report(fit, data, full_fit=None):
     """Assemble the goodness-of-fit column for one fitted model.
 
@@ -145,7 +139,8 @@ def gof_report(fit, data, full_fit=None):
     """
     k = fit.model.free_count
     aic, aicc, bic = info_criteria(fit.neg_loglik, k, data.n)
-    d, p = ks_test(data, _cdf_handle(fit.params))
+    params = fit.params
+    d, p = ks_test(data, lambda y: cdf(params, y))
     lrt_stat = lrt_df = lrt_pvalue = None
     if full_fit is not None:
         lrt_stat, lrt_df, lrt_pvalue = lrt(full_fit, fit)

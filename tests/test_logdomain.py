@@ -1,20 +1,22 @@
 """Oracle checks for the hand-written log-domain code that scipy does not
 cover: log1mexp, the incomplete beta below ln y = -690, the inverse solved
-in u = ln y, and the deep upper tail they give the distribution functions
-when 1 - G^c underflows (tiny b, w > 700).  References are mpmath values.
+in u = ln y, ln B(a, b) with one argument dwarfing the other, and the deep
+upper tail they give the distribution functions when 1 - G^c underflows
+(tiny b, w > 700), hazard included.  References are mpmath values.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgompertz.cli import EXIT_OK, main
-from mcgompertz.core import McGParams, cdf, quantile, survival
-from mcgompertz.specfun import inc_beta_inv_log, inc_beta_reg_logx, log1mexp
+from mcgompertz.core import McEParams, McGParams, cdf, hazard, quantile, survival
+from mcgompertz.specfun import inc_beta_inv_log, inc_beta_reg_logx, log1mexp, log_beta
 
 # aarset mcg optimum: b = 0.008, so the upper quantiles sit past w = 700
 AARSET_MCG = McGParams(
@@ -130,3 +132,75 @@ def test_eval_hazard_finite_past_survival_underflow(tmp_path):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert_allclose([float(r[3]) for r in rows], 1.0, rtol=1e-12)
+
+
+def test_eval_hazard_finite_where_survival_underflows_early(tmp_path):
+    # b = 5: the survival underflows at w ~ 150, long before w = 700; the
+    # hazard is b*w'(y), 5e^{5.3} for G and 5 for E
+    p = McGParams(1.0, 5.0, 1.0, 1.0, 1.0)
+    assert_allclose(hazard(p, 5.3), 5.0 * math.exp(5.3), rtol=1e-14)
+    assert_allclose(hazard(McEParams(1.0, 5.0, 1.0, 1.0), [150.0, 200.0]), 5.0, rtol=1e-15)
+    out = tmp_path / "mcg.csv"
+    argv = ["eval", "--model", "mcg", "--params", "a=1,b=5,c=1,theta=1,gamma=1",
+            "--grid-min", "5", "--grid-max", "5.3", "--grid-points", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert_allclose(float(rows[1][3]), 5.0 * math.exp(5.3), rtol=1e-14)
+    out = tmp_path / "mce.csv"
+    argv = ["eval", "--model", "mce", "--params", "a=1,b=5,c=1,theta=1",
+            "--grid-min", "100", "--grid-max", "200", "--grid-points", "3"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert_allclose([float(r[3]) for r in rows], 5.0, rtol=1e-15)
+
+
+@mp.workdps(50)
+def _mp_hazard(p, y):
+    a, b, c, th = (mp.mpf(v) for v in (p.a, p.b, p.c, p.theta))
+    y = mp.mpf(y)
+    if isinstance(p, McGParams):
+        ga = mp.mpf(p.gamma)
+        w, dw = th / ga * mp.expm1(ga * y), th * mp.exp(ga * y)
+    else:
+        w, dw = th * y, th
+    ln_g = mp.log1p(-mp.exp(-w))
+    z = -mp.expm1(c * ln_g)  # 1 - G^c
+    f = c * dw * mp.exp(-w + (a - 1) * ln_g) * z ** (b - 1) / mp.beta(a / c, b)
+    return f / mp.betainc(b, a / c, 0, z, regularized=True)
+
+
+def test_hazard_vs_mpmath_both_bases():
+    # w from below to far above the switch to b*w'(y) at (a + c)e^{-w} = 1e-16
+    rng = np.random.default_rng(11)
+    for k in range(24):
+        a, b, c = 10.0 ** rng.uniform(-2, 2, 3)
+        th, ga = 10.0 ** rng.uniform(-1, 0.5, 2)
+        w = math.log(a + c) + 36.84 + rng.uniform(-10.0, 800.0)
+        if k % 2:
+            p, y = McEParams(a, b, c, th), w / th
+        else:
+            p, y = McGParams(a, b, c, th, ga), math.log1p(ga / th * w) / ga
+        try:
+            h = hazard(p, y)
+        except ValueError:  # survival underflows before the asymptote holds
+            assert survival(p, y) == 0.0
+            continue
+        assert_allclose(h, float(_mp_hazard(p, y)), rtol=1e-12)
+
+
+def test_quantile_rejects_nan():
+    for p in (McGParams(0.5, 0.8, 2.0, 0.1, 0.5), McEParams(0.5, 2.0, 3.0, 0.8)):
+        for t in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                quantile(p, t)
+
+
+def test_log_beta_lopsided_vs_mpmath():
+    # min(a, b) <= 1 and max(a, b) > 1e4: betaln is off by up to 1e-9 there
+    with mp.workdps(40):
+        for lo in np.geomspace(1e-8, 1.0, 9):
+            for hi in np.geomspace(1.0001e4, 1e15, 12):
+                ref = float(mp.log(mp.beta(mp.mpf(lo), mp.mpf(hi))))
+                tol = 2e-15 * max(1.0, abs(ref))
+                assert abs(log_beta(lo, hi) - ref) <= tol, (lo, hi)
+                assert abs(log_beta(hi, lo) - ref) <= tol, (hi, lo)
