@@ -53,6 +53,9 @@ __all__ = [
 # beyond this point exp(-w) underflows and the generator factors are
 # evaluated through their leading asymptotics instead
 _W_DEEP = 700.0
+# cap on the terms of the survival series in hazard: with x <= 1/2 the
+# term ratio (b + alpha + n) x/(b + 1 + n) is below 3/4 once n > 2 alpha
+_SERIES_TERMS = 5000
 
 
 def _check_positive(obj, names):
@@ -262,23 +265,55 @@ def survival(p, y):
     return _maybe_scalar(out, scalar)
 
 
+def _log_survival_series(a, b, c, w):
+    """ln S at base cumulative hazards w where x = 1 - G^c <= 1/2.
+
+    ln I_x(b, alpha) = b ln x + alpha ln(1 - x) - ln b - ln B(b, alpha)
+    + ln sum_n (b + alpha)_n/(b + 1)_n x^n with alpha = a/c (DLMF 8.17.8),
+    summed term by term: it stays finite where S underflows (large b).
+    Raises where x > 1/2 or the sum has not converged.
+    """
+    alpha = a / c
+    ln_g = log1mexp(w)
+    ln_x = log1mexp(-c * ln_g)
+    if np.any(ln_x > -math.log(2.0)):
+        raise ValueError("hazard undefined: survival underflows to 0")
+    x = np.exp(ln_x)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(_SERIES_TERMS):
+            term = term * ((b + alpha + n) / (b + 1.0 + n)) * x
+            total = total + term
+            if np.all(term <= 1e-17 * total):
+                break
+        else:
+            raise ValueError("hazard undefined: survival series did not converge")
+    return b * ln_x + a * ln_g - math.log(b) - log_beta(b, alpha) + np.log(total)
+
+
 def hazard(p, y):
     """f/(1-F).
 
     Where (a + c) e^{-w} <= 1e-16 this is the asymptote b*w'(y): the
     relative correction to it is of that order, so it is exact in double
-    precision and stays finite where the survival underflows.  Elsewhere
-    raises where the survival underflows to zero.
+    precision and stays finite where the survival underflows.  Elsewhere,
+    where the survival underflows (large b), it is exp(ln f - ln S) with
+    ln S from _log_survival_series, which raises where that series does
+    not apply.
     """
     arr, scalar = _checked_y(y)
     base = p.base
+    w = base.w(arr)
     with np.errstate(under="ignore"):
-        tail = (p.a + p.c) * np.exp(-base.w(arr)) <= 1e-16
+        tail = (p.a + p.c) * np.exp(-w) <= 1e-16
     s = np.asarray(survival(p, arr))
-    if np.any((s == 0.0) & ~tail):
-        raise ValueError("hazard undefined: survival underflows to 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(tail, p.b * np.exp(base.log_dw(arr)), np.asarray(pdf(p, arr)) / s)
+    under = (s == 0.0) & ~tail
+    if np.any(under):
+        ln_s = _log_survival_series(p.a, p.b, p.c, w[under])
+        out[under] = np.exp(np.asarray(log_pdf(p, arr[under])) - ln_s)
     return _maybe_scalar(out, scalar)
 
 

@@ -70,7 +70,14 @@ def os_cdf_binomial(p, spec, y):
 
 
 def os_moment(p, spec, s, q=None):
-    """E[Y_{i:n}^s] by adaptive quadrature in u = ln y (authoritative)."""
+    """E[Y_{i:n}^s] by the panel quadrature of shape in u = ln y
+    (authoritative).
+
+    The log-integrand (s+1)u + ln f + (i-1) ln F + (n-i) ln S - ln B is
+    built on each round's node array from one cdf and one survival call; a
+    node contributes nothing where it is <= -700, including where F or S
+    is 0.
+    """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
     q = q or QuadratureSpec()
@@ -78,15 +85,12 @@ def os_moment(p, spec, s, q=None):
     lb = log_beta(i, n - i + 1)
 
     def integrand(u, y, lp):
-        F = cdf(p, y)
-        S = survival(p, y)
-        if (i > 1 and F == 0.0) or (n > i and S == 0.0):
-            return 0.0
-        v = (s + 1.0) * u + lp + (i - 1) * math.log(F) if i > 1 else (s + 1.0) * u + lp
+        v = (s + 1.0) * u + lp - lb
+        if i > 1:
+            v = v + (i - 1) * np.log(cdf(p, y))
         if n > i:
-            v += (n - i) * math.log(S)
-        v -= lb
-        return math.exp(v) if v > -700.0 else 0.0
+            v = v + (n - i) * np.log(survival(p, y))
+        return np.where(v > -700.0, np.exp(v), 0.0)
 
     return _panel_quad(p, integrand, q)
 

@@ -125,14 +125,17 @@ def trigamma(x):
 
 
 def log1mexp(u):
-    """ln(1 - exp(-u)) for u > 0, stable at both ends (Maechler 2012)."""
+    """ln(1 - exp(-u)) for u > 0, stable at both ends (Maechler 2012).
+
+    Both branches are evaluated on the whole array and the stable one is
+    picked per point: cheaper than masked assignment on the arrays the
+    likelihood passes.
+    """
     arr, scalar = _as_float_array(u)
-    arr = arr.astype(float)
-    out = np.empty_like(arr)
-    small = arr < math.log(2.0)
     with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-arr[small]))
-        out[~small] = np.log1p(-np.exp(-arr[~small]))
+        out = np.where(
+            arr < math.log(2.0), np.log(-np.expm1(-arr)), np.log1p(-np.exp(-arr))
+        )
     return _maybe_scalar(out, scalar)
 
 

@@ -2,7 +2,8 @@
 cover: log1mexp, the incomplete beta below ln y = -690, the inverse solved
 in u = ln y, ln B(a, b) with one argument dwarfing the other, and the deep
 upper tail they give the distribution functions when 1 - G^c underflows
-(tiny b, w > 700), hazard included.  References are mpmath values.
+(tiny b, w > 700), hazard included, also where the survival underflows
+for large b.  References are mpmath values.
 """
 
 import math
@@ -96,6 +97,27 @@ def test_log1mexp_vs_mpmath():
     assert_allclose(log1mexp(us), ref, rtol=1e-14)
 
 
+def test_log1mexp_bitwise_matches_two_branch_formula():
+    # the masked two-branch evaluation log1mexp used to do, point by point
+    ln2 = math.log(2.0)
+    grid = np.array([0.0, 1e-300, 1e-20, 0.3, np.nextafter(ln2, 0.0), ln2,
+                     np.nextafter(ln2, 1.0), 1.0, 40.0, 700.0, 1e300, math.inf])
+
+    def two_branch(x):
+        out = np.empty_like(x)
+        small = x < ln2
+        with np.errstate(divide="ignore"):
+            out[small] = np.log(-np.expm1(-x[small]))
+            out[~small] = np.log1p(-np.exp(-x[~small]))
+        return out
+
+    assert log1mexp(grid).tobytes() == two_branch(grid).tobytes()
+    for x in grid:
+        got = log1mexp(float(x))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == two_branch(np.array(x)).tobytes()
+
+
 def test_deep_upper_tail_quantile_and_survival_vs_mpmath():
     # 1 - V underflows at these t; before the log-domain upper branch the
     # quantile was inf and the survival 0
@@ -186,6 +208,28 @@ def test_hazard_vs_mpmath_both_bases():
             assert survival(p, y) == 0.0
             continue
         assert_allclose(h, float(_mp_hazard(p, y)), rtol=1e-12)
+
+
+def test_hazard_where_survival_underflows_for_large_b(tmp_path):
+    # S underflows to 0 while (a + c)e^{-w} is still far above 1e-16, so
+    # neither f/S nor the asymptote b*w'(y) applies; ln S comes from the
+    # power series of I_x(b, a/c)
+    cases = [
+        (McEParams(1.0, 50.0, 1.0, 1.0), 20.0),
+        (McGParams(1.0, 50.0, 1.0, 1.0, 1.0), 3.0),
+        (McEParams(2.0, 80.0, 0.5, 1.0), 15.0),
+    ]
+    for p, y in cases:
+        assert survival(p, y) == 0.0
+        assert_allclose(hazard(p, y), float(_mp_hazard(p, y)), rtol=1e-12)
+    assert_allclose(hazard(*cases[0]), 50.0, rtol=1e-12)
+    assert_allclose(hazard(*cases[1]), 1004.277, rtol=1e-6)
+    out = tmp_path / "mce.csv"
+    argv = ["eval", "--model", "mce", "--params", "a=1,b=50,c=1,theta=1",
+            "--grid-min", "10", "--grid-max", "20", "--grid-points", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert_allclose([float(r[3]) for r in rows], 50.0, rtol=1e-12)
 
 
 def test_quantile_rejects_nan():

@@ -7,9 +7,14 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from mcgompertz.core import McGParams, log_pdf, quantile, sample
+from mcgompertz import shape
+from mcgompertz.core import McGParams, cdf, log_pdf, quantile, sample, survival
+from mcgompertz.orderstats import OrderSpec, os_moment
 from mcgompertz.shape import (
+    _PANEL_CUTS,
+    _U_TINY,
     QuadratureSpec,
     bowley,
     curves_to_csv,
@@ -21,7 +26,7 @@ from mcgompertz.shape import (
     shannon_numeric,
     shape_curves,
 )
-from mcgompertz.specfun import expint_e1, inc_beta_inv
+from mcgompertz.specfun import expint_e1, inc_beta_inv, log_beta
 
 GOMPERTZ = McGParams(1.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -34,8 +39,48 @@ MC_SETS = [
 ]
 
 
+# glass mcg optimum (a/c ~ 2e-3, G^c underflows) and aarset mcg optimum
+# (b ~ 8e-3, 1 - G^c underflows)
+GLASS_MCG = McGParams(
+    0.4500793196655103,
+    0.042314322674387124,
+    219.49017482882707,
+    7.149867624426224e-06,
+    8.090210587209212,
+)
+AARSET_MCG = McGParams(
+    0.48602506867701145,
+    0.008027407931889215,
+    39.077927764506605,
+    0.029940972501835417,
+    0.07574424808702038,
+)
+
+
 def mcg_quantile_fn(p):
     return lambda t: quantile(p, t)
+
+
+def quad_oracle(p, integrand):
+    """The integral of integrand(u, y, lp) du by scipy.integrate.quad, one
+    panel at a time, with the engine's panels and zero rules."""
+
+    def f(u):
+        if u < _U_TINY or u > 709.0:
+            return 0.0
+        y = math.exp(u)
+        lp = log_pdf(p, y)
+        return integrand(u, y, lp) if math.isfinite(lp) else 0.0
+
+    edges = [_U_TINY, *np.log(quantile(p, np.array(_PANEL_CUTS))).tolist(), math.inf]
+    return math.fsum(
+        integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-11, limit=1000)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+def exp_or_zero(v):
+    return math.exp(v) if v > -700.0 else 0.0
 
 
 class TestQuadratureSpec:
@@ -50,6 +95,81 @@ class TestQuadratureSpec:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+class TestPanelEngine:
+    """The vectorized panel quadrature against quad, panel by panel."""
+
+    def test_slow_lower_tail_decay(self):
+        # rho(a - 1) = -0.98: the integrand behaves like e^{0.02u} at -inf
+        p, rho = McGParams(0.51, 1.0, 1.0, 1.0, 1.0), 2.0
+        ref = quad_oracle(p, lambda u, y, lp: exp_or_zero(u + rho * lp))
+        got = math.exp((1.0 - rho) * renyi_numeric(p, rho))
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_tiny_generator_ratio(self):
+        p = GLASS_MCG
+        for k in (1, 4):
+            ref = quad_oracle(p, lambda u, y, lp: exp_or_zero((k + 1.0) * u + lp))
+            assert moment_numeric(p, k) == pytest.approx(ref, rel=1e-9)
+        ref = quad_oracle(p, lambda u, y, lp: exp_or_zero(u + 0.5 * lp))
+        assert math.exp(0.5 * renyi_numeric(p, 0.5)) == pytest.approx(ref, rel=1e-9)
+
+    def test_tiny_b(self):
+        p = AARSET_MCG
+        ref = quad_oracle(p, lambda u, y, lp: exp_or_zero(2.0 * u + lp))
+        assert moment_numeric(p, 1) == pytest.approx(ref, rel=1e-9)
+        ref = quad_oracle(p, lambda u, y, lp: exp_or_zero(u + p.gamma * y + lp))
+        assert mgf_numeric(p, p.gamma) == pytest.approx(ref, rel=1e-9)
+        ref = quad_oracle(
+            p, lambda u, y, lp: -math.exp(u + lp) * lp if u + lp >= -700.0 else 0.0
+        )
+        assert shannon_numeric(p) == pytest.approx(ref, rel=1e-9)
+
+    def test_order_statistic_moment(self):
+        p, lb = AARSET_MCG, log_beta(2, 4)
+
+        def integrand(u, y, lp):
+            F, S = cdf(p, y), survival(p, y)
+            if F == 0.0 or S == 0.0:
+                return 0.0
+            return exp_or_zero(2.0 * u + lp + math.log(F) + 3.0 * math.log(S) - lb)
+
+        assert os_moment(p, OrderSpec(2, 5), 1) == pytest.approx(
+            quad_oracle(p, integrand), rel=1e-9
+        )
+
+    def test_origin_spikes(self):
+        spike = McGParams(0.3, 1.0, 1.0, 0.1, 1.0)
+        ref = quad_oracle(spike, lambda u, y, lp: exp_or_zero(u + 1.2 * lp))
+        got = math.exp(-0.2 * renyi_numeric(spike, 1.2))
+        assert got == pytest.approx(ref, rel=1e-9)
+        steep = McGParams(0.05, 2.0, 1.0, 1.0, 1.0)
+        ref = quad_oracle(steep, lambda u, y, lp: exp_or_zero(2.0 * u + lp))
+        assert moment_numeric(steep, 1) == pytest.approx(ref, rel=1e-9)
+
+    def test_one_array_log_pdf_call_per_round(self, monkeypatch):
+        sizes = []
+        real = shape.log_pdf
+
+        def counting(p, y):
+            sizes.append(np.size(y))
+            return real(p, y)
+
+        monkeypatch.setattr(shape, "log_pdf", counting)
+        moment_numeric(MC_SETS[0], 1)
+        assert 1 <= len(sizes) <= 40
+        assert min(sizes) >= 15  # whole node arrays, never one point
+
+    def test_exhausted_budget_warns(self):
+        q = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-17, max_subdivisions=2)
+        with pytest.warns(integrate.IntegrationWarning, match="max_subdivisions=2"):
+            value = moment_numeric(GOMPERTZ, 1, q)
+        assert value == pytest.approx(math.e * expint_e1(1.0), rel=1e-6)
+
+    def test_returns_python_floats(self):
+        assert type(moment_numeric(GOMPERTZ, 1)) is float
+        assert type(shannon_numeric(GOMPERTZ)) is float
 
 
 class TestMomentNumeric:
