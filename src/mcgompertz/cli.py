@@ -193,7 +193,7 @@ def _optimizer_config(cfg):
     return OptimizerConfig(**kwargs)
 
 
-def _fit_payload(fit, data, cfg):
+def _fit_payload(fit, data, opt):
     return {
         "schema_version": 1,
         "command": "fit",
@@ -211,9 +211,9 @@ def _fit_payload(fit, data, cfg):
         "iterations": int(fit.iterations),
         "grad_norm": float(fit.grad_norm),
         "optimizer": {
-            "n_starts": cfg.starts if cfg.starts >= 0 else 8,
-            "max_iter": cfg.max_iter if cfg.max_iter >= 0 else 500,
-            "seed": cfg.seed,
+            "n_starts": opt.n_starts,
+            "max_iter": opt.max_iter,
+            "seed": opt.seed,
         },
     }
 
@@ -255,8 +255,9 @@ def _emit(cfg, payload, default_fmt="json", table=None):
 def cmd_fit(cfg):
     data = _read_dataset(cfg.data_path)
     spec = _resolve_model(cfg.model)
-    fit = fit_mle(spec, data, _optimizer_config(cfg))
-    _emit(cfg, _fit_payload(fit, data, cfg))
+    opt = _optimizer_config(cfg)
+    fit = fit_mle(spec, data, opt)
+    _emit(cfg, _fit_payload(fit, data, opt))
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 

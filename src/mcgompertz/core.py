@@ -89,6 +89,32 @@ class GompertzBase:
         """The y with w(y) = w."""
         return np.log1p((self.gamma / self.theta) * w) / self.gamma
 
+    def w_partials(self, y):
+        """w(y) with its partials in the rates (theta, gamma), and those of
+        ln w'(y), per observation: (w, dw, d2w, dlw, d2lw) of shapes
+        (n,), (2, n), (2, 2, n), (2, n) and (2, 2, n)."""
+        theta, gamma = self.theta, self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            gy = gamma * y
+            egy = np.exp(gy)
+            w = (theta / gamma) * np.expm1(gy)
+            s = gy * egy - egy + 1.0
+            w_tg = s / gamma**2
+            w_gg = theta * (gy**2 * egy - 2.0 * s) / gamma**3
+        n = w.size
+        dw = np.empty((2, n))
+        dw[0] = w / theta
+        dw[1] = theta * w_tg
+        d2w = np.zeros((2, 2, n))
+        d2w[0, 1] = d2w[1, 0] = w_tg
+        d2w[1, 1] = w_gg
+        dlw = np.empty((2, n))
+        dlw[0] = 1.0 / theta
+        dlw[1] = y
+        d2lw = np.zeros((2, 2, n))
+        d2lw[0, 0] = -1.0 / theta**2
+        return w, dw, d2w, dlw, d2lw
+
 
 @dataclass(frozen=True)
 class ExpBaseParams:
@@ -111,6 +137,15 @@ class ExpBaseParams:
     def y_of_w(self, w):
         """The y with w(y) = w."""
         return w / self.theta
+
+    def w_partials(self, y):
+        """w(y) with its partials in the rate theta, and those of ln w'(y),
+        per observation: (w, dw, d2w, dlw, d2lw) of shapes (n,), (1, n),
+        (1, 1, n), (1, n) and (1, 1, n)."""
+        theta = self.theta
+        n = y.size
+        dlw = np.full((1, n), 1.0 / theta)
+        return theta * y, y[None, :], np.zeros((1, 1, n)), dlw, -dlw[None] / theta
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Maximum-likelihood estimation for the generalized Gompertz family.
 
 The log-likelihood, score vector, and observed information matrix are exact
-analytic expressions shared by every sub-model in the family registry; each
-sub-model sees them through the chain rule on its free parameters.  Fitting
-runs a deterministic multistart in log-parameter space: a Nelder-Mead pass
-followed by a BFGS polish on the analytic gradient, with convergence judged
-by the scaled gradient norm, interiority, and positive definiteness of the
-observed information.
+analytic expressions shared by every sub-model in the family registry,
+computed together in one pass over the data; each sub-model sees them
+through a constant 0/1 embedding of its free parameters.  Fitting runs a
+deterministic multistart in log-parameter space, each start a trust-region
+Newton method on that exact Hessian (the step solved exactly from its
+eigendecomposition, Moré & Sorensen 1983).  A start counts as converged on
+its scaled gradient norm, interiority, and positive definiteness of the
+observed information, and every start is reported in the fit's trace.
 """
 
 from __future__ import annotations
@@ -17,23 +19,32 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
 from .core import McEParams, McGParams, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
-from .specfun import digamma, log1mexp, trigamma
+from .specfun import digamma_diff, log1mexp, trigamma, trigamma_diff
 
 _BASE_ORDER = {
     "gompertz": ("a", "b", "c", "theta", "gamma"),
     "exponential": ("a", "b", "c", "theta"),
 }
 
-# Log-parameter trust region: optimization is confined to |ln p| <= _BOX by a
-# quadratic penalty, which keeps ridge escapes (likelihood paths improving
-# forever as a shape parameter diverges) from masquerading as maxima.
+# Log-parameter box: optimization is confined to |ln p| <= _BOX by a penalty,
+# which keeps ridge escapes (likelihood paths improving forever as a shape
+# parameter diverges) from masquerading as maxima.  The penalty is cubic in
+# the overshoot, so its curvature grows from 0 at the wall and the Newton
+# model sees the wall coming instead of a jump in the Hessian.
 _BOX = 30.0
 _PENALTY = 1.0e6
-_BIG = 1.0e12
+
+# Multistart lattice scales in log-parameter space.
+_LATTICE_SCALES = (math.log(4.0), math.log(16.0))
+
+# Trust-region Newton: largest radius in log-parameter space, and the least
+# ratio of actual to predicted decrease at which a step is taken.
+_MAX_RADIUS = 10.0
+_ACCEPT = 0.1
 
 # A replicate counts as converged only if the scaled sup-norm gradient in
 # log-space falls at or below this ceiling, regardless of looser optimizer
@@ -72,7 +83,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Tuning knobs for fit_mle; the defaults reproduce the reference fits."""
+    """Tuning knobs for fit_mle; the defaults reproduce the reference fits.
+
+    max_iter: Newton iterations allowed per start.
+    grad_tol: a start stops once its log-space sup-norm gradient is this small.
+    step_tol: a start stops once its trust radius shrinks below this.
+    n_starts: perturbed starts at each of the two lattice scales, besides
+        the seed point (0 runs the seed alone).
+    seed: seeds the jitter that fills lattice slots beyond its corners.
+    """
 
     max_iter: int = 500
     grad_tol: float = 1.0e-6
@@ -94,6 +113,33 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """How one start of a fit_mle multistart ended.
+
+    start: the free natural parameters it started from, ordered as
+        model.free_params.
+    nit, nfev: Newton iterations and objective evaluations it spent.
+    neg_loglik: negative log-likelihood where it stopped.
+    grad_norm: the scaled log-space gradient there, as in FitResult.
+    interior: whether it stopped strictly inside the box |ln p| < 30.
+    pos_def: whether the observed information there is positive definite.
+    reason: why it cannot win as a converged fit, or None when it
+        converged.  Checked in this order: "degenerate" (the likelihood or
+        its derivatives are not finite there), "not interior", "gradient"
+        (scaled gradient above 1e-5), "not positive definite".
+    """
+
+    start: tuple
+    nit: int
+    nfev: int
+    neg_loglik: float
+    grad_norm: float
+    interior: bool
+    pos_def: bool
+    reason: str | None
+
+
+@dataclass(frozen=True)
 class FitResult:
     """Outcome of a maximum-likelihood fit.
 
@@ -110,6 +156,8 @@ class FitResult:
     iterations: optimizer iterations spent by the winning replicate.
     grad_norm: sup-norm of the log-space gradient at the estimates, scaled
         by max(1, |log-likelihood|).
+    trace: one StartRecord per start, in the order they ran.
+    winner: index into `trace` of the start the estimates come from.
     """
 
     model: ModelSpec
@@ -120,6 +168,8 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float
+    trace: tuple = field(default=(), repr=False)
+    winner: int | None = field(default=None, repr=False)
 
     @property
     def params(self):
@@ -157,32 +207,6 @@ def _check_params(spec, params):
             )
 
 
-def _w_terms(params, y):
-    """The exponent w(y) with its parameter derivatives.
-
-    Both bases share a survival exponent w > 0 with base cdf 1 - exp(-w);
-    every theta/gamma derivative of the likelihood flows through w.
-    Returns (w, partials, n_rate) where partials maps suffix keys to arrays
-    and n_rate is the number of rate-type parameters (1 or 2).
-    """
-    if isinstance(params, McGParams):
-        theta, gamma = params.theta, params.gamma
-        with np.errstate(over="ignore", invalid="ignore"):
-            gy = gamma * y
-            egy = np.exp(gy)
-            w = (theta / gamma) * np.expm1(gy)
-            s = gy * egy - egy + 1.0
-            partials = {
-                "t": w / theta,
-                "g": theta * s / gamma**2,
-                "tg": s / gamma**2,
-                "gg": theta * (gamma**2 * y**2 * egy - 2.0 * s) / gamma**3,
-            }
-        return w, partials, 2
-    w = params.theta * y
-    return w, {"t": y}, 1
-
-
 def _shape_blocks(params, w):
     """Per-observation pieces shared by the score and the Hessian."""
     a, b, c = params.a, params.b, params.c
@@ -204,7 +228,6 @@ def _shape_blocks(params, w):
         "lnG": lnG,
         "ln1mV": ln1mV,
         "one_mV": one_mV,
-        "V": V,
         "ratio1": ratio1,
         "R": R,
         "Q": Q,
@@ -214,10 +237,6 @@ def _shape_blocks(params, w):
     }
 
 
-def _zeta(r, s):
-    return digamma(r + s) - digamma(r)
-
-
 def _loglik_value(params, y):
     """Log-likelihood of a full parameter point on raw observations; -inf
     where it is not finite."""
@@ -225,41 +244,36 @@ def _loglik_value(params, y):
     return value if math.isfinite(value) else -math.inf
 
 
-def _score_full(params, y):
-    """Score vector in the full natural parameters (a, b, c, theta[, gamma])."""
-    a, b, c, theta = params.a, params.b, params.c, params.theta
+def _derivs(params, y):
+    """Log-likelihood, score and Hessian in the full natural parameters
+    (a, b, c, theta[, gamma]) from one pass over the data.
+
+    The base rates enter only through w(y) and ln w'(y), whose partials
+    the base supplies; the digamma and trigamma differences are taken
+    cancellation-free, which matters on the b -> infinity ridge.
+    """
+    a, b, c = params.a, params.b, params.c
     alpha = a / c
     n = y.size
-    w, wp, n_rate = _w_terms(params, y)
+    w, dw, d2w, dlw, d2lw = params.base.w_partials(y)
     blk = _shape_blocks(params, w)
-    U = np.empty(3 + n_rate)
-    U[0] = n * _zeta(alpha, b) / c + blk["lnG"].sum()
-    U[1] = n * _zeta(b, alpha) + blk["ln1mV"].sum()
-    U[2] = n / c - n * a / c**2 * _zeta(alpha, b) - (b - 1.0) * blk["Q"].sum()
-    U[3] = n / theta + (blk["A"] * wp["t"]).sum()
-    if n_rate == 2:
-        U[4] = y.sum() + (blk["A"] * wp["g"]).sum()
-    return U
-
-
-def _hessian_full(params, y):
-    """Hessian of the log-likelihood in the full natural parameters."""
-    a, b, c, theta = params.a, params.b, params.c, params.theta
-    alpha = a / c
-    n = y.size
-    w, wp, n_rate = _w_terms(params, y)
-    blk = _shape_blocks(params, w)
-    P = trigamma(alpha) - trigamma(alpha + b)
+    zeta_ab = digamma_diff(alpha, b)
+    zeta_ba = digamma_diff(b, alpha)
+    P = -trigamma_diff(alpha, b)
     tg_ab = trigamma(alpha + b)
-    zeta_ab = _zeta(alpha, b)
     q_sum = blk["Q"].sum()
     with np.errstate(invalid="ignore"):
         q2_sum = (blk["Q"] * blk["lnG"] / blk["one_mV"]).sum()
-    k = 3 + n_rate
+    k = 3 + dw.shape[0]
+    U = np.empty(k)
+    U[0] = n * zeta_ab / c + blk["lnG"].sum()
+    U[1] = n * zeta_ba + blk["ln1mV"].sum()
+    U[2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
+    U[3:] = dlw.sum(axis=-1) + dw @ blk["A"]
     H = np.empty((k, k))
     H[0, 0] = -n * P / c**2
     H[0, 1] = n * tg_ab / c
-    H[1, 1] = n * (tg_ab - trigamma(b))
+    H[1, 1] = n * trigamma_diff(b, alpha)
     H[0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
     H[1, 2] = -n * a / c**2 * tg_ab - q_sum
     H[2, 2] = (
@@ -268,49 +282,29 @@ def _hessian_full(params, y):
         - n * a**2 * P / c**4
         - (b - 1.0) * q2_sum
     )
-    rate_keys = ("t", "g")[:n_rate]
-    for j, key in enumerate(rate_keys):
-        H[0, 3 + j] = (blk["ratio1"] * wp[key]).sum()
-        H[1, 3 + j] = -c * (blk["R"] * wp[key]).sum()
-        H[2, 3 + j] = -(b - 1.0) * (blk["T"] * wp[key]).sum()
-    H[3, 3] = -n / theta**2 + (blk["Ap"] * wp["t"] ** 2).sum()
-    if n_rate == 2:
-        H[3, 4] = (blk["Ap"] * wp["g"] * wp["t"] + blk["A"] * wp["tg"]).sum()
-        H[4, 4] = (blk["Ap"] * wp["g"] ** 2 + blk["A"] * wp["gg"]).sum()
-    for i in range(k):
-        for j in range(i):
-            H[i, j] = H[j, i]
-    return H
+    cross = np.stack([blk["ratio1"], -c * blk["R"], -(b - 1.0) * blk["T"]]) @ dw.T
+    H[:3, 3:] = cross
+    H[3:, :3] = cross.T
+    H[3:, 3:] = d2lw.sum(axis=-1) + (dw * blk["Ap"]) @ dw.T + d2w @ blk["A"]
+    H[1, 0], H[2, 0], H[2, 1] = H[0, 1], H[0, 2], H[1, 2]
+    return _loglik_value(params, y), U, H
 
 
-def _free_rows(spec):
-    """Map each free parameter to the full-parameter indices it drives.
+def _embedding(spec):
+    """The constant 0/1 matrix J mapping free-parameter differentials to
+    full ones, so the free score is J^T U and the free Hessian J^T H J.
 
     An equality tie such as a = c makes the shared free parameter drive
-    two full coordinates, so its row lists both indices.
+    two full coordinates, so its column holds two ones.
     """
     order = _BASE_ORDER[spec.base]
-    rows = []
-    for fname in spec.free_params:
-        idx = [order.index(fname)]
+    J = np.zeros((len(order), len(spec.free_params)))
+    for j, fname in enumerate(spec.free_params):
+        J[order.index(fname), j] = 1.0
         for target, fixed in spec.constraints:
-            if isinstance(fixed, str) and fixed == fname:
-                idx.append(order.index(target))
-        rows.append(tuple(idx))
-    return tuple(rows)
-
-
-def _restrict_vector(rows, U):
-    return np.array([sum(U[j] for j in row) for row in rows])
-
-
-def _restrict_matrix(rows, H):
-    k = len(rows)
-    out = np.empty((k, k))
-    for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows):
-            out[i, j] = sum(H[p, q] for p in ri for q in rj)
-    return out
+            if fixed == fname:
+                J[order.index(target), j] = 1.0
+    return J
 
 
 def log_likelihood(model, params, data):
@@ -328,16 +322,15 @@ def score(model, params, data):
     """Gradient of the log-likelihood in the model's free parameters."""
     spec = _spec(model)
     _check_params(spec, params)
-    U = _score_full(params, data.array)
-    return _restrict_vector(_free_rows(spec), U)
+    return _embedding(spec).T @ _derivs(params, data.array)[1]
 
 
 def loglik_hessian(model, params, data):
     """Hessian of the log-likelihood in the model's free parameters."""
     spec = _spec(model)
     _check_params(spec, params)
-    H = _hessian_full(params, data.array)
-    return _restrict_matrix(_free_rows(spec), H)
+    J = _embedding(spec)
+    return J.T @ _derivs(params, data.array)[2] @ J
 
 
 def observed_info(model, params, data):
@@ -386,45 +379,158 @@ def _seed_values(spec, y):
 def _start_points(x0, free, cfg):
     """Deterministic multistart battery around the seed point.
 
-    Shape parameters get the full +-ln 4 sign lattice first; any remaining
-    slots are filled with seeded Gaussian jitter of the same scale.
+    At each lattice scale (ln 4, then ln 16) the shape parameters get up to
+    `n_starts` corners of the +-scale sign lattice; slots the lattice
+    cannot fill take seeded Gaussian jitter of that scale.  The wide scale
+    reaches optima far out in a shape, like the glass McG fit at c ~ 219.
     """
     shape_idx = [i for i, f in enumerate(free) if f in ("a", "b", "c")]
     if not shape_idx:
         shape_idx = list(range(len(free)))
-    delta = math.log(4.0)
     points = [np.array(x0, dtype=float)]
-    combos = itertools.product((-delta, delta), repeat=len(shape_idx))
-    for combo in itertools.islice(combos, cfg.n_starts):
-        xp = points[0].copy()
-        xp[shape_idx] += combo
-        points.append(xp)
     rng = np.random.default_rng(cfg.seed)
-    while len(points) < cfg.n_starts + 1:
-        xp = points[0].copy()
-        xp[shape_idx] += rng.normal(0.0, delta, size=len(shape_idx))
-        points.append(xp)
+    for delta in _LATTICE_SCALES:
+        combos = itertools.product((-delta, delta), repeat=len(shape_idx))
+        shifts = list(itertools.islice(combos, cfg.n_starts))
+        while len(shifts) < cfg.n_starts:
+            shifts.append(rng.normal(0.0, delta, size=len(shape_idx)))
+        for shift in shifts:
+            xp = points[0].copy()
+            xp[shape_idx] += shift
+            points.append(xp)
     return points
 
 
 def _box_penalty(x):
+    """Value, gradient and (diagonal) Hessian of the box penalty."""
     over = np.maximum(np.abs(x) - _BOX, 0.0)
-    return _PENALTY * float(over @ over)
+    return (
+        _PENALTY * float(over @ over**2),
+        3.0 * _PENALTY * over**2 * np.sign(x),
+        6.0 * _PENALTY * over,
+    )
 
 
-def _box_penalty_grad(x):
-    over = np.maximum(np.abs(x) - _BOX, 0.0)
-    return 2.0 * _PENALTY * over * np.sign(x)
+def _positive_definite(m):
+    if not np.all(np.isfinite(m)):
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _trust_region_step(g, B, radius):
+    """Exact minimizer s of the model g.s + s.B.s/2 over |s| <= radius.
+
+    Moré & Sorensen (1983) on the eigendecomposition B = Q diag(lam) Q^T:
+    the Newton step when B is positive definite and the step fits, else
+    s = -(B + sigma I)^-1 g on the boundary, with sigma >= max(0, -lam_1)
+    solving the secular equation 1/|s(sigma)| = 1/radius by safeguarded
+    Newton.  In the hard case (g orthogonal to the lowest eigenspace and the
+    shifted step inside the radius) the step is completed along the lowest
+    eigenvector.  Returns (s, predicted decrease of the model).
+    """
+    lam, Q = np.linalg.eigh(B)
+    gt = Q.T @ g
+
+    def done(st):
+        return Q @ st, -(gt @ st + 0.5 * (lam * st) @ st)
+
+    if lam[0] > 0.0:
+        st = -gt / lam
+        if st @ st <= radius * radius:
+            return done(st)
+    sig_lo = max(0.0, -lam[0])
+    bottom = lam - lam[0] <= 1e-12 * np.abs(lam).max()
+    gnorm = math.sqrt(gt @ gt)
+    if lam[0] <= 0.0 and np.all(np.abs(gt[bottom]) <= 1e-12 * gnorm):
+        st = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, lam + sig_lo))
+        room = radius * radius - st @ st
+        if room >= 0.0:
+            st[0] = math.sqrt(room)
+            return done(st)
+    lo, hi = sig_lo, gnorm / radius - lam[0]
+    sigma = hi
+    for _ in range(100):
+        d = lam + sigma
+        st = -gt / d
+        snorm = math.sqrt(st @ st)
+        if abs(snorm - radius) <= 1e-8 * radius:
+            break
+        if snorm < radius:
+            hi = sigma
+        else:
+            lo = sigma
+        sigma += (snorm - radius) / radius * snorm * snorm / (st @ (st / d))
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+    return done(st)
+
+
+def _trust_region_newton(
+    fun, x0, args=(), jac=None, hess=None, max_iter=500, grad_tol=1e-6,
+    step_tol=1e-10, **_,
+):
+    """Trust-region Newton minimizer, a custom `scipy.optimize.minimize`
+    method: the exact step of _trust_region_step on the supplied Hessian.
+
+    Stops when the sup-norm gradient is at most `grad_tol`, when the trust
+    radius falls below `step_tol` (no step the model trusts still lowers
+    the objective, as at the box wall), or after `max_iter` iterations.
+    `fun` returns +inf where the objective is not defined; steps there are
+    rejected like any other step that fails to decrease it.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, B = fun(x), jac(x), hess(x)
+    nfev = njev = nhev = 1
+    radius = 1.0
+    nit = 0
+    while True:
+        if not math.isfinite(f):
+            status, message = 3, "objective not finite at the start"
+            break
+        if np.max(np.abs(g)) <= grad_tol:
+            status, message = 0, "gradient below grad_tol"
+            break
+        if radius < step_tol:
+            status, message = 2, "trust radius below step_tol"
+            break
+        if nit >= max_iter:
+            status, message = 1, "iteration limit reached"
+            break
+        nit += 1
+        step, predicted = _trust_region_step(g, B, radius)
+        x_new = x + step
+        f_new = fun(x_new)
+        nfev += 1
+        ratio = (f - f_new) / predicted if predicted > 0.0 else -math.inf
+        if not ratio > 0.25:
+            radius = 0.25 * math.sqrt(step @ step)
+        elif ratio > 0.75 and math.sqrt(step @ step) > 0.8 * radius:
+            radius = min(2.0 * radius, _MAX_RADIUS)
+        if ratio > _ACCEPT:
+            x, f = x_new, f_new
+            g, B = jac(x), hess(x)
+            njev += 1
+            nhev += 1
+    return OptimizeResult(
+        x=x, fun=f, jac=g, hess=B, nit=nit, nfev=nfev, njev=njev, nhev=nhev,
+        status=status, message=message, success=status == 0,
+    )
 
 
 def fit_mle(model, data, config=None):
     """Fit a family model to a dataset by maximum likelihood.
 
-    Runs `config.n_starts + 1` optimization replicates (seed plus
-    perturbations), each a Nelder-Mead pass followed by a BFGS polish on the
-    analytic gradient, all in log-parameter space.  The winner is the best
-    converged replicate; if none converges the best raw minimum is returned
-    with `converged=False`.
+    Runs a trust-region Newton method in log-parameter space on the exact
+    Hessian from every start of the battery (the seed plus
+    `config.n_starts` perturbations at each of two lattice scales).  The
+    winner is the best converged start (scaled gradient at most 1e-5,
+    strictly inside the box, positive definite observed information); if
+    none converges the best raw minimum is returned with
+    `converged=False`.  `trace` holds one StartRecord per start.
     """
     spec = _spec(model)
     cfg = config if config is not None else OptimizerConfig()
@@ -435,80 +541,79 @@ def fit_mle(model, data, config=None):
         raise ValueError(
             f"{spec.name} has {k} free parameters; need more than {k} observations"
         )
-    rows = _free_rows(spec)
+    J = _embedding(spec)
+    last = {}
 
-    def build(x):
-        return make_submodel(spec.name, dict(zip(free, np.exp(x))))
-
-    def objective(x):
-        pen = _box_penalty(x)
-        if np.any(np.abs(x) > 200.0):
-            return _BIG + pen
-        value = _loglik_value(build(x), y)
-        if not math.isfinite(value):
-            return _BIG + pen
-        return -value + pen
-
-    def gradient(x):
-        pen_g = _box_penalty_grad(x)
-        if np.any(np.abs(x) > 200.0):
-            return pen_g
-        U = _restrict_vector(rows, _score_full(build(x), y))
-        g = -U * np.exp(x) + pen_g
-        return np.nan_to_num(g, nan=0.0, posinf=_BIG, neginf=-_BIG)
+    def evaluate(x):
+        # objective, gradient and Hessian in x = ln p share this one pass;
+        # f is +inf wherever any of them is not finite
+        key = x.tobytes()
+        if last.get("key") != key:
+            p = np.exp(x)
+            with np.errstate(all="ignore"):
+                value, U, H = _derivs(make_submodel(spec.name, dict(zip(free, p))), y)
+                U, H = J.T @ U, J.T @ H @ J
+                pen, pen_g, pen_h = _box_penalty(x)
+                g = -p * U + pen_g
+                B = -(p[:, None] * H * p[None, :] + np.diag(p * U)) + np.diag(pen_h)
+            ok = math.isfinite(value) and np.all(np.isfinite(g)) and np.all(np.isfinite(B))
+            last.update(key=key, f=-value + pen if ok else math.inf, g=g, B=B,
+                        nll=-value, info=-H)
+        return last
 
     x_seed = np.log([_seed_values(spec, y)[f] for f in free])
-    best = None
-    best_converged = False
+    trace, ends = [], []
     for x_start in _start_points(x_seed, free, cfg):
-        r1 = minimize(
-            objective,
+        res = minimize(
+            lambda x: evaluate(x)["f"],
             x_start,
-            method="Nelder-Mead",
+            method=_trust_region_newton,
+            jac=lambda x: evaluate(x)["g"],
+            hess=lambda x: evaluate(x)["B"],
             options={
-                "maxiter": cfg.max_iter,
-                "xatol": cfg.step_tol,
-                "fatol": cfg.step_tol,
+                "max_iter": cfg.max_iter,
+                "grad_tol": cfg.grad_tol,
+                "step_tol": cfg.step_tol,
             },
         )
-        r2 = minimize(
-            objective,
-            r1.x,
-            jac=gradient,
-            method="BFGS",
-            options={"gtol": cfg.grad_tol, "maxiter": cfg.max_iter},
-        )
-        cand = r2 if r2.fun <= r1.fun else r1
-        x_hat = np.asarray(cand.x, dtype=float)
-        iters = int(r1.nit or 0) + int(r2.nit or 0)
-
-        value = _loglik_value(build(x_hat), y)
-        if not math.isfinite(value):
-            continue
-        nll = -value
-        g_hat = gradient(x_hat)
-        scaled_grad = float(np.max(np.abs(g_hat))) / max(1.0, abs(nll))
+        x_hat = np.asarray(res.x, dtype=float)
+        at = evaluate(x_hat)
+        nll = at["nll"]
+        info = 0.5 * (at["info"] + at["info"].T)
+        scaled_grad = float(np.max(np.abs(at["g"]))) / max(1.0, abs(nll))
         interior = bool(np.all(np.abs(x_hat) < _BOX))
-        info = _restrict_matrix(rows, -_hessian_full(build(x_hat), y))
-        info = 0.5 * (info + info.T)
-        try:
-            np.linalg.cholesky(info)
-            pos_def = bool(np.all(np.isfinite(info)))
-        except np.linalg.LinAlgError:
-            pos_def = False
-        rep_converged = scaled_grad <= _GRAD_CEILING and interior and pos_def
+        pos_def = _positive_definite(info)
+        if not math.isfinite(at["f"]):
+            reason = "degenerate"
+        elif not interior:
+            reason = "not interior"
+        elif not scaled_grad <= _GRAD_CEILING:
+            reason = "gradient"
+        elif not pos_def:
+            reason = "not positive definite"
+        else:
+            reason = None
+        trace.append(
+            StartRecord(
+                start=tuple(float(v) for v in np.exp(x_start)),
+                nit=int(res.nit),
+                nfev=int(res.nfev),
+                neg_loglik=float(nll),
+                grad_norm=scaled_grad,
+                interior=interior,
+                pos_def=pos_def,
+                reason=reason,
+            )
+        )
+        ends.append((x_hat, info))
 
-        record = (nll, x_hat, iters, scaled_grad, info, rep_converged)
-        if rep_converged and not best_converged:
-            best, best_converged = record, True
-        elif rep_converged == best_converged and (best is None or nll < best[0]):
-            best = record
-            best_converged = rep_converged
-
-    if best is None:
+    usable = [i for i, r in enumerate(trace) if r.reason != "degenerate"]
+    if not usable:
         raise RuntimeError("every optimization replicate produced a degenerate fit")
-
-    nll, x_hat, iters, scaled_grad, info, rep_converged = best
+    converged = [i for i in usable if trace[i].reason is None]
+    winner = min(converged or usable, key=lambda i: trace[i].neg_loglik)
+    best = trace[winner]
+    x_hat, info = ends[winner]
     estimates = {f: float(v) for f, v in zip(free, np.exp(x_hat))}
     std_errors = None
     try:
@@ -522,11 +627,13 @@ def fit_mle(model, data, config=None):
         model=spec,
         estimates=estimates,
         std_errors=std_errors,
-        neg_loglik=float(nll),
+        neg_loglik=best.neg_loglik,
         info_matrix=info,
-        converged=rep_converged,
-        iterations=iters,
-        grad_norm=float(scaled_grad),
+        converged=bool(converged),
+        iterations=best.nit,
+        grad_norm=best.grad_norm,
+        trace=tuple(trace),
+        winner=winner,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning
 
 from .core import log_pdf, quantile
-from .specfun import digamma, log_beta
+from .specfun import digamma_diff, log_beta
 
 _PANEL_CUTS = (1e-9, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-10)
 # below the smallest normal double y = e^u is quantized (subnormal) or 0:
@@ -215,10 +215,6 @@ def shannon_closed(p, q=None):
     """
     q = q or QuadratureSpec()
     a, b, c, th, ga = p.a, p.b, p.c, p.theta, p.gamma
-
-    def zeta(r, s):
-        return digamma(r + s) - digamma(r)
-
     mean = moment_numeric(p, 1, q)
     mgf_at_gamma = mgf_numeric(p, ga, q)
     value = (
@@ -227,8 +223,8 @@ def shannon_closed(p, q=None):
         - th / ga
         - ga * mean
         + (th / ga) * mgf_at_gamma
-        + (a - 1.0) * zeta(a, b)
-        + (b - 1.0) * zeta(b, a)
+        + (a - 1.0) * digamma_diff(a, b)
+        + (b - 1.0) * digamma_diff(b, a)
     )
     reference = shannon_numeric(p, q)
     scale = max(1.0, abs(reference))

@@ -8,10 +8,13 @@ asymptotic Kolmogorov survival function.
 
 The kernels are scipy's (Boost.Math backs the incomplete beta and its
 inverse).  This module adds input validation, scalars-in/scalars-out, and
-the three pieces scipy has no form for: ``log1mexp``, the incomplete beta
-at arguments whose exponential underflows (ln y < -690), and the inverse
-solved in u = ln y where the preimage underflows.  ``Tolerance`` controls
-that last solve, the one loop left here.
+the pieces scipy has no form for: ``log1mexp``, the incomplete beta at
+arguments whose exponential underflows (ln y < -690), the inverse solved
+in u = ln y where the preimage underflows, and the differences that
+cancel when taken from scipy's values: ln B(a, b) with one argument
+dwarfing the other, psi(x + h) - psi(x) and psi'(x + h) - psi'(x) at
+large x.  The last three share one table of Bernoulli numbers.
+``Tolerance`` controls the inverse solve.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
+    "digamma_diff",
+    "trigamma_diff",
     "beta_fn",
     "log_beta",
     "log1mexp",
@@ -44,6 +49,11 @@ __all__ = [
 _LOG_Y_DEEP = -690.0
 # preimages with ln y below this are solved in u = ln y (or ln(1 - y))
 _U_DEEP = -30.0
+# Bernoulli numbers B_2, B_4, ..., B_16 for the Stirling-type asymptotic
+# series of ln Gamma, psi and psi'
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# from this argument on, 4 terms of the psi/psi' series are exact to ~1e-16
+_PSI_ASYMPTOTIC = 100.0
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,11 @@ def _maybe_scalar(arr, scalar):
 
 
 def _positive_finite(x, name):
+    if isinstance(x, float):
+        # the scalar calls of the likelihood derivatives skip the array checks
+        if not (x > 0.0 and math.isfinite(x)):
+            raise ValueError(f"{name} requires finite x > 0")
+        return x, True
     arr, scalar = _as_float_array(x)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} requires finite x > 0")
@@ -93,17 +108,23 @@ def log_gamma(x):
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0, accurate when one argument dwarfs the other.
 
-    With the smaller argument at most 1 and the larger above 1e4, `betaln`
-    loses up to ~1e-9 absolute to cancellation between its gammaln terms;
-    there ln B(lo, hi) = ln Gamma(lo) - ln (hi)_lo, with the Pochhammer
-    symbol (hi)_lo = Gamma(hi + lo)/Gamma(hi) from `poch`, which is exact
-    to ~1e-16 relative only above 1e4 (its asymptotic branch).
+    With the smaller argument at most 1 and the larger at least 10, `betaln`
+    cancels between its gammaln terms (~2e-11 absolute lost at 1e3-1e4,
+    up to ~1e-9 at 1e6).  There ln B(lo, hi) = ln Gamma(lo) - ln (hi)_lo, with the log Pochhammer
+    symbol ln Gamma(hi + lo) - ln Gamma(hi) from the difference of the two
+    Stirling series taken term by term in log1p(lo/hi): 8 Bernoulli terms
+    leave ~1e-16 at hi = 10, and nothing in it cancels.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("log_beta requires finite a, b > 0")
     lo, hi = min(a, b), max(a, b)
-    if lo <= 1.0 and hi > 1e4:
-        return float(sps.gammaln(lo) - math.log(sps.poch(hi, lo)))
+    if lo <= 1.0 and hi >= 10.0:
+        t = math.log1p(lo / hi)
+        log_poch = (hi - 0.5) * t + lo * math.log(hi + lo) - lo
+        for k, b2k in enumerate(_BERNOULLI_2K, start=1):
+            m = 2 * k - 1
+            log_poch += b2k / (2 * k * m) * hi**-m * math.expm1(-m * t)
+        return float(sps.gammaln(lo)) - log_poch
     return float(sps.betaln(a, b))
 
 
@@ -119,9 +140,41 @@ def digamma(x):
 
 
 def trigamma(x):
-    """psi'(x) for x > 0."""
+    """psi'(x) for x > 0: the Hurwitz zeta(2, x), which is what
+    `polygamma(1, x)` evaluates, without its Python-level dispatch."""
     arr, scalar = _positive_finite(x, "trigamma")
-    return _maybe_scalar(sps.polygamma(1, arr), scalar)
+    return _maybe_scalar(sps.zeta(2, arr), scalar)
+
+
+def digamma_diff(x, h):
+    """psi(x + h) - psi(x) for x, h > 0, without the cancellation of the
+    direct difference when h << x.
+
+    From x = 100 on, the difference of the two asymptotic series is taken
+    term by term: log1p(h/x) + h/(2x(x + h)) - sum B_2k/(2k) x^-2k
+    expm1(-2k log1p(h/x)).  Below that the direct difference keeps
+    ~1e-16 * |psi(x)| absolute.
+    """
+    if x < _PSI_ASYMPTOTIC:
+        return float(sps.digamma(x + h) - sps.digamma(x))
+    t = math.log1p(h / x)
+    out = t + h / (2.0 * x * (x + h))
+    for k, b2k in enumerate(_BERNOULLI_2K[:4], start=1):
+        out -= b2k / (2 * k) * x ** (-2 * k) * math.expm1(-2 * k * t)
+    return out
+
+
+def trigamma_diff(x, h):
+    """psi'(x + h) - psi'(x) for x, h > 0, cancellation-free from x = 100
+    on like digamma_diff: -h/(x(x + h)) + expm1(-2t)/(2x^2) + sum B_2k
+    x^-(2k+1) expm1(-(2k+1) t) with t = log1p(h/x)."""
+    if x < _PSI_ASYMPTOTIC:
+        return float(sps.zeta(2, x + h) - sps.zeta(2, x))
+    t = math.log1p(h / x)
+    out = -h / (x * (x + h)) + 0.5 * math.expm1(-2.0 * t) / (x * x)
+    for k, b2k in enumerate(_BERNOULLI_2K[:4], start=1):
+        out += b2k * x ** (-2 * k - 1) * math.expm1(-(2 * k + 1) * t)
+    return out
 
 
 def log1mexp(u):

@@ -1,10 +1,13 @@
 """Tests for maximum-likelihood machinery: likelihood, score, information, fitting."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from mcgompertz import inference
 from mcgompertz.core import McGParams, log_pdf, sample
 from mcgompertz.family import McEParams, exp_limit_log_pdf, make_submodel
 from mcgompertz.inference import (
@@ -219,6 +222,39 @@ class TestScore:
         assert scaled <= 1e-4
 
 
+    def test_exact_on_the_b_ridge(self, glass_data):
+        # The glass McE fit runs out to b ~ 1e13, where psi(b + a/c) - psi(b)
+        # cancels catastrophically when taken as a plain difference.  The
+        # log-space score p * dl/dp, the gradient the fitter follows, is
+        # checked against an mpmath derivative of the log-likelihood.
+        vals = (4.847, 1.069e13, 7.872, 0.01264)
+        U = score("mce", McEParams(*vals), glass_data)
+        y = glass_data.values
+
+        def loglik(a, b, c, theta):
+            alpha = a / c
+            lb = mp.loggamma(alpha) + mp.loggamma(b) - mp.loggamma(alpha + b)
+            total = 0
+            for v in y:
+                G = -mp.expm1(-theta * v)
+                total += (
+                    mp.log(c * theta) - lb - theta * v
+                    + (a - 1) * mp.log(G) + (b - 1) * mp.log1p(-(G**c))
+                )
+            return total
+
+        with mp.workdps(60):
+            u = [mp.log(mp.mpf(v)) for v in vals]
+            for i in range(4):
+                def along(ui, i=i):
+                    uu = list(u)
+                    uu[i] = ui
+                    return loglik(*[mp.exp(z) for z in uu])
+
+                ref = float(mp.diff(along, u[i]))
+                assert abs(vals[i] * U[i] - ref) <= 1e-9 * max(1.0, abs(ref)), i
+
+
 class TestObservedInfo:
     def test_all_ones_shape_diagonal(self):
         # Raw curvature d2l/da2 at a=b=c=1 is n (trigamma(2) - trigamma(1))
@@ -351,6 +387,114 @@ class TestFitMle:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             fit_mle("mcg", Dataset(values=(1.0, 2.0, 3.0, 4.0)))
+
+
+    def test_evaluation_count(self, aarset_data, monkeypatch):
+        # every start's objective calls, as scipy reports them
+        counted = []
+        real = inference.minimize
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counted.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(inference, "minimize", counting)
+        fit_mle("mcg", aarset_data)
+        assert len(counted) == 17
+        assert sum(counted) <= 2000
+
+    def test_no_runtime_warnings(self, aarset_data, glass_data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit_mle("mcg", aarset_data)
+            fit_mle("mce", glass_data)
+
+    def test_glass_be_converges(self, glass_data):
+        # The optimum sits far out in b (~1e5) on a flat valley; the parent
+        # multistart stopped short of it at a 2e-8 higher NLL, unconverged.
+        fit = fit_mle("be", glass_data)
+        assert fit.converged
+        assert fit.grad_norm <= 1e-5
+        assert fit.neg_loglik == pytest.approx(23.95153874, abs=1e-7)
+
+
+class TestTrace:
+    def test_one_record_per_start(self, aarset_mcg_fit):
+        fit = aarset_mcg_fit
+        assert len(fit.trace) == 2 * OptimizerConfig().n_starts + 1
+        best = fit.trace[fit.winner]
+        assert best.reason is None
+        assert best.neg_loglik == fit.neg_loglik
+        assert best.nit == fit.iterations
+        assert best.grad_norm == fit.grad_norm
+        assert all(r.nit >= 0 and r.nfev >= 1 for r in fit.trace)
+        assert all(len(r.start) == len(fit.model.free_params) for r in fit.trace)
+
+    def test_aarset_ridge_starts_rejected(self, aarset_mcg_fit):
+        # Some starts run out along the b-ridge to a lower NLL at the box
+        # wall; the winner rule keeps them out.
+        fit = aarset_mcg_fit
+        ridge = [r for r in fit.trace if r.neg_loglik < fit.neg_loglik - 1.0]
+        assert ridge
+        assert all(r.reason == "not interior" and not r.interior for r in ridge)
+        converged = [r for r in fit.trace if r.reason is None]
+        assert min(r.neg_loglik for r in converged) == fit.neg_loglik
+
+    def test_glass_mce_every_start_at_the_wall(self, glass_data):
+        fit = fit_mle("mce", glass_data)
+        assert {r.reason for r in fit.trace} == {"not interior"}
+        assert fit.trace[fit.winner].neg_loglik == min(
+            r.neg_loglik for r in fit.trace
+        )
+
+    def test_seed_only(self, glass_data):
+        fit = fit_mle("gg", glass_data, OptimizerConfig(n_starts=0))
+        assert len(fit.trace) == 1 and fit.winner == 0
+
+
+class TestTrustRegionStep:
+    @staticmethod
+    def _check_optimal(g, B, radius, s):
+        # Moré-Sorensen conditions: (B + sigma I) s = -g with sigma >= 0,
+        # B + sigma I positive semidefinite, sigma > 0 only on the boundary
+        norm = np.linalg.norm(s)
+        assert norm <= radius * (1.0 + 1e-8)
+        sigma = -(s @ (B @ s + g)) / (s @ s)
+        assert sigma >= -1e-10
+        assert np.allclose((B + sigma * np.eye(len(g))) @ s, -g, atol=1e-8)
+        assert np.linalg.eigvalsh(B)[0] + sigma >= -1e-8
+        if sigma > 1e-8:
+            assert norm == pytest.approx(radius, rel=1e-7)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            M = rng.normal(size=(k, k))
+            B = M + M.T + rng.normal(0.0, 2.0) * np.eye(k)
+            g = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 2)
+            radius = 10.0 ** rng.uniform(-2, 1)
+            s, predicted = inference._trust_region_step(g, B, radius)
+            self._check_optimal(g, B, radius, s)
+            assert predicted == pytest.approx(-(g @ s + 0.5 * s @ B @ s), abs=1e-12)
+
+    def test_newton_step_inside_radius(self):
+        B = np.diag([2.0, 4.0])
+        g = np.array([1.0, -2.0])
+        s, predicted = inference._trust_region_step(g, B, 10.0)
+        assert s == pytest.approx([-0.5, 0.5])
+        assert predicted == pytest.approx(0.75)
+
+    def test_hard_case(self):
+        # g has no component along the negative-curvature eigenvector and
+        # the shifted step is shorter than the radius
+        B = np.diag([-1.0, 2.0])
+        g = np.array([0.0, 1.0])
+        s, _ = inference._trust_region_step(g, B, 2.0)
+        assert np.linalg.norm(s) == pytest.approx(2.0)
+        assert s[1] == pytest.approx(-1.0 / 3.0)
+        self._check_optimal(g, B, 2.0, s)
 
 
 class TestAsymptoticCi:

@@ -1,6 +1,7 @@
 """Oracle checks for the hand-written log-domain code that scipy does not
 cover: log1mexp, the incomplete beta below ln y = -690, the inverse solved
-in u = ln y, ln B(a, b) with one argument dwarfing the other, and the deep
+in u = ln y, ln B(a, b) with one argument dwarfing the other, digamma and
+trigamma differences at large arguments, and the deep
 upper tail they give the distribution functions when 1 - G^c underflows
 (tiny b, w > 700), hazard included, also where the survival underflows
 for large b.  References are mpmath values.
@@ -17,7 +18,14 @@ from numpy.testing import assert_allclose
 
 from mcgompertz.cli import EXIT_OK, main
 from mcgompertz.core import McEParams, McGParams, cdf, hazard, quantile, survival
-from mcgompertz.specfun import inc_beta_inv_log, inc_beta_reg_logx, log1mexp, log_beta
+from mcgompertz.specfun import (
+    digamma_diff,
+    inc_beta_inv_log,
+    inc_beta_reg_logx,
+    log1mexp,
+    log_beta,
+    trigamma_diff,
+)
 
 # aarset mcg optimum: b = 0.008, so the upper quantiles sit past w = 700
 AARSET_MCG = McGParams(
@@ -248,3 +256,32 @@ def test_log_beta_lopsided_vs_mpmath():
                 tol = 2e-15 * max(1.0, abs(ref))
                 assert abs(log_beta(lo, hi) - ref) <= tol, (lo, hi)
                 assert abs(log_beta(hi, lo) - ref) <= tol, (hi, lo)
+    # 10 <= max(a, b) <= 1e4, where betaln is off by up to ~2e-11
+    with mp.workdps(40):
+        for lo in np.geomspace(1e-4, 1.0, 9):
+            for hi in np.geomspace(10.0, 1e4, 13):
+                ref = float(mp.log(mp.beta(mp.mpf(lo), mp.mpf(hi))))
+                assert abs(log_beta(lo, hi) - ref) <= 1e-13, (lo, hi)
+                assert abs(log_beta(hi, lo) - ref) <= 1e-13, (hi, lo)
+
+
+def test_psi_differences_vs_mpmath():
+    # x >= 100: the asymptotic series differenced term by term, where the
+    # direct psi(x + h) - psi(x) keeps only ~1e-16 |psi(x)| absolute
+    with mp.workdps(40):
+        for x in np.geomspace(1e2, 1e16, 15):
+            for h in np.geomspace(1e-3, 50.0, 10):
+                X, H = mp.mpf(x), mp.mpf(h)
+                d1 = float(mp.digamma(X + H) - mp.digamma(X))
+                d2 = float(mp.polygamma(1, X + H) - mp.polygamma(1, X))
+                assert abs(digamma_diff(x, h) - d1) <= 1e-12 * abs(d1), (x, h)
+                assert abs(trigamma_diff(x, h) - d2) <= 1e-12 * abs(d2), (x, h)
+        # below 100 the direct difference, exact to the scale of its terms
+        for x in np.geomspace(1e-3, 99.0, 12):
+            for h in np.geomspace(1e-3, 1e6, 10):
+                X, H = mp.mpf(x), mp.mpf(h)
+                d1 = float(mp.digamma(X + H) - mp.digamma(X))
+                d2 = float(mp.polygamma(1, X + H) - mp.polygamma(1, X))
+                scale = max(1.0, abs(float(mp.digamma(X))), abs(float(mp.digamma(X + H))))
+                assert abs(digamma_diff(x, h) - d1) <= 2e-15 * scale, (x, h)
+                assert abs(trigamma_diff(x, h) - d2) <= 2e-15 * float(mp.polygamma(1, X))
