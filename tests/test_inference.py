@@ -411,8 +411,8 @@ class TestFitMle:
             fit_mle("mce", glass_data)
 
     def test_glass_be_converges(self, glass_data):
-        # The optimum sits far out in b (~1e5) on a flat valley; the parent
-        # multistart stopped short of it at a 2e-8 higher NLL, unconverged.
+        # The optimum sits far out in b (~1e5) on a flat valley, where a fit
+        # that stops short is left unconverged at a slightly higher NLL.
         fit = fit_mle("be", glass_data)
         assert fit.converged
         assert fit.grad_norm <= 1e-5
