@@ -442,8 +442,20 @@ def _build_parser():
     def fit_flags(p, default_model="mcg"):
         p.add_argument("--model", default=default_model)
         p.add_argument("--data", required=True, dest="data_path")
-        p.add_argument("--starts", type=int, default=-1)
-        p.add_argument("--max-iter", type=int, default=-1)
+        p.add_argument(
+            "--starts",
+            type=int,
+            default=-1,
+            metavar="N",
+            help="perturbed starts at each of two lattice scales, so 2N+1 "
+            f"starts with the seed point (default N = {OptimizerConfig().n_starts})",
+        )
+        p.add_argument(
+            "--max-iter",
+            type=int,
+            default=-1,
+            help=f"Newton iterations per start (default {OptimizerConfig().max_iter})",
+        )
 
     def common_flags(p):
         p.add_argument("--out", default="", dest="output_path")

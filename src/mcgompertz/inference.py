@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
-from .core import McEParams, McGParams, log_pdf
+from .core import _W_DEEP, McEParams, McGParams, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
 from .specfun import digamma_diff, log1mexp, trigamma, trigamma_diff
 
@@ -208,7 +208,12 @@ def _check_params(spec, params):
 
 
 def _shape_blocks(params, w):
-    """Per-observation pieces shared by the score and the Hessian."""
+    """Per-observation pieces shared by the score and the Hessian.
+
+    Past w = 700, where e^{-w} underflows and 1 - G^c with it, they take
+    their limits as in `core.log_pdf`: ln(1 - G^c) -> ln c - w, R -> 1/c,
+    Q -> -1/c, dQ/dc -> 1/c^2, and dR, T -> 0 (corrections O(e^{-w})).
+    """
     a, b, c = params.a, params.b, params.c
     lnG = log1mexp(w)
     G = np.exp(lnG)
@@ -220,19 +225,26 @@ def _shape_blocks(params, w):
         ratio1 = 1.0 / np.expm1(w)
         R = np.exp((c - 1.0) * lnG - w) / one_mV
         Q = V * lnG / one_mV
-        A = -1.0 + (a - 1.0) * ratio1 - (b - 1.0) * c * R
+        dQ = Q * lnG / one_mV
         dR = np.exp((c - 2.0) * lnG - w) * ((c - 1.0) - c * G) / one_mV + c * R * R
-        Ap = -(a - 1.0) * ratio1 / G - (b - 1.0) * c * dR
         T = c * R * lnG + V * ratio1 / one_mV + c * R * Q
+    deep = w > _W_DEEP
+    if deep.any():
+        ln1mV = np.where(deep, math.log(c) - w, ln1mV)
+        R = np.where(deep, 1.0 / c, R)
+        Q = np.where(deep, -1.0 / c, Q)
+        dQ = np.where(deep, 1.0 / (c * c), dQ)
+        dR = np.where(deep, 0.0, dR)
+        T = np.where(deep, 0.0, T)
     return {
         "lnG": lnG,
         "ln1mV": ln1mV,
-        "one_mV": one_mV,
         "ratio1": ratio1,
         "R": R,
         "Q": Q,
-        "A": A,
-        "Ap": Ap,
+        "dQ": dQ,
+        "A": -1.0 + (a - 1.0) * ratio1 - (b - 1.0) * c * R,
+        "Ap": -(a - 1.0) * ratio1 / G - (b - 1.0) * c * dR,
         "T": T,
     }
 
@@ -262,8 +274,6 @@ def _derivs(params, y):
     P = -trigamma_diff(alpha, b)
     tg_ab = trigamma(alpha + b)
     q_sum = blk["Q"].sum()
-    with np.errstate(invalid="ignore"):
-        q2_sum = (blk["Q"] * blk["lnG"] / blk["one_mV"]).sum()
     k = 3 + dw.shape[0]
     U = np.empty(k)
     U[0] = n * zeta_ab / c + blk["lnG"].sum()
@@ -280,7 +290,7 @@ def _derivs(params, y):
         -n / c**2
         + 2.0 * n * a * zeta_ab / c**3
         - n * a**2 * P / c**4
-        - (b - 1.0) * q2_sum
+        - (b - 1.0) * blk["dQ"].sum()
     )
     cross = np.stack([blk["ratio1"], -c * blk["R"], -(b - 1.0) * blk["T"]]) @ dw.T
     H[:3, 3:] = cross
@@ -469,10 +479,7 @@ def _trust_region_step(g, B, radius):
     return done(st)
 
 
-def _trust_region_newton(
-    fun, x0, args=(), jac=None, hess=None, max_iter=500, grad_tol=1e-6,
-    step_tol=1e-10, **_,
-):
+def _trust_region_newton(fun, x0, *, jac, hess, max_iter, grad_tol, step_tol, **_):
     """Trust-region Newton minimizer, a custom `scipy.optimize.minimize`
     method: the exact step of _trust_region_step on the supplied Hessian.
 

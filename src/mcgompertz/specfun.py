@@ -88,11 +88,6 @@ def _maybe_scalar(arr, scalar):
 
 
 def _positive_finite(x, name):
-    if isinstance(x, float):
-        # the scalar calls of the likelihood derivatives skip the array checks
-        if not (x > 0.0 and math.isfinite(x)):
-            raise ValueError(f"{name} requires finite x > 0")
-        return x, True
     arr, scalar = _as_float_array(x)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} requires finite x > 0")
@@ -146,6 +141,11 @@ def trigamma(x):
     return _maybe_scalar(sps.zeta(2, arr), scalar)
 
 
+def _check_diff_args(x, h, name):
+    if not (x > 0 and h > 0 and math.isfinite(x) and math.isfinite(h)):
+        raise ValueError(f"{name} requires finite x, h > 0")
+
+
 def digamma_diff(x, h):
     """psi(x + h) - psi(x) for x, h > 0, without the cancellation of the
     direct difference when h << x.
@@ -155,6 +155,7 @@ def digamma_diff(x, h):
     expm1(-2k log1p(h/x)).  Below that the direct difference keeps
     ~1e-16 * |psi(x)| absolute.
     """
+    _check_diff_args(x, h, "digamma_diff")
     if x < _PSI_ASYMPTOTIC:
         return float(sps.digamma(x + h) - sps.digamma(x))
     t = math.log1p(h / x)
@@ -168,6 +169,7 @@ def trigamma_diff(x, h):
     """psi'(x + h) - psi'(x) for x, h > 0, cancellation-free from x = 100
     on like digamma_diff: -h/(x(x + h)) + expm1(-2t)/(2x^2) + sum B_2k
     x^-(2k+1) expm1(-(2k+1) t) with t = log1p(h/x)."""
+    _check_diff_args(x, h, "trigamma_diff")
     if x < _PSI_ASYMPTOTIC:
         return float(sps.zeta(2, x + h) - sps.zeta(2, x))
     t = math.log1p(h / x)

@@ -255,6 +255,53 @@ class TestScore:
                 assert abs(vals[i] * U[i] - ref) <= 1e-9 * max(1.0, abs(ref)), i
 
 
+    def test_exact_past_exp_underflow(self, aarset_data):
+        # gamma = 0.14 puts the largest aarset lifetime at w ~ 1452, past
+        # e^{-w} underflow, where 1 - G^c = 0 in floating point and the
+        # score and Hessian take their deep-tail limits.  Both are checked
+        # against mpmath derivatives of the log-likelihood.
+        vals = (0.2619, 0.0752, 3.7652, 0.0012, 0.14)
+        p = McGParams(*vals)
+        y = aarset_data.values
+        assert p.theta / p.gamma * math.expm1(p.gamma * max(y)) > 745.0
+        U = score("mcg", p, aarset_data)
+        H = loglik_hessian("mcg", p, aarset_data)
+
+        def loglik(a, b, c, theta, gamma):
+            alpha = a / c
+            lb = mp.loggamma(alpha) + mp.loggamma(b) - mp.loggamma(alpha + b)
+            total = 0
+            for v in y:
+                w = theta / gamma * mp.expm1(gamma * v)
+                ln_g = mp.log1p(-mp.exp(-w))
+                total += (
+                    mp.log(c * theta) - lb + gamma * v - w
+                    + (a - 1) * ln_g + (b - 1) * mp.log(-mp.expm1(c * ln_g))
+                )
+            return total
+
+        with mp.workdps(50):
+            x = [mp.mpf(v) for v in vals]
+            for i in range(5):
+                def along(xi, i=i):
+                    xx = list(x)
+                    xx[i] = xi
+                    return loglik(*xx)
+
+                ref = float(mp.diff(along, x[i]))
+                assert abs(U[i] - ref) <= 1e-12 * max(1.0, abs(ref)), i
+                for j in range(i, 5):
+                    def pair(xi, xj, i=i, j=j):
+                        xx = list(x)
+                        xx[i] = xi
+                        xx[j] = xj
+                        return loglik(*xx)
+
+                    ref = float(mp.diff(pair, (x[i], x[j]), (1, 1)) if i != j
+                                else mp.diff(along, x[i], 2))
+                    assert abs(H[i, j] - ref) <= 1e-9 * max(1.0, abs(ref)), (i, j)
+
+
 class TestObservedInfo:
     def test_all_ones_shape_diagonal(self):
         # Raw curvature d2l/da2 at a=b=c=1 is n (trigamma(2) - trigamma(1))
@@ -447,6 +494,21 @@ class TestTrace:
         assert fit.trace[fit.winner].neg_loglik == min(
             r.neg_loglik for r in fit.trace
         )
+
+    def test_starts_past_exp_underflow_converge(self, glass_data):
+        # With no shape parameter free, the lattice perturbs gamma, and the
+        # wide-scale starts put the largest glass strength past e^{-w}
+        # underflow (w > 745); the derivatives stay finite there, so those
+        # starts walk back to the optimum like the others.
+        fit = fit_mle("g", glass_data)
+        ymax = max(glass_data.values)
+        deep = [
+            r for r in fit.trace
+            if r.start[0] / r.start[1] * math.expm1(r.start[1] * ymax) > 745.0
+        ]
+        assert deep
+        assert all(r.reason is None for r in fit.trace)
+        assert all(r.neg_loglik <= fit.neg_loglik + 1e-9 for r in deep)
 
     def test_seed_only(self, glass_data):
         fit = fit_mle("gg", glass_data, OptimizerConfig(n_starts=0))

@@ -285,3 +285,11 @@ def test_psi_differences_vs_mpmath():
                 scale = max(1.0, abs(float(mp.digamma(X))), abs(float(mp.digamma(X + H))))
                 assert abs(digamma_diff(x, h) - d1) <= 2e-15 * scale, (x, h)
                 assert abs(trigamma_diff(x, h) - d2) <= 2e-15 * float(mp.polygamma(1, X))
+
+
+@pytest.mark.parametrize("fn", [digamma_diff, trigamma_diff])
+@pytest.mark.parametrize("x, h", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0),
+                                  (math.inf, 1.0), (1.0, math.nan)])
+def test_psi_differences_reject_bad_arguments(fn, x, h):
+    with pytest.raises(ValueError):
+        fn(x, h)
