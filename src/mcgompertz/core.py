@@ -24,6 +24,7 @@ from .specfun import (
     Tolerance,
     _as_float_array,
     _maybe_scalar,
+    _over_columns,
     beta_fn,
     inc_beta_inv_log,
     inc_beta_reg,
@@ -59,9 +60,11 @@ _SERIES_TERMS = 5000
 
 
 def _check_positive(obj, names):
+    # a field may be a column of values, one per start of a batched fit
     for name in names:
         v = getattr(obj, name)
-        if not (math.isfinite(v) and v > 0):
+        ok = v.min() > 0 and v.max() < math.inf if isinstance(v, np.ndarray) else 0 < v < math.inf
+        if not ok:
             raise ValueError(f"{name} must be positive and finite")
 
 
@@ -83,7 +86,7 @@ class GompertzBase:
 
     def log_dw(self, y):
         """ln w'(y) = ln theta + gamma y."""
-        return math.log(self.theta) + self.gamma * y
+        return np.log(self.theta) + self.gamma * y
 
     def y_of_w(self, w):
         """The y with w(y) = w."""
@@ -92,7 +95,9 @@ class GompertzBase:
     def w_partials(self, y):
         """w(y) with its partials in the rates (theta, gamma), and those of
         ln w'(y), per observation: (w, dw, d2w, dlw, d2lw) of shapes
-        (n,), (2, n), (2, 2, n), (2, n) and (2, 2, n)."""
+        (..., n), (..., 2, n), (..., 2, 2, n), (..., 2, n) and
+        (..., 2, 2, n), where the leading axes are those of (S, 1) rate
+        columns (one row per start) and absent for float rates."""
         theta, gamma = self.theta, self.gamma
         with np.errstate(over="ignore", invalid="ignore"):
             gy = gamma * y
@@ -101,18 +106,18 @@ class GompertzBase:
             s = gy * egy - egy + 1.0
             w_tg = s / gamma**2
             w_gg = theta * (gy**2 * egy - 2.0 * s) / gamma**3
-        n = w.size
-        dw = np.empty((2, n))
-        dw[0] = w / theta
-        dw[1] = theta * w_tg
-        d2w = np.zeros((2, 2, n))
-        d2w[0, 1] = d2w[1, 0] = w_tg
-        d2w[1, 1] = w_gg
-        dlw = np.empty((2, n))
-        dlw[0] = 1.0 / theta
-        dlw[1] = y
-        d2lw = np.zeros((2, 2, n))
-        d2lw[0, 0] = -1.0 / theta**2
+        lead = w.shape[:-1]
+        dw = np.empty(lead + (2,) + w.shape[-1:])
+        dw[..., 0, :] = w / theta
+        dw[..., 1, :] = theta * w_tg
+        d2w = np.zeros(lead + (2,) + dw.shape[-2:])
+        d2w[..., 0, 1, :] = d2w[..., 1, 0, :] = w_tg
+        d2w[..., 1, 1, :] = w_gg
+        dlw = np.empty_like(dw)
+        dlw[..., 0, :] = 1.0 / theta
+        dlw[..., 1, :] = y
+        d2lw = np.zeros_like(d2w)
+        d2lw[..., 0, 0, :] = -1.0 / theta**2
         return w, dw, d2w, dlw, d2lw
 
 
@@ -132,7 +137,7 @@ class ExpBaseParams:
 
     def log_dw(self, y):
         """ln w'(y) = ln theta at every y."""
-        return np.full(np.shape(y), math.log(self.theta))
+        return np.log(self.theta) + np.zeros(np.shape(y))
 
     def y_of_w(self, w):
         """The y with w(y) = w."""
@@ -140,12 +145,19 @@ class ExpBaseParams:
 
     def w_partials(self, y):
         """w(y) with its partials in the rate theta, and those of ln w'(y),
-        per observation: (w, dw, d2w, dlw, d2lw) of shapes (n,), (1, n),
-        (1, 1, n), (1, n) and (1, 1, n)."""
+        per observation: (w, dw, d2w, dlw, d2lw) of shapes (..., n),
+        (..., 1, n), (..., 1, 1, n), (..., 1, n) and (..., 1, 1, n), with
+        leading axes as for GompertzBase.w_partials."""
         theta = self.theta
-        n = y.size
-        dlw = np.full((1, n), 1.0 / theta)
-        return theta * y, y[None, :], np.zeros((1, 1, n)), dlw, -dlw[None] / theta
+        w = theta * y
+        dw = np.broadcast_to(y, w.shape[:-1] + (1,) + w.shape[-1:])
+        # C order, like every per-observation array: a sum over the last
+        # axis then runs within each row, whatever the number of rows
+        dlw = np.empty(dw.shape)
+        dlw[..., 0, :] = 1.0 / theta
+        d2lw = np.empty(dw.shape[:-1] + dw.shape[-2:])
+        d2lw[..., 0, 0, :] = -(1.0 / theta) / theta
+        return w, dw, np.zeros_like(d2lw), dlw, d2lw
 
 
 @dataclass(frozen=True)
@@ -209,6 +221,34 @@ def base_pdf(base, y):
     return _maybe_scalar(out, scalar)
 
 
+def _log_pdf_terms(p, y):
+    """ln f(y) on a checked array y, with the intermediates it builds:
+    (ln f, w, ln G, ln(1 - G^c), deep), where deep marks w > 700.
+
+    The fields of `p` may be floats or (S, 1) columns, one row per start
+    of a batched fit; the arrays then have shape (S, n).  Where deep,
+    ln(1 - G^c) is left as computed (-inf once e^{-w} underflows) and
+    ln f uses its asymptote ln c - w instead.
+    """
+    a, b, c = p.a, p.b, p.c
+    base = p.base
+    log_c = np.log(c)
+    lead = log_c - _over_columns(log_beta, a / c, b) + base.log_dw(y)
+    w = base.w(y)
+    with np.errstate(under="ignore", invalid="ignore"):
+        ln_g = log1mexp(w)
+        ln_1mv = log1mexp(-c * ln_g)
+        out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
+    deep = w > _W_DEEP
+    if deep.any():
+        out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
+    zero = w == 0.0
+    if zero.any():
+        at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))
+        out = np.where(zero, at_zero, out)
+    return out, w, ln_g, ln_1mv, deep
+
+
 def log_pdf(p, y):
     """ln f(y), assembled entirely in log space.
 
@@ -218,25 +258,10 @@ def log_pdf(p, y):
     log1p/expm1 complements), and w > 700 where exp(-w) underflows and
     ln(1 - (1-t)^c) is replaced by its asymptote ln c - w.  The moderate
     form is evaluated on the whole array and the other two patched in
-    only where they occur: the likelihood sums this on every objective
-    call of a fit.
+    only where they occur.
     """
     arr, scalar = _checked_y(y)
-    a, b, c = p.a, p.b, p.c
-    base = p.base
-    lead = math.log(c) - log_beta(a / c, b) + base.log_dw(arr)
-    w = base.w(arr)
-    with np.errstate(under="ignore", invalid="ignore"):
-        ln_g = log1mexp(w)
-        out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * log1mexp(-c * ln_g)
-    deep = w > _W_DEEP
-    if deep.any():
-        out = np.where(deep, lead + (b - 1.0) * math.log(c) - b * w, out)
-    zero = w == 0.0
-    if zero.any():
-        at_zero = math.inf if a < 1.0 else (lead if a == 1.0 else -math.inf)
-        out = np.where(zero, at_zero, out)
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(_log_pdf_terms(p, arr)[0], scalar)
 
 
 def pdf(p, y):

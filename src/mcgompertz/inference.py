@@ -2,11 +2,15 @@
 
 The log-likelihood, score vector, and observed information matrix are exact
 analytic expressions shared by every sub-model in the family registry,
-computed together in one pass over the data; each sub-model sees them
-through a constant 0/1 embedding of its free parameters.  Fitting runs a
-deterministic multistart in log-parameter space, each start a trust-region
-Newton method on that exact Hessian (the step solved exactly from its
-eigendecomposition, Moré & Sorensen 1983).  A start counts as converged on
+computed together in one pass over the data from the intermediates of the
+log density; each sub-model sees them through a constant 0/1 embedding of
+its free parameters.  Fitting runs a deterministic multistart in
+log-parameter space, each start a trust-region Newton method on that exact
+Hessian (the step solved exactly from its eigendecomposition, Moré &
+Sorensen 1983).  The starts run in lockstep: each keeps its own iterate,
+trust radius and stop status, and every iteration evaluates all starts
+still running in one derivative pass over a (starts x n) array, so a fit
+costs as many passes as its slowest start.  A start counts as converged on
 its scaled gradient norm, interiority, and positive definiteness of the
 observed information, and every start is reported in the fit's trace.
 """
@@ -15,15 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
-from .core import _W_DEEP, McEParams, McGParams, log_pdf
+from .core import McEParams, McGParams, _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
-from .specfun import digamma_diff, log1mexp, trigamma, trigamma_diff
+from .specfun import _over_columns, digamma_diff, trigamma, trigamma_diff
 
 _BASE_ORDER = {
     "gompertz": ("a", "b", "c", "theta", "gamma"),
@@ -207,45 +211,40 @@ def _check_params(spec, params):
             )
 
 
-def _shape_blocks(params, w):
-    """Per-observation pieces shared by the score and the Hessian.
+def _shape_blocks(params, w, ln_g, ln_1mv, deep):
+    """Per-observation pieces shared by the score and the Hessian, from the
+    intermediates of `core._log_pdf_terms` (w, ln G, ln(1 - G^c), deep).
 
     Past w = 700, where e^{-w} underflows and 1 - G^c with it, they take
     their limits as in `core.log_pdf`: ln(1 - G^c) -> ln c - w, R -> 1/c,
     Q -> -1/c, dQ/dc -> 1/c^2, and dR, T -> 0 (corrections O(e^{-w})).
     """
     a, b, c = params.a, params.b, params.c
-    lnG = log1mexp(w)
-    G = np.exp(lnG)
-    clnG = c * lnG
-    V = np.exp(clnG)
-    ln1mV = log1mexp(-clnG)
-    one_mV = np.exp(ln1mV)
+    G = np.exp(ln_g)
+    V = np.exp(c * ln_g)
+    one_mV = np.exp(ln_1mv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio1 = 1.0 / np.expm1(w)
-        R = np.exp((c - 1.0) * lnG - w) / one_mV
-        Q = V * lnG / one_mV
-        dQ = Q * lnG / one_mV
-        dR = np.exp((c - 2.0) * lnG - w) * ((c - 1.0) - c * G) / one_mV + c * R * R
-        T = c * R * lnG + V * ratio1 / one_mV + c * R * Q
-    deep = w > _W_DEEP
+        R = np.exp((c - 1.0) * ln_g - w) / one_mV
+        Q = V * ln_g / one_mV
+        dQ = Q * ln_g / one_mV
+        dR = np.exp((c - 2.0) * ln_g - w) * ((c - 1.0) - c * G) / one_mV + c * R * R
+        T = c * R * ln_g + V * ratio1 / one_mV + c * R * Q
     if deep.any():
-        ln1mV = np.where(deep, math.log(c) - w, ln1mV)
+        ln_1mv = np.where(deep, np.log(c) - w, ln_1mv)
         R = np.where(deep, 1.0 / c, R)
         Q = np.where(deep, -1.0 / c, Q)
         dQ = np.where(deep, 1.0 / (c * c), dQ)
         dR = np.where(deep, 0.0, dR)
         T = np.where(deep, 0.0, T)
     return {
-        "lnG": lnG,
-        "ln1mV": ln1mV,
-        "ratio1": ratio1,
-        "R": R,
+        "lnG": ln_g,
+        "ln1mV": ln_1mv,
         "Q": Q,
         "dQ": dQ,
         "A": -1.0 + (a - 1.0) * ratio1 - (b - 1.0) * c * R,
         "Ap": -(a - 1.0) * ratio1 / G - (b - 1.0) * c * dR,
-        "T": T,
+        "cross": np.stack([ratio1, -c * R, -(b - 1.0) * T], axis=-2),
     }
 
 
@@ -258,46 +257,66 @@ def _loglik_value(params, y):
 
 def _derivs(params, y):
     """Log-likelihood, score and Hessian in the full natural parameters
-    (a, b, c, theta[, gamma]) from one pass over the data.
+    (a, b, c, theta[, gamma]) of S starts, from one pass over an (S, n)
+    array.
 
-    The base rates enter only through w(y) and ln w'(y), whose partials
-    the base supplies; the digamma and trigamma differences are taken
-    cancellation-free, which matters on the b -> infinity ridge.
+    The fields of `params` are (S, 1) columns, one row per start; a field
+    a sub-model fixes may stay a float.  Returns the values (S,), -inf
+    where not finite, the scores (S, k) and the Hessians (S, k, k).  The
+    base rates enter only through w(y) and ln w'(y), whose partials the
+    base supplies; the digamma and trigamma differences are taken
+    cancellation-free, which matters on the b -> infinity ridge.  Every
+    reduction and matrix product runs within a row, so a start's numbers
+    do not depend on which other starts share the pass.
     """
-    a, b, c = params.a, params.b, params.c
+    logf, *terms = _log_pdf_terms(params, y)
+    blk = _shape_blocks(params, *terms)
+    _, dw, d2w, dlw, d2lw = params.base.w_partials(y)
+    S, n = logf.shape
+    a, b, c = (
+        np.ravel(v) if isinstance(v, np.ndarray) else v
+        for v in (params.a, params.b, params.c)
+    )
     alpha = a / c
-    n = y.size
-    w, dw, d2w, dlw, d2lw = params.base.w_partials(y)
-    blk = _shape_blocks(params, w)
-    zeta_ab = digamma_diff(alpha, b)
-    zeta_ba = digamma_diff(b, alpha)
-    P = -trigamma_diff(alpha, b)
+    zeta_ab = _over_columns(digamma_diff, alpha, b)
+    zeta_ba = _over_columns(digamma_diff, b, alpha)
+    P = -_over_columns(trigamma_diff, alpha, b)
     tg_ab = trigamma(alpha + b)
-    q_sum = blk["Q"].sum()
-    k = 3 + dw.shape[0]
-    U = np.empty(k)
-    U[0] = n * zeta_ab / c + blk["lnG"].sum()
-    U[1] = n * zeta_ba + blk["ln1mV"].sum()
-    U[2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
-    U[3:] = dlw.sum(axis=-1) + dw @ blk["A"]
-    H = np.empty((k, k))
-    H[0, 0] = -n * P / c**2
-    H[0, 1] = n * tg_ab / c
-    H[1, 1] = n * trigamma_diff(b, alpha)
-    H[0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
-    H[1, 2] = -n * a / c**2 * tg_ab - q_sum
-    H[2, 2] = (
+    q_sum = blk["Q"].sum(axis=-1)
+    A = blk["A"][:, :, None]
+    dwT = dw.transpose(0, 2, 1)
+    k = 3 + dw.shape[-2]
+    U = np.empty((S, k))
+    U[:, 0] = n * zeta_ab / c + blk["lnG"].sum(axis=-1)
+    U[:, 1] = n * zeta_ba + blk["ln1mV"].sum(axis=-1)
+    U[:, 2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
+    U[:, 3:] = dlw.sum(axis=-1) + (dw @ A)[..., 0]
+    H = np.empty((S, k, k))
+    H[:, 0, 0] = -n * P / c**2
+    H[:, 0, 1] = n * tg_ab / c
+    H[:, 1, 1] = n * _over_columns(trigamma_diff, b, alpha)
+    H[:, 0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
+    H[:, 1, 2] = -n * a / c**2 * tg_ab - q_sum
+    H[:, 2, 2] = (
         -n / c**2
         + 2.0 * n * a * zeta_ab / c**3
         - n * a**2 * P / c**4
-        - (b - 1.0) * blk["dQ"].sum()
+        - (b - 1.0) * blk["dQ"].sum(axis=-1)
     )
-    cross = np.stack([blk["ratio1"], -c * blk["R"], -(b - 1.0) * blk["T"]]) @ dw.T
-    H[:3, 3:] = cross
-    H[3:, :3] = cross.T
-    H[3:, 3:] = d2lw.sum(axis=-1) + (dw * blk["Ap"]) @ dw.T + d2w @ blk["A"]
-    H[1, 0], H[2, 0], H[2, 1] = H[0, 1], H[0, 2], H[1, 2]
-    return _loglik_value(params, y), U, H
+    cross = blk["cross"] @ dwT
+    H[:, :3, 3:] = cross
+    H[:, 3:, :3] = cross.transpose(0, 2, 1)
+    H[:, 3:, 3:] = (
+        d2lw.sum(axis=-1) + (dw * blk["Ap"][:, None, :]) @ dwT + (d2w @ A[:, None])[..., 0]
+    )
+    H[:, 1, 0], H[:, 2, 0], H[:, 2, 1] = H[:, 0, 1], H[:, 0, 2], H[:, 1, 2]
+    value = logf.sum(axis=-1)
+    return np.where(np.isfinite(value), value, -np.inf), U, H
+
+
+def _one_start(params):
+    """A parameter point as a batch of one start: every field a (1, 1) column."""
+    return type(params)(*(np.full((1, 1), getattr(params, f.name)) for f in fields(params)))
 
 
 def _embedding(spec):
@@ -332,7 +351,7 @@ def score(model, params, data):
     """Gradient of the log-likelihood in the model's free parameters."""
     spec = _spec(model)
     _check_params(spec, params)
-    return _embedding(spec).T @ _derivs(params, data.array)[1]
+    return _embedding(spec).T @ _derivs(_one_start(params), data.array)[1][0]
 
 
 def loglik_hessian(model, params, data):
@@ -340,7 +359,7 @@ def loglik_hessian(model, params, data):
     spec = _spec(model)
     _check_params(spec, params)
     J = _embedding(spec)
-    return J.T @ _derivs(params, data.array)[2] @ J
+    return J.T @ _derivs(_one_start(params), data.array)[2][0] @ J
 
 
 def observed_info(model, params, data):
@@ -412,13 +431,35 @@ def _start_points(x0, free, cfg):
 
 
 def _box_penalty(x):
-    """Value, gradient and (diagonal) Hessian of the box penalty."""
+    """Value, gradient and (diagonal) Hessian of the box penalty at each row
+    of an (m, k) block of log-parameter points."""
     over = np.maximum(np.abs(x) - _BOX, 0.0)
     return (
-        _PENALTY * float(over @ over**2),
+        _PENALTY * (over * over**2).sum(axis=-1),
         3.0 * _PENALTY * over**2 * np.sign(x),
         6.0 * _PENALTY * over,
     )
+
+
+def _log_space_derivs(spec, J, y, x):
+    """At an (m, k) block of free log-parameter points x = ln p, one
+    `_derivs` pass gives (nll, info, f, g, B): the negative log-likelihood
+    (m,) and observed information (m, k, k) in the free natural parameters,
+    and the penalized objective f (m,) with its gradient (m, k) and Hessian
+    (m, k, k) in x.  f is +inf wherever any of them is not finite."""
+    p = np.exp(x)
+    params = make_submodel(spec.name, {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)})
+    with np.errstate(all="ignore"):
+        value, U, H = _derivs(params, y)
+        U, H = U @ J, J.T @ H @ J
+        pen, pen_g, pen_h = _box_penalty(x)
+        g = -p * U + pen_g
+        B = -(p[:, :, None] * H * p[:, None, :])
+        diag = np.arange(x.shape[1])
+        B[:, diag, diag] -= p * U
+        B[:, diag, diag] += pen_h
+    ok = np.isfinite(value) & np.isfinite(g).all(axis=-1) & np.isfinite(B).all(axis=(-2, -1))
+    return -value, -H, np.where(ok, -value + pen, math.inf), g, B
 
 
 def _positive_definite(m):
@@ -432,7 +473,9 @@ def _positive_definite(m):
 
 
 def _trust_region_step(g, B, radius):
-    """Exact minimizer s of the model g.s + s.B.s/2 over |s| <= radius.
+    """Exact minimizer s of the model g.s + s.B.s/2 over |s| <= radius, for
+    one model (g of shape (k,)) or row by row over a batch (g (m, k),
+    B (m, k, k), radius (m,)).
 
     Moré & Sorensen (1983) on the eigendecomposition B = Q diag(lam) Q^T:
     the Newton step when B is positive definite and the step fits, else
@@ -440,91 +483,128 @@ def _trust_region_step(g, B, radius):
     solving the secular equation 1/|s(sigma)| = 1/radius by safeguarded
     Newton.  In the hard case (g orthogonal to the lowest eigenspace and the
     shifted step inside the radius) the step is completed along the lowest
-    eigenvector.  Returns (s, predicted decrease of the model).
+    eigenvector.  One batched eigh serves every row, each row takes its
+    case by mask, and the boundary rows share one secular iteration in
+    which a row keeps its sigma once it has converged.  Returns (s,
+    predicted decrease of the model).
     """
-    lam, Q = np.linalg.eigh(B)
-    gt = Q.T @ g
-
-    def done(st):
-        return Q @ st, -(gt @ st + 0.5 * (lam * st) @ st)
-
-    if lam[0] > 0.0:
+    single = np.ndim(g) == 1
+    g = np.atleast_2d(g)
+    m, k = g.shape
+    lam, Q = np.linalg.eigh(np.reshape(B, (m, k, k)))
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (m,))
+    gt = (Q * g[:, :, None]).sum(axis=1)
+    gt2 = gt * gt
+    r2 = radius * radius
+    lam_1 = lam[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
         st = -gt / lam
-        if st @ st <= radius * radius:
-            return done(st)
-    sig_lo = max(0.0, -lam[0])
-    bottom = lam - lam[0] <= 1e-12 * np.abs(lam).max()
-    gnorm = math.sqrt(gt @ gt)
-    if lam[0] <= 0.0 and np.all(np.abs(gt[bottom]) <= 1e-12 * gnorm):
-        st = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, lam + sig_lo))
-        room = radius * radius - st @ st
-        if room >= 0.0:
-            st[0] = math.sqrt(room)
-            return done(st)
-    lo, hi = sig_lo, gnorm / radius - lam[0]
+        todo = ~((lam_1 > 0.0) & ((st * st).sum(axis=-1) <= r2))
+        sig_lo = np.maximum(0.0, -lam_1)
+        bottom = lam - lam[:, :1] <= 1e-12 * np.abs(lam).max(axis=-1, keepdims=True)
+        gnorm = np.sqrt(gt2.sum(axis=-1))
+        hard_st = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, lam + sig_lo[:, None]))
+    room = r2 - (hard_st * hard_st).sum(axis=-1)
+    hard = (
+        todo
+        & (lam_1 <= 0.0)
+        & (~bottom | (np.abs(gt) <= 1e-12 * gnorm[:, None])).all(axis=-1)
+        & (room >= 0.0)
+    )
+    hard_st[:, 0] = np.sqrt(np.maximum(room, 0.0))
+    st[hard] = hard_st[hard]
+    rows = np.flatnonzero(todo & ~hard)
+    lam_r, gt2_r, rad = lam[rows], gt2[rows], radius[rows]
+    lo = sig_lo[rows]
+    hi = gnorm[rows] / rad - lam_r[:, 0]
     sigma = hi
     for _ in range(100):
-        d = lam + sigma
-        st = -gt / d
-        snorm = math.sqrt(st @ st)
-        if abs(snorm - radius) <= 1e-8 * radius:
+        at = sigma
+        inv = 1.0 / (lam_r + sigma[:, None])
+        q = gt2_r * inv * inv
+        snorm2 = q.sum(axis=-1)
+        snorm = np.sqrt(snorm2)
+        done = np.abs(snorm - rad) <= 1e-8 * rad
+        if done.all():
             break
-        if snorm < radius:
-            hi = sigma
-        else:
-            lo = sigma
-        sigma += (snorm - radius) / radius * snorm * snorm / (st @ (st / d))
-        if not lo < sigma < hi:
-            sigma = 0.5 * (lo + hi)
-    return done(st)
+        short = snorm < rad
+        hi = np.where(short, sigma, hi)
+        lo = np.where(short, lo, sigma)
+        step = sigma + (snorm - rad) / rad * snorm2 / (q * inv).sum(axis=-1)
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        sigma = np.where(done, sigma, step)
+    st[rows] = -gt[rows] / (lam_r + at[:, None])
+    s = (Q * st[:, None, :]).sum(axis=-1)
+    predicted = -((gt * st).sum(axis=-1) + 0.5 * ((lam * st) * st).sum(axis=-1))
+    if single:
+        return s[0], float(predicted[0])
+    return s, predicted
 
 
-def _trust_region_newton(fun, x0, *, jac, hess, max_iter, grad_tol, step_tol, **_):
-    """Trust-region Newton minimizer, a custom `scipy.optimize.minimize`
-    method: the exact step of _trust_region_step on the supplied Hessian.
+def _trust_region_newton(fun, x0, *, dim, max_iter, grad_tol, step_tol, **_):
+    """Trust-region Newton minimizer over a block of starts run in lockstep,
+    a custom `scipy.optimize.minimize` method.
 
-    Stops when the sup-norm gradient is at most `grad_tol`, when the trust
-    radius falls below `step_tol` (no step the model trusts still lowers
-    the objective, as at the box wall), or after `max_iter` iterations.
-    `fun` returns +inf where the objective is not defined; steps there are
-    rejected like any other step that fails to decrease it.
+    x0 is the flattened (S * dim,) block of S start points (scipy accepts
+    only a 1-d x0).  `fun` maps an (m, dim) block of points to objective
+    values (m,), gradients (m, dim) and Hessians (m, dim, dim); it returns
+    +inf where the objective is not defined, and steps there are rejected
+    like any other step that fails to decrease it.
+
+    Each start keeps its own iterate, trust radius and stop status and
+    takes the exact step of _trust_region_step on its own Hessian; one call
+    of `fun` per iteration evaluates the trial points of the starts still
+    running.  A start stops, tested in this order, where the objective is
+    not finite, when its sup-norm gradient is at most `grad_tol`, when its
+    trust radius falls below `step_tol` (no step the model trusts still
+    lowers the objective, as at the box wall), or after `max_iter`
+    iterations.
+
+    The result holds per start x (flattened like x0), fun, jac, hess,
+    nit_per_start, nfev_per_start and status: 3 objective not finite at
+    the start, 0 gradient below grad_tol, 2 trust radius below step_tol,
+    1 iteration limit reached.  nit, nfev and njev are sums over the
+    starts; npass counts the calls of `fun`.
     """
-    x = np.asarray(x0, dtype=float)
-    f, g, B = fun(x), jac(x), hess(x)
-    nfev = njev = nhev = 1
-    radius = 1.0
-    nit = 0
+    x = np.array(x0, dtype=float).reshape(-1, dim)
+    f, g, B = fun(x)
+    n_run = x.shape[0]
+    nit = np.zeros(n_run, dtype=int)
+    nfev = np.ones(n_run, dtype=int)
+    njev = np.ones(n_run, dtype=int)
+    radius = np.ones(n_run)
+    status = np.full(n_run, -1)
+    npass = 1
     while True:
-        if not math.isfinite(f):
-            status, message = 3, "objective not finite at the start"
+        stop = np.where(
+            ~np.isfinite(f), 3, np.where(
+                np.abs(g).max(axis=-1) <= grad_tol, 0, np.where(
+                    radius < step_tol, 2, np.where(nit >= max_iter, 1, -1))))
+        status = np.where(status < 0, stop, status)
+        run = np.flatnonzero(status < 0)
+        if not run.size:
             break
-        if np.max(np.abs(g)) <= grad_tol:
-            status, message = 0, "gradient below grad_tol"
-            break
-        if radius < step_tol:
-            status, message = 2, "trust radius below step_tol"
-            break
-        if nit >= max_iter:
-            status, message = 1, "iteration limit reached"
-            break
-        nit += 1
-        step, predicted = _trust_region_step(g, B, radius)
-        x_new = x + step
-        f_new = fun(x_new)
-        nfev += 1
-        ratio = (f - f_new) / predicted if predicted > 0.0 else -math.inf
-        if not ratio > 0.25:
-            radius = 0.25 * math.sqrt(step @ step)
-        elif ratio > 0.75 and math.sqrt(step @ step) > 0.8 * radius:
-            radius = min(2.0 * radius, _MAX_RADIUS)
-        if ratio > _ACCEPT:
-            x, f = x_new, f_new
-            g, B = jac(x), hess(x)
-            njev += 1
-            nhev += 1
+        nit[run] += 1
+        step, predicted = _trust_region_step(g[run], B[run], radius[run])
+        x_new = x[run] + step
+        f_new, g_new, B_new = fun(x_new)
+        npass += 1
+        nfev[run] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(predicted > 0.0, (f[run] - f_new) / predicted, -math.inf)
+        snorm = np.sqrt((step * step).sum(axis=-1))
+        rad = radius[run]
+        grow = (ratio > 0.75) & (snorm > 0.8 * rad)
+        rad = np.where(grow, np.minimum(2.0 * rad, _MAX_RADIUS), rad)
+        radius[run] = np.where(ratio > 0.25, rad, 0.25 * snorm)
+        took = ratio > _ACCEPT
+        moved = run[took]
+        x[moved], f[moved], g[moved], B[moved] = x_new[took], f_new[took], g_new[took], B_new[took]
+        njev[moved] += 1
     return OptimizeResult(
-        x=x, fun=f, jac=g, hess=B, nit=nit, nfev=nfev, njev=njev, nhev=nhev,
-        status=status, message=message, success=status == 0,
+        x=x.ravel(), fun=f, jac=g, hess=B, status=status, nit=int(nit.sum()),
+        nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,
+        nit_per_start=nit, nfev_per_start=nfev,
     )
 
 
@@ -534,6 +614,9 @@ def fit_mle(model, data, config=None):
     Runs a trust-region Newton method in log-parameter space on the exact
     Hessian from every start of the battery (the seed plus
     `config.n_starts` perturbations at each of two lattice scales).  The
+    starts run in lockstep, each on its own trajectory: one batched
+    derivative pass per iteration evaluates all starts still running, so
+    a fit costs about as many passes as its slowest start needs.  The
     winner is the best converged start (scaled gradient at most 1e-5,
     strictly inside the box, positive definite observed information); if
     none converges the best raw minimum is returned with
@@ -549,48 +632,28 @@ def fit_mle(model, data, config=None):
             f"{spec.name} has {k} free parameters; need more than {k} observations"
         )
     J = _embedding(spec)
-    last = {}
-
-    def evaluate(x):
-        # objective, gradient and Hessian in x = ln p share this one pass;
-        # f is +inf wherever any of them is not finite
-        key = x.tobytes()
-        if last.get("key") != key:
-            p = np.exp(x)
-            with np.errstate(all="ignore"):
-                value, U, H = _derivs(make_submodel(spec.name, dict(zip(free, p))), y)
-                U, H = J.T @ U, J.T @ H @ J
-                pen, pen_g, pen_h = _box_penalty(x)
-                g = -p * U + pen_g
-                B = -(p[:, None] * H * p[None, :] + np.diag(p * U)) + np.diag(pen_h)
-            ok = math.isfinite(value) and np.all(np.isfinite(g)) and np.all(np.isfinite(B))
-            last.update(key=key, f=-value + pen if ok else math.inf, g=g, B=B,
-                        nll=-value, info=-H)
-        return last
-
-    x_seed = np.log([_seed_values(spec, y)[f] for f in free])
-    trace, ends = [], []
-    for x_start in _start_points(x_seed, free, cfg):
-        res = minimize(
-            lambda x: evaluate(x)["f"],
-            x_start,
-            method=_trust_region_newton,
-            jac=lambda x: evaluate(x)["g"],
-            hess=lambda x: evaluate(x)["B"],
-            options={
-                "max_iter": cfg.max_iter,
-                "grad_tol": cfg.grad_tol,
-                "step_tol": cfg.step_tol,
-            },
-        )
-        x_hat = np.asarray(res.x, dtype=float)
-        at = evaluate(x_hat)
-        nll = at["nll"]
-        info = 0.5 * (at["info"] + at["info"].T)
-        scaled_grad = float(np.max(np.abs(at["g"]))) / max(1.0, abs(nll))
-        interior = bool(np.all(np.abs(x_hat) < _BOX))
-        pos_def = _positive_definite(info)
-        if not math.isfinite(at["f"]):
+    seed = _seed_values(spec, y)
+    starts = np.array(_start_points(np.log([seed[f] for f in free]), free, cfg))
+    res = minimize(
+        lambda x: _log_space_derivs(spec, J, y, x)[2:],
+        starts.ravel(),
+        method=_trust_region_newton,
+        options={
+            "dim": k,
+            "max_iter": cfg.max_iter,
+            "grad_tol": cfg.grad_tol,
+            "step_tol": cfg.step_tol,
+        },
+    )
+    ends = res.x.reshape(-1, k)
+    nll, info, f_end, g_end, _ = _log_space_derivs(spec, J, y, ends)
+    info = 0.5 * (info + info.transpose(0, 2, 1))
+    trace = []
+    for i, x_start in enumerate(starts):
+        scaled_grad = float(np.max(np.abs(g_end[i]))) / max(1.0, abs(nll[i]))
+        interior = bool(np.all(np.abs(ends[i]) < _BOX))
+        pos_def = _positive_definite(info[i])
+        if not math.isfinite(f_end[i]):
             reason = "degenerate"
         elif not interior:
             reason = "not interior"
@@ -603,16 +666,15 @@ def fit_mle(model, data, config=None):
         trace.append(
             StartRecord(
                 start=tuple(float(v) for v in np.exp(x_start)),
-                nit=int(res.nit),
-                nfev=int(res.nfev),
-                neg_loglik=float(nll),
+                nit=int(res.nit_per_start[i]),
+                nfev=int(res.nfev_per_start[i]),
+                neg_loglik=float(nll[i]),
                 grad_norm=scaled_grad,
                 interior=interior,
                 pos_def=pos_def,
                 reason=reason,
             )
         )
-        ends.append((x_hat, info))
 
     usable = [i for i, r in enumerate(trace) if r.reason != "degenerate"]
     if not usable:
@@ -620,11 +682,10 @@ def fit_mle(model, data, config=None):
     converged = [i for i in usable if trace[i].reason is None]
     winner = min(converged or usable, key=lambda i: trace[i].neg_loglik)
     best = trace[winner]
-    x_hat, info = ends[winner]
-    estimates = {f: float(v) for f, v in zip(free, np.exp(x_hat))}
+    estimates = {f: float(v) for f, v in zip(free, np.exp(ends[winner]))}
     std_errors = None
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(info[winner])
         diag = np.diag(cov)
         if np.all(np.isfinite(diag)) and np.all(diag > 0.0):
             std_errors = {f: float(math.sqrt(d)) for f, d in zip(free, diag)}
@@ -635,7 +696,7 @@ def fit_mle(model, data, config=None):
         estimates=estimates,
         std_errors=std_errors,
         neg_loglik=best.neg_loglik,
-        info_matrix=info,
+        info_matrix=info[winner],
         converged=bool(converged),
         iterations=best.nit,
         grad_norm=best.grad_norm,

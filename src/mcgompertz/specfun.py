@@ -96,6 +96,20 @@ def _positive_finite(x, name):
     return arr, scalar
 
 
+def _over_columns(fn, x, h):
+    """fn(x, h) for a special function `fn` of two floats, called once per
+    element where x or h is an array (the (S, 1) parameter columns of a
+    batched fit, S small); with float arguments it is fn itself.
+
+    The per-element loop keeps one implementation per special function
+    and leaves the float callers' cost untouched: vectorizing log_beta
+    or digamma_diff would cost them ~10x per call.
+    """
+    if not (isinstance(x, np.ndarray) or isinstance(h, np.ndarray)):
+        return fn(x, h)
+    return np.frompyfunc(fn, 2, 1)(x, h).astype(float)
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
     arr, scalar = _positive_finite(x, "log_gamma")

@@ -437,19 +437,21 @@ class TestFitMle:
 
 
     def test_evaluation_count(self, aarset_data, monkeypatch):
-        # every start's objective calls, as scipy reports them
+        # one lockstep minimize call per fit: nfev sums the objective
+        # evaluations of all 17 starts, npass counts the batched passes
         counted = []
         real = inference.minimize
 
         def counting(*args, **kwargs):
             res = real(*args, **kwargs)
-            counted.append(res.nfev)
+            counted.append(res)
             return res
 
         monkeypatch.setattr(inference, "minimize", counting)
         fit_mle("mcg", aarset_data)
-        assert len(counted) == 17
-        assert sum(counted) <= 2000
+        assert len(counted) == 1
+        assert sum(res.nfev for res in counted) <= 2000
+        assert counted[0].npass <= 100
 
     def test_no_runtime_warnings(self, aarset_data, glass_data):
         with warnings.catch_warnings():
@@ -515,6 +517,62 @@ class TestTrace:
         assert len(fit.trace) == 1 and fit.winner == 0
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("model, dataset", [("mcg", "aarset"), ("mce", "glass")])
+    def test_starts_run_independently(self, model, dataset, request, monkeypatch):
+        # each start of the default lockstep fit must end exactly as a fit
+        # from that start alone: no radius, acceptance or stop status may
+        # leak between the rows of the batch
+        data = request.getfixturevalue(f"{dataset}_data")
+        fit = fit_mle(model, data)
+        all_starts = inference._start_points
+        for i, rec in enumerate(fit.trace):
+            monkeypatch.setattr(
+                inference, "_start_points", lambda *args, i=i: all_starts(*args)[i:i + 1]
+            )
+            alone = fit_mle(model, data).trace[0]
+            assert alone.start == rec.start
+            assert (alone.nit, alone.nfev, alone.reason, alone.interior, alone.pos_def) == (
+                rec.nit, rec.nfev, rec.reason, rec.interior, rec.pos_def
+            ), i
+            assert alone.neg_loglik == pytest.approx(rec.neg_loglik, abs=1e-12), i
+
+    @pytest.mark.parametrize(
+        "params_type, dataset, rows",
+        [
+            (
+                McGParams,
+                "aarset",
+                [
+                    (0.2619, 0.0752, 3.7652, 0.0012, 0.0875),
+                    (0.2619, 0.0752, 3.7652, 0.0012, 0.14),  # w ~ 1452
+                    (1.0, 1.0, 1.0, 0.001, 0.05),
+                    (0.5, 2.0, 0.7, 0.002, 0.08),
+                ],
+            ),
+            (
+                McEParams,
+                "glass",
+                [
+                    (4.847, 1.069e13, 7.872, 0.01264),  # the b-ridge
+                    (0.9, 1.8, 1.3, 0.7),
+                    (2.0, 0.5, 3.0, 0.05),
+                ],
+            ),
+        ],
+    )
+    def test_derivs_block_matches_single_rows(self, params_type, dataset, rows, request):
+        y = request.getfixturevalue(f"{dataset}_data").array
+        block = params_type(*(np.array(col)[:, None] for col in zip(*rows)))
+        value, U, H = inference._derivs(block, y)
+        assert value.shape == (len(rows),) and U.shape[0] == H.shape[0] == len(rows)
+        for i, row in enumerate(rows):
+            v1, U1, H1 = inference._derivs(inference._one_start(params_type(*row)), y)
+            np.testing.assert_allclose(value[i], v1[0], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(U[i], U1[0], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(H[i], H1[0], rtol=1e-14, atol=0.0)
+
+
 class TestTrustRegionStep:
     @staticmethod
     def _check_optimal(g, B, radius, s):
@@ -529,15 +587,32 @@ class TestTrustRegionStep:
         if sigma > 1e-8:
             assert norm == pytest.approx(radius, rel=1e-7)
 
-    def test_random_models(self):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_random_models(self, batched):
+        # batched: the models of each dimension go through one call as a
+        # batch, and every row must equal its own single-model call
         rng = np.random.default_rng(5)
+        models = []
         for _ in range(200):
             k = int(rng.integers(1, 6))
             M = rng.normal(size=(k, k))
             B = M + M.T + rng.normal(0.0, 2.0) * np.eye(k)
             g = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 2)
             radius = 10.0 ** rng.uniform(-2, 1)
-            s, predicted = inference._trust_region_step(g, B, radius)
+            models.append((g, B, radius))
+        models.append((np.array([0.0, 1.0]), np.diag([-1.0, 2.0]), 2.0))  # hard case
+        steps = [inference._trust_region_step(g, B, radius) for g, B, radius in models]
+        if batched:
+            for k in range(1, 6):
+                rows = [i for i, (g, _, _) in enumerate(models) if len(g) == k]
+                s_b, pred_b = inference._trust_region_step(
+                    *(np.array([models[i][j] for i in rows]) for j in range(3))
+                )
+                for r, i in enumerate(rows):
+                    np.testing.assert_array_equal(s_b[r], steps[i][0])
+                    assert pred_b[r] == steps[i][1]
+                    steps[i] = (s_b[r], pred_b[r])
+        for (g, B, radius), (s, predicted) in zip(models, steps):
             self._check_optimal(g, B, radius, s)
             assert predicted == pytest.approx(-(g @ s + 0.5 * s @ B @ s), abs=1e-12)
 
