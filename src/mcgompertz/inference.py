@@ -160,7 +160,7 @@ class FitResult:
     iterations: optimizer iterations spent by the winning replicate.
     grad_norm: sup-norm of the log-space gradient at the estimates, scaled
         by max(1, |log-likelihood|).
-    trace: one StartRecord per start, in the order they ran.
+    trace: one StartRecord per start, in the order of the start battery.
     winner: index into `trace` of the start the estimates come from.
     """
 
@@ -517,7 +517,13 @@ def _trust_region_step(g, B, radius):
     lam_r, gt2_r, rad = lam[rows], gt2[rows], radius[rows]
     lo = sig_lo[rows]
     hi = gnorm[rows] / rad - lam_r[:, 0]
-    sigma = hi
+    # start left of the root, where |s| >= radius: at 0 when B is positive
+    # definite (the Newton step did not fit), else at -lam_1 + |gt_1|/radius,
+    # where the lowest component alone has length radius.  Newton on the
+    # concave 1/|s(sigma)| then rises to the root without overshooting; the
+    # upper bound serves where gt_1 = 0 leaves no such point.
+    left = lo + np.where(lam_r[:, 0] > 0.0, 0.0, np.abs(gt[rows, 0]) / rad)
+    sigma = np.where((left > lo) | (lam_r[:, 0] > 0.0), left, hi)
     for _ in range(100):
         at = sigma
         inv = 1.0 / (lam_r + sigma[:, None])
