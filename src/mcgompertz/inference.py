@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -257,22 +257,23 @@ def _loglik_value(params, y):
 
 def _derivs(params, y):
     """Log-likelihood, score and Hessian in the full natural parameters
-    (a, b, c, theta[, gamma]) of S starts, from one pass over an (S, n)
-    array.
+    (a, b, c, theta[, gamma]), from one pass over the data.
 
-    The fields of `params` are (S, 1) columns, one row per start; a field
-    a sub-model fixes may stay a float.  Returns the values (S,), -inf
-    where not finite, the scores (S, k) and the Hessians (S, k, k).  The
-    base rates enter only through w(y) and ln w'(y), whose partials the
-    base supplies; the digamma and trigamma differences are taken
-    cancellation-free, which matters on the b -> infinity ridge.  Every
-    reduction and matrix product runs within a row, so a start's numbers
-    do not depend on which other starts share the pass.
+    The fields of `params` are floats, for one point, or (S, 1) columns
+    for S starts at once (a field a sub-model fixes may stay a float);
+    the pass then runs over an (S, n) array and the value, score and
+    Hessian gain a leading axis of length S.  The value is -inf where it
+    is not finite.  The base rates enter only through w(y) and ln w'(y),
+    whose partials the base supplies; the digamma and trigamma
+    differences are taken cancellation-free, which matters on the
+    b -> infinity ridge.  Every reduction and matrix product runs within
+    a row, so a start's numbers do not depend on which other starts
+    share the pass.
     """
     logf, *terms = _log_pdf_terms(params, y)
     blk = _shape_blocks(params, *terms)
     _, dw, d2w, dlw, d2lw = params.base.w_partials(y)
-    S, n = logf.shape
+    n = y.size
     a, b, c = (
         np.ravel(v) if isinstance(v, np.ndarray) else v
         for v in (params.a, params.b, params.c)
@@ -283,40 +284,37 @@ def _derivs(params, y):
     P = -_over_columns(trigamma_diff, alpha, b)
     tg_ab = trigamma(alpha + b)
     q_sum = blk["Q"].sum(axis=-1)
-    A = blk["A"][:, :, None]
-    dwT = dw.transpose(0, 2, 1)
+    A = blk["A"][..., None]
+    dwT = np.swapaxes(dw, -1, -2)
     k = 3 + dw.shape[-2]
-    U = np.empty((S, k))
-    U[:, 0] = n * zeta_ab / c + blk["lnG"].sum(axis=-1)
-    U[:, 1] = n * zeta_ba + blk["ln1mV"].sum(axis=-1)
-    U[:, 2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
-    U[:, 3:] = dlw.sum(axis=-1) + (dw @ A)[..., 0]
-    H = np.empty((S, k, k))
-    H[:, 0, 0] = -n * P / c**2
-    H[:, 0, 1] = n * tg_ab / c
-    H[:, 1, 1] = n * _over_columns(trigamma_diff, b, alpha)
-    H[:, 0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
-    H[:, 1, 2] = -n * a / c**2 * tg_ab - q_sum
-    H[:, 2, 2] = (
+    U = np.empty(logf.shape[:-1] + (k,))
+    U[..., 0] = n * zeta_ab / c + blk["lnG"].sum(axis=-1)
+    U[..., 1] = n * zeta_ba + blk["ln1mV"].sum(axis=-1)
+    U[..., 2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
+    U[..., 3:] = dlw.sum(axis=-1) + (dw @ A)[..., 0]
+    H = np.empty(U.shape + (k,))
+    H[..., 0, 0] = -n * P / c**2
+    H[..., 0, 1] = n * tg_ab / c
+    H[..., 1, 1] = n * _over_columns(trigamma_diff, b, alpha)
+    H[..., 0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
+    H[..., 1, 2] = -n * a / c**2 * tg_ab - q_sum
+    H[..., 2, 2] = (
         -n / c**2
         + 2.0 * n * a * zeta_ab / c**3
         - n * a**2 * P / c**4
         - (b - 1.0) * blk["dQ"].sum(axis=-1)
     )
     cross = blk["cross"] @ dwT
-    H[:, :3, 3:] = cross
-    H[:, 3:, :3] = cross.transpose(0, 2, 1)
-    H[:, 3:, 3:] = (
-        d2lw.sum(axis=-1) + (dw * blk["Ap"][:, None, :]) @ dwT + (d2w @ A[:, None])[..., 0]
+    H[..., :3, 3:] = cross
+    H[..., 3:, :3] = np.swapaxes(cross, -1, -2)
+    H[..., 3:, 3:] = (
+        d2lw.sum(axis=-1)
+        + (dw * blk["Ap"][..., None, :]) @ dwT
+        + (d2w @ A[..., None, :, :])[..., 0]
     )
-    H[:, 1, 0], H[:, 2, 0], H[:, 2, 1] = H[:, 0, 1], H[:, 0, 2], H[:, 1, 2]
+    H[..., 1, 0], H[..., 2, 0], H[..., 2, 1] = H[..., 0, 1], H[..., 0, 2], H[..., 1, 2]
     value = logf.sum(axis=-1)
     return np.where(np.isfinite(value), value, -np.inf), U, H
-
-
-def _one_start(params):
-    """A parameter point as a batch of one start: every field a (1, 1) column."""
-    return type(params)(*(np.full((1, 1), getattr(params, f.name)) for f in fields(params)))
 
 
 def _embedding(spec):
@@ -351,7 +349,7 @@ def score(model, params, data):
     """Gradient of the log-likelihood in the model's free parameters."""
     spec = _spec(model)
     _check_params(spec, params)
-    return _embedding(spec).T @ _derivs(_one_start(params), data.array)[1][0]
+    return _embedding(spec).T @ _derivs(params, data.array)[1]
 
 
 def loglik_hessian(model, params, data):
@@ -359,7 +357,7 @@ def loglik_hessian(model, params, data):
     spec = _spec(model)
     _check_params(spec, params)
     J = _embedding(spec)
-    return J.T @ _derivs(_one_start(params), data.array)[2][0] @ J
+    return J.T @ _derivs(params, data.array)[2] @ J
 
 
 def observed_info(model, params, data):
@@ -522,8 +520,9 @@ def _trust_region_step(g, B, radius):
     # where the lowest component alone has length radius.  Newton on the
     # concave 1/|s(sigma)| then rises to the root without overshooting; the
     # upper bound serves where gt_1 = 0 leaves no such point.
-    left = lo + np.where(lam_r[:, 0] > 0.0, 0.0, np.abs(gt[rows, 0]) / rad)
-    sigma = np.where((left > lo) | (lam_r[:, 0] > 0.0), left, hi)
+    pos_def = lam_r[:, 0] > 0.0
+    left = lo + np.where(pos_def, 0.0, np.abs(gt[rows, 0]) / rad)
+    sigma = np.where(pos_def | (left > lo), left, hi)
     for _ in range(100):
         at = sigma
         inv = 1.0 / (lam_r + sigma[:, None])
@@ -574,12 +573,12 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, grad_tol, step_tol, **_):
     """
     x = np.array(x0, dtype=float).reshape(-1, dim)
     f, g, B = fun(x)
-    n_run = x.shape[0]
-    nit = np.zeros(n_run, dtype=int)
-    nfev = np.ones(n_run, dtype=int)
-    njev = np.ones(n_run, dtype=int)
-    radius = np.ones(n_run)
-    status = np.full(n_run, -1)
+    S = x.shape[0]
+    nit = np.zeros(S, dtype=int)
+    nfev = np.ones(S, dtype=int)
+    njev = np.ones(S, dtype=int)
+    radius = np.ones(S)
+    status = np.full(S, -1)
     npass = 1
     while True:
         stop = np.where(

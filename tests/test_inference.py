@@ -567,10 +567,10 @@ class TestLockstep:
         value, U, H = inference._derivs(block, y)
         assert value.shape == (len(rows),) and U.shape[0] == H.shape[0] == len(rows)
         for i, row in enumerate(rows):
-            v1, U1, H1 = inference._derivs(inference._one_start(params_type(*row)), y)
-            np.testing.assert_allclose(value[i], v1[0], rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(U[i], U1[0], rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(H[i], H1[0], rtol=1e-14, atol=0.0)
+            v1, U1, H1 = inference._derivs(params_type(*row), y)
+            np.testing.assert_allclose(value[i], v1, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(U[i], U1, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(H[i], H1, rtol=1e-14, atol=0.0)
 
 
 class TestTrustRegionStep:
