@@ -587,9 +587,8 @@ class TestTrustRegionStep:
         if sigma > 1e-8:
             assert norm == pytest.approx(radius, rel=1e-7)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_random_models(self, batched):
-        # batched: the models of each dimension go through one call as a
+    def test_random_models(self):
+        # the models of each dimension also go through one call as a
         # batch, and every row must equal its own single-model call
         rng = np.random.default_rng(5)
         models = []
@@ -602,16 +601,14 @@ class TestTrustRegionStep:
             models.append((g, B, radius))
         models.append((np.array([0.0, 1.0]), np.diag([-1.0, 2.0]), 2.0))  # hard case
         steps = [inference._trust_region_step(g, B, radius) for g, B, radius in models]
-        if batched:
-            for k in range(1, 6):
-                rows = [i for i, (g, _, _) in enumerate(models) if len(g) == k]
-                s_b, pred_b = inference._trust_region_step(
-                    *(np.array([models[i][j] for i in rows]) for j in range(3))
-                )
-                for r, i in enumerate(rows):
-                    np.testing.assert_array_equal(s_b[r], steps[i][0])
-                    assert pred_b[r] == steps[i][1]
-                    steps[i] = (s_b[r], pred_b[r])
+        for k in range(1, 6):
+            rows = [i for i, (g, _, _) in enumerate(models) if len(g) == k]
+            s_b, pred_b = inference._trust_region_step(
+                *(np.array([models[i][j] for i in rows]) for j in range(3))
+            )
+            for r, i in enumerate(rows):
+                np.testing.assert_array_equal(s_b[r], steps[i][0])
+                assert pred_b[r] == steps[i][1]
         for (g, B, radius), (s, predicted) in zip(models, steps):
             self._check_optimal(g, B, radius, s)
             assert predicted == pytest.approx(-(g @ s + 0.5 * s @ B @ s), abs=1e-12)
