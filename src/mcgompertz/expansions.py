@@ -10,11 +10,17 @@ The mixture weights use an iterative product for the generalized binomial
 coefficient instead of a gamma-function ratio: the ratio form has poles at
 integer b, exactly where the interesting sub-models live, while the product
 continues through them and terminates the series in finitely many terms.
+
+The weight, component-moment and mgf series are evaluated as term arrays, one
+row per series: the binomial terms come from a cumulative product, the running
+sums from a cumulative sum, and each row's stop index from the same stop rule
+a term-by-term loop would apply, so values and flags are those of that loop.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from .core import McGParams, base_cdf, base_pdf
@@ -61,18 +67,76 @@ class SeriesState:
             raise ValueError("converged state requires |last_term| <= abs_tol")
 
 
-def _binom_terms(beta_minus_one, limit):
-    """Signed generalized binomial terms s_i = (-1)^i C(beta-1, i).
+def _binom_rows(x, n):
+    """Signed generalized binomial terms s_i = (-1)^i C(x, i), i = 0..n-1,
+    along a new last axis of x.
 
-    Built by the product s_i = s_{i-1} (i - beta) / i, which stays finite
-    when beta is a positive integer (the sequence simply terminates at zero).
-    Yields s_0 .. s_{limit}.
+    Built by the cumulative product s_i = s_{i-1} (i - (x + 1)) / i, which
+    stays finite when x is a nonnegative integer (the row simply turns to
+    zeros).
     """
-    s = 1.0
-    yield s
-    for i in range(1, limit + 1):
-        s *= (i - (beta_minus_one + 1.0)) / i
-        yield s
+    x = np.asarray(x, dtype=float)[..., None]
+    i = np.arange(1.0, n)
+    s = np.empty(x.shape[:-1] + (n,))
+    s[..., 0] = 1.0
+    np.subtract(i, x + 1.0, out=s[..., 1:])
+    s[..., 1:] /= i
+    return np.cumprod(s, axis=-1, out=s)
+
+
+def _first(mask):
+    """Each row's first True index (the last index where there is none),
+    and whether there is one."""
+    hit = mask.any(axis=-1)
+    return np.where(hit, mask.argmax(axis=-1), mask.shape[-1] - 1), hit
+
+
+def _stopped_sums(block, n_rows, n, tol, first, width, finite=True, growth=False):
+    """Partial sums of n_rows series of up to n terms each, where each stops.
+
+    block(rows, w) returns the first w terms of the given rows.  A row stops
+    at its first index i where, in this order:
+      - the term is not finite, when finite is set (failed);
+      - i >= first and |t_i| <= tol max(1, |t_0 + ... + t_i|) (summed);
+      - i >= 3 and |t_i| > |t_{i-1}|, when growth is set (failed).
+    The rows still running after w terms are rerun at 2w until they stop or
+    reach n, so a series that stops early never pays for the terms it does
+    not reach; width=n takes every term at once.  Returns (sums, summed,
+    failed): a row that is neither ran out of terms and holds its full sum.
+    """
+    sums = np.empty(n_rows)
+    summed = np.zeros(n_rows, dtype=bool)
+    failed = np.zeros(n_rows, dtype=bool)
+    rows = np.arange(n_rows)
+    while len(rows):
+        width = min(width, n)
+        terms = block(rows, width)
+        # the bound tol max(1, |running sum|), built in place in one scratch
+        # array and compared against +-terms, so terms stays signed
+        bound = np.cumsum(terms, axis=-1)
+        np.abs(bound, out=bound)
+        np.maximum(bound, 1.0, out=bound)
+        bound *= tol
+        small = terms <= bound
+        np.negative(bound, out=bound)
+        small &= terms >= bound
+        del bound
+        small[:, :first] = False
+        bad = ~np.isfinite(terms) if finite else np.zeros_like(small)
+        ends = bad | small
+        if growth:
+            ends[:, 3:] |= np.abs(terms[:, 3:]) > np.abs(terms[:, 2:-1])
+        stop, hit = _first(ends)
+        at = np.arange(len(rows)), stop
+        ok = hit & ~bad[at] & small[at]
+        sums[rows] = np.cumsum(terms, axis=-1)[at]
+        summed[rows] = ok
+        failed[rows] = hit & ~ok
+        if width == n:
+            break
+        rows = rows[~hit]
+        width *= 2
+    return sums, summed, failed
 
 
 def mixture_weights_p(p, policy=None):
@@ -85,21 +149,22 @@ def mixture_weights_p(p, policy=None):
     policy = policy or TruncationPolicy()
     alpha = p.a / p.c
     inv_beta = math.exp(-log_beta(alpha, p.b))
-    coeffs = []
-    total = 0.0
-    last = math.inf
-    for j, s in enumerate(_binom_terms(p.b - 1.0, policy.max_terms)):
-        last = s * inv_beta / (alpha + j)
-        coeffs.append(last)
-        total += last
-        if j > 0 and abs(last) <= policy.term_tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _binom_rows(p.b - 1.0, policy.max_terms + 1)
+        terms *= inv_beta
+        terms /= alpha + np.arange(len(terms))
+    small = np.abs(terms) <= policy.term_tol
+    small[0] = False
+    stop, _ = _first(small)
+    coeffs = terms[: stop + 1]
+    last = coeffs[-1]
+    total = np.cumsum(coeffs)[-1]
     converged = abs(last) <= policy.term_tol and abs(1.0 - total) <= _NORMALIZATION_TOL
     return SeriesState(
-        coeffs=tuple(coeffs),
-        truncation=len(coeffs) - 1,
-        last_term=last,
-        converged=converged,
+        coeffs=tuple(coeffs.tolist()),
+        truncation=stop,
+        last_term=float(last),
+        converged=bool(converged),
         tol=Tolerance(abs_tol=policy.term_tol),
     )
 
@@ -184,49 +249,75 @@ _mu_cache = {}
 
 
 def _log_weight_moment(k, m):
-    """mu_k(m) = integral over u in [1, inf) of (ln u)^k e^{-mu} du.
+    """mu_k(m) = integral over u in [1, inf) of (ln u)^k e^{-mu} du, k >= 2.
 
-    k = 1 reduces to E1(m)/m; higher k fall back to adaptive quadrature.
-    Cached: the moment series reuses the same (k, m) pairs across mixture
-    components.
+    Adaptive quadrature, cached by (k, m): the moment series reuses the same
+    m values across calls at one rate.  k = 1 is E1(m)/m and is evaluated
+    over the whole m vector in _log_weight_moments, so it is never cached.
+    This scalar integrate.quad path and its cache are what ROADMAP item 3
+    replaces with the panel engine.
     """
     key = (k, m)
     if key not in _mu_cache:
-        if k == 1:
-            val = expint_e1(m) / m
-        else:
-            val, _ = integrate.quad(
-                lambda u: math.log(u) ** k * math.exp(-m * u), 1.0, math.inf, limit=200
-            )
-        _mu_cache[key] = val
+        _mu_cache[key], _ = integrate.quad(
+            lambda u: math.log(u) ** k * math.exp(-m * u), 1.0, math.inf, limit=200
+        )
     return _mu_cache[key]
+
+
+def _log_weight_moments(k, m):
+    """mu_k over an array m of positive rates."""
+    if k == 1:
+        return expint_e1(m) / m
+    return np.array([_log_weight_moment(k, mi) for mi in m.tolist()])
+
+
+def _component_moments(betas, k, theta, gamma, policy):
+    """E[Y^k] for GG components with shape exponents betas, in one pass.
+
+    Expands each G^{beta-1} binomially: the i-th term of row j is
+    s_i(beta_j) e^{m_i} mu_k(m_i) with m_i = (i+1) theta/gamma, so the
+    factors e^{m_i} and mu_k(m_i) are shared by every row.  Keeping the two
+    factors separate mirrors the series as written, and makes the overflow of
+    the exponential factor an explicit divergence instead of a silently
+    rescued value: a row that reaches m_i > 700 or a non-finite term is
+    withheld as nan.  e^{m_i} comes from math.exp one value at a time, since
+    numpy's vectorized exp can differ in the last place and the alternating
+    sums magnify that.  Returns (values, converged) arrays.
+    """
+    betas = np.asarray(betas, dtype=float)
+    rate = theta / gamma
+    m = (np.arange(policy.max_terms + 1) + 1.0) * rate
+    m = m[: np.count_nonzero(m <= 700.0)]
+    if len(m) == 0:
+        return np.full(len(betas), math.nan), np.zeros(len(betas), dtype=bool)
+    exp_m = np.fromiter(map(math.exp, m.tolist()), float, len(m))
+
+    def block(rows, width):
+        terms = _binom_rows(betas[rows] - 1.0, width)
+        terms *= exp_m[:width]
+        terms *= _log_weight_moments(k, m[:width])
+        return terms
+
+    # mu_1 is one vectorized call; higher k costs a quadrature per term
+    width = len(m) if k == 1 else 16
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, converged, failed = _stopped_sums(
+            block, len(betas), len(m), policy.term_tol, first=1, width=width
+        )
+        values = betas * rate / gamma**k * sums
+    # running out of terms at m_i > 700 is a divergence, not a truncation
+    values[failed | ~converged & (len(m) <= policy.max_terms)] = math.nan
+    return values, converged
 
 
 def component_moment(beta, k, theta, gamma, policy):
     """E[Y^k] for one GG component with shape exponent beta.
 
-    Expands G^{beta-1} binomially: the i-th term carries the exponential
-    factor e^{(i+1)theta/gamma} and the kernel mu_k((i+1)theta/gamma).
-    Keeping the two factors separate mirrors the series as written, and makes
-    the overflow of the exponential factor an explicit divergence instead of
-    a silently rescued value.  Returns (value, converged).
+    The one-row case of _component_moments.  Returns (value, converged).
     """
-    rate = theta / gamma
-    total = 0.0
-    converged = False
-    for i, s in enumerate(_binom_terms(beta - 1.0, policy.max_terms)):
-        m_i = (i + 1.0) * rate
-        if m_i > 700.0:
-            return math.nan, False
-        term = s * math.exp(m_i) * _log_weight_moment(k, m_i)
-        if not math.isfinite(term):
-            return math.nan, False
-        total += term
-        if i > 0 and abs(term) <= policy.term_tol * max(1.0, abs(total)):
-            converged = True
-            break
-    scale = beta * rate / gamma**k
-    return scale * total, converged
+    values, converged = _component_moments([beta], k, theta, gamma, policy)
+    return float(values[0]), bool(converged[0])
 
 
 def moment_series(p, k, policy=None):
@@ -242,27 +333,40 @@ def moment_series(p, k, policy=None):
         raise ValueError("k must be a positive integer")
     policy = policy or TruncationPolicy()
     state = mixture_weights_p(p, policy)
-    total = 0.0
-    increment = math.inf
-    all_inner = True
-    for j, w in enumerate(state.coeffs):
-        beta = p.a + j * p.c
-        value, ok = component_moment(beta, k, p.theta, p.gamma, policy)
-        if math.isnan(value):
-            return math.nan, False
-        all_inner = all_inner and ok
-        increment = w * value
-        total += increment
-    outer_ok = abs(increment) <= _OUTER_CAUCHY_TOL * max(1.0, abs(total))
-    return total, state.converged and all_inner and outer_ok
+    betas = p.a + np.arange(len(state.coeffs)) * p.c
+    values, inner_ok = _component_moments(betas, k, p.theta, p.gamma, policy)
+    if np.isnan(values).any():
+        return math.nan, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = np.array(state.coeffs) * values
+        total = float(np.cumsum(increments)[-1])
+    outer_ok = abs(increments[-1]) <= _OUTER_CAUCHY_TOL * max(1.0, abs(total))
+    return total, bool(state.converged and inner_ok.all() and outer_ok)
 
 
-def _binom_general(x, k):
-    """Generalized binomial coefficient C(x, k) by the falling-factorial product."""
-    out = 1.0
-    for i in range(k):
-        out *= (x - i) / (i + 1.0)
-    return out
+def _mgf_k_sums(ratio, denoms, policy):
+    """The k-series sum_k C(ratio, k) k! / d^{k+1} for each d in denoms.
+
+    A row fails at a non-finite term, or when a term after the third
+    outgrows the one before it: the factorial has won.  Each power d^{k+1}
+    is taken from the C library's pow one value at a time (numpy's
+    vectorized power can differ in the last place), so the rows start at 8
+    terms; most stop within a few.  Returns (sums, summed).
+    """
+    n = policy.max_terms + 1
+    kk = np.arange(n, dtype=float)
+    binom = np.ones(n)
+    binom[1:] = (ratio - kk[:-1]) / (kk[:-1] + 1.0)
+    numer = np.cumprod(binom) * np.cumprod(np.maximum(kk, 1.0))
+
+    def block(rows, width):
+        powers = [[d ** (e + 1) for e in range(width)] for d in denoms[rows]]
+        return numer[:width] / np.array(powers)
+
+    sums, summed, _ = _stopped_sums(
+        block, len(denoms), n, policy.term_tol, first=0, width=8, growth=True
+    )
+    return sums, summed
 
 
 def mgf_series(p, t, policy=None):
@@ -283,47 +387,22 @@ def mgf_series(p, t, policy=None):
     """
     policy = policy or TruncationPolicy()
     state = mixture_weights_p(p, policy)
-    rate = p.theta / p.gamma
-    ratio = t / p.gamma
-    total = 0.0
-    summed = state.converged
-    for j, w in enumerate(state.coeffs):
-        beta = p.a + j * p.c
-
-        i_sum = 0.0
-        i_ok = False
-        for i, s in enumerate(_binom_terms(beta - 1.0, policy.max_terms)):
-            i_sum += s
-            if i > 0 and abs(s) <= policy.term_tol * max(1.0, abs(i_sum)):
-                i_ok = True
-                break
-
-        denom = beta * rate
-        k_sum = 0.0
-        k_ok = False
-        prev = math.inf
-        kfac = 1.0
-        for kk in range(policy.max_terms + 1):
-            if kk > 0:
-                kfac *= kk
-            term = _binom_general(ratio, kk) * kfac / denom ** (kk + 1)
-            if not math.isfinite(term):
-                k_ok = False
-                break
-            k_sum += term
-            if abs(term) <= policy.term_tol * max(1.0, abs(k_sum)):
-                k_ok = True
-                break
-            if kk > 2 and abs(term) > abs(prev):
-                k_ok = False
-                break
-            prev = term
-
-        summed = summed and i_ok and k_ok
-        total += w * denom * i_sum * k_sum
-
-    if not summed:
+    if not state.converged:
         return math.nan, False, False
+    betas = p.a + np.arange(len(state.coeffs)) * p.c
+    n = policy.max_terms + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_sums, i_ok, _ = _stopped_sums(
+            lambda rows, width: _binom_rows(betas[rows] - 1.0, width),
+            len(betas), n, policy.term_tol, first=1, width=n, finite=False,
+        )
+        if not i_ok.all():
+            return math.nan, False, False
+        denoms = betas * (p.theta / p.gamma)
+        k_sums, k_ok = _mgf_k_sums(t / p.gamma, denoms, policy)
+        if not k_ok.all():
+            return math.nan, False, False
+        total = float(np.cumsum(np.array(state.coeffs) * denoms * i_sums * k_sums)[-1])
     reference = mgf_numeric(p, t)
     faithful = abs(total - reference) <= _FIDELITY_REL_TOL * max(1.0, abs(reference))
     return total, True, faithful

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cdf, pdf, survival
-from .expansions import TruncationPolicy, cdf_power_coeffs, component_moment
+from .expansions import TruncationPolicy, _component_moments, cdf_power_coeffs
 from .shape import QuadratureSpec, _panel_quad
 from .specfun import inc_beta_reg, log_beta
 
@@ -113,18 +113,15 @@ def os_moment_series(p, spec, s, policy=None):
     for k, w in enumerate(_beta_weights(spec)):
         m = spec.i + k
         state = cdf_power_coeffs(p, m, policy)
-        converged = converged and state.converged
-        inner = 0.0
-        for r, q_r in enumerate(state.coeffs):
-            if q_r == 0.0:
-                continue
-            beta = p.a * m + r * p.c
-            cm, ok = component_moment(beta, s, p.theta, p.gamma, policy)
-            if math.isnan(cm):
-                return math.nan, False
-            converged = converged and ok
-            inner += q_r * cm
-        total += w * inner
+        q = np.array(state.coeffs)
+        r = np.flatnonzero(q)
+        cm, ok = _component_moments(p.a * m + r * p.c, s, p.theta, p.gamma, policy)
+        if np.isnan(cm).any():
+            return math.nan, False
+        converged = converged and state.converged and bool(ok.all())
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = np.cumsum(q[r] * cm)[-1] if len(r) else 0.0
+        total += w * float(inner)
     return total, converged
 
 

@@ -348,10 +348,11 @@ def inc_gamma_upper_reg(s, x):
 
 
 def expint_e1(x):
-    """Exponential integral E1(x) for x > 0."""
-    if x <= 0:
+    """Exponential integral E1(x) for x > 0, of a float or elementwise of
+    an array."""
+    if np.any(np.asarray(x) <= 0):
         raise ValueError("expint_e1 requires x > 0")
-    return float(sps.exp1(x))
+    return sps.exp1(x) if np.ndim(x) else float(sps.exp1(x))
 
 
 def kolmogorov_sf(d, n):

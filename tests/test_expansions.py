@@ -1,15 +1,19 @@
 """Mixture-series machinery: weights, truncated cdf/pdf, series moments/MGF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from mcgompertz import expansions
 from mcgompertz.core import McGParams, base_cdf, cdf, pdf, quantile
 from mcgompertz.expansions import (
     SeriesState,
     TruncationPolicy,
     cdf_power_coeffs,
+    component_moment,
     mgf_series,
     mixture_cdf,
     mixture_pdf,
@@ -17,6 +21,7 @@ from mcgompertz.expansions import (
     moment_series,
     power_series_power,
 )
+from mcgompertz.orderstats import OrderSpec, _beta_weights, os_moment_series
 from mcgompertz.shape import mgf_numeric, moment_numeric
 from mcgompertz.specfun import Tolerance, expint_e1
 
@@ -276,3 +281,257 @@ class TestMgfSeries:
             if faithful:
                 ref = mgf_numeric(p, t)
                 assert abs(value - ref) <= 1e-3 * max(1.0, abs(ref))
+
+
+# A plain term-by-term reference of the series, written the way the
+# expansions read on paper: one Python loop per series, no arrays.  The
+# library evaluates the same series as term arrays and must agree with it
+# flag for flag, and bit for bit wherever a flag is on.
+
+_REF_FACTORS = {}
+
+
+def _ref_binom_terms(beta_minus_one, limit):
+    s = 1.0
+    yield s
+    for i in range(1, limit + 1):
+        s *= (i - (beta_minus_one + 1.0)) / i
+        yield s
+
+
+def _ref_factors(k, rate, limit):
+    """(e^{m_i}, mu_k(m_i)) for m_i = (i+1) rate <= 700, i <= limit, shared
+    by every component at one rate.  mu_k for k >= 2 is the library's scalar
+    quadrature on both sides."""
+    key = k, rate, limit
+    if key not in _REF_FACTORS:
+        factors = []
+        for i in range(limit + 1):
+            m_i = (i + 1.0) * rate
+            if m_i > 700.0:
+                break
+            mu = expint_e1(m_i) / m_i if k == 1 else expansions._log_weight_moment(k, m_i)
+            factors.append((math.exp(m_i), mu))
+        _REF_FACTORS.clear()
+        _REF_FACTORS[key] = factors
+    return _REF_FACTORS[key]
+
+
+def _ref_component_moment(beta, k, theta, gamma, policy):
+    rate = theta / gamma
+    total = 0.0
+    converged = False
+    factors = _ref_factors(k, rate, policy.max_terms)
+    for i, s in enumerate(_ref_binom_terms(beta - 1.0, policy.max_terms)):
+        if i == len(factors):  # m_i > 700
+            return math.nan, False
+        exp_m, mu = factors[i]
+        term = s * exp_m * mu
+        if not math.isfinite(term):
+            return math.nan, False
+        total += term
+        if i > 0 and abs(term) <= policy.term_tol * max(1.0, abs(total)):
+            converged = True
+            break
+    return beta * rate / gamma**k * total, converged
+
+
+def _ref_weights(p, policy):
+    alpha = p.a / p.c
+    inv_beta = math.exp(-expansions.log_beta(alpha, p.b))
+    coeffs, total, last = [], 0.0, math.inf
+    for j, s in enumerate(_ref_binom_terms(p.b - 1.0, policy.max_terms)):
+        last = s * inv_beta / (alpha + j)
+        coeffs.append(last)
+        total += last
+        if j > 0 and abs(last) <= policy.term_tol:
+            break
+    return coeffs, abs(last) <= policy.term_tol and abs(1.0 - total) <= 1e-10
+
+
+def _ref_moment_series(p, k, policy):
+    coeffs, weights_ok = _ref_weights(p, policy)
+    total, increment, all_inner = 0.0, math.inf, True
+    for j, w in enumerate(coeffs):
+        value, ok = _ref_component_moment(p.a + j * p.c, k, p.theta, p.gamma, policy)
+        if math.isnan(value):
+            return math.nan, False
+        all_inner = all_inner and ok
+        increment = w * value
+        total += increment
+    outer_ok = abs(increment) <= 1e-6 * max(1.0, abs(total))
+    return total, weights_ok and all_inner and outer_ok
+
+
+def _ref_mgf_series(p, t, policy):
+    """The value and summed flag; the faithful flag is a quadrature check."""
+    coeffs, summed = _ref_weights(p, policy)
+    if not summed:
+        return math.nan, False
+    rate, ratio, total = p.theta / p.gamma, t / p.gamma, 0.0
+    for j, w in enumerate(coeffs):
+        beta = p.a + j * p.c
+        i_sum, i_ok = 0.0, False
+        for i, s in enumerate(_ref_binom_terms(beta - 1.0, policy.max_terms)):
+            i_sum += s
+            if i > 0 and abs(s) <= policy.term_tol * max(1.0, abs(i_sum)):
+                i_ok = True
+                break
+        denom = beta * rate
+        k_sum, k_ok, prev, kfac = 0.0, False, math.inf, 1.0
+        for kk in range(policy.max_terms + 1):
+            if kk > 0:
+                kfac *= kk
+            binom = 1.0
+            for i in range(kk):
+                binom *= (ratio - i) / (i + 1.0)
+            term = binom * kfac / denom ** (kk + 1)
+            if not math.isfinite(term):
+                break
+            k_sum += term
+            if abs(term) <= policy.term_tol * max(1.0, abs(k_sum)):
+                k_ok = True
+                break
+            if kk > 2 and abs(term) > abs(prev):
+                break
+            prev = term
+        summed = summed and i_ok and k_ok
+        total += w * denom * i_sum * k_sum
+    return (total, True) if summed else (math.nan, False)
+
+
+def _oracle_points():
+    """A seeded lognormal grid, every fourth point with numpy-scalar
+    fields, plus the README point and the two case-study optima."""
+    rng = np.random.default_rng(20151)
+    points = []
+    for n in range(300):
+        fields = rng.lognormal(mean=(1.2, 2.3, 0.5, -0.5, -0.5), sigma=(0.6, 0.6, 0.6, 1.0, 0.8))
+        points.append(McGParams(*(fields if n % 4 == 0 else fields.tolist())))
+    points += [
+        McGParams(0.5, 0.8, 2.0, 0.1, 0.5),
+        McGParams(0.48602506867701145, 0.008027407931889215, 39.077927764506605,
+                  0.029940972501835417, 0.07574424808702038),
+        McGParams(0.4500793196655103, 0.042314322674387124, 219.49017482882707,
+                  7.149867624426224e-06, 8.090210587209212),
+    ]
+    return points
+
+
+def _same(ours, ref):
+    """Identical flag and nan-ness, and bit-identical value where flagged."""
+    (value, flag), (ref_value, ref_flag) = ours, ref
+    assert flag == ref_flag
+    assert math.isnan(value) == math.isnan(ref_value)
+    if flag:
+        assert value == ref_value
+
+
+def _ref_os_moment_series(p, spec, s, policy):
+    total, converged = 0.0, True
+    for k, w in enumerate(_beta_weights(spec)):
+        m = spec.i + k
+        state = cdf_power_coeffs(p, m, policy)
+        converged = converged and state.converged
+        inner = 0.0
+        for r, q_r in enumerate(state.coeffs):
+            if q_r == 0.0:
+                continue
+            cm, ok = _ref_component_moment(p.a * m + r * p.c, s, p.theta, p.gamma, policy)
+            if math.isnan(cm):
+                return math.nan, False
+            converged = converged and ok
+            inner += q_r * cm
+        total += w * inner
+    return total, converged
+
+
+class TestSeriesOracle:
+    """The term arrays reproduce the plain loop: identical flags and nan-ness
+    everywhere, identical values wherever the flag is on."""
+
+    def test_weights(self):
+        policy = TruncationPolicy()
+        for p in _oracle_points():
+            with np.errstate(all="ignore"):
+                coeffs, converged = _ref_weights(p, policy)
+            state = mixture_weights_p(p, policy)
+            assert state.coeffs == tuple(coeffs)
+            assert state.converged == converged
+
+    def test_moment_series_and_components(self):
+        policy = TruncationPolicy()
+        converged = 0
+        # at the glass optimum's rate (m ~ 1e-6) the scalar quadrature
+        # behind mu_k, k >= 2, warns on both sides alike
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            for p in _oracle_points():
+                for k in (1, 2, 3):
+                    with np.errstate(all="ignore"):
+                        ref = _ref_moment_series(p, k, policy)
+                        ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma, policy)
+                    _same(moment_series(p, k, policy), ref)
+                    _same(component_moment(p.a, k, p.theta, p.gamma, policy), ref_one)
+                    converged += ref[1]
+        assert converged >= 20
+
+    def test_os_moment_series(self):
+        # integer exponents a(i+k) + rc make the inner series terminate, the
+        # one regime where this series converges
+        rng = np.random.default_rng(2015)
+        integer_shapes = [
+            McGParams(float(a), float(b), float(c), *rng.lognormal(-0.5, 0.8, size=2).tolist())
+            for a, b, c in ((1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 2), (2, 2, 2), (1, 3, 1))
+        ]
+        policy = TruncationPolicy()
+        converged = 0
+        for p in _oracle_points()[:20] + integer_shapes:
+            for spec in (OrderSpec(1, 2), OrderSpec(2, 3)):
+                with np.errstate(all="ignore"):
+                    ref = _ref_os_moment_series(p, spec, 1, policy)
+                _same(os_moment_series(p, spec, 1, policy), ref)
+                converged += ref[1]
+        assert converged >= 5
+
+    def test_mgf_series(self):
+        policy = TruncationPolicy()
+        summed = 0
+        for p in _oracle_points():
+            for t in (0.0, p.gamma, 0.5 * p.gamma):
+                with np.errstate(all="ignore"):
+                    ref = _ref_mgf_series(p, t, policy)
+                value, flag, _ = mgf_series(p, t, policy)
+                _same((value, flag), ref)
+                summed += ref[1]
+        assert summed >= 20
+
+    def test_no_runtime_warnings_at_numpy_scalars(self):
+        # every fourth grid point has numpy-scalar fields, whose scalar
+        # arithmetic warns on overflow where Python floats do not
+        policy = TruncationPolicy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in _oracle_points()[:-3:4]:
+                moment_series(p, 1, policy)
+                component_moment(p.a, 1, p.theta, p.gamma, policy)
+                mgf_series(p, p.gamma, policy)
+                os_moment_series(p, OrderSpec(1, 2), 1, policy)
+
+
+class TestSeriesShortcuts:
+    def test_mgf_skips_components_when_weights_diverge(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("mgf_numeric called")
+
+        monkeypatch.setattr(expansions, "mgf_numeric", fail)
+        p = McGParams(0.5, 0.8, 2.0, 0.1, 0.5)
+        assert not mixture_weights_p(p).converged
+        value, summed, faithful = mgf_series(p, p.gamma)
+        assert math.isnan(value) and not summed and not faithful
+
+    def test_first_moments_leave_the_mu_cache_alone(self):
+        before = len(expansions._mu_cache)
+        for rate in np.linspace(0.05, 5.0, 50):
+            moment_series(McGParams(2.0, 6.0, 1.5, float(rate), 1.0), 1)
+        assert len(expansions._mu_cache) == before
