@@ -155,7 +155,7 @@ def mixture_weights_p(p, policy=None):
         terms /= alpha + np.arange(len(terms))
     small = np.abs(terms) <= policy.term_tol
     small[0] = False
-    stop, _ = _first(small)
+    stop = int(_first(small)[0])
     coeffs = terms[: stop + 1]
     last = coeffs[-1]
     total = np.cumsum(coeffs)[-1]

@@ -299,32 +299,23 @@ def _ref_binom_terms(beta_minus_one, limit):
         yield s
 
 
-def _ref_factors(k, rate, limit):
-    """(e^{m_i}, mu_k(m_i)) for m_i = (i+1) rate <= 700, i <= limit, shared
-    by every component at one rate.  mu_k for k >= 2 is the library's scalar
-    quadrature on both sides."""
-    key = k, rate, limit
-    if key not in _REF_FACTORS:
-        factors = []
-        for i in range(limit + 1):
-            m_i = (i + 1.0) * rate
-            if m_i > 700.0:
-                break
-            mu = expint_e1(m_i) / m_i if k == 1 else expansions._log_weight_moment(k, m_i)
-            factors.append((math.exp(m_i), mu))
-        _REF_FACTORS.clear()
-        _REF_FACTORS[key] = factors
-    return _REF_FACTORS[key]
-
-
 def _ref_component_moment(beta, k, theta, gamma, policy):
     rate = theta / gamma
+    # (e^{m_i}, mu_k(m_i)) by i, shared by the components of one series;
+    # mu_k for k >= 2 is the library's scalar quadrature on both sides
+    factors = _REF_FACTORS.setdefault((k, rate), [])
     total = 0.0
     converged = False
-    factors = _ref_factors(k, rate, policy.max_terms)
-    for i, s in enumerate(_ref_binom_terms(beta - 1.0, policy.max_terms)):
-        if i == len(factors):  # m_i > 700
-            return math.nan, False
+    s, shape = 1.0, (beta - 1.0) + 1.0
+    for i in range(policy.max_terms + 1):
+        if i > 0:
+            s *= (i - shape) / i
+        if i == len(factors):
+            m_i = (i + 1.0) * rate
+            if m_i > 700.0:
+                return math.nan, False
+            mu = expint_e1(m_i) / m_i if k == 1 else expansions._log_weight_moment(k, m_i)
+            factors.append((math.exp(m_i), mu))
         exp_m, mu = factors[i]
         term = s * exp_m * mu
         if not math.isfinite(term):
@@ -350,6 +341,7 @@ def _ref_weights(p, policy):
 
 
 def _ref_moment_series(p, k, policy):
+    _REF_FACTORS.clear()
     coeffs, weights_ok = _ref_weights(p, policy)
     total, increment, all_inner = 0.0, math.inf, True
     for j, w in enumerate(coeffs):
@@ -428,6 +420,7 @@ def _same(ours, ref):
 
 
 def _ref_os_moment_series(p, spec, s, policy):
+    _REF_FACTORS.clear()
     total, converged = 0.0, True
     for k, w in enumerate(_beta_weights(spec)):
         m = spec.i + k
