@@ -30,6 +30,10 @@ from .specfun import Tolerance, expint_e1, log_beta
 _OUTER_CAUCHY_TOL = 1e-6
 _NORMALIZATION_TOL = 1e-10
 _FIDELITY_REL_TOL = 1e-3
+# terms per chunk of the series whose terms each cost a scalar call (the
+# mu_k quadrature for k >= 2, the C pow of the mgf k-series): a row computes
+# fewer than this many terms past its stop
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -91,29 +95,32 @@ def _first(mask):
     return np.where(hit, mask.argmax(axis=-1), mask.shape[-1] - 1), hit
 
 
-def _stopped_sums(block, n_rows, n, tol, first, width, finite=True, growth=False):
+def _stopped_sums(block, n_rows, n, tol, first, chunk, finite=True, growth=False):
     """Partial sums of n_rows series of up to n terms each, where each stops.
 
-    block(rows, w) returns the first w terms of the given rows.  A row stops
-    at its first index i where, in this order:
+    block(rows, start, stop) returns terms start..stop-1 of the given rows.
+    A row stops at its first index i where, in this order:
       - the term is not finite, when finite is set (failed);
       - i >= first and |t_i| <= tol max(1, |t_0 + ... + t_i|) (summed);
       - i >= 3 and |t_i| > |t_{i-1}|, when growth is set (failed).
-    The rows still running after w terms are rerun at 2w until they stop or
-    reach n, so a series that stops early never pays for the terms it does
-    not reach; width=n takes every term at once.  Returns (sums, summed,
-    failed): a row that is neither ran out of terms and holds its full sum.
+    Terms are taken chunk columns at a time for the rows still running, each
+    chunk's running sums continuing the last, so no term is computed twice
+    and a row costs fewer than chunk terms past its stop; chunk=n takes
+    every term at once.  Returns (sums, summed, failed): a row that is
+    neither ran out of terms and holds its full sum.
     """
-    sums = np.empty(n_rows)
+    sums = np.zeros(n_rows)
+    last = np.zeros(n_rows)
     summed = np.zeros(n_rows, dtype=bool)
     failed = np.zeros(n_rows, dtype=bool)
     rows = np.arange(n_rows)
-    while len(rows):
-        width = min(width, n)
-        terms = block(rows, width)
+    for start in range(0, n, chunk):
+        terms = block(rows, start, min(start + chunk, n))
         # the bound tol max(1, |running sum|), built in place in one scratch
         # array and compared against +-terms, so terms stays signed
-        bound = np.cumsum(terms, axis=-1)
+        bound = terms.copy()
+        bound[:, 0] += sums[rows]
+        np.cumsum(bound, axis=-1, out=bound)
         np.abs(bound, out=bound)
         np.maximum(bound, 1.0, out=bound)
         bound *= tol
@@ -121,21 +128,25 @@ def _stopped_sums(block, n_rows, n, tol, first, width, finite=True, growth=False
         np.negative(bound, out=bound)
         small &= terms >= bound
         del bound
-        small[:, :first] = False
+        small[:, : max(first - start, 0)] = False
         bad = ~np.isfinite(terms) if finite else np.zeros_like(small)
         ends = bad | small
         if growth:
-            ends[:, 3:] |= np.abs(terms[:, 3:]) > np.abs(terms[:, 2:-1])
+            size = np.abs(terms)
+            grew = size > np.column_stack([np.abs(last[rows]), size[:, :-1]])
+            grew[:, : max(3 - start, 0)] = False
+            ends |= grew
         stop, hit = _first(ends)
         at = np.arange(len(rows)), stop
         ok = hit & ~bad[at] & small[at]
-        sums[rows] = np.cumsum(terms, axis=-1)[at]
+        last[rows] = terms[:, -1]
+        terms[:, 0] += sums[rows]
+        sums[rows] = np.cumsum(terms, axis=-1, out=terms)[at]
         summed[rows] = ok
         failed[rows] = hit & ~ok
-        if width == n:
-            break
         rows = rows[~hit]
-        width *= 2
+        if not len(rows):
+            break
     return sums, summed, failed
 
 
@@ -293,17 +304,20 @@ def _component_moments(betas, k, theta, gamma, policy):
         return np.full(len(betas), math.nan), np.zeros(len(betas), dtype=bool)
     exp_m = np.fromiter(map(math.exp, m.tolist()), float, len(m))
 
-    def block(rows, width):
-        terms = _binom_rows(betas[rows] - 1.0, width)
-        terms *= exp_m[:width]
-        terms *= _log_weight_moments(k, m[:width])
+    def block(rows, start, stop):
+        # every column is read once, and the first chunk takes every row, so
+        # it is scaled in place
+        terms = binom[:, :stop] if start == 0 else binom[rows, start:stop]
+        terms *= exp_m[start:stop]
+        terms *= _log_weight_moments(k, m[start:stop])
         return terms
 
     # mu_1 is one vectorized call; higher k costs a quadrature per term
-    width = len(m) if k == 1 else 16
+    chunk = len(m) if k == 1 else _CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
+        binom = _binom_rows(betas - 1.0, len(m))
         sums, converged, failed = _stopped_sums(
-            block, len(betas), len(m), policy.term_tol, first=1, width=width
+            block, len(betas), len(m), policy.term_tol, first=1, chunk=chunk
         )
         values = betas * rate / gamma**k * sums
     # running out of terms at m_i > 700 is a divergence, not a truncation
@@ -350,8 +364,9 @@ def _mgf_k_sums(ratio, denoms, policy):
     A row fails at a non-finite term, or when a term after the third
     outgrows the one before it: the factorial has won.  Each power d^{k+1}
     is taken from the C library's pow one value at a time (numpy's
-    vectorized power can differ in the last place), so the rows start at 8
-    terms; most stop within a few.  Returns (sums, summed).
+    vectorized power can differ in the last place), so the terms are taken a
+    chunk at a time: a row stops within a few terms, at its tolerance or as
+    soon as the factorial wins.  Returns (sums, summed).
     """
     n = policy.max_terms + 1
     kk = np.arange(n, dtype=float)
@@ -359,12 +374,12 @@ def _mgf_k_sums(ratio, denoms, policy):
     binom[1:] = (ratio - kk[:-1]) / (kk[:-1] + 1.0)
     numer = np.cumprod(binom) * np.cumprod(np.maximum(kk, 1.0))
 
-    def block(rows, width):
-        powers = [[d ** (e + 1) for e in range(width)] for d in denoms[rows]]
-        return numer[:width] / np.array(powers)
+    def block(rows, start, stop):
+        powers = [[d ** (e + 1) for e in range(start, stop)] for d in denoms[rows]]
+        return numer[start:stop] / np.array(powers)
 
     sums, summed, _ = _stopped_sums(
-        block, len(denoms), n, policy.term_tol, first=0, width=8, growth=True
+        block, len(denoms), n, policy.term_tol, first=0, chunk=_CHUNK, growth=True
     )
     return sums, summed
 
@@ -393,8 +408,8 @@ def mgf_series(p, t, policy=None):
     n = policy.max_terms + 1
     with np.errstate(over="ignore", invalid="ignore"):
         i_sums, i_ok, _ = _stopped_sums(
-            lambda rows, width: _binom_rows(betas[rows] - 1.0, width),
-            len(betas), n, policy.term_tol, first=1, width=n, finite=False,
+            lambda rows, start, stop: _binom_rows(betas[rows] - 1.0, stop),
+            len(betas), n, policy.term_tol, first=1, chunk=n, finite=False,
         )
         if not i_ok.all():
             return math.nan, False, False

@@ -455,18 +455,22 @@ class TestSeriesOracle:
     def test_moment_series_and_components(self):
         policy = TruncationPolicy()
         converged = 0
-        # at the glass optimum's rate (m ~ 1e-6) the scalar quadrature
-        # behind mu_k, k >= 2, warns on both sides alike
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for p in _oracle_points():
-                for k in (1, 2, 3):
-                    with np.errstate(all="ignore"):
-                        ref = _ref_moment_series(p, k, policy)
-                        ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma, policy)
-                    _same(moment_series(p, k, policy), ref)
-                    _same(component_moment(p.a, k, p.theta, p.gamma, policy), ref_one)
-                    converged += ref[1]
+        points = _oracle_points()
+        glass = points[-1]
+        for p in points:
+            for k in (1, 2, 3):
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    # at the glass optimum's rate (m ~ 1e-6) the scalar
+                    # quadrature behind mu_k, k >= 2, warns; the library
+                    # call below reads those values back from the cache,
+                    # and any quadrature it adds runs under the error filter
+                    if p is glass:
+                        warnings.simplefilter("ignore", IntegrationWarning)
+                    ref = _ref_moment_series(p, k, policy)
+                    ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma, policy)
+                _same(moment_series(p, k, policy), ref)
+                _same(component_moment(p.a, k, p.theta, p.gamma, policy), ref_one)
+                converged += ref[1]
         assert converged >= 20
 
     def test_os_moment_series(self):
@@ -522,6 +526,39 @@ class TestSeriesShortcuts:
         assert not mixture_weights_p(p).converged
         value, summed, faithful = mgf_series(p, p.gamma)
         assert math.isnan(value) and not summed and not faithful
+
+    def test_chunks_continue_the_running_sums(self):
+        # series that stop early, late, at a non-finite term, by growth, or
+        # never, summed in chunks of every size against one pass
+        rng = np.random.default_rng(7)
+        n = 40
+        terms = rng.normal(size=(12, n)) * np.exp(-rng.uniform(0.0, 2.0, size=(12, 1)) * np.arange(n))
+        terms[3, 5] = math.inf
+        terms[4, 20:] = terms[4, 19] * 2.0 ** np.arange(1, n - 19)
+        terms[5] = 1.0
+
+        def block(rows, start, stop):
+            return terms[rows, start:stop].copy()
+
+        for growth in (False, True):
+            one_pass = expansions._stopped_sums(block, 12, n, 1e-12, 1, n, growth=growth)
+            for chunk in (1, 2, 3, 7, 16):
+                chunked = expansions._stopped_sums(block, 12, n, 1e-12, 1, chunk, growth=growth)
+                for ours, ref in zip(chunked, one_pass):
+                    np.testing.assert_array_equal(ours, ref)
+
+    def test_higher_moments_stop_their_quadratures_within_a_chunk(self):
+        # mu_k for k >= 2 is a scalar quadrature: the chunks reach at most
+        # one chunk past the furthest term the plain loop needs
+        policy = TruncationPolicy()
+        for p in _oracle_points()[1:40:8]:
+            counts = []
+            for run in (_ref_moment_series, moment_series):
+                expansions._mu_cache.clear()
+                with np.errstate(all="ignore"):
+                    run(p, 2, policy)
+                counts.append(len(expansions._mu_cache))
+            assert counts[0] <= counts[1] < counts[0] + expansions._CHUNK
 
     def test_first_moments_leave_the_mu_cache_alone(self):
         before = len(expansions._mu_cache)
