@@ -547,9 +547,10 @@ class TestSeriesShortcuts:
                 for ours, ref in zip(chunked, one_pass):
                     np.testing.assert_array_equal(ours, ref)
 
-    def test_higher_moments_stop_their_quadratures_within_a_chunk(self):
+    def test_higher_moments_stop_their_quadratures_within_a_chunk(self, monkeypatch):
         # mu_k for k >= 2 is a scalar quadrature: the chunks reach at most
         # one chunk past the furthest term the plain loop needs
+        monkeypatch.setattr(expansions, "_mu_cache", {})
         policy = TruncationPolicy()
         for p in _oracle_points()[1:40:8]:
             counts = []
