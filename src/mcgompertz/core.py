@@ -241,7 +241,10 @@ def _log_pdf_terms(p, y):
         out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
     deep = w > _W_DEEP
     if deep.any():
-        out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
+        # b w overflows to inf only where the density is far below the
+        # smallest double, and -inf is then the exact ln f
+        with np.errstate(over="ignore"):
+            out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
     zero = w == 0.0
     if zero.any():
         at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))

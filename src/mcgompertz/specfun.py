@@ -2,7 +2,7 @@
 
 Everything transcendental the rest of the package consumes is reached
 through here: log-gamma and beta, digamma/trigamma, the regularized
-incomplete beta and its inverse (plain and log-domain variants), the
+incomplete beta (plain and log-domain) and its log-domain inverse, the
 regularized upper incomplete gamma, the exponential integral E1, and the
 asymptotic Kolmogorov survival function.
 
@@ -37,7 +37,6 @@ __all__ = [
     "log1mexp",
     "inc_beta_reg",
     "inc_beta_reg_logx",
-    "inc_beta_inv",
     "inc_beta_inv_log",
     "inc_gamma_upper_reg",
     "expint_e1",
@@ -61,16 +60,15 @@ class Tolerance:
     """Iteration control for the log-domain inverse.
 
     abs_tol bounds the accepted error in p; max_iter caps the Newton
-    iterations.  rel_tol is kept for callers that carry it along.
+    iterations.
     """
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
     max_iter: int = 300
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -244,25 +242,6 @@ def inc_beta_reg_logx(log_y, a, b):
     if np.any(tiny):
         lead = a * arr[tiny] - math.log(a) - log_beta(a, b)
         out[tiny] = np.exp(np.minimum(lead, 0.0))
-    return _maybe_scalar(out, scalar)
-
-
-def inc_beta_inv(p, a, b, tol: Tolerance | None = None):
-    """Inverse of inc_beta_reg in y, for p in [0, 1].
-
-    The exponential of inc_beta_inv_log on the interior; solutions within
-    one ulp of 0 or 1 (extreme shapes) saturate there.
-    """
-    p_arr, scalar = _as_float_array(p)
-    if np.any((p_arr < 0) | (p_arr > 1)):
-        raise ValueError("inc_beta_inv requires p in [0, 1]")
-    if a <= 0 or b <= 0:
-        raise ValueError("inc_beta_inv requires a, b > 0")
-    out = np.where(p_arr >= 1.0, 1.0, 0.0)
-    inner = (p_arr > 0.0) & (p_arr < 1.0)
-    if np.any(inner):
-        with np.errstate(under="ignore"):
-            out[inner] = np.exp(inc_beta_inv_log(p_arr[inner], a, b, tol))
     return _maybe_scalar(out, scalar)
 
 

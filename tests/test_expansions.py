@@ -3,9 +3,9 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from mcgompertz import expansions
 from mcgompertz.core import McGParams, base_cdf, cdf, pdf, quantile
@@ -219,16 +219,40 @@ class TestMomentSeries:
         assert value == pytest.approx(moment_numeric(p, 1), abs=1e-4)
 
     def test_integer_shape_families_match_quadrature(self):
-        for p in (
-            McGParams(2.0, 3.0, 1.0, 0.5, 1.0),
-            McGParams(3.0, 2.0, 1.0, 0.2, 0.7),
-            McGParams(1.0, 4.0, 2.0, 0.3, 1.2),
-        ):
-            for k in (1, 2):
+        # the integer-shape families converge; so do some second and third
+        # moments of the oracle grid, which are checked alongside them
+        integer_shapes = [
+            (p, k)
+            for p in (
+                McGParams(2.0, 3.0, 1.0, 0.5, 1.0),
+                McGParams(3.0, 2.0, 1.0, 0.2, 0.7),
+                McGParams(1.0, 4.0, 2.0, 0.3, 1.2),
+            )
+            for k in (1, 2)
+        ]
+        grid = [(p, k) for p in _oracle_points() for k in (2, 3)]
+        converged = 0
+        for n, (p, k) in enumerate(integer_shapes + grid):
+            with np.errstate(all="ignore"):
                 value, ok = moment_series(p, k)
-                assert ok
+            must_converge = n < len(integer_shapes)
+            assert ok or not must_converge
+            if ok:
                 ref = moment_numeric(p, k)
                 assert abs(value - ref) <= 1e-3 * max(1.0, abs(ref))
+                converged += 1
+        assert converged >= len(integer_shapes) + 40
+
+    def test_glass_optimum_higher_moments_run_clean(self):
+        # theta/gamma ~ 9e-7 puts every m_i below 2e-4, where the log-weight
+        # integrals are largest; the suite's filters turn an
+        # IntegrationWarning or a package RuntimeWarning into a failure.  The
+        # binomial terms of its c ~ 219 components overflow, so the value is
+        # withheld
+        glass = _oracle_points()[-1]
+        for k in (2, 3):
+            value, ok = moment_series(glass, k)
+            assert math.isnan(value) and not ok
 
     def test_large_rate_flags_divergence(self):
         # the exponential factor e^{(i+1)theta/gamma} overflows long before
@@ -291,6 +315,17 @@ class TestMgfSeries:
 _REF_FACTORS = {}
 
 
+def _ref_factors(k, rate, policy):
+    """e^{m_i} mu_k(m_i) by i for the m_i = (i+1) rate <= 700 of one series:
+    the library's kernel over the same m vector, shared by the components of
+    the series."""
+    if (k, rate) not in _REF_FACTORS:
+        m = [(i + 1.0) * rate for i in range(policy.max_terms + 1)]
+        m = np.array([m_i for m_i in m if m_i <= 700.0])
+        _REF_FACTORS[k, rate] = expansions._scaled_log_weight_moments(k, m).tolist()
+    return _REF_FACTORS[k, rate]
+
+
 def _ref_binom_terms(beta_minus_one, limit):
     s = 1.0
     yield s
@@ -301,23 +336,16 @@ def _ref_binom_terms(beta_minus_one, limit):
 
 def _ref_component_moment(beta, k, theta, gamma, policy):
     rate = theta / gamma
-    # (e^{m_i}, mu_k(m_i)) by i, shared by the components of one series;
-    # mu_k for k >= 2 is the library's scalar quadrature on both sides
-    factors = _REF_FACTORS.setdefault((k, rate), [])
+    factors = _ref_factors(k, rate, policy)
     total = 0.0
     converged = False
     s, shape = 1.0, (beta - 1.0) + 1.0
     for i in range(policy.max_terms + 1):
         if i > 0:
             s *= (i - shape) / i
-        if i == len(factors):
-            m_i = (i + 1.0) * rate
-            if m_i > 700.0:
-                return math.nan, False
-            mu = expint_e1(m_i) / m_i if k == 1 else expansions._log_weight_moment(k, m_i)
-            factors.append((math.exp(m_i), mu))
-        exp_m, mu = factors[i]
-        term = s * exp_m * mu
+        if i == len(factors):  # m_i > 700
+            return math.nan, False
+        term = s * factors[i]
         if not math.isfinite(term):
             return math.nan, False
         total += term
@@ -455,17 +483,9 @@ class TestSeriesOracle:
     def test_moment_series_and_components(self):
         policy = TruncationPolicy()
         converged = 0
-        points = _oracle_points()
-        glass = points[-1]
-        for p in points:
+        for p in _oracle_points():
             for k in (1, 2, 3):
-                with warnings.catch_warnings(), np.errstate(all="ignore"):
-                    # at the glass optimum's rate (m ~ 1e-6) the scalar
-                    # quadrature behind mu_k, k >= 2, warns; the library
-                    # call below reads those values back from the cache,
-                    # and any quadrature it adds runs under the error filter
-                    if p is glass:
-                        warnings.simplefilter("ignore", IntegrationWarning)
+                with np.errstate(all="ignore"):
                     ref = _ref_moment_series(p, k, policy)
                     ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma, policy)
                 _same(moment_series(p, k, policy), ref)
@@ -547,22 +567,32 @@ class TestSeriesShortcuts:
                 for ours, ref in zip(chunked, one_pass):
                     np.testing.assert_array_equal(ours, ref)
 
-    def test_higher_moments_stop_their_quadratures_within_a_chunk(self, monkeypatch):
-        # mu_k for k >= 2 is a scalar quadrature: the chunks reach at most
-        # one chunk past the furthest term the plain loop needs
-        monkeypatch.setattr(expansions, "_mu_cache", {})
-        policy = TruncationPolicy()
-        for p in _oracle_points()[1:40:8]:
-            counts = []
-            for run in (_ref_moment_series, moment_series):
-                expansions._mu_cache.clear()
-                with np.errstate(all="ignore"):
-                    run(p, 2, policy)
-                counts.append(len(expansions._mu_cache))
-            assert counts[0] <= counts[1] < counts[0] + expansions._CHUNK
 
-    def test_first_moments_leave_the_mu_cache_alone(self):
-        before = len(expansions._mu_cache)
-        for rate in np.linspace(0.05, 5.0, 50):
-            moment_series(McGParams(2.0, 6.0, 1.5, float(rate), 1.0), 1)
-        assert len(expansions._mu_cache) == before
+def _mp_scaled_log_weight_moments(m, k_max):
+    """e^m mu_k(m) for k = 1..k_max: mu_k(m) is the k-th derivative in s at
+    s = 0 of the integral of u^s e^{-mu} over [1, inf), m^{-s-1} Gamma(s+1, m)."""
+    with mp.workdps(20):
+        m = mp.mpf(m)
+        derivs = mp.diffs(lambda s: m ** (-s - 1) * mp.gammainc(s + 1, m), 0, k_max)
+        return [float(mp.exp(m) * d) for d in derivs][1:]
+
+
+class TestLogWeightMoments:
+    def test_gauss_legendre_rule_is_exact_for_polynomials(self):
+        # the 80-point rule integrates x^j over [0, 1] exactly up to j = 159
+        nodes, weights = expansions._GL_NODES, expansions._GL_WEIGHTS
+        j = np.arange(160)
+        exact = 1.0 / (j + 1.0)
+        np.testing.assert_allclose(weights @ nodes[:, None] ** j, exact, rtol=1e-13)
+        assert np.all((nodes > 0.0) & (nodes < 1.0) & (weights > 0.0))
+
+    def test_matches_mpmath(self):
+        m = np.geomspace(1e-12, 700.0, 15)
+        ref = np.array([_mp_scaled_log_weight_moments(m_i, 8) for m_i in m])
+        for k in range(1, 9):
+            np.testing.assert_allclose(
+                expansions._scaled_log_weight_moments(k, m),
+                ref[:, k - 1],
+                rtol=1e-12 if k <= 4 else 1e-10,
+                atol=0.0,
+            )

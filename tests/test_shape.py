@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mcgompertz import shape
 from mcgompertz.core import McGParams, cdf, log_pdf, quantile, sample, survival
@@ -26,7 +26,7 @@ from mcgompertz.shape import (
     shannon_numeric,
     shape_curves,
 )
-from mcgompertz.specfun import expint_e1, inc_beta_inv, log_beta
+from mcgompertz.specfun import expint_e1, log_beta
 
 GOMPERTZ = McGParams(1.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -329,7 +329,7 @@ class TestMoors:
             if pr == 0.5:
                 return 0.0
             tail = pr if pr < 0.5 else 1.0 - pr
-            x = inc_beta_inv(2.0 * tail, nu / 2.0, 0.5)
+            x = special.betaincinv(nu / 2.0, 0.5, 2.0 * tail)
             t = math.sqrt(nu * (1.0 - x) / x)
             return -t if pr < 0.5 else t
 

@@ -19,7 +19,6 @@ from mcgompertz.specfun import (
     beta_fn,
     digamma,
     expint_e1,
-    inc_beta_inv,
     inc_beta_inv_log,
     inc_beta_reg,
     inc_beta_reg_logx,
@@ -157,13 +156,13 @@ def test_inc_beta_rejects_bad_args():
 
 def test_inc_beta_inv_bisection_oracle():
     # frozen from a 200-step bisection on I_y(3,2) = 0.9
-    assert_allclose(inc_beta_inv(0.9, 3.0, 2.0), 0.85744068328996928087, atol=1e-10)
+    assert_allclose(np.exp(inc_beta_inv_log(0.9, 3.0, 2.0)), 0.85744068328996928087, atol=1e-10)
 
 
 def test_inc_beta_inv_round_trip():
     ps = np.linspace(0.001, 0.999, 41)
     for a, b in [(0.3, 0.7), (2.5, 1.7), (5.0, 0.5)]:
-        y = np.asarray(inc_beta_inv(ps, a, b))
+        y = np.exp(inc_beta_inv_log(ps, a, b))
         back = np.asarray(inc_beta_reg(y, a, b))
         assert_allclose(back, ps, atol=1e-10)
     # with both shapes tiny the extreme-p preimages sit within a few
@@ -171,22 +170,16 @@ def test_inc_beta_inv_round_trip():
     # there; probe only the region where it is representable (the log
     # variant covers the tails)
     ps_mid = np.linspace(0.05, 0.85, 17)
-    y = np.asarray(inc_beta_inv(ps_mid, 0.07, 0.075))
+    y = np.exp(inc_beta_inv_log(ps_mid, 0.07, 0.075))
     back = np.asarray(inc_beta_reg(y, 0.07, 0.075))
     assert_allclose(back, ps_mid, atol=1e-10)
-
-
-def test_inc_beta_inv_endpoints():
-    assert inc_beta_inv(0.0, 2.0, 3.0) == 0.0
-    assert inc_beta_inv(1.0, 2.0, 3.0) == 1.0
 
 
 def test_inc_beta_inv_log_matches_plain():
     ps = np.linspace(0.05, 0.95, 19)
     for a, b in [(2.5, 1.7), (0.6, 0.9)]:
         lny = np.asarray(inc_beta_inv_log(ps, a, b))
-        y = np.asarray(inc_beta_inv(ps, a, b))
-        assert_allclose(np.exp(lny), y, rtol=1e-9, atol=1e-12)
+        assert_allclose(np.exp(lny), sps.betaincinv(a, b, ps), rtol=1e-9, atol=1e-12)
 
 
 def test_inc_beta_inv_log_deep_round_trip():
@@ -281,7 +274,7 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
     t = Tolerance()
-    assert t.abs_tol == 1e-12 and t.rel_tol == 1e-10 and t.max_iter == 300
+    assert t.abs_tol == 1e-12 and t.max_iter == 300
 
 
 def test_log_beta_consistency():
