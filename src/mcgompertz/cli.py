@@ -62,8 +62,8 @@ class RunConfig:
     grid_min: float = 0.0
     grid_max: float = 0.0
     grid_points: int = 0
-    starts: int = -1
-    max_iter: int = -1
+    starts: int = OptimizerConfig.n_starts
+    max_iter: int = OptimizerConfig.max_iter
     params: tuple = ()
 
 
@@ -185,12 +185,7 @@ def _build_params(model, mapping):
 
 
 def _optimizer_config(cfg):
-    kwargs = {"seed": cfg.seed}
-    if cfg.starts >= 0:
-        kwargs["n_starts"] = cfg.starts
-    if cfg.max_iter >= 0:
-        kwargs["max_iter"] = cfg.max_iter
-    return OptimizerConfig(**kwargs)
+    return OptimizerConfig(max_iter=cfg.max_iter, n_starts=cfg.starts, seed=cfg.seed)
 
 
 def _fit_payload(fit, data, opt):
@@ -267,9 +262,7 @@ def cmd_gof(cfg):
     opt = _optimizer_config(cfg)
     fit = fit_mle(spec, data, opt)
     full_fit = None
-    if spec.name != "mcg" and set(model_spec("mcg").constraints) < set(
-        spec.constraints
-    ):
+    if set(model_spec("mcg").constraints) < set(spec.constraints):
         full_fit = fit_mle("mcg", data, opt)
     report = gof_report(fit, data, full_fit=full_fit)
     payload = {"schema_version": 1, "command": "gof"}
@@ -445,16 +438,16 @@ def _build_parser():
         p.add_argument(
             "--starts",
             type=int,
-            default=-1,
+            default=OptimizerConfig.n_starts,
             metavar="N",
             help="perturbed starts at each of two lattice scales, so 2N+1 "
-            f"starts with the seed point (default N = {OptimizerConfig().n_starts})",
+            "starts with the seed point (default N = %(default)s)",
         )
         p.add_argument(
             "--max-iter",
             type=int,
-            default=-1,
-            help=f"Newton iterations per start (default {OptimizerConfig().max_iter})",
+            default=OptimizerConfig.max_iter,
+            help="Newton iterations per start (default %(default)s)",
         )
 
     def common_flags(p):
@@ -516,8 +509,8 @@ def build_config(argv):
         grid_min=getattr(ns, "grid_min", 0.0),
         grid_max=getattr(ns, "grid_max", 0.0),
         grid_points=getattr(ns, "grid_points", 0),
-        starts=ns.starts if hasattr(ns, "starts") else -1,
-        max_iter=getattr(ns, "max_iter", -1),
+        starts=getattr(ns, "starts", OptimizerConfig.n_starts),
+        max_iter=getattr(ns, "max_iter", OptimizerConfig.max_iter),
         params=params,
     )
 

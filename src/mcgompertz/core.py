@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    Tolerance,
     _as_float_array,
     _maybe_scalar,
     _over_columns,
@@ -388,7 +387,7 @@ def reversed_hazard(p, y):
     return pdf(p, y) / _maybe_scalar(f_val, np.ndim(y) == 0)
 
 
-def _w_of_t(a, b, c, t, tol):
+def _w_of_t(a, b, c, t):
     """Base cumulative hazards w with I(G^c; a/c, b) = t, G = 1 - e^{-w}.
 
     V = I^{-1}(t; a/c, b) enters only through logs: ln V where V <= 1/2,
@@ -402,16 +401,16 @@ def _w_of_t(a, b, c, t, tol):
     hi = t > inc_beta_reg(0.5, alpha, b)
     with np.errstate(divide="ignore", under="ignore"):
         if np.any(~hi):
-            ln_v = np.asarray(inc_beta_inv_log(t[~hi], alpha, b, tol))
+            ln_v = np.asarray(inc_beta_inv_log(t[~hi], alpha, b))
             w[~hi] = -log1mexp(-ln_v / c)
         if np.any(hi):
-            ln_1mv = np.asarray(inc_beta_inv_log(1.0 - t[hi], b, alpha, tol))
+            ln_1mv = np.asarray(inc_beta_inv_log(1.0 - t[hi], b, alpha))
             w_mid = -log1mexp(-log1mexp(-ln_1mv) / c)
             w[hi] = np.where(ln_1mv < -_W_DEEP, math.log(c) - ln_1mv, w_mid)
     return w
 
 
-def quantile(p, t, tol: Tolerance | None = None):
+def quantile(p, t):
     """Q(t) for t in (0, 1): invert the beta stage in log space, then
     the base in closed form.
 
@@ -422,7 +421,7 @@ def quantile(p, t, tol: Tolerance | None = None):
     arr, scalar = _as_float_array(t)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile requires t in (0, 1)")
-    w = _w_of_t(p.a, p.b, p.c, arr.ravel(), tol).reshape(arr.shape)
+    w = _w_of_t(p.a, p.b, p.c, arr.ravel()).reshape(arr.shape)
     return _maybe_scalar(p.base.y_of_w(w), scalar)
 
 

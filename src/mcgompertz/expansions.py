@@ -24,28 +24,15 @@ import numpy as np
 
 from .core import McGParams, base_cdf, base_pdf
 from .shape import mgf_numeric
-from .specfun import Tolerance, log_beta
+from .specfun import log_beta
 
 _OUTER_CAUCHY_TOL = 1e-6
 _NORMALIZATION_TOL = 1e-10
 _FIDELITY_REL_TOL = 1e-3
-# terms per chunk of the mgf k-series, whose terms each cost a scalar call
-# of the C pow: a row computes fewer than this many terms past its stop
-_CHUNK = 16
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Budget for truncated series: hard term cap and a stop-size tolerance."""
-
-    max_terms: int = 200
-    term_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not self.term_tol > 0.0:
-            raise ValueError("term_tol must be positive")
+# every truncated series takes at most _MAX_TERMS + 1 terms and stops at a
+# term within _TERM_TOL (relative to its partial sum where that exceeds 1)
+_MAX_TERMS = 200
+_TERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,13 +47,13 @@ class SeriesState:
     truncation: int
     last_term: float
     converged: bool
-    tol: Tolerance
+    tol: float
 
     def __post_init__(self):
         if len(self.coeffs) != self.truncation + 1:
             raise ValueError("coeffs must have truncation+1 entries")
-        if self.converged and abs(self.last_term) > self.tol.abs_tol:
-            raise ValueError("converged state requires |last_term| <= abs_tol")
+        if self.converged and abs(self.last_term) > self.tol:
+            raise ValueError("converged state requires |last_term| <= tol")
 
 
 def _binom_rows(x, n):
@@ -93,97 +80,69 @@ def _first(mask):
     return np.where(hit, mask.argmax(axis=-1), mask.shape[-1] - 1), hit
 
 
-def _stopped_sums(block, n_rows, n, tol, first, chunk, finite=True, growth=False):
-    """Partial sums of n_rows series of up to n terms each, where each stops.
+def _stopped_sums(terms, first, finite=True, growth=False):
+    """Partial sums of the rows of terms, each summed to where it stops.
 
-    block(rows, start, stop) returns terms start..stop-1 of the given rows.
     A row stops at its first index i where, in this order:
       - the term is not finite, when finite is set (failed);
-      - i >= first and |t_i| <= tol max(1, |t_0 + ... + t_i|) (summed);
+      - i >= first and |t_i| <= _TERM_TOL max(1, |t_0 + ... + t_i|)
+        (summed);
       - i >= 3 and |t_i| > |t_{i-1}|, when growth is set (failed).
-    Terms are taken chunk columns at a time for the rows still running, each
-    chunk's running sums continuing the last, so no term is computed twice
-    and a row costs fewer than chunk terms past its stop; chunk=n takes
-    every term at once.  Returns (sums, summed, failed): a row that is
-    neither ran out of terms and holds its full sum.
+    Returns (sums, summed, failed): a row that is neither ran out of terms
+    and holds its full sum.
     """
-    sums = np.zeros(n_rows)
-    last = np.zeros(n_rows)
-    summed = np.zeros(n_rows, dtype=bool)
-    failed = np.zeros(n_rows, dtype=bool)
-    rows = np.arange(n_rows)
-    for start in range(0, n, chunk):
-        terms = block(rows, start, min(start + chunk, n))
-        # the bound tol max(1, |running sum|), built in place in one scratch
-        # array and compared against +-terms, so terms stays signed
-        bound = terms.copy()
-        bound[:, 0] += sums[rows]
-        np.cumsum(bound, axis=-1, out=bound)
-        np.abs(bound, out=bound)
-        np.maximum(bound, 1.0, out=bound)
-        bound *= tol
-        small = terms <= bound
-        np.negative(bound, out=bound)
-        small &= terms >= bound
-        del bound
-        small[:, : max(first - start, 0)] = False
-        bad = ~np.isfinite(terms) if finite else np.zeros_like(small)
-        ends = bad | small
-        if growth:
-            size = np.abs(terms)
-            grew = size > np.column_stack([np.abs(last[rows]), size[:, :-1]])
-            grew[:, : max(3 - start, 0)] = False
-            ends |= grew
-        stop, hit = _first(ends)
-        at = np.arange(len(rows)), stop
-        ok = hit & ~bad[at] & small[at]
-        last[rows] = terms[:, -1]
-        terms[:, 0] += sums[rows]
-        sums[rows] = np.cumsum(terms, axis=-1, out=terms)[at]
-        summed[rows] = ok
-        failed[rows] = hit & ~ok
-        rows = rows[~hit]
-        if not len(rows):
-            break
-    return sums, summed, failed
+    running = np.cumsum(terms, axis=-1)
+    size = np.abs(terms)
+    bound = np.abs(running)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= _TERM_TOL
+    small = size <= bound
+    small[:, :first] = False
+    bad = ~np.isfinite(terms) if finite else np.zeros_like(small)
+    ends = bad | small
+    if growth:
+        ends[:, 3:] |= size[:, 3:] > size[:, 2:-1]
+    stop, hit = _first(ends)
+    at = np.arange(len(terms)), stop
+    ok = hit & ~bad[at] & small[at]
+    return running[at], ok, hit & ~ok
 
 
-def mixture_weights_p(p, policy=None):
+def mixture_weights_p(p):
     """Weights p_j of the cdf mixture F(y) = sum_j p_j G(y)^{a+jc}.
 
     p_j = (-1)^j C(b-1, j) / (B(a/c, b) (a/c + j)).  The state is converged
-    when the last term met term_tol and the partial sum sits within 1e-10 of
-    the known limit 1.
+    when the last term met _TERM_TOL and the partial sum sits within 1e-10
+    of the known limit 1.
     """
-    policy = policy or TruncationPolicy()
     alpha = p.a / p.c
     inv_beta = math.exp(-log_beta(alpha, p.b))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _binom_rows(p.b - 1.0, policy.max_terms + 1)
+        terms = _binom_rows(p.b - 1.0, _MAX_TERMS + 1)
         terms *= inv_beta
         terms /= alpha + np.arange(len(terms))
-    small = np.abs(terms) <= policy.term_tol
+    small = np.abs(terms) <= _TERM_TOL
     small[0] = False
     stop = int(_first(small)[0])
     coeffs = terms[: stop + 1]
     last = coeffs[-1]
     total = np.cumsum(coeffs)[-1]
-    converged = abs(last) <= policy.term_tol and abs(1.0 - total) <= _NORMALIZATION_TOL
+    converged = abs(last) <= _TERM_TOL and abs(1.0 - total) <= _NORMALIZATION_TOL
     return SeriesState(
         coeffs=tuple(coeffs.tolist()),
         truncation=stop,
         last_term=float(last),
         converged=bool(converged),
-        tol=Tolerance(abs_tol=policy.term_tol),
+        tol=_TERM_TOL,
     )
 
 
-def mixture_cdf(p, y, policy=None):
+def mixture_cdf(p, y):
     """Truncated mixture cdf sum_j p_j G(y)^{a+jc}.
 
     Returns (value, converged); converged is the weight-series verdict.
     """
-    state = mixture_weights_p(p, policy)
+    state = mixture_weights_p(p)
     G = base_cdf(p.base, y)
     total = 0.0
     for j, w in enumerate(state.coeffs):
@@ -191,13 +150,13 @@ def mixture_cdf(p, y, policy=None):
     return min(max(total, 0.0), 1.0), state.converged
 
 
-def mixture_pdf(p, y, policy=None):
+def mixture_pdf(p, y):
     """Truncated mixture pdf sum_j p_j (a+jc) g(y) G(y)^{a+jc-1}.
 
     Returns (value, converged); each component is a GG density with shape
     exponent a+jc.
     """
-    state = mixture_weights_p(p, policy)
+    state = mixture_weights_p(p)
     G = base_cdf(p.base, y)
     g = base_pdf(p.base, y)
     total = 0.0
@@ -231,25 +190,25 @@ def power_series_power(b_seq, m, r_max):
     return tuple(c)
 
 
-def cdf_power_coeffs(p, m, policy=None):
+def cdf_power_coeffs(p, m):
     """Coefficients q_r with F(y)^m = G(y)^{am} sum_r q_r G(y)^{rc}.
 
     Writes F = G^a sum_j p_j (G^c)^j and raises the inner power series to the
     m-th power through the recurrence above.  The verdict is inherited from
     the weight series.
     """
-    state = mixture_weights_p(p, policy)
+    state = mixture_weights_p(p)
     r_max = m * state.truncation
     coeffs = power_series_power(state.coeffs, m, r_max)
     # the recurrence leaves rounding residue of relative size where exact
     # zeros belong, so the termination test scales with the coefficients
     scale = max(1.0, max(abs(q) for q in coeffs))
-    tol = Tolerance(abs_tol=state.tol.abs_tol * scale)
+    tol = state.tol * scale
     return SeriesState(
         coeffs=coeffs,
         truncation=r_max,
         last_term=coeffs[-1],
-        converged=state.converged and abs(coeffs[-1]) <= tol.abs_tol,
+        converged=state.converged and abs(coeffs[-1]) <= tol,
         tol=tol,
     )
 
@@ -284,7 +243,7 @@ def _scaled_log_weight_moments(k, m):
     return (stop - start) * (f @ _GL_WEIGHTS)
 
 
-def _component_moments(betas, k, theta, gamma, policy):
+def _component_moments(betas, k, theta, gamma):
     """E[Y^k] for GG components with shape exponents betas, in one pass.
 
     Expands each G^{beta-1} binomially: the i-th term of row j is
@@ -296,32 +255,30 @@ def _component_moments(betas, k, theta, gamma, policy):
     """
     betas = np.asarray(betas, dtype=float)
     rate = theta / gamma
-    m = (np.arange(policy.max_terms + 1) + 1.0) * rate
+    m = (np.arange(_MAX_TERMS + 1) + 1.0) * rate
     m = m[: np.count_nonzero(m <= 700.0)]
     if len(m) == 0:
         return np.full(len(betas), math.nan), np.zeros(len(betas), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _binom_rows(betas - 1.0, len(m))
         terms *= _scaled_log_weight_moments(k, m)
-        sums, converged, failed = _stopped_sums(
-            lambda *_: terms, len(betas), len(m), policy.term_tol, first=1, chunk=len(m)
-        )
+        sums, converged, failed = _stopped_sums(terms, first=1)
         values = betas * rate / gamma**k * sums
     # running out of terms at m_i > 700 is a divergence, not a truncation
-    values[failed | ~converged & (len(m) <= policy.max_terms)] = math.nan
+    values[failed | ~converged & (len(m) <= _MAX_TERMS)] = math.nan
     return values, converged
 
 
-def component_moment(beta, k, theta, gamma, policy):
+def component_moment(beta, k, theta, gamma):
     """E[Y^k] for one GG component with shape exponent beta.
 
     The one-row case of _component_moments.  Returns (value, converged).
     """
-    values, converged = _component_moments([beta], k, theta, gamma, policy)
+    values, converged = _component_moments([beta], k, theta, gamma)
     return float(values[0]), bool(converged[0])
 
 
-def moment_series(p, k, policy=None):
+def moment_series(p, k):
     """Series k-th moment: sum_j p_j E[Y_j^k] over the GG mixture components.
 
     Returns (value, converged).  Convergence requires the weight series, each
@@ -332,10 +289,9 @@ def moment_series(p, k, policy=None):
     """
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    policy = policy or TruncationPolicy()
-    state = mixture_weights_p(p, policy)
+    state = mixture_weights_p(p)
     betas = p.a + np.arange(len(state.coeffs)) * p.c
-    values, inner_ok = _component_moments(betas, k, p.theta, p.gamma, policy)
+    values, inner_ok = _component_moments(betas, k, p.theta, p.gamma)
     if np.isnan(values).any():
         return math.nan, False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -345,33 +301,23 @@ def moment_series(p, k, policy=None):
     return total, bool(state.converged and inner_ok.all() and outer_ok)
 
 
-def _mgf_k_sums(ratio, denoms, policy):
+def _mgf_k_sums(ratio, denoms):
     """The k-series sum_k C(ratio, k) k! / d^{k+1} for each d in denoms.
 
     A row fails at a non-finite term, or when a term after the third
-    outgrows the one before it: the factorial has won.  Each power d^{k+1}
-    is taken from the C library's pow one value at a time (numpy's
-    vectorized power can differ in the last place), so the terms are taken a
-    chunk at a time: a row stops within a few terms, at its tolerance or as
-    soon as the factorial wins.  Returns (sums, summed).
+    outgrows the one before it: the factorial has won.  Returns (sums,
+    summed).
     """
-    n = policy.max_terms + 1
-    kk = np.arange(n, dtype=float)
-    binom = np.ones(n)
+    kk = np.arange(_MAX_TERMS + 1, dtype=float)
+    binom = np.ones(len(kk))
     binom[1:] = (ratio - kk[:-1]) / (kk[:-1] + 1.0)
     numer = np.cumprod(binom) * np.cumprod(np.maximum(kk, 1.0))
-
-    def block(rows, start, stop):
-        powers = [[d ** (e + 1) for e in range(start, stop)] for d in denoms[rows]]
-        return numer[start:stop] / np.array(powers)
-
-    sums, summed, _ = _stopped_sums(
-        block, len(denoms), n, policy.term_tol, first=0, chunk=_CHUNK, growth=True
-    )
+    terms = numer / np.power.outer(denoms, kk + 1.0)
+    sums, summed, _ = _stopped_sums(terms, first=0, growth=True)
     return sums, summed
 
 
-def mgf_series(p, t, policy=None):
+def mgf_series(p, t):
     """Series MGF built from generalized binomial coefficients in t/gamma.
 
     The double series factorizes: for each mixture component with shape
@@ -387,21 +333,18 @@ def mgf_series(p, t, policy=None):
     the authority; a summed-but-unfaithful outcome is a recorded discrepancy
     of this series form, not a usable value.
     """
-    policy = policy or TruncationPolicy()
-    state = mixture_weights_p(p, policy)
+    state = mixture_weights_p(p)
     if not state.converged:
         return math.nan, False, False
     betas = p.a + np.arange(len(state.coeffs)) * p.c
-    n = policy.max_terms + 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         i_sums, i_ok, _ = _stopped_sums(
-            lambda rows, start, stop: _binom_rows(betas[rows] - 1.0, stop),
-            len(betas), n, policy.term_tol, first=1, chunk=n, finite=False,
+            _binom_rows(betas - 1.0, _MAX_TERMS + 1), first=1, finite=False
         )
         if not i_ok.all():
             return math.nan, False, False
         denoms = betas * (p.theta / p.gamma)
-        k_sums, k_ok = _mgf_k_sums(t / p.gamma, denoms, policy)
+        k_sums, k_ok = _mgf_k_sums(t / p.gamma, denoms)
         if not k_ok.all():
             return math.nan, False, False
         total = float(np.cumsum(np.array(state.coeffs) * denoms * i_sums * k_sums)[-1])

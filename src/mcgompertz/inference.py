@@ -49,6 +49,10 @@ _LATTICE_SCALES = (math.log(4.0), math.log(16.0))
 # ratio of actual to predicted decrease at which a step is taken.
 _MAX_RADIUS = 10.0
 _ACCEPT = 0.1
+# A start stops once its log-space sup-norm gradient is at most _GRAD_TOL, or
+# once its trust radius shrinks below _STEP_TOL.
+_GRAD_TOL = 1.0e-6
+_STEP_TOL = 1.0e-10
 
 # A replicate counts as converged only if the scaled sup-norm gradient in
 # log-space falls at or below this ceiling, regardless of looser optimizer
@@ -90,26 +94,18 @@ class OptimizerConfig:
     """Tuning knobs for fit_mle; the defaults reproduce the reference fits.
 
     max_iter: Newton iterations allowed per start.
-    grad_tol: a start stops once its log-space sup-norm gradient is this small.
-    step_tol: a start stops once its trust radius shrinks below this.
     n_starts: perturbed starts at each of the two lattice scales, besides
         the seed point (0 runs the seed alone).
     seed: seeds the jitter that fills lattice slots beyond its corners.
     """
 
     max_iter: int = 500
-    grad_tol: float = 1.0e-6
-    step_tol: float = 1.0e-10
     n_starts: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-        if not (self.grad_tol > 0.0 and math.isfinite(self.grad_tol)):
-            raise ValueError("grad_tol must be positive and finite")
-        if not (self.step_tol > 0.0 and math.isfinite(self.step_tol)):
-            raise ValueError("step_tol must be positive and finite")
         if int(self.n_starts) != self.n_starts or self.n_starts < 0:
             raise ValueError("n_starts must be a nonnegative integer")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -199,15 +195,11 @@ def _check_params(spec, params):
         if not hasattr(params, target):
             continue
         actual = getattr(params, target)
-        if isinstance(fixed, str):
-            expected = getattr(params, fixed)
-            label = f"{target} = {fixed}"
-        else:
-            expected = fixed
-            label = f"{target} = {fixed}"
+        expected = getattr(params, fixed) if isinstance(fixed, str) else fixed
         if actual != expected:
             raise ValueError(
-                f"params violate the {spec.name} constraint {label}: got {actual}"
+                f"params violate the {spec.name} constraint {target} = {fixed}: "
+                f"got {actual}"
             )
 
 
@@ -546,7 +538,7 @@ def _trust_region_step(g, B, radius):
     return s, predicted
 
 
-def _trust_region_newton(fun, x0, *, dim, max_iter, grad_tol, step_tol, **_):
+def _trust_region_newton(fun, x0, *, dim, max_iter, **_):
     """Trust-region Newton minimizer over a block of starts run in lockstep,
     a custom `scipy.optimize.minimize` method.
 
@@ -560,14 +552,14 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, grad_tol, step_tol, **_):
     takes the exact step of _trust_region_step on its own Hessian; one call
     of `fun` per iteration evaluates the trial points of the starts still
     running.  A start stops, tested in this order, where the objective is
-    not finite, when its sup-norm gradient is at most `grad_tol`, when its
-    trust radius falls below `step_tol` (no step the model trusts still
+    not finite, when its sup-norm gradient is at most _GRAD_TOL, when its
+    trust radius falls below _STEP_TOL (no step the model trusts still
     lowers the objective, as at the box wall), or after `max_iter`
     iterations.
 
     The result holds per start x (flattened like x0), fun, jac, hess,
     nit_per_start, nfev_per_start and status: 3 objective not finite at
-    the start, 0 gradient below grad_tol, 2 trust radius below step_tol,
+    the start, 0 gradient below _GRAD_TOL, 2 trust radius below _STEP_TOL,
     1 iteration limit reached.  nit, nfev and njev are sums over the
     starts; npass counts the calls of `fun`.
     """
@@ -583,8 +575,8 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, grad_tol, step_tol, **_):
     while True:
         stop = np.where(
             ~np.isfinite(f), 3, np.where(
-                np.abs(g).max(axis=-1) <= grad_tol, 0, np.where(
-                    radius < step_tol, 2, np.where(nit >= max_iter, 1, -1))))
+                np.abs(g).max(axis=-1) <= _GRAD_TOL, 0, np.where(
+                    radius < _STEP_TOL, 2, np.where(nit >= max_iter, 1, -1))))
         status = np.where(status < 0, stop, status)
         run = np.flatnonzero(status < 0)
         if not run.size:
@@ -643,12 +635,7 @@ def fit_mle(model, data, config=None):
         lambda x: _log_space_derivs(spec, J, y, x)[2:],
         starts.ravel(),
         method=_trust_region_newton,
-        options={
-            "dim": k,
-            "max_iter": cfg.max_iter,
-            "grad_tol": cfg.grad_tol,
-            "step_tol": cfg.step_tol,
-        },
+        options={"dim": k, "max_iter": cfg.max_iter},
     )
     ends = res.x.reshape(-1, k)
     nll, info, f_end, g_end, _ = _log_space_derivs(spec, J, y, ends)

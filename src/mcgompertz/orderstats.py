@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cdf, pdf, survival
-from .expansions import TruncationPolicy, _component_moments, cdf_power_coeffs
-from .shape import QuadratureSpec, _panel_quad
+from .expansions import _component_moments, cdf_power_coeffs
+from .shape import _panel_quad
 from .specfun import inc_beta_reg, log_beta
 
 
@@ -69,7 +69,7 @@ def os_cdf_binomial(p, spec, y):
     return sum(w * F ** (spec.i + k) for k, w in enumerate(_beta_weights(spec)))
 
 
-def os_moment(p, spec, s, q=None):
+def os_moment(p, spec, s):
     """E[Y_{i:n}^s] by the panel quadrature of shape in u = ln y
     (authoritative).
 
@@ -80,7 +80,6 @@ def os_moment(p, spec, s, q=None):
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    q = q or QuadratureSpec()
     i, n = spec.i, spec.n
     lb = log_beta(i, n - i + 1)
 
@@ -92,10 +91,10 @@ def os_moment(p, spec, s, q=None):
             v = v + (n - i) * np.log(survival(p, y))
         return np.where(v > -700.0, np.exp(v), 0.0)
 
-    return _panel_quad(p, integrand, q)
+    return _panel_quad(p, integrand)
 
 
-def os_moment_series(p, spec, s, policy=None):
+def os_moment_series(p, spec, s):
     """Series route for E[Y_{i:n}^s] through the mixture re-expansion.
 
     Expands each F^{i+k} as G^{a(i+k)} sum_r q_r G^{rc} and reduces every
@@ -107,15 +106,14 @@ def os_moment_series(p, spec, s, policy=None):
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    policy = policy or TruncationPolicy()
     total = 0.0
     converged = True
     for k, w in enumerate(_beta_weights(spec)):
         m = spec.i + k
-        state = cdf_power_coeffs(p, m, policy)
+        state = cdf_power_coeffs(p, m)
         q = np.array(state.coeffs)
         r = np.flatnonzero(q)
-        cm, ok = _component_moments(p.a * m + r * p.c, s, p.theta, p.gamma, policy)
+        cm, ok = _component_moments(p.a * m + r * p.c, s, p.theta, p.gamma)
         if np.isnan(cm).any():
             return math.nan, False
         converged = converged and state.converged and bool(ok.all())
@@ -125,13 +123,12 @@ def os_moment_series(p, spec, s, policy=None):
     return total, converged
 
 
-def os_series_cdf(p, spec, y, policy=None):
+def os_series_cdf(p, spec, y):
     """Series route for os_cdf via the re-expanded powers of the parent cdf.
 
     Each F^{i+k} becomes G^{a(i+k)} sum_r q_r G^{rc} through the mixture
     weights; returns (value, converged) with the exact os_cdf as authority.
     """
-    policy = policy or TruncationPolicy()
     from .core import base_cdf
 
     G = base_cdf(p.base, y)
@@ -139,7 +136,7 @@ def os_series_cdf(p, spec, y, policy=None):
     converged = True
     for k, w in enumerate(_beta_weights(spec)):
         m = spec.i + k
-        state = cdf_power_coeffs(p, m, policy)
+        state = cdf_power_coeffs(p, m)
         converged = converged and state.converged
         inner = sum(q_r * G ** (r * p.c) for r, q_r in enumerate(state.coeffs))
         total += w * G ** (p.a * m) * inner

@@ -12,7 +12,6 @@ is called on whole node arrays, a few times per integral.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning
@@ -51,21 +50,11 @@ _W_GAUSS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _W_ERROR = _W_KRONROD - _W_GAUSS
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature budget for the numeric engines.
-
-    abs_tol and rel_tol set the target error of the whole integral;
-    max_subdivisions caps the subintervals of each panel.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0 and self.max_subdivisions >= 1):
-            raise ValueError("tolerances must be positive and max_subdivisions >= 1")
+# the target error of a whole integral is max(_ABS_TOL, _REL_TOL |I|);
+# _MAX_SUBDIVISIONS caps the subintervals of each panel
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_SUBDIVISIONS = 200
 
 
 def _at_nodes(p, integrand, u):
@@ -83,7 +72,7 @@ def _at_nodes(p, integrand, u):
     return np.where(ok, vals, 0.0)
 
 
-def _panel_quad(p, integrand, q):
+def _panel_quad(p, integrand):
     """Integrate integrand(u, y, lp) du over the whole line u = ln y.
 
     integrand receives node arrays u, y = e^u and lp = log f(y) and returns
@@ -101,10 +90,10 @@ def _panel_quad(p, integrand, q):
     to the integrand, and so to log_pdf, per round.  |K15 - G7| is the
     error estimate.  As in quadgk (Shampine 2008), a subinterval is
     accepted when its error is within its length's share of the target
-    max(abs_tol, rel_tol |I|), and the others are bisected; the loop ends
+    max(_ABS_TOL, _REL_TOL |I|), and the others are bisected; the loop ends
     when the summed error meets the target or every subinterval is
     accepted.  A panel whose bisections would take it past
-    q.max_subdivisions is accepted as it stands, and an IntegrationWarning
+    _MAX_SUBDIVISIONS is accepted as it stands, and an IntegrationWarning
     says so.
     """
     with np.errstate(divide="ignore"):
@@ -134,14 +123,14 @@ def _panel_quad(p, integrand, q):
         f = _at_nodes(p, integrand, u.ravel()).reshape(u.shape) * jac
         est = half * (f @ _W_KRONROD)
         err = np.abs(half * (f @ _W_ERROR))
-        tol = max(q.abs_tol, q.rel_tol * abs(total + est.sum()))
+        tol = max(_ABS_TOL, _REL_TOL * abs(total + est.sum()))
         if err_done + err.sum() <= tol:
             total += est.sum()
             err_done += err.sum()
             break
         refine = err > tol * share * half
         grown = count + np.bincount(panel[refine], minlength=n_panels)
-        full = grown > q.max_subdivisions
+        full = grown > _MAX_SUBDIVISIONS
         if full.any():
             exhausted = True
             refine &= ~full[panel]
@@ -154,7 +143,7 @@ def _panel_quad(p, integrand, q):
         panel = np.concatenate([panel[refine], panel[refine]])
     if exhausted:
         warnings.warn(
-            f"a panel would exceed max_subdivisions={q.max_subdivisions}; "
+            f"a panel would exceed max_subdivisions={_MAX_SUBDIVISIONS}; "
             f"estimated error {err_done:.3g}",
             IntegrationWarning,
             stacklevel=2,
@@ -162,7 +151,7 @@ def _panel_quad(p, integrand, q):
     return float(total)
 
 
-def _panel_integral(p, log_integrand, q):
+def _panel_integral(p, log_integrand):
     """_panel_quad of exp(log_integrand(u, y, lp)), zero where the log
     integrand is <= -700."""
 
@@ -170,38 +159,35 @@ def _panel_integral(p, log_integrand, q):
         v = log_integrand(u, y, lp)
         return np.where(v > -700.0, np.exp(v), 0.0)
 
-    return _panel_quad(p, integrand, q)
+    return _panel_quad(p, integrand)
 
 
-def moment_numeric(p, k, q=None):
+def moment_numeric(p, k):
     """k-th raw moment E[Y^k] by panelized adaptive quadrature."""
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    q = q or QuadratureSpec()
-    return _panel_integral(p, lambda u, y, lp: (k + 1.0) * u + lp, q)
+    return _panel_integral(p, lambda u, y, lp: (k + 1.0) * u + lp)
 
 
-def mgf_numeric(p, t, q=None):
+def mgf_numeric(p, t):
     """Moment generating function E[e^{tY}] by quadrature.
 
     The density tail decays like exp(-(theta b/gamma) e^{gamma y}), so the
     integral is finite for every real t.
     """
-    q = q or QuadratureSpec()
-    return _panel_integral(p, lambda u, y, lp: u + t * y + lp, q)
+    return _panel_integral(p, lambda u, y, lp: u + t * y + lp)
 
 
-def shannon_numeric(p, q=None):
+def shannon_numeric(p):
     """Shannon differential entropy -E[log f(Y)] by quadrature."""
-    q = q or QuadratureSpec()
 
     def integrand(u, y, lp):
         return np.where(u + lp >= -700.0, -np.exp(u + lp) * lp, 0.0)
 
-    return _panel_quad(p, integrand, q)
+    return _panel_quad(p, integrand)
 
 
-def shannon_closed(p, q=None):
+def shannon_closed(p):
     """Shannon entropy assembled from the displayed closed form.
 
     Returns (value, fidelity_ok).  The closed form combines log B(a/c, b),
@@ -213,10 +199,9 @@ def shannon_closed(p, q=None):
     relative.  E[Y] and M_Y(gamma) have no closed form and come from the
     numeric engines.
     """
-    q = q or QuadratureSpec()
     a, b, c, th, ga = p.a, p.b, p.c, p.theta, p.gamma
-    mean = moment_numeric(p, 1, q)
-    mgf_at_gamma = mgf_numeric(p, ga, q)
+    mean = moment_numeric(p, 1)
+    mgf_at_gamma = mgf_numeric(p, ga)
     value = (
         log_beta(a / c, b)
         - math.log(c * th)
@@ -226,13 +211,13 @@ def shannon_closed(p, q=None):
         + (a - 1.0) * digamma_diff(a, b)
         + (b - 1.0) * digamma_diff(b, a)
     )
-    reference = shannon_numeric(p, q)
+    reference = shannon_numeric(p)
     scale = max(1.0, abs(reference))
     fidelity_ok = abs(value - reference) <= 1e-4 * scale
     return value, fidelity_ok
 
 
-def renyi_numeric(p, rho, q=None):
+def renyi_numeric(p, rho):
     """Renyi entropy (1-rho)^{-1} ln integral of f^rho.
 
     The integrand behaves like y^{rho(a-1)} at the origin, so the integral
@@ -247,8 +232,7 @@ def renyi_numeric(p, rho, q=None):
             "integral of f^rho diverges at the origin: need rho*(a-1) > -1, "
             f"got rho={rho} with a={p.a}"
         )
-    q = q or QuadratureSpec()
-    total = _panel_integral(p, lambda u, y, lp: u + rho * lp, q)
+    total = _panel_integral(p, lambda u, y, lp: u + rho * lp)
     return math.log(total) / (1.0 - rho)
 
 

@@ -14,19 +14,14 @@ in u = ln y where the preimage underflows, and the differences that
 cancel when taken from scipy's values: ln B(a, b) with one argument
 dwarfing the other, psi(x + h) - psi(x) and psi'(x + h) - psi'(x) at
 large x.  The last three share one table of Bernoulli numbers.
-``Tolerance`` controls the inverse solve.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
 
 __all__ = [
-    "Tolerance",
     "log_gamma",
     "digamma",
     "trigamma",
@@ -53,27 +48,10 @@ _U_DEEP = -30.0
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 # from this argument on, 4 terms of the psi/psi' series are exact to ~1e-16
 _PSI_ASYMPTOTIC = 100.0
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Iteration control for the log-domain inverse.
-
-    abs_tol bounds the accepted error in p; max_iter caps the Newton
-    iterations.
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 300
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-_DEFAULT_TOL = Tolerance()
+# the deep inverse solve accepts an error in p of at most _INV_ABS_TOL and
+# stops after _INV_MAX_ITER Newton iterations
+_INV_ABS_TOL = 1e-12
+_INV_MAX_ITER = 300
 
 
 def _as_float_array(x):
@@ -245,7 +223,7 @@ def inc_beta_reg_logx(log_y, a, b):
     return _maybe_scalar(out, scalar)
 
 
-def inc_beta_inv_log(p, a, b, tol: Tolerance | None = None):
+def inc_beta_inv_log(p, a, b):
     """ln of the inverse incomplete beta, for p in (0, 1).
 
     Accurate even when the inverse underflows (tiny a, small p): the
@@ -254,7 +232,6 @@ def inc_beta_inv_log(p, a, b, tol: Tolerance | None = None):
     complement inverse gives ln y = log1p(-I^{-1}_{1-p}(b, a)).
     Elsewhere the inverse is scipy's betaincinv.
     """
-    tol = tol or _DEFAULT_TOL
     p_arr, scalar = _as_float_array(p)
     if np.any((p_arr <= 0) | (p_arr >= 1)):
         raise ValueError("inc_beta_inv_log requires p in (0, 1)")
@@ -272,9 +249,9 @@ def inc_beta_inv_log(p, a, b, tol: Tolerance | None = None):
     lower_half = ~(deep_low | deep_high) & (flat < sps.betainc(a, b, 0.5))
     upper_half = ~(deep_low | deep_high | lower_half)
     if np.any(deep_low):
-        out[deep_low] = _beta_inv_log_deep(flat[deep_low], u_low[deep_low], a, b, tol)
+        out[deep_low] = _beta_inv_log_deep(flat[deep_low], u_low[deep_low], a, b)
     if np.any(deep_high):
-        lnz = _beta_inv_log_deep(1.0 - flat[deep_high], u_high[deep_high], b, a, tol)
+        lnz = _beta_inv_log_deep(1.0 - flat[deep_high], u_high[deep_high], b, a)
         with np.errstate(under="ignore"):
             out[deep_high] = np.log1p(-np.exp(lnz))
     out[lower_half] = np.log(sps.betaincinv(a, b, flat[lower_half]))
@@ -282,7 +259,7 @@ def inc_beta_inv_log(p, a, b, tol: Tolerance | None = None):
     return _maybe_scalar(out.reshape(p_arr.shape), scalar)
 
 
-def _beta_inv_log_deep(p, u0, a, b, tol):
+def _beta_inv_log_deep(p, u0, a, b):
     # in the deep region I(e^u) ~ exp(a u - ln a - ln B), so u0 is a
     # near-exact start and dI/du = a I to the same accuracy; Newton in u
     # is safeguarded by a bisection bracket
@@ -293,12 +270,12 @@ def _beta_inv_log_deep(p, u0, a, b, tol):
     hi = np.zeros(n)
     x = u0.copy()
     idx = np.arange(n)
-    for _ in range(tol.max_iter):
+    for _ in range(_INV_MAX_ITER):
         f = np.asarray(inc_beta_reg_logx(x, a, b)) - p[idx]
         above = f > 0
         hi[idx] = np.where(above, np.minimum(hi[idx], x), hi[idx])
         lo[idx] = np.where(above, lo[idx], np.maximum(lo[idx], x))
-        done = (np.abs(f) <= tol.abs_tol) | (
+        done = (np.abs(f) <= _INV_ABS_TOL) | (
             (hi[idx] - lo[idx]) <= 1e-14 * np.abs(lo[idx])
         )
         if np.any(done):

@@ -100,6 +100,15 @@ class TestExitCodes:
     def test_bad_params_is_input_error(self):
         assert main(["sample", "--params", "a=one"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--starts", "-3", "n_starts"), ("--max-iter", "-1", "max_iter")],
+        ids=["starts", "max-iter"],
+    )
+    def test_negative_optimizer_flag_is_input_error(self, flag, value, field, capsys):
+        assert main(["fit", "--model", "g", "--data", "aarset", flag, value]) == EXIT_INPUT
+        assert field in capsys.readouterr().err
+
     def test_nonconvergent_fit_still_writes(self, tmp_path):
         # the fiber-data exponential-base likelihood rides the b ridge;
         # the fitter honestly reports non-convergence

@@ -11,7 +11,6 @@ from mcgompertz import expansions
 from mcgompertz.core import McGParams, base_cdf, cdf, pdf, quantile
 from mcgompertz.expansions import (
     SeriesState,
-    TruncationPolicy,
     cdf_power_coeffs,
     component_moment,
     mgf_series,
@@ -23,7 +22,7 @@ from mcgompertz.expansions import (
 )
 from mcgompertz.orderstats import OrderSpec, _beta_weights, os_moment_series
 from mcgompertz.shape import mgf_numeric, moment_numeric
-from mcgompertz.specfun import Tolerance, expint_e1
+from mcgompertz.specfun import expint_e1
 
 
 def random_integer_b_params(rng):
@@ -36,27 +35,14 @@ def random_integer_b_params(rng):
     )
 
 
-class TestTruncationPolicy:
-    def test_defaults(self):
-        policy = TruncationPolicy()
-        assert policy.max_terms == 200
-        assert policy.term_tol == 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_terms=0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(term_tol=0.0)
-
-
 class TestSeriesState:
     def test_length_invariant(self):
         with pytest.raises(ValueError):
-            SeriesState((1.0, 2.0), 2, 0.0, True, Tolerance())
+            SeriesState((1.0, 2.0), 2, 0.0, True, 1e-12)
 
     def test_converged_requires_small_last_term(self):
         with pytest.raises(ValueError):
-            SeriesState((1.0, 0.5), 1, 0.5, True, Tolerance(abs_tol=1e-12))
+            SeriesState((1.0, 0.5), 1, 0.5, True, 1e-12)
 
 
 class TestMixtureWeights:
@@ -90,10 +76,11 @@ class TestMixtureWeights:
         defect = abs(1.0 - sum(state.coeffs))
         assert 1e-8 < defect < 1e-6
 
-    def test_larger_budget_shrinks_defect(self):
+    def test_larger_budget_shrinks_defect(self, monkeypatch):
         p = McGParams(0.5, 2.5, 1.3, 0.1, 1.0)
         small = abs(1.0 - sum(mixture_weights_p(p).coeffs))
-        big = abs(1.0 - sum(mixture_weights_p(p, TruncationPolicy(max_terms=2000)).coeffs))
+        monkeypatch.setattr(expansions, "_MAX_TERMS", 2000)
+        big = abs(1.0 - sum(mixture_weights_p(p).coeffs))
         assert big < small / 100.0
 
 
@@ -309,17 +296,21 @@ class TestMgfSeries:
 # A plain term-by-term reference of the series, written the way the
 # expansions read on paper: one Python loop per series, no arrays.  The
 # library evaluates the same series as term arrays and must agree with it
-# flag for flag, and bit for bit wherever a flag is on.
+# flag for flag, and bit for bit wherever a flag is on.  It takes at most
+# _REF_MAX_TERMS + 1 terms per series and stops at a term within
+# _REF_TERM_TOL.
 
+_REF_MAX_TERMS = 200
+_REF_TERM_TOL = 1e-12
 _REF_FACTORS = {}
 
 
-def _ref_factors(k, rate, policy):
+def _ref_factors(k, rate):
     """e^{m_i} mu_k(m_i) by i for the m_i = (i+1) rate <= 700 of one series:
     the library's kernel over the same m vector, shared by the components of
     the series."""
     if (k, rate) not in _REF_FACTORS:
-        m = [(i + 1.0) * rate for i in range(policy.max_terms + 1)]
+        m = [(i + 1.0) * rate for i in range(_REF_MAX_TERMS + 1)]
         m = np.array([m_i for m_i in m if m_i <= 700.0])
         _REF_FACTORS[k, rate] = expansions._scaled_log_weight_moments(k, m).tolist()
     return _REF_FACTORS[k, rate]
@@ -333,13 +324,13 @@ def _ref_binom_terms(beta_minus_one, limit):
         yield s
 
 
-def _ref_component_moment(beta, k, theta, gamma, policy):
+def _ref_component_moment(beta, k, theta, gamma):
     rate = theta / gamma
-    factors = _ref_factors(k, rate, policy)
+    factors = _ref_factors(k, rate)
     total = 0.0
     converged = False
     s, shape = 1.0, (beta - 1.0) + 1.0
-    for i in range(policy.max_terms + 1):
+    for i in range(_REF_MAX_TERMS + 1):
         if i > 0:
             s *= (i - shape) / i
         if i == len(factors):  # m_i > 700
@@ -348,31 +339,31 @@ def _ref_component_moment(beta, k, theta, gamma, policy):
         if not math.isfinite(term):
             return math.nan, False
         total += term
-        if i > 0 and abs(term) <= policy.term_tol * max(1.0, abs(total)):
+        if i > 0 and abs(term) <= _REF_TERM_TOL * max(1.0, abs(total)):
             converged = True
             break
     return beta * rate / gamma**k * total, converged
 
 
-def _ref_weights(p, policy):
+def _ref_weights(p):
     alpha = p.a / p.c
     inv_beta = math.exp(-expansions.log_beta(alpha, p.b))
     coeffs, total, last = [], 0.0, math.inf
-    for j, s in enumerate(_ref_binom_terms(p.b - 1.0, policy.max_terms)):
+    for j, s in enumerate(_ref_binom_terms(p.b - 1.0, _REF_MAX_TERMS)):
         last = s * inv_beta / (alpha + j)
         coeffs.append(last)
         total += last
-        if j > 0 and abs(last) <= policy.term_tol:
+        if j > 0 and abs(last) <= _REF_TERM_TOL:
             break
-    return coeffs, abs(last) <= policy.term_tol and abs(1.0 - total) <= 1e-10
+    return coeffs, abs(last) <= _REF_TERM_TOL and abs(1.0 - total) <= 1e-10
 
 
-def _ref_moment_series(p, k, policy):
+def _ref_moment_series(p, k):
     _REF_FACTORS.clear()
-    coeffs, weights_ok = _ref_weights(p, policy)
+    coeffs, weights_ok = _ref_weights(p)
     total, increment, all_inner = 0.0, math.inf, True
     for j, w in enumerate(coeffs):
-        value, ok = _ref_component_moment(p.a + j * p.c, k, p.theta, p.gamma, policy)
+        value, ok = _ref_component_moment(p.a + j * p.c, k, p.theta, p.gamma)
         if math.isnan(value):
             return math.nan, False
         all_inner = all_inner and ok
@@ -382,23 +373,23 @@ def _ref_moment_series(p, k, policy):
     return total, weights_ok and all_inner and outer_ok
 
 
-def _ref_mgf_series(p, t, policy):
+def _ref_mgf_series(p, t):
     """The value and summed flag; the faithful flag is a quadrature check."""
-    coeffs, summed = _ref_weights(p, policy)
+    coeffs, summed = _ref_weights(p)
     if not summed:
         return math.nan, False
     rate, ratio, total = p.theta / p.gamma, t / p.gamma, 0.0
     for j, w in enumerate(coeffs):
         beta = p.a + j * p.c
         i_sum, i_ok = 0.0, False
-        for i, s in enumerate(_ref_binom_terms(beta - 1.0, policy.max_terms)):
+        for i, s in enumerate(_ref_binom_terms(beta - 1.0, _REF_MAX_TERMS)):
             i_sum += s
-            if i > 0 and abs(s) <= policy.term_tol * max(1.0, abs(i_sum)):
+            if i > 0 and abs(s) <= _REF_TERM_TOL * max(1.0, abs(i_sum)):
                 i_ok = True
                 break
         denom = beta * rate
         k_sum, k_ok, prev, kfac = 0.0, False, math.inf, 1.0
-        for kk in range(policy.max_terms + 1):
+        for kk in range(_REF_MAX_TERMS + 1):
             if kk > 0:
                 kfac *= kk
             binom = 1.0
@@ -408,7 +399,7 @@ def _ref_mgf_series(p, t, policy):
             if not math.isfinite(term):
                 break
             k_sum += term
-            if abs(term) <= policy.term_tol * max(1.0, abs(k_sum)):
+            if abs(term) <= _REF_TERM_TOL * max(1.0, abs(k_sum)):
                 k_ok = True
                 break
             if kk > 2 and abs(term) > abs(prev):
@@ -446,18 +437,18 @@ def _same(ours, ref):
         assert value == ref_value
 
 
-def _ref_os_moment_series(p, spec, s, policy):
+def _ref_os_moment_series(p, spec, s):
     _REF_FACTORS.clear()
     total, converged = 0.0, True
     for k, w in enumerate(_beta_weights(spec)):
         m = spec.i + k
-        state = cdf_power_coeffs(p, m, policy)
+        state = cdf_power_coeffs(p, m)
         converged = converged and state.converged
         inner = 0.0
         for r, q_r in enumerate(state.coeffs):
             if q_r == 0.0:
                 continue
-            cm, ok = _ref_component_moment(p.a * m + r * p.c, s, p.theta, p.gamma, policy)
+            cm, ok = _ref_component_moment(p.a * m + r * p.c, s, p.theta, p.gamma)
             if math.isnan(cm):
                 return math.nan, False
             converged = converged and ok
@@ -471,24 +462,22 @@ class TestSeriesOracle:
     everywhere, identical values wherever the flag is on."""
 
     def test_weights(self):
-        policy = TruncationPolicy()
         for p in _oracle_points():
             with np.errstate(all="ignore"):
-                coeffs, converged = _ref_weights(p, policy)
-            state = mixture_weights_p(p, policy)
+                coeffs, converged = _ref_weights(p)
+            state = mixture_weights_p(p)
             assert state.coeffs == tuple(coeffs)
             assert state.converged == converged
 
     def test_moment_series_and_components(self):
-        policy = TruncationPolicy()
         converged = 0
         for p in _oracle_points():
             for k in (1, 2, 3):
                 with np.errstate(all="ignore"):
-                    ref = _ref_moment_series(p, k, policy)
-                    ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma, policy)
-                _same(moment_series(p, k, policy), ref)
-                _same(component_moment(p.a, k, p.theta, p.gamma, policy), ref_one)
+                    ref = _ref_moment_series(p, k)
+                    ref_one = _ref_component_moment(p.a, k, p.theta, p.gamma)
+                _same(moment_series(p, k), ref)
+                _same(component_moment(p.a, k, p.theta, p.gamma), ref_one)
                 converged += ref[1]
         assert converged >= 20
 
@@ -500,24 +489,22 @@ class TestSeriesOracle:
             McGParams(float(a), float(b), float(c), *rng.lognormal(-0.5, 0.8, size=2).tolist())
             for a, b, c in ((1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 2), (2, 2, 2), (1, 3, 1))
         ]
-        policy = TruncationPolicy()
         converged = 0
         for p in _oracle_points()[:20] + integer_shapes:
             for spec in (OrderSpec(1, 2), OrderSpec(2, 3)):
                 with np.errstate(all="ignore"):
-                    ref = _ref_os_moment_series(p, spec, 1, policy)
-                _same(os_moment_series(p, spec, 1, policy), ref)
+                    ref = _ref_os_moment_series(p, spec, 1)
+                _same(os_moment_series(p, spec, 1), ref)
                 converged += ref[1]
         assert converged >= 5
 
     def test_mgf_series(self):
-        policy = TruncationPolicy()
         summed = 0
         for p in _oracle_points():
             for t in (0.0, p.gamma, 0.5 * p.gamma):
                 with np.errstate(all="ignore"):
-                    ref = _ref_mgf_series(p, t, policy)
-                value, flag, _ = mgf_series(p, t, policy)
+                    ref = _ref_mgf_series(p, t)
+                value, flag, _ = mgf_series(p, t)
                 _same((value, flag), ref)
                 summed += ref[1]
         assert summed >= 20
@@ -525,14 +512,13 @@ class TestSeriesOracle:
     def test_no_runtime_warnings_at_numpy_scalars(self):
         # every fourth grid point has numpy-scalar fields, whose scalar
         # arithmetic warns on overflow where Python floats do not
-        policy = TruncationPolicy()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for p in _oracle_points()[:-3:4]:
-                moment_series(p, 1, policy)
-                component_moment(p.a, 1, p.theta, p.gamma, policy)
-                mgf_series(p, p.gamma, policy)
-                os_moment_series(p, OrderSpec(1, 2), 1, policy)
+                moment_series(p, 1)
+                component_moment(p.a, 1, p.theta, p.gamma)
+                mgf_series(p, p.gamma)
+                os_moment_series(p, OrderSpec(1, 2), 1)
 
 
 class TestSeriesShortcuts:
@@ -546,9 +532,9 @@ class TestSeriesShortcuts:
         value, summed, faithful = mgf_series(p, p.gamma)
         assert math.isnan(value) and not summed and not faithful
 
-    def test_chunks_continue_the_running_sums(self):
+    def test_stop_rule_matches_a_plain_loop(self):
         # series that stop early, late, at a non-finite term, by growth, or
-        # never, summed in chunks of every size against one pass
+        # never, against the stop rule applied term by term
         rng = np.random.default_rng(7)
         n = 40
         terms = rng.normal(size=(12, n)) * np.exp(-rng.uniform(0.0, 2.0, size=(12, 1)) * np.arange(n))
@@ -556,15 +542,25 @@ class TestSeriesShortcuts:
         terms[4, 20:] = terms[4, 19] * 2.0 ** np.arange(1, n - 19)
         terms[5] = 1.0
 
-        def block(rows, start, stop):
-            return terms[rows, start:stop].copy()
+        def plain(row, first, finite, growth):
+            total = 0.0
+            for i, t in enumerate(row):
+                total += t
+                if finite and not math.isfinite(t):
+                    return total, False, True
+                if i >= first and abs(t) <= 1e-12 * max(1.0, abs(total)):
+                    return total, True, False
+                if growth and i >= 3 and abs(t) > abs(row[i - 1]):
+                    return total, False, True
+            return total, False, False
 
-        for growth in (False, True):
-            one_pass = expansions._stopped_sums(block, 12, n, 1e-12, 1, n, growth=growth)
-            for chunk in (1, 2, 3, 7, 16):
-                chunked = expansions._stopped_sums(block, 12, n, 1e-12, 1, chunk, growth=growth)
-                for ours, ref in zip(chunked, one_pass):
-                    np.testing.assert_array_equal(ours, ref)
+        for first in (0, 1):
+            for finite in (False, True):
+                for growth in (False, True):
+                    ours = expansions._stopped_sums(terms, first, finite=finite, growth=growth)
+                    ref = zip(*(plain(row, first, finite, growth) for row in terms.tolist()))
+                    for got, want in zip(ours, ref):
+                        np.testing.assert_array_equal(got, np.array(want))
 
 
 def _mp_scaled_log_weight_moments(m, k_max):

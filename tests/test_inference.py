@@ -96,8 +96,6 @@ class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
         assert cfg.max_iter == 500
-        assert cfg.grad_tol == 1e-6
-        assert cfg.step_tol == 1e-10
         assert cfg.n_starts == 8
         assert cfg.seed == 0
 
@@ -105,8 +103,6 @@ class TestOptimizerConfig:
         "kwargs",
         [
             {"max_iter": 0},
-            {"grad_tol": 0.0},
-            {"step_tol": -1.0},
             {"n_starts": -1},
             {"seed": -2},
         ],

@@ -15,7 +15,6 @@ from mcgompertz.orderstats import OrderSpec, os_moment
 from mcgompertz.shape import (
     _PANEL_CUTS,
     _U_TINY,
-    QuadratureSpec,
     bowley,
     curves_to_csv,
     mgf_numeric,
@@ -83,20 +82,6 @@ def exp_or_zero(v):
     return math.exp(v) if v > -700.0 else 0.0
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        q = QuadratureSpec()
-        assert q.abs_tol == 1e-10
-        assert q.rel_tol == 1e-8
-        assert q.max_subdivisions == 200
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-
 class TestPanelEngine:
     """The vectorized panel quadrature against quad, panel by panel."""
 
@@ -161,10 +146,12 @@ class TestPanelEngine:
         assert 1 <= len(sizes) <= 40
         assert min(sizes) >= 15  # whole node arrays, never one point
 
-    def test_exhausted_budget_warns(self):
-        q = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-17, max_subdivisions=2)
+    def test_exhausted_budget_warns(self, monkeypatch):
+        monkeypatch.setattr(shape, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(shape, "_REL_TOL", 1e-17)
+        monkeypatch.setattr(shape, "_MAX_SUBDIVISIONS", 2)
         with pytest.warns(integrate.IntegrationWarning, match="max_subdivisions=2"):
-            value = moment_numeric(GOMPERTZ, 1, q)
+            value = moment_numeric(GOMPERTZ, 1)
         assert value == pytest.approx(math.e * expint_e1(1.0), rel=1e-6)
 
     def test_returns_python_floats(self):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgompertz.specfun import (
-    Tolerance,
     beta_fn,
     digamma,
     expint_e1,
@@ -266,15 +265,6 @@ def test_kolmogorov_monotone_in_d():
     ds = np.linspace(0.01, 0.5, 50)
     vals = [kolmogorov_sf(float(d), 63) for d in ds]
     assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_iter=0)
-    t = Tolerance()
-    assert t.abs_tol == 1e-12 and t.max_iter == 300
 
 
 def test_log_beta_consistency():
