@@ -103,6 +103,8 @@ class TestOptimizerConfig:
         "kwargs",
         [
             {"max_iter": 0},
+            {"max_iter": 2.5},
+            {"n_starts": 1.5},
             {"n_starts": -1},
             {"seed": -2},
         ],
