@@ -18,7 +18,6 @@ import importlib.resources
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +43,8 @@ _KS_CAVEAT = (
 )
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Unusable user input: missing file, bad value, unknown model."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation."""
-
-    command: str
-    model: str = "mcg"
-    data_path: str = ""
-    output_path: str = ""
-    seed: int = 0
-    fmt: str = ""
-    n: int = 100
-    grid_min: float = 0.0
-    grid_max: float = 0.0
-    grid_points: int = 0
-    starts: int = OptimizerConfig.n_starts
-    max_iter: int = OptimizerConfig.max_iter
-    params: tuple = ()
 
 
 def _fmt_float(v):
@@ -108,9 +88,9 @@ def _json_text(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_output(cfg, text):
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_output(ns, text):
+    if ns.output_path:
+        with open(ns.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -169,23 +149,25 @@ def _parse_params(text):
     return out
 
 
-def _resolve_model(name):
-    try:
-        return model_spec(name)
-    except (KeyError, ValueError) as exc:
-        raise InputError(str(exc))
+def _fit_inputs(ns, names):
+    """The data set, the model specs and the optimizer settings of a
+    fitting command, checked in that order."""
+    data = _read_dataset(ns.data_path)
+    if not names:
+        raise InputError("compare needs at least one model name")
+    specs = [model_spec(name) for name in names]
+    opt = OptimizerConfig(max_iter=ns.max_iter, n_starts=ns.starts, seed=ns.seed)
+    return data, specs, opt
 
 
-def _build_params(model, mapping):
-    spec = _resolve_model(model)
-    try:
-        return spec, make_submodel(spec.name, dict(mapping))
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc))
+def _estimates(fit):
+    return {k: float(v) for k, v in fit.estimates.items()}
 
 
-def _optimizer_config(cfg):
-    return OptimizerConfig(max_iter=cfg.max_iter, n_starts=cfg.starts, seed=cfg.seed)
+def _std_errors(fit):
+    if fit.std_errors is None:
+        return None
+    return {k: float(v) for k, v in fit.std_errors.items()}
 
 
 def _fit_payload(fit, data, opt):
@@ -195,12 +177,8 @@ def _fit_payload(fit, data, opt):
         "model": fit.model.name,
         "data": data.label,
         "n_obs": data.n,
-        "estimates": {k: float(v) for k, v in fit.estimates.items()},
-        "std_errors": (
-            None
-            if fit.std_errors is None
-            else {k: float(v) for k, v in fit.std_errors.items()}
-        ),
+        "estimates": _estimates(fit),
+        "std_errors": _std_errors(fit),
         "neg_loglik": float(fit.neg_loglik),
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
@@ -213,9 +191,24 @@ def _fit_payload(fit, data, opt):
     }
 
 
+def _cell(v):
+    """One CSV cell: bools lowercase, floats at 17 digits, None empty."""
+    if isinstance(v, float):
+        return _fmt_float(v)
+    if isinstance(v, bool):
+        return str(v).lower()
+    return "" if v is None else str(v)
+
+
+def _csv(header, columns):
+    """CSV text with one line per row of the equal-length `columns`."""
+    rows = zip(*(map(_cell, col) for col in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
 def _kv_csv(payload):
     """Flatten a nested payload to key,value CSV rows."""
-    rows = ["key,value"]
+    keys, values = [], []
 
     def emit(prefix, obj):
         if isinstance(obj, dict):
@@ -224,74 +217,57 @@ def _kv_csv(payload):
         elif isinstance(obj, (list, tuple)):
             for i, v in enumerate(obj):
                 emit(f"{prefix}[{i}]", v)
-        elif isinstance(obj, bool):
-            rows.append(f"{prefix},{str(obj).lower()}")
-        elif isinstance(obj, float):
-            rows.append(f"{prefix},{_fmt_float(obj)}")
-        elif obj is None:
-            rows.append(f"{prefix},")
         else:
-            rows.append(f"{prefix},{obj}")
+            keys.append(prefix)
+            values.append(obj)
 
     emit("", payload)
-    return "\n".join(rows) + "\n"
+    return _csv(("key", "value"), (keys, values))
 
 
-def _emit(cfg, payload, default_fmt="json", table=None):
-    fmt = cfg.fmt or default_fmt
+def _emit(ns, payload, default_fmt="json", table=None):
+    fmt = ns.fmt or default_fmt
     if fmt == "json":
-        _write_output(cfg, _json_text(payload) + "\n")
+        _write_output(ns, _json_text(payload) + "\n")
     elif table is not None:
-        _write_output(cfg, table)
+        _write_output(ns, table)
     else:
-        _write_output(cfg, _kv_csv(payload))
+        _write_output(ns, _kv_csv(payload))
 
 
-def cmd_fit(cfg):
-    data = _read_dataset(cfg.data_path)
-    spec = _resolve_model(cfg.model)
-    opt = _optimizer_config(cfg)
+def cmd_fit(ns):
+    data, (spec,), opt = _fit_inputs(ns, [ns.model])
     fit = fit_mle(spec, data, opt)
-    _emit(cfg, _fit_payload(fit, data, opt))
+    _emit(ns, _fit_payload(fit, data, opt))
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_gof(cfg):
-    data = _read_dataset(cfg.data_path)
-    spec = _resolve_model(cfg.model)
-    opt = _optimizer_config(cfg)
+def cmd_gof(ns):
+    data, (spec,), opt = _fit_inputs(ns, [ns.model])
     fit = fit_mle(spec, data, opt)
-    full_fit = None
-    if set(model_spec("mcg").constraints) < set(spec.constraints):
-        full_fit = fit_mle("mcg", data, opt)
+    full_fit = fit_mle("mcg", data, opt) if spec.constraints else None
     report = gof_report(fit, data, full_fit=full_fit)
-    payload = {"schema_version": 1, "command": "gof"}
-    payload.update(report.to_dict())
-    payload["estimates"] = {k: float(v) for k, v in fit.estimates.items()}
-    payload["std_errors"] = (
-        None
-        if fit.std_errors is None
-        else {k: float(v) for k, v in fit.std_errors.items()}
-    )
-    payload["metadata"] = {
-        "data": data.label,
-        "converged": bool(fit.converged),
-        "ks_pvalue_method": "asymptotic-kolmogorov",
-        "ks_caveat": _KS_CAVEAT,
+    payload = {
+        "schema_version": 1,
+        "command": "gof",
+        **report.to_dict(),
+        "estimates": _estimates(fit),
+        "std_errors": _std_errors(fit),
+        "metadata": {
+            "data": data.label,
+            "converged": bool(fit.converged),
+            "ks_pvalue_method": "asymptotic-kolmogorov",
+            "ks_caveat": _KS_CAVEAT,
+        },
     }
-    _emit(cfg, payload)
+    _emit(ns, payload)
     ok = fit.converged and (full_fit is None or full_fit.converged)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
-def cmd_compare(cfg):
-    data = _read_dataset(cfg.data_path)
-    names = [n.strip() for n in cfg.model.split(",") if n.strip()]
-    if not names:
-        raise InputError("compare needs at least one model name")
-    specs = [_resolve_model(n) for n in names]
-    full_spec, nested_specs = specs[0], specs[1:]
-    opt = _optimizer_config(cfg)
+def cmd_compare(ns):
+    names = [n.strip() for n in ns.model.split(",") if n.strip()]
+    data, (full_spec, *nested_specs), opt = _fit_inputs(ns, names)
     full = fit_mle(full_spec, data, opt)
     all_converged = full.converged
     ladder = []
@@ -318,77 +294,67 @@ def cmd_compare(cfg):
             "model": full_spec.name,
             "neg_loglik": float(full.neg_loglik),
             "converged": bool(full.converged),
-            "estimates": {k: float(v) for k, v in full.estimates.items()},
+            "estimates": _estimates(full),
         },
         "ladder": ladder,
     }
-    header = "model,neg_loglik,converged,lrt_stat,lrt_df,lrt_pvalue"
-    rows = [header]
-    rows.append(
-        f"{full_spec.name},{_fmt_float(full.neg_loglik)},"
-        f"{str(full.converged).lower()},,,"
-    )
-    for entry in ladder:
-        rows.append(
-            f"{entry['model']},{_fmt_float(entry['neg_loglik'])},"
-            f"{str(entry['converged']).lower()},{_fmt_float(entry['lrt_stat'])},"
-            f"{entry['lrt_df']},{_fmt_float(entry['lrt_pvalue'])}"
-        )
-    _emit(cfg, payload, table="\n".join(rows) + "\n")
+    header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
+    rows = [payload["full"], *ladder]
+    table = _csv(header, [[row.get(col) for row in rows] for col in header])
+    _emit(ns, payload, table=table)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_sample(cfg):
-    if cfg.n < 1:
+def cmd_sample(ns):
+    mapping = _parse_params(ns.params)
+    if ns.n < 1:
         raise InputError("--n must be a positive integer")
-    spec, params = _build_params(cfg.model, cfg.params)
-    draws = core.sample(params, cfg.n, cfg.seed)
+    spec = model_spec(ns.model)
+    draws = core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed)
     values = [float(v) for v in np.asarray(draws)]
-    table = "value\n" + "\n".join(_fmt_float(v) for v in values) + "\n"
     payload = {
         "schema_version": 1,
         "command": "sample",
         "model": spec.name,
-        "n": cfg.n,
-        "seed": cfg.seed,
+        "n": ns.n,
+        "seed": ns.seed,
         "values": values,
     }
-    _emit(cfg, payload, default_fmt="csv", table=table)
+    table = _csv(("value",), [values])
+    _emit(ns, payload, default_fmt="csv", table=table)
     return EXIT_OK
 
 
-def _grid(cfg):
-    if cfg.grid_points < 2:
+def _grid(ns):
+    if ns.grid_points < 2:
         raise InputError("--grid-points must be at least 2")
-    if not (0.0 < cfg.grid_min < cfg.grid_max):
+    if not (0.0 < ns.grid_min < ns.grid_max):
         raise InputError("need 0 < --grid-min < --grid-max")
-    return np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
+    return np.linspace(ns.grid_min, ns.grid_max, ns.grid_points)
 
 
-def cmd_eval(cfg):
-    spec, params = _build_params(cfg.model, cfg.params)
-    ys = _grid(cfg)
-    pdf_v = np.asarray(core.pdf(params, ys))
-    cdf_v = np.asarray(core.cdf(params, ys))
-    haz_v = np.asarray(core.hazard(params, ys))
-    rows = ["y,pdf,cdf,hazard"]
-    for y, f, F, h in zip(ys, pdf_v, cdf_v, haz_v):
-        rows.append(f"{_fmt_float(y)},{_fmt_float(f)},{_fmt_float(F)},{_fmt_float(h)}")
+def cmd_eval(ns):
+    mapping = _parse_params(ns.params)
+    spec = model_spec(ns.model)
+    params = make_submodel(ns.model, mapping)
+    ys = _grid(ns)
     payload = {
         "schema_version": 1,
         "command": "eval",
         "model": spec.name,
         "grid": [float(y) for y in ys],
-        "pdf": [float(v) for v in pdf_v],
-        "cdf": [float(v) for v in cdf_v],
-        "hazard": [float(v) for v in haz_v],
+        "pdf": [float(v) for v in np.asarray(core.pdf(params, ys))],
+        "cdf": [float(v) for v in np.asarray(core.cdf(params, ys))],
+        "hazard": [float(v) for v in np.asarray(core.hazard(params, ys))],
     }
-    _emit(cfg, payload, default_fmt="csv", table="\n".join(rows) + "\n")
+    columns = [payload[k] for k in ("grid", "pdf", "cdf", "hazard")]
+    table = _csv(("y", "pdf", "cdf", "hazard"), columns)
+    _emit(ns, payload, default_fmt="csv", table=table)
     return EXIT_OK
 
 
-def cmd_curves(cfg):
-    mapping = dict(cfg.params)
+def cmd_curves(ns):
+    mapping = _parse_params(ns.params)
     expected = {"a", "b", "theta", "gamma"}
     if set(mapping) != expected:
         raise InputError(
@@ -397,7 +363,7 @@ def cmd_curves(cfg):
         )
     if any(v <= 0.0 or not math.isfinite(v) for v in mapping.values()):
         raise InputError("curve parameters must be positive and finite")
-    c_grid = _grid(cfg)
+    c_grid = _grid(ns)
     rows = []
     for measure in ("bowley", "moors"):
         rows.extend(
@@ -411,7 +377,7 @@ def cmd_curves(cfg):
             )
         )
     payload = {"schema_version": 1, "command": "curves", "rows": rows}
-    _emit(cfg, payload, default_fmt="csv", table=curves_to_csv(rows))
+    _emit(ns, payload, default_fmt="csv", table=curves_to_csv(rows))
     return EXIT_OK
 
 
@@ -492,43 +458,14 @@ def _build_parser():
     return parser
 
 
-def build_config(argv):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    params = ()
-    if getattr(ns, "params", None):
-        params = tuple(sorted(_parse_params(ns.params).items()))
-    return RunConfig(
-        command=ns.command,
-        model=getattr(ns, "model", "mcg"),
-        data_path=getattr(ns, "data_path", ""),
-        output_path=ns.output_path,
-        seed=ns.seed,
-        fmt=ns.fmt,
-        n=getattr(ns, "n", 100),
-        grid_min=getattr(ns, "grid_min", 0.0),
-        grid_max=getattr(ns, "grid_max", 0.0),
-        grid_points=getattr(ns, "grid_points", 0),
-        starts=getattr(ns, "starts", OptimizerConfig.n_starts),
-        max_iter=getattr(ns, "max_iter", OptimizerConfig.max_iter),
-        params=params,
-    )
-
-
 def main(argv=None):
     try:
-        cfg = build_config(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_INPUT
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _COMMANDS[ns.command](ns)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

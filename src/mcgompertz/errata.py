@@ -15,7 +15,7 @@ are corroborated by the acceptance tests.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["Erratum", "known_errata", "erratum_report", "write_erratum_report"]
 
@@ -50,14 +50,7 @@ class Erratum:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
     def to_dict(self):
-        return {
-            "slug": self.slug,
-            "component": self.component,
-            "kind": self.kind,
-            "printed": self.printed,
-            "corrected": self.corrected,
-            "evidence": dict(self.evidence),
-        }
+        return asdict(self)
 
 
 def known_errata():
@@ -486,12 +479,16 @@ def erratum_report():
     }
 
 
+def _dump(report, fh):
+    json.dump(report, fh, indent=2)
+    fh.write("\n")
+
+
 def write_erratum_report(path):
     """Write the catalog to `path` as formatted JSON; returns the mapping."""
     report = erratum_report()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        _dump(report, fh)
     return report
 
 
@@ -501,5 +498,4 @@ if __name__ == "__main__":
     if len(sys.argv) > 1:
         write_erratum_report(sys.argv[1])
     else:
-        json.dump(erratum_report(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump(erratum_report(), sys.stdout)

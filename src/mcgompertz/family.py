@@ -9,7 +9,7 @@ the distribution functions of `core` take McGParams and McEParams alike.
 The `exp_limit_*` and `exp_base_*` names are aliases of those functions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
     ExpBaseParams,
@@ -40,6 +40,11 @@ class ModelSpec:
     @property
     def free_count(self):
         return len(self.free_params)
+
+    @property
+    def params_type(self):
+        """The parameter class of the base: McEParams or McGParams."""
+        return McEParams if self.base == "exponential" else McGParams
 
 
 MODELS = {
@@ -92,9 +97,7 @@ def make_submodel(name, values):
             full[pname] = full[fixed]
         else:
             full[pname] = fixed
-    if spec.base == "exponential":
-        return McEParams(full["a"], full["b"], full["c"], full["theta"])
-    return McGParams(full["a"], full["b"], full["c"], full["theta"], full["gamma"])
+    return spec.params_type(*(full[f.name] for f in fields(spec.params_type)))
 
 
 # The exponential-base models are evaluated by the base-generic functions

@@ -19,20 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
-from .core import McEParams, McGParams, _log_pdf_terms, log_pdf
+from .core import _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
 from .specfun import _over_columns, digamma_diff, trigamma, trigamma_diff
 
-_BASE_ORDER = {
-    "gompertz": ("a", "b", "c", "theta", "gamma"),
-    "exponential": ("a", "b", "c", "theta"),
-}
 
 # Log-parameter box: optimization is confined to |ln p| <= _BOX by a penalty,
 # which keeps ridge escapes (likelihood paths improving forever as a shape
@@ -185,12 +181,8 @@ def _spec(model):
 
 def _check_params(spec, params):
     """Reject parameter objects that do not satisfy the sub-model constraints."""
-    if spec.base == "gompertz":
-        if not isinstance(params, McGParams):
-            raise TypeError(f"{spec.name} expects McGParams")
-    else:
-        if not isinstance(params, McEParams):
-            raise TypeError(f"{spec.name} expects McEParams")
+    if not isinstance(params, spec.params_type):
+        raise TypeError(f"{spec.name} expects {spec.params_type.__name__}")
     for target, fixed in spec.constraints:
         if not hasattr(params, target):
             continue
@@ -316,7 +308,7 @@ def _embedding(spec):
     An equality tie such as a = c makes the shared free parameter drive
     two full coordinates, so its column holds two ones.
     """
-    order = _BASE_ORDER[spec.base]
+    order = [f.name for f in fields(spec.params_type)]
     J = np.zeros((len(order), len(spec.free_params)))
     for j, fname in enumerate(spec.free_params):
         J[order.index(fname), j] = 1.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import cdf, pdf, survival
 from .expansions import _component_moments, cdf_power_coeffs
-from .shape import _panel_quad
+from .shape import _panel_integral
 from .specfun import inc_beta_reg, log_beta
 
 
@@ -83,15 +83,15 @@ def os_moment(p, spec, s):
     i, n = spec.i, spec.n
     lb = log_beta(i, n - i + 1)
 
-    def integrand(u, y, lp):
+    def log_integrand(u, y, lp):
         v = (s + 1.0) * u + lp - lb
         if i > 1:
             v = v + (i - 1) * np.log(cdf(p, y))
         if n > i:
             v = v + (n - i) * np.log(survival(p, y))
-        return np.where(v > -700.0, np.exp(v), 0.0)
+        return v
 
-    return _panel_quad(p, integrand)
+    return _panel_integral(p, log_integrand)
 
 
 def os_moment_series(p, spec, s):

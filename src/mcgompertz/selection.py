@@ -9,7 +9,7 @@ surface the p-value should carry that caveat along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,20 +43,7 @@ class GofReport:
 
     def to_dict(self):
         """Serialize with snake_case keys; the model appears by name."""
-        return {
-            "model": self.model.name,
-            "neg_loglik": self.neg_loglik,
-            "k_params": self.k_params,
-            "n_obs": self.n_obs,
-            "aic": self.aic,
-            "aicc": self.aicc,
-            "bic": self.bic,
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "lrt_stat": self.lrt_stat,
-            "lrt_df": self.lrt_df,
-            "lrt_pvalue": self.lrt_pvalue,
-        }
+        return {**asdict(self), "model": self.model.name}
 
 
 def info_criteria(neg_loglik, k, n):

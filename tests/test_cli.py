@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcgompertz
 from mcgompertz.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -108,6 +112,36 @@ class TestExitCodes:
     def test_negative_optimizer_flag_is_input_error(self, flag, value, field, capsys):
         assert main(["fit", "--model", "g", "--data", "aarset", flag, value]) == EXIT_INPUT
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["compare", "--model", "mcg,nope", "--data", "aarset"], "unknown model 'nope'"),
+            (["compare", "--model", ",", "--data", "aarset"], "at least one model name"),
+            (["sample", "--model", "g", "--params", "theta=1"], "missing ['gamma']"),
+            (["sample", "--params", "a=1,b=1,c=1,theta=1,gamma=1", "--n", "0"], "--n must be"),
+            (["fit", "--data", "{tmp}/absent.csv"], "data file not found"),
+        ],
+        ids=["compare-unknown-nested", "compare-no-names", "sample-wrong-params",
+             "sample-n-zero", "missing-data-file"],
+    )
+    def test_input_error_reports_on_stderr(self, argv, fragment, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == EXIT_INPUT
+        assert fragment in capsys.readouterr().err
+
+    def test_module_entry_point_exit_code(self):
+        src = os.path.dirname(os.path.dirname(mcgompertz.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcgompertz.cli", "fit", "--model", "nope", "--data", "aarset"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "unknown model 'nope'" in proc.stderr
 
     def test_nonconvergent_fit_still_writes(self, tmp_path):
         # the fiber-data exponential-base likelihood rides the b ridge;
