@@ -466,12 +466,13 @@ def main(argv=None):
         return int(code) if isinstance(code, int) else EXIT_INPUT
     try:
         return _COMMANDS[ns.command](ns)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # LinAlgError subclasses ValueError, so the numeric arm comes first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
+from ._optimize import minimize
 from .core import _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
 from .specfun import _over_columns, digamma_diff, trigamma, trigamma_diff
@@ -367,6 +367,8 @@ def _gompertz_seed(y):
             return math.inf
         return -(n * math.log(n * g / t) + g * sy - n)
 
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         neg_profile, bounds=(-12.0, 3.0), method="bounded", options={"xatol": 1e-8}
     )
@@ -590,6 +592,8 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, **_):
         moved = run[took]
         x[moved], f[moved], g[moved], B[moved] = x_new[took], f_new[took], g_new[took], B_new[took]
         njev[moved] += 1
+    from scipy.optimize import OptimizeResult
+
     return OptimizeResult(
         x=x.ravel(), fun=f, jac=g, hess=B, status=status, nit=int(nit.sum()),
         nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,

@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from .core import log_pdf, quantile
 from .specfun import digamma_diff, log_beta
@@ -142,6 +141,8 @@ def _panel_quad(p, integrand):
         hi = np.concatenate([mid[refine], hi[refine]])
         panel = np.concatenate([panel[refine], panel[refine]])
     if exhausted:
+        from scipy.integrate import IntegrationWarning
+
         warnings.warn(
             f"a panel would exceed max_subdivisions={_MAX_SUBDIVISIONS}; "
             f"estimated error {err_done:.3g}",

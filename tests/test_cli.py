@@ -13,7 +13,9 @@ import mcgompertz
 from mcgompertz.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
+    EXIT_NUMERIC,
     EXIT_OK,
+    _COMMANDS,
     _fmt_float,
     _json_text,
     _read_dataset,
@@ -129,6 +131,23 @@ class TestExitCodes:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv) == EXIT_INPUT
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, code, prefix",
+        [
+            (np.linalg.LinAlgError("Singular matrix"), EXIT_NUMERIC, "numeric failure"),
+            (ValueError("bad value"), EXIT_INPUT, "error"),
+        ],
+        ids=["linalg-is-numeric", "value-is-input"],
+    )
+    def test_exception_exit_codes(self, exc, code, prefix, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but is a numeric failure
+        def failing(ns):
+            raise exc
+
+        monkeypatch.setitem(_COMMANDS, "sample", failing)
+        assert main(["sample", "--params", "a=1"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
     def test_module_entry_point_exit_code(self):
         src = os.path.dirname(os.path.dirname(mcgompertz.__file__))
