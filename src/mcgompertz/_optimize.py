@@ -1,8 +1,11 @@
 """Deferred import of `scipy.optimize`.
 
-Loading `scipy.optimize` costs about as much as the rest of the package
-together, and only maximum likelihood needs it.  `inference` binds
-`minimize` from here, so the import happens on the first fit.
+Importing `scipy.optimize` takes about a third of the time to import the
+package with it, and only maximum likelihood needs it.  `inference`
+binds `minimize` from here, so the import happens on the first fit.  It
+is defined outside `inference` because `perfbench/tracing.py` rebinds
+`inference.minimize` and names its spans by module and function: a
+`minimize` defined in `inference` would share the optimizer's span.
 """
 
 
