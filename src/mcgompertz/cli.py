@@ -14,6 +14,8 @@ converge (the result is still written), 4 internal numeric failure.
 """
 
 import argparse
+import dataclasses
+import functools
 import importlib.resources
 import math
 import os
@@ -55,6 +57,14 @@ def _fmt_float(v):
     return s
 
 
+def _fmt_floats(values):
+    """`_fmt_float` over a float array in one pass."""
+    return [
+        s if "." in s or "e" in s or "n" in s else s + ".0"
+        for s in map("{:.17g}".format, np.asarray(values, dtype=float).tolist())
+    ]
+
+
 def _json_text(obj, indent=0):
     """Deterministic JSON with insertion-ordered keys and .17g floats."""
     pad = "  " * indent
@@ -80,12 +90,18 @@ def _json_text(obj, indent=0):
             f'{inner}"{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + _json_text(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if isinstance(obj, np.ndarray):
+        # a float column: one pass, non-finite values as null like scalars
+        texts = [
+            "null" if t in ("inf", "-inf", "nan") else t for t in _fmt_floats(obj)
+        ]
+    elif isinstance(obj, (list, tuple)):
+        texts = [_json_text(v, indent + 1) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not texts:
+        return "[]"
+    return "[\n" + ",\n".join(inner + t for t in texts) + "\n" + pad + "]"
 
 
 def _write_output(ns, text):
@@ -201,8 +217,16 @@ def _cell(v):
 
 
 def _csv(header, columns):
-    """CSV text with one line per row of the equal-length `columns`."""
-    rows = zip(*(map(_cell, col) for col in columns))
+    """CSV text with one line per row of the equal-length `columns`.
+
+    A float ndarray column renders in one pass; other columns cell by cell.
+    """
+    rows = zip(
+        *(
+            _fmt_floats(col) if isinstance(col, np.ndarray) else map(_cell, col)
+            for col in columns
+        )
+    )
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
@@ -235,10 +259,31 @@ def _emit(ns, payload, default_fmt="json", table=None):
         _write_output(ns, _kv_csv(payload))
 
 
+def _diagnostics(fits):
+    """Each fit's per-start optimizer trace and the index of its winner."""
+    return [
+        {
+            "model": fit.model.name,
+            "winner": fit.winner,
+            "starts": [
+                {
+                    **dataclasses.asdict(record),
+                    "start": dict(zip(fit.model.free_params, record.start)),
+                }
+                for record in fit.trace
+            ],
+        }
+        for fit in fits
+    ]
+
+
 def cmd_fit(ns):
     data, (spec,), opt = _fit_inputs(ns, [ns.model])
     fit = fit_mle(spec, data, opt)
-    _emit(ns, _fit_payload(fit, data, opt))
+    payload = _fit_payload(fit, data, opt)
+    if ns.trace:
+        payload["diagnostics"] = _diagnostics([fit])
+    _emit(ns, payload)
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
@@ -260,6 +305,8 @@ def cmd_gof(ns):
             "ks_caveat": _KS_CAVEAT,
         },
     }
+    if ns.trace:
+        payload["diagnostics"] = _diagnostics([f for f in (fit, full_fit) if f])
     _emit(ns, payload)
     ok = fit.converged and (full_fit is None or full_fit.converged)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
@@ -271,8 +318,10 @@ def cmd_compare(ns):
     full = fit_mle(full_spec, data, opt)
     all_converged = full.converged
     ladder = []
+    fits = [full]
     for spec in nested_specs:
         sub = fit_mle(spec, data, opt)
+        fits.append(sub)
         all_converged = all_converged and sub.converged
         stat, df, pval = lrt(full, sub)
         ladder.append(
@@ -301,6 +350,10 @@ def cmd_compare(ns):
     header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
     rows = [payload["full"], *ladder]
     table = _csv(header, [[row.get(col) for row in rows] for col in header])
+    if ns.trace:
+        payload["diagnostics"] = _diagnostics(fits)
+        # the CSV ladder is followed, after a blank line, by the key,value rows
+        table += "\n" + _kv_csv({"diagnostics": payload["diagnostics"]})
     _emit(ns, payload, table=table)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
@@ -310,8 +363,9 @@ def cmd_sample(ns):
     if ns.n < 1:
         raise InputError("--n must be a positive integer")
     spec = model_spec(ns.model)
-    draws = core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed)
-    values = [float(v) for v in np.asarray(draws)]
+    values = np.asarray(
+        core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed), dtype=float
+    )
     payload = {
         "schema_version": 1,
         "command": "sample",
@@ -328,6 +382,8 @@ def cmd_sample(ns):
 def _grid(ns):
     if ns.grid_points < 2:
         raise InputError("--grid-points must be at least 2")
+    if not (math.isfinite(ns.grid_min) and math.isfinite(ns.grid_max)):
+        raise InputError("--grid-min and --grid-max must be finite")
     if not (0.0 < ns.grid_min < ns.grid_max):
         raise InputError("need 0 < --grid-min < --grid-max")
     return np.linspace(ns.grid_min, ns.grid_max, ns.grid_points)
@@ -342,10 +398,10 @@ def cmd_eval(ns):
         "schema_version": 1,
         "command": "eval",
         "model": spec.name,
-        "grid": [float(y) for y in ys],
-        "pdf": [float(v) for v in np.asarray(core.pdf(params, ys))],
-        "cdf": [float(v) for v in np.asarray(core.cdf(params, ys))],
-        "hazard": [float(v) for v in np.asarray(core.hazard(params, ys))],
+        "grid": ys,
+        "pdf": np.asarray(core.pdf(params, ys), dtype=float),
+        "cdf": np.asarray(core.cdf(params, ys), dtype=float),
+        "hazard": np.asarray(core.hazard(params, ys), dtype=float),
     }
     columns = [payload[k] for k in ("grid", "pdf", "cdf", "hazard")]
     table = _csv(("y", "pdf", "cdf", "hazard"), columns)
@@ -391,7 +447,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first `main` call and then reused."""
     parser = argparse.ArgumentParser(
         prog="mcg",
         description="Generalized Gompertz family: fitting, comparison, tabulation.",
@@ -414,6 +472,12 @@ def _build_parser():
             type=int,
             default=OptimizerConfig.max_iter,
             help="Newton iterations per start (default %(default)s)",
+        )
+        p.add_argument(
+            "--trace",
+            action="store_true",
+            help="add each fit's per-start optimizer trace under a "
+            "diagnostics key",
         )
 
     def common_flags(p):

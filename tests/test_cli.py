@@ -6,17 +6,25 @@ import os
 import subprocess
 import sys
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcgompertz
+from mcgompertz import cli
 from mcgompertz.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
     EXIT_OK,
     _COMMANDS,
+    _cell,
+    _csv,
     _fmt_float,
+    _fmt_floats,
     _json_text,
     _read_dataset,
     InputError,
@@ -53,6 +61,40 @@ class TestFloatFormatting:
         assert parsed["a"] == 1.5
         assert parsed["inf"] is None
         assert text == _json_text(obj)
+
+    # any double: integral values up to 1e17 (printed without an exponent
+    # below it), subnormals, signed zeros and the non-finite values
+    FLOATS = st.one_of(
+        st.floats(),
+        st.integers(-(10**17), 10**17).map(float),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FLOATS, max_size=20))
+    @example(values=[-0.0, 0.0, 1e16, -1e16, 1e17, -1e17, 5e-324, -5e-324])
+    @example(values=[math.inf, -math.inf, math.nan, -math.nan, 2.0, 219.0])
+    def test_column_formatter_matches_cell_formatter(self, values):
+        column = np.array(values, dtype=float)
+        assert _fmt_floats(column) == [_fmt_float(v) for v in values]
+        # CSV keeps inf and nan as text, JSON writes them as null
+        assert _csv(("v",), [column]) == _csv(("v",), [values])
+        assert _json_text({"v": column}) == _json_text({"v": values})
+
+    def test_mixed_columns_render_cell_by_cell(self):
+        # the compare ladder: None for the full model's LRT, bools, ints
+        header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
+        columns = [
+            ["McG", "BG"],
+            [217.375, 220.5],
+            [True, False],
+            [None, 6.25],
+            [None, 1],
+            [None, 0.015625],
+        ]
+        rows = [",".join(map(_cell, row)) for row in zip(*columns)]
+        assert _csv(header, columns).splitlines() == [",".join(header), *rows]
+        assert rows == ["McG,217.375,true,,,", "BG,220.5,false,6.25,1,0.015625"]
 
 
 class TestDataIngestion:
@@ -148,6 +190,40 @@ class TestExitCodes:
         monkeypatch.setitem(_COMMANDS, "sample", failing)
         assert main(["sample", "--params", "a=1"]) == code
         assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_parser_reuse_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; each result must equal
+        # what a freshly built parser gives for the same argv
+        monkeypatch.setenv("COLUMNS", "80")
+        out = tmp_path / "out.txt"
+        sequence = [
+            ["sample", "--params", "a=0.5,b=0.8,c=2,theta=0.1,gamma=0.5", "--n", "50"],
+            ["sample", "--bogus", "--params", "a=1"],
+            ["--help"],
+            ["--help"],
+            ["eval", "--model", "g", "--params", "theta=0.5,gamma=1", "--out", str(out)],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            text = out.read_text() if out.exists() else None
+            if out.exists():
+                out.unlink()
+            return code, captured.out, captured.err, text
+
+        cli._build_parser.cache_clear()
+        shared = [run(argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [r[0] for r in shared] == [EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert shared[2] == shared[3] and shared[2][1].startswith("usage: mcg")
+        assert "unrecognized arguments: --bogus" in shared[1][2]
+        assert shared[4][3].startswith("y,pdf,cdf,hazard\n")
 
     def test_module_entry_point_exit_code(self):
         src = os.path.dirname(os.path.dirname(mcgompertz.__file__))
@@ -450,6 +526,22 @@ class TestEval:
         )
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--params", "a=1,b=1,c=1,theta=1,gamma=1", "--grid-max", "inf"],
+            ["eval", "--params", "a=1,b=1,c=1,theta=1,gamma=1", "--grid-min=-inf"],
+            ["curves", "--params", "a=1,b=0.5,theta=0.1,gamma=1", "--grid-max", "inf"],
+        ],
+        ids=["eval-max-inf", "eval-min-minus-inf", "curves-max-inf"],
+    )
+    def test_infinite_grid_bound_is_input_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: --grid-min and --grid-max must be finite\n"
+
+
 class TestCurves:
     def test_quartile_skewness_finite_over_c(self, tmp_path):
         code, text = _run(
@@ -498,3 +590,49 @@ class TestStdout:
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("y,pdf,cdf,hazard")
+
+
+class TestTrace:
+    @pytest.mark.parametrize(
+        "argv, models",
+        [
+            (["fit", "--model", "g"], ["G"]),
+            (["gof", "--model", "gg"], ["GG", "McG"]),
+            (["compare", "--model", "gg,g"], ["GG", "G"]),
+        ],
+        ids=["fit", "gof", "compare"],
+    )
+    def test_diagnostics_only_with_flag(self, argv, models, tmp_path):
+        argv = argv + ["--data", "aarset", "--starts", "1"]
+        code, plain = _run(tmp_path, *argv, name="plain.json")
+        code_traced, traced = _run(tmp_path, *argv, "--trace", name="traced.json")
+        assert code == code_traced == EXIT_OK
+        assert "diagnostics" not in plain
+        payload = json.loads(traced)
+        diagnostics = payload.pop("diagnostics")
+        assert payload == json.loads(plain)
+        assert [d["model"] for d in diagnostics] == models
+        for d in diagnostics:
+            spec = mcgompertz.model_spec(d["model"])
+            assert len(d["starts"]) == 3
+            winner = d["starts"][d["winner"]]
+            assert list(winner["start"]) == list(spec.free_params)
+            assert winner["reason"] is None and winner["interior"] and winner["pos_def"]
+            assert winner["nfev"] >= 1
+
+        _, plain_csv = _run(tmp_path, *argv, "--format", "csv", name="plain.csv")
+        _, traced_csv = _run(tmp_path, *argv, "--format", "csv", "--trace", name="traced.csv")
+        assert "diagnostics" not in plain_csv
+        extra = traced_csv[len(plain_csv):].splitlines()
+        assert traced_csv.startswith(plain_csv)
+        if argv[0] == "compare":
+            # the ladder table, a blank line, then the key,value rows
+            assert extra[:2] == ["", "key,value"]
+            extra = extra[2:]
+        assert extra[0] == f"diagnostics[0].model,{models[0]}"
+        assert all(ln.startswith("diagnostics[") for ln in extra)
+
+    def test_flag_only_on_fitting_commands(self, capsys):
+        for command in ("sample", "eval", "curves"):
+            assert main([command, "--params", "a=1", "--trace"]) == EXIT_INPUT
+            assert "unrecognized arguments: --trace" in capsys.readouterr().err
