@@ -66,7 +66,8 @@ def _fmt_floats(values):
 
 
 def _json_text(obj, indent=0):
-    """Deterministic JSON with insertion-ordered keys and .17g floats."""
+    """Deterministic JSON with insertion-ordered keys and .17g floats;
+    a numpy array is written as a list of floats."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -306,7 +307,7 @@ def cmd_gof(ns):
         },
     }
     if ns.trace:
-        payload["diagnostics"] = _diagnostics([f for f in (fit, full_fit) if f])
+        payload["diagnostics"] = _diagnostics([f for f in (fit, full_fit) if f is not None])
     _emit(ns, payload)
     ok = fit.converged and (full_fit is None or full_fit.converged)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
@@ -363,9 +364,7 @@ def cmd_sample(ns):
     if ns.n < 1:
         raise InputError("--n must be a positive integer")
     spec = model_spec(ns.model)
-    values = np.asarray(
-        core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed), dtype=float
-    )
+    values = np.asarray(core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed))
     payload = {
         "schema_version": 1,
         "command": "sample",
@@ -399,9 +398,9 @@ def cmd_eval(ns):
         "command": "eval",
         "model": spec.name,
         "grid": ys,
-        "pdf": np.asarray(core.pdf(params, ys), dtype=float),
-        "cdf": np.asarray(core.cdf(params, ys), dtype=float),
-        "hazard": np.asarray(core.hazard(params, ys), dtype=float),
+        "pdf": np.asarray(core.pdf(params, ys)),
+        "cdf": np.asarray(core.cdf(params, ys)),
+        "hazard": np.asarray(core.hazard(params, ys)),
     }
     columns = [payload[k] for k in ("grid", "pdf", "cdf", "hazard")]
     table = _csv(("y", "pdf", "cdf", "hazard"), columns)
