@@ -21,10 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._optimize import minimize
+from ._optimize import minimize, minimize_scalar_bounded
 from .core import _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
 from .specfun import _over_columns, digamma_diff, trigamma, trigamma_diff
@@ -367,12 +368,7 @@ def _gompertz_seed(y):
             return math.inf
         return -(n * math.log(n * g / t) + g * sy - n)
 
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        neg_profile, bounds=(-12.0, 3.0), method="bounded", options={"xatol": 1e-8}
-    )
-    g = math.exp(res.x)
+    g = math.exp(minimize_scalar_bounded(neg_profile, -12.0, 3.0, xatol=1e-8))
     theta = n * g / float(np.expm1(g * y).sum())
     return theta, g
 
@@ -532,15 +528,14 @@ def _trust_region_step(g, B, radius):
     return s, predicted
 
 
-def _trust_region_newton(fun, x0, *, dim, max_iter, **_):
+def _trust_region_newton(fun, x0, *, max_iter, **_):
     """Trust-region Newton minimizer over a block of starts run in lockstep,
-    a custom `scipy.optimize.minimize` method.
+    the method `fit_mle` passes to `minimize`.
 
-    x0 is the flattened (S * dim,) block of S start points (scipy accepts
-    only a 1-d x0).  `fun` maps an (m, dim) block of points to objective
-    values (m,), gradients (m, dim) and Hessians (m, dim, dim); it returns
-    +inf where the objective is not defined, and steps there are rejected
-    like any other step that fails to decrease it.
+    x0 is the (S, k) block of S start points.  `fun` maps an (m, k) block
+    of points to objective values (m,), gradients (m, k) and Hessians
+    (m, k, k); it returns +inf where the objective is not defined, and
+    steps there are rejected like any other step that fails to decrease it.
 
     Each start keeps its own iterate, trust radius and stop status and
     takes the exact step of _trust_region_step on its own Hessian; one call
@@ -551,13 +546,13 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, **_):
     lowers the objective, as at the box wall), or after `max_iter`
     iterations.
 
-    The result holds per start x (flattened like x0), fun, jac, hess,
-    nit_per_start, nfev_per_start and status: 3 objective not finite at
-    the start, 0 gradient below _GRAD_TOL, 2 trust radius below _STEP_TOL,
-    1 iteration limit reached.  nit, nfev and njev are sums over the
-    starts; npass counts the calls of `fun`.
+    The result holds per start x (S, k), fun, jac, hess, nit_per_start,
+    nfev_per_start and status: 3 objective not finite at the start, 0
+    gradient below _GRAD_TOL, 2 trust radius below _STEP_TOL, 1 iteration
+    limit reached.  nit, nfev and njev are sums over the starts; npass
+    counts the calls of `fun`.
     """
-    x = np.array(x0, dtype=float).reshape(-1, dim)
+    x = np.array(x0, dtype=float)
     f, g, B = fun(x)
     S = x.shape[0]
     nit = np.zeros(S, dtype=int)
@@ -592,10 +587,8 @@ def _trust_region_newton(fun, x0, *, dim, max_iter, **_):
         moved = run[took]
         x[moved], f[moved], g[moved], B[moved] = x_new[took], f_new[took], g_new[took], B_new[took]
         njev[moved] += 1
-    from scipy.optimize import OptimizeResult
-
-    return OptimizeResult(
-        x=x.ravel(), fun=f, jac=g, hess=B, status=status, nit=int(nit.sum()),
+    return SimpleNamespace(
+        x=x, fun=f, jac=g, hess=B, status=status, nit=int(nit.sum()),
         nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,
         nit_per_start=nit, nfev_per_start=nfev,
     )
@@ -629,11 +622,11 @@ def fit_mle(model, data, config=None):
     starts = np.array(_start_points(np.log([seed[f] for f in free]), free, cfg))
     res = minimize(
         lambda x: _log_space_derivs(spec, J, y, x)[2:],
-        starts.ravel(),
+        starts,
         method=_trust_region_newton,
-        options={"dim": k, "max_iter": cfg.max_iter},
+        options={"max_iter": cfg.max_iter},
     )
-    ends = res.x.reshape(-1, k)
+    ends = res.x
     nll, info, f_end, g_end, _ = _log_space_derivs(spec, J, y, ends)
     info = 0.5 * (info + info.transpose(0, 2, 1))
     trace = []

@@ -457,6 +457,26 @@ class TestFitMle:
             fit_mle("mcg", aarset_data)
             fit_mle("mce", glass_data)
 
+    def test_large_units_fit_without_warnings(self):
+        # the Gompertz profile overflows over most of the seed search's
+        # bracket here; the search must not warn on its inf values, and the
+        # fit must rescale with the data: theta and gamma are rates, and
+        # the NLL of y is that of y / 1e4 plus n ln 1e4
+        big = Dataset(values=(10000.0, 20000.0, 30000.0, 50000.0))
+        small = Dataset(values=tuple(v / 1e4 for v in big.values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_big = fit_mle("g", big)
+            fit_small = fit_mle("g", small)
+        assert fit_big.converged and fit_small.converged
+        assert inference._gompertz_seed(big.array) == (
+            1.2243014963808785e-05, 4.8492973380158664e-05)
+        for name in ("theta", "gamma"):
+            assert fit_big.estimates[name] * 1e4 == pytest.approx(
+                fit_small.estimates[name], rel=1e-6)
+        assert fit_small.neg_loglik == pytest.approx(
+            fit_big.neg_loglik - big.n * math.log(1e4), rel=1e-9)
+
     def test_glass_be_converges(self, glass_data):
         # The optimum sits far out in b (~1e5) on a flat valley, where a fit
         # that stops short is left unconverged at a slightly higher NLL.

@@ -1,10 +1,11 @@
-"""Start-up cost: what `import mcgompertz` loads, and the benchmark's view of
-the fitter once `scipy.optimize` is imported on the first fit.
+"""Start-up cost: what `import mcgompertz` and a fit load, and the
+benchmark's view of the fitter.
 
-The package loads numpy and `scipy.special` only.  `scipy.optimize` is
-imported by the first `fit_mle`, and `scipy.integrate` only where a panel
-quadrature warns.  The footprint test runs in a fresh interpreter, since
-this one has long since imported both.
+The package loads numpy and `scipy.special` only, and fitting loads
+nothing more: the fitter's minimizers are the library's own, so
+`scipy.optimize` is never imported, and `scipy.integrate` only where a
+panel quadrature warns.  The footprint tests run in a fresh interpreter,
+since this one has long since imported both.
 """
 
 import importlib.util
@@ -60,9 +61,40 @@ def test_import_footprint(tmp_path):
     not_loaded = {"scipy.optimize": False, "scipy.integrate": False}
     assert out["import"] == not_loaded
     assert out["sample_eval"] == not_loaded
-    assert out["fit"]["scipy.optimize"]
+    assert out["fit"] == not_loaded
     assert out["neg_loglik"] == pytest.approx(AARSET_G_NLL, rel=1e-12)
     assert out["estimates"] == pytest.approx(AARSET_G_ESTIMATES, rel=1e-9)
+
+
+FIT_COMMANDS_SCRIPT = """
+import json, sys
+from mcgompertz import cli
+
+out = {}
+for argv in (["fit", "--model", "mcg", "--data", "aarset"],
+             ["gof", "--model", "bg", "--data", "aarset"],
+             ["compare", "--model", "mcg,bg,g", "--data", "glass"]):
+    out[argv[0]] = cli.main(argv + ["--starts", "1", "--out", sys.argv[1]])
+out["subpackages"] = sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("scipy.") and name.count(".") == 1
+    and not name.split(".")[1].startswith("_") and hasattr(module, "__path__"))
+print(json.dumps(out))
+"""
+
+
+def test_fitting_commands_load_only_scipy_special(tmp_path):
+    # fit, gof and compare run through cli.main in a fresh interpreter:
+    # the only scipy subpackage they load is the special functions
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", FIT_COMMANDS_SCRIPT, str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert (out["fit"], out["gof"], out["compare"]) == (0, 0, 0)
+    assert out["subpackages"] == ["scipy.special"]
 
 
 def _load_tracing():
