@@ -2,11 +2,11 @@
 
 Fitting loads no `scipy.optimize`, which would add about 0.4 s and 21 MB
 to every fitting process (2 vCPUs, `BENCH_fitdeps.json`): a fit needs only
-a call into its own Newton driver and one bounded 1-d search.
+a call into its own Newton solver and one bounded 1-d search.
 
 `minimize` runs a minimizer given as `method` with the keyword shape of
 `scipy.optimize.minimize`.  `inference` binds it as `inference.minimize`
-and calls it once per fit with its lockstep Newton driver.  It is defined
+and calls it once per fit with its lockstep Newton solver.  It is defined
 outside `inference` because `perfbench/tracing.py` rebinds
 `inference.minimize` and names its spans by module and function: a
 `minimize` defined in `inference` would share the optimizer's span.
@@ -28,20 +28,20 @@ def _sign(v):
     return math.copysign(1.0, v) if v else 1.0
 
 
-def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
-    """Minimize the scalar function `func` over [lo, hi]; return the x found.
+def minimize_scalar_bounded(func, lo, hi, xatol):
+    """Minimize the scalar function `func` over [lo, hi] to within `xatol`
+    in x; return the x found, after at most 500 evaluations of `func`.
 
     Brent's method: golden-section steps, replaced by a parabola through
     the three best points wherever the parabola is acceptable.  A port of
     `_minimize_scalar_bounded` from SciPy (`scipy/optimize/_optimize.py`,
     BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003 SciPy
     Developers), on Python floats instead of numpy scalars.  It takes the
-    same steps and returns the same x as
-    `scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
-    method="bounded", options={"xatol": xatol, "maxiter": maxiter})`, bit
-    for bit, but raises no numpy warning where `func` is infinite (inf -
-    inf in the parabola is nan, and the step falls back to golden section
-    as it does there).
+    same steps and returns the same x as `scipy.optimize.minimize_scalar(
+    func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})`,
+    bit for bit, but raises no numpy warning where `func` is infinite
+    (inf - inf in the parabola is nan, and the step falls back to golden
+    section as it does there).
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -112,7 +112,7 @@ def minimize_scalar_bounded(func, lo, hi, xatol=1e-5, maxiter=500):
         tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxiter:
+        if num >= 500:
             break
 
     return xf

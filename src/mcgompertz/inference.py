@@ -368,7 +368,7 @@ def _gompertz_seed(y):
             return math.inf
         return -(n * math.log(n * g / t) + g * sy - n)
 
-    g = math.exp(minimize_scalar_bounded(neg_profile, -12.0, 3.0, xatol=1e-8))
+    g = math.exp(minimize_scalar_bounded(neg_profile, -12.0, 3.0, 1e-8))
     theta = n * g / float(np.expm1(g * y).sum())
     return theta, g
 

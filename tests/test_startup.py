@@ -1,9 +1,9 @@
 """Start-up cost: what `import mcgompertz` and a fit load, and the
 benchmark's view of the fitter.
 
-The package loads numpy and `scipy.special` only, and fitting loads
-nothing more: the fitter's minimizers are the library's own, so
-`scipy.optimize` is never imported, and `scipy.integrate` only where a
+The package loads numpy and `scipy.special` only, and a fit loads nothing
+more, since the fitter's minimizers are the library's own: no process
+imports `scipy.optimize`, and `scipy.integrate` is imported only where a
 panel quadrature warns.  The footprint tests run in a fresh interpreter,
 since this one has long since imported both.
 """
@@ -49,15 +49,19 @@ print(json.dumps(out))
 """
 
 
-def test_import_footprint(tmp_path):
+def _fresh(script, *argv):
+    """Run `script` in a fresh interpreter; the JSON of its last line."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     run = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT,
-         str(tmp_path / "draws.csv"), str(tmp_path / "grid.csv")],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    out = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_import_footprint(tmp_path):
+    out = _fresh(FOOTPRINT_SCRIPT, str(tmp_path / "draws.csv"), str(tmp_path / "grid.csv"))
     not_loaded = {"scipy.optimize": False, "scipy.integrate": False}
     assert out["import"] == not_loaded
     assert out["sample_eval"] == not_loaded
@@ -86,13 +90,7 @@ print(json.dumps(out))
 def test_fitting_commands_load_only_scipy_special(tmp_path):
     # fit, gof and compare run through cli.main in a fresh interpreter:
     # the only scipy subpackage they load is the special functions
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    run = subprocess.run(
-        [sys.executable, "-c", FIT_COMMANDS_SCRIPT, str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert run.returncode == 0, run.stderr[-2000:]
-    out = json.loads(run.stdout.splitlines()[-1])
+    out = _fresh(FIT_COMMANDS_SCRIPT, str(tmp_path / "out.json"))
     assert (out["fit"], out["gof"], out["compare"]) == (0, 0, 0)
     assert out["subpackages"] == ["scipy.special"]
 
