@@ -291,7 +291,19 @@ def cmd_fit(ns):
 def cmd_gof(ns):
     data, (spec,), opt = _fit_inputs(ns, [ns.model])
     fit = fit_mle(spec, data, opt)
-    full_fit = fit_mle("mcg", data, opt) if spec.constraints else None
+    full_spec = model_spec("mcg")
+    full_fit = lrt_note = None
+    if spec.constraints:
+        k = full_spec.free_count
+        if data.n > k:
+            full_fit = fit_mle(full_spec, data, opt)
+        else:
+            # the sub-model's own fit stands; only the likelihood-ratio line
+            # needs the full model
+            lrt_note = (
+                f"no likelihood-ratio test: {full_spec.name} has {k} free "
+                f"parameters and needs more than {k} observations; the data have {data.n}"
+            )
     report = gof_report(fit, data, full_fit=full_fit)
     payload = {
         "schema_version": 1,
@@ -306,6 +318,8 @@ def cmd_gof(ns):
             "ks_caveat": _KS_CAVEAT,
         },
     }
+    if lrt_note is not None:
+        payload["metadata"]["lrt_note"] = lrt_note
     if ns.trace:
         payload["diagnostics"] = _diagnostics([f for f in (fit, full_fit) if f is not None])
     _emit(ns, payload)

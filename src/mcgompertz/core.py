@@ -22,6 +22,7 @@ import numpy as np
 
 from .specfun import (
     _as_float_array,
+    _beta_half,
     _maybe_scalar,
     _over_columns,
     beta_fn,
@@ -395,19 +396,39 @@ def _w_of_t(a, b, c, t):
     ln I^{-1}(1 - t; b, a/c) above, so tiny b (1 - V underflows) does too.
     Where 1 - V < e^{-700} the inverse of the survival asymptote,
     w = ln c - ln(1 - V), is exact and avoids subnormal intermediates.
+
+    a, b and c are floats or (m, 1) columns, and t broadcasts against
+    them: w has the broadcast shape, and row i of an (m, k) result equals
+    bit for bit what the floats of row i give at the same t.  Both sides
+    go through one inverse call, their points grouped by side, so each
+    row's shapes reach it in two runs.
     """
     alpha = a / c
-    w = np.empty_like(t)
-    hi = t > inc_beta_reg(0.5, alpha, b)
+    above = t > _beta_half(alpha, b)
+    hi = above.ravel()
+    lo_pts, hi_pts = (~hi).nonzero()[0], hi.nonzero()[0]
+    order = np.concatenate((lo_pts, hi_pts))
+    ln_x = inc_beta_inv_log(
+        np.where(above, 1.0 - t, t).ravel()[order],
+        np.where(above, b, alpha).ravel()[order],
+        np.where(above, alpha, b).ravel()[order],
+    )
+    n_lo = lo_pts.size
+    ln_1mv = ln_x[n_lo:]
+    c_pts = c
+    if isinstance(c, np.ndarray):
+        c_pts = np.broadcast_to(c, above.shape).ravel()[order]
+    w = np.empty(hi.size)
     with np.errstate(divide="ignore", under="ignore"):
-        if np.any(~hi):
-            ln_v = np.asarray(inc_beta_inv_log(t[~hi], alpha, b))
-            w[~hi] = -log1mexp(-ln_v / c)
-        if np.any(hi):
-            ln_1mv = np.asarray(inc_beta_inv_log(1.0 - t[hi], b, alpha))
-            w_mid = -log1mexp(-log1mexp(-ln_1mv) / c)
-            w[hi] = np.where(ln_1mv < -_W_DEEP, math.log(c) - ln_1mv, w_mid)
-    return w
+        # ln V from ln(1 - V) above the split: both sides then share
+        # w = -ln(1 - V^(1/c))
+        ln_v = np.concatenate((ln_x[:n_lo], log1mexp(-ln_1mv))) if hi_pts.size else ln_x
+        w[order] = -log1mexp(-ln_v / c_pts)
+    deep = ln_1mv < -_W_DEEP
+    if np.count_nonzero(deep):
+        c_deep = np.broadcast_to(c_pts, ln_x.shape)[n_lo:][deep]
+        w[hi_pts[deep]] = [math.log(v) for v in c_deep.tolist()] - ln_1mv[deep]
+    return w.reshape(above.shape)
 
 
 def quantile(p, t):
@@ -417,12 +438,16 @@ def quantile(p, t):
     Finite for every t in (0, 1), including the deep upper tail of tiny b
     and the underflowing lower tail of tiny a/c; NaN is rejected.
     |cdf(Q(t)) - t| <= 1e-8 throughout.
+
+    The fields of `p` may be (m, 1) columns, as for log_pdf; t of shape
+    (k,) then gives an (m, k) array whose row i equals bit for bit the
+    quantiles of the floats of row i, all from one inverse call.
     """
-    arr, scalar = _as_float_array(t)
-    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
+    arr, _ = _as_float_array(t)
+    if np.count_nonzero((arr > 0.0) & (arr < 1.0)) < arr.size:
         raise ValueError("quantile requires t in (0, 1)")
-    w = _w_of_t(p.a, p.b, p.c, arr.ravel()).reshape(arr.shape)
-    return _maybe_scalar(p.base.y_of_w(w), scalar)
+    y = p.base.y_of_w(_w_of_t(p.a, p.b, p.c, arr))
+    return _maybe_scalar(y, np.ndim(y) == 0)
 
 
 def sample(p, n: int, seed: int):

@@ -259,7 +259,9 @@ def shape_curves(measure, c_grid, a, b, theta, gamma):
     """Shape measure as a function of c with the other parameters held fixed.
 
     Returns one row per grid point: dicts with keys c, measure, value, a, b,
-    theta, gamma.
+    theta, gamma.  The quantiles of the whole grid come from one quantile
+    call over a column of c values.  A grid point that is not a valid c
+    raises the error McGParams gives it, after the rows before it.
     """
     from .core import McGParams
 
@@ -269,22 +271,33 @@ def shape_curves(measure, c_grid, a, b, theta, gamma):
         fn, ts = bowley, (0.25, 0.5, 0.75)
     else:
         fn, ts = moors, tuple(k / 8.0 for k in range(1, 8))
-    rows = []
+    # each c is checked on its own, so a bad one raises McGParams's error
+    # after the rows before it, as it would in a loop over the grid
+    cs, bad = [], None
     for c in c_grid:
-        params = McGParams(a, b, float(c), theta, gamma)
-        qs = dict(zip(ts, quantile(params, np.array(ts)).tolist()))
-        value = fn(qs.__getitem__)
-        rows.append(
-            {
-                "c": float(c),
-                "measure": measure,
-                "value": float(value),
-                "a": a,
-                "b": b,
-                "theta": theta,
-                "gamma": gamma,
-            }
-        )
+        try:
+            cs.append(McGParams(a, b, float(c), theta, gamma).c)
+        except (TypeError, ValueError) as exc:
+            bad = exc
+            break
+    rows = []
+    if cs:
+        grid = McGParams(a, b, np.array(cs)[:, None], theta, gamma)
+        for c, row in zip(cs, quantile(grid, np.array(ts)).tolist()):
+            qs = dict(zip(ts, row))
+            rows.append(
+                {
+                    "c": c,
+                    "measure": measure,
+                    "value": float(fn(qs.__getitem__)),
+                    "a": a,
+                    "b": b,
+                    "theta": theta,
+                    "gamma": gamma,
+                }
+            )
+    if bad is not None:
+        raise bad
     return rows
 
 

@@ -197,6 +197,43 @@ def inc_beta_reg(y, a, b):
     return _maybe_scalar(out, np.ndim(out) == 0)
 
 
+def _points(shape, v):
+    """v broadcast to `shape` as a flat float array, one value per point."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        full = np.empty(shape)
+        full[...] = v
+        v = full
+    return v.ravel()
+
+
+def _per_shape(a, b, *fns):
+    """[fn(a, b) for fn in fns] at every point of the flat per-point shape
+    arrays a and b.  Each fn, a function of two floats, runs once per run
+    of equal (a, b) and its value is repeated over the run, so points that
+    come grouped by shape cost one call per shape, not one per point."""
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    starts = first.nonzero()[0]
+    runs = list(zip(a[starts].tolist(), b[starts].tolist()))
+    if len(runs) == 1:
+        return [np.full(a.size, fn(*runs[0]), dtype=float) for fn in fns]
+    run = first.cumsum(dtype=np.intp) - 1
+    return [np.array([fn(x, y) for x, y in runs], dtype=float)[run] for fn in fns]
+
+
+def _log_a(a, b):
+    return math.log(a)
+
+
+def _log_b(a, b):
+    return math.log(b)
+
+
+def _beta_half(a, b):
+    return sps.betainc(a, b, 0.5)
+
+
 def inc_beta_reg_logx(log_y, a, b):
     """I_{exp(log_y)}(a, b) accepting log_y <= 0; stays accurate when
     exp(log_y) underflows and when exp(log_y) would round to 1.
@@ -206,21 +243,44 @@ def inc_beta_reg_logx(log_y, a, b):
     (corrections are O(exp(log_y))).  Above ln(1/2) the complement
     1 - exp(log_y) is recovered via expm1 before it can quantize to
     ulps of 1, so the upper tail keeps full relative precision too.
+
+    a and b are floats or arrays that broadcast against log_y, such as
+    (m, 1) columns against an (m, k) log_y, or one shape per point.  Each
+    point is evaluated with its own shapes, bit for bit as a call with
+    those floats would; ln a and ln B are taken once per run of equal
+    shapes in row-major order.
     """
     arr, scalar = _as_float_array(log_y)
-    arr = arr.astype(float)
-    if np.any(arr > 0):
+    if np.count_nonzero(arr > 0):
         raise ValueError("inc_beta_reg_logx requires log_y <= 0")
+    # float shapes stay floats: the cdf and survival of large samples
+    # call this with one shape pair for every point
+    per_point = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+    shape = arr.shape
+    if per_point:
+        shape = np.broadcast(arr, a, b).shape
+        arr, a, b = (_points(shape, v) for v in (arr, a, b))
+
+    def at(s, mask):
+        return s[mask] if per_point else s
+
     out = np.empty_like(arr)
     tiny = arr < _LOG_Y_DEEP
     upper = arr > -math.log(2.0)
     mid = ~tiny & ~upper
-    out[mid] = sps.betainc(a, b, np.exp(arr[mid]))
-    out[upper] = sps.betaincc(b, a, -np.expm1(arr[upper]))
-    if np.any(tiny):
-        lead = a * arr[tiny] - math.log(a) - log_beta(a, b)
+    if np.count_nonzero(mid):
+        out[mid] = sps.betainc(at(a, mid), at(b, mid), np.exp(arr[mid]))
+    if np.count_nonzero(upper):
+        out[upper] = sps.betaincc(at(b, upper), at(a, upper), -np.expm1(arr[upper]))
+    if np.count_nonzero(tiny):
+        a_t, b_t = at(a, tiny), at(b, tiny)
+        if per_point:
+            log_a, lbeta = _per_shape(a_t, b_t, _log_a, log_beta)
+        else:
+            log_a, lbeta = math.log(a), log_beta(a, b)
+        lead = a_t * arr[tiny] - log_a - lbeta
         out[tiny] = np.exp(np.minimum(lead, 0.0))
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(out.reshape(shape), scalar and not shape)
 
 
 def inc_beta_inv_log(p, a, b):
@@ -231,66 +291,89 @@ def inc_beta_inv_log(p, a, b):
     u0 = (ln p + ln a + ln B)/a.  Where the preimage lies above 1/2 the
     complement inverse gives ln y = log1p(-I^{-1}_{1-p}(b, a)).
     Elsewhere the inverse is scipy's betaincinv.
+
+    a and b are floats or arrays that broadcast against p, such as (m, 1)
+    columns against an (m, k) p, or one shape per point.  Each point is
+    inverted with its own shapes, bit for bit as a call with those floats
+    would; ln a, ln b, ln B and the split I_{1/2}(a, b) are computed once
+    per run of equal shapes in row-major order, so a caller that groups
+    its points by shape pays for them once per shape, not per point.
     """
     p_arr, scalar = _as_float_array(p)
-    if np.any((p_arr <= 0) | (p_arr >= 1)):
+    if np.count_nonzero((p_arr <= 0) | (p_arr >= 1)):
         raise ValueError("inc_beta_inv_log requires p in (0, 1)")
-    if a <= 0 or b <= 0:
+    shape = np.broadcast(p_arr, a, b).shape
+    flat, a, b = (_points(shape, v) for v in (p_arr, a, b))
+    if np.count_nonzero(a <= 0) or np.count_nonzero(b <= 0):
         raise ValueError("inc_beta_inv_log requires a, b > 0")
-    flat = p_arr.ravel().astype(float)
+    log_a, log_b, lbeta, half = _per_shape(a, b, _log_a, _log_b, log_beta, _beta_half)
     out = np.empty_like(flat)
-    lbeta = log_beta(a, b)
-    u_low = (np.log(flat) + math.log(a) + lbeta) / a
-    u_high = (np.log1p(-flat) + math.log(b) + lbeta) / b
+    u_low = (np.log(flat) + log_a + lbeta) / a
+    u_high = (np.log1p(-flat) + log_b + lbeta) / b
     deep_low = u_low < _U_DEEP
     deep_high = (u_high < _U_DEEP) & ~deep_low
+    deep = deep_low | deep_high
     # route on where the solution sits, not on p: with lopsided shapes
     # even p near 1 can have a preimage below 0.5
-    lower_half = ~(deep_low | deep_high) & (flat < sps.betainc(a, b, 0.5))
-    upper_half = ~(deep_low | deep_high | lower_half)
-    if np.any(deep_low):
-        out[deep_low] = _beta_inv_log_deep(flat[deep_low], u_low[deep_low], a, b)
-    if np.any(deep_high):
-        lnz = _beta_inv_log_deep(1.0 - flat[deep_high], u_high[deep_high], b, a)
+    lower_half = ~deep & (flat < half)
+    upper_half = ~(deep | lower_half)
+    if np.count_nonzero(deep):
+        # the upper tail is the lower tail of 1 - y under the swapped
+        # shapes, and ln B is symmetric: both tails share one solve
+        n_low = np.count_nonzero(deep_low)
+        ln_x = _beta_inv_log_deep(
+            np.concatenate((flat[deep_low], 1.0 - flat[deep_high])),
+            np.concatenate((u_low[deep_low], u_high[deep_high])),
+            np.concatenate((a[deep_low], b[deep_high])),
+            np.concatenate((b[deep_low], a[deep_high])),
+            np.concatenate((lbeta[deep_low], lbeta[deep_high])),
+        )
+        out[deep_low] = ln_x[:n_low]
         with np.errstate(under="ignore"):
-            out[deep_high] = np.log1p(-np.exp(lnz))
-    out[lower_half] = np.log(sps.betaincinv(a, b, flat[lower_half]))
-    out[upper_half] = np.log1p(-sps.betaincinv(b, a, 1.0 - flat[upper_half]))
-    return _maybe_scalar(out.reshape(p_arr.shape), scalar)
+            out[deep_high] = np.log1p(-np.exp(ln_x[n_low:]))
+    if np.count_nonzero(lower_half):
+        out[lower_half] = np.log(
+            sps.betaincinv(a[lower_half], b[lower_half], flat[lower_half])
+        )
+    if np.count_nonzero(upper_half):
+        out[upper_half] = np.log1p(
+            -sps.betaincinv(b[upper_half], a[upper_half], 1.0 - flat[upper_half])
+        )
+    return _maybe_scalar(out.reshape(shape), scalar and not shape)
 
 
-def _beta_inv_log_deep(p, u0, a, b):
+def _beta_inv_log_deep(p, u0, a, b, lbeta):
     # in the deep region I(e^u) ~ exp(a u - ln a - ln B), so u0 is a
     # near-exact start and dI/du = a I to the same accuracy; Newton in u
-    # is safeguarded by a bisection bracket
-    lbeta = log_beta(a, b)
-    n = p.size
+    # is safeguarded by a bisection bracket.  Every argument holds one
+    # value per point; the arrays shrink to the unconverged points.
     res = np.empty_like(p)
+    pos = np.arange(p.size)
     lo = u0 - 10.0 / a - 1.0
-    hi = np.zeros(n)
-    x = u0.copy()
-    idx = np.arange(n)
+    hi = np.zeros(p.size)
+    x = u0
     for _ in range(_INV_MAX_ITER):
-        f = np.asarray(inc_beta_reg_logx(x, a, b)) - p[idx]
+        f = inc_beta_reg_logx(x, a, b) - p
         above = f > 0
-        hi[idx] = np.where(above, np.minimum(hi[idx], x), hi[idx])
-        lo[idx] = np.where(above, lo[idx], np.maximum(lo[idx], x))
-        done = (np.abs(f) <= _INV_ABS_TOL) | (
-            (hi[idx] - lo[idx]) <= 1e-14 * np.abs(lo[idx])
-        )
-        if np.any(done):
-            res[idx[done]] = x[done]
-            keep = ~done
-            idx, x, f = idx[keep], x[keep], f[keep]
-            if idx.size == 0:
+        hi = np.where(above, np.minimum(hi, x), hi)
+        lo = np.where(above, lo, np.maximum(lo, x))
+        done = (np.abs(f) <= _INV_ABS_TOL) | ((hi - lo) <= 1e-14 * np.abs(lo))
+        n_done = np.count_nonzero(done)
+        if n_done:
+            res[pos[done]] = x[done]
+            if n_done == x.size:
                 return res
+            keep = ~done
+            pos, x, f, p, a, b, lbeta, lo, hi = (
+                v[keep] for v in (pos, x, f, p, a, b, lbeta, lo, hi)
+            )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             log_dIdu = a * x + (b - 1.0) * log1mexp(-x) - lbeta
             xn = x - f * np.exp(-log_dIdu)
-        bad = ~np.isfinite(xn) | (xn <= lo[idx]) | (xn >= hi[idx])
-        xn[bad] = 0.5 * (lo[idx][bad] + hi[idx][bad])
+        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        xn[bad] = 0.5 * (lo[bad] + hi[bad])
         x = xn
-    res[idx] = x
+    res[pos] = x
     return res
 
 

@@ -343,6 +343,52 @@ class TestGof:
         assert payload["lrt_pvalue"] is None
         assert payload["ks_stat"] == pytest.approx(0.0960, abs=2e-3)
 
+    # four observations: too few for the five-parameter McG, enough for
+    # the two-parameter Gompertz sub-model
+    FOUR_POINTS = "10000\n20000\n30000\n50000\n"
+    LRT_NOTE = (
+        "no likelihood-ratio test: McG has 5 free parameters and needs more "
+        "than 5 observations; the data have 4"
+    )
+
+    def test_sub_model_on_tiny_sample_reports_without_lrt(self, tmp_path):
+        data = tmp_path / "four.csv"
+        data.write_text(self.FOUR_POINTS)
+        code, text = _run(tmp_path, "gof", "--model", "g", "--data", str(data), name="gof.json")
+        assert code == EXIT_OK
+        payload = json.loads(text)
+        assert (payload["lrt_stat"], payload["lrt_df"], payload["lrt_pvalue"]) == (None, None, None)
+        assert (payload["model"], payload["k_params"], payload["n_obs"]) == ("G", 2, 4)
+        assert payload["metadata"]["lrt_note"] == self.LRT_NOTE
+        # the sub-model's own fit is the one `mcg fit` reports
+        code, fit_text = _run(tmp_path, "fit", "--model", "g", "--data", str(data), name="fit.json")
+        assert code == EXIT_OK
+        fit = json.loads(fit_text)
+        assert payload["neg_loglik"] == fit["neg_loglik"]
+        assert payload["estimates"] == fit["estimates"]
+
+    def test_sub_model_on_tiny_sample_csv(self, tmp_path):
+        data = tmp_path / "four.csv"
+        data.write_text(self.FOUR_POINTS)
+        code, text = _run(
+            tmp_path, "gof", "--model", "g", "--data", str(data), "--format", "csv", name="gof.csv"
+        )
+        assert code == EXIT_OK
+        rows = dict(line.split(",", 1) for line in text.splitlines()[1:])
+        assert rows["lrt_stat"] == rows["lrt_df"] == rows["lrt_pvalue"] == ""
+        assert rows["metadata.lrt_note"] == self.LRT_NOTE
+
+    def test_full_model_on_tiny_sample_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        data.write_text(self.FOUR_POINTS)
+        assert main(["gof", "--model", "mcg", "--data", str(data)]) == EXIT_INPUT
+        assert "McG has 5 free parameters" in capsys.readouterr().err
+
+    def test_lrt_note_only_where_mcg_cannot_be_fitted(self, tmp_path):
+        code, text = _run(tmp_path, "gof", "--model", "bg", "--data", "glass", "--starts", "2")
+        assert code == EXIT_OK
+        assert "lrt_note" not in json.loads(text)["metadata"]
+
 
 class TestCompare:
     def test_device_data_ladder(self, tmp_path):

@@ -238,6 +238,55 @@ def test_quantile_monotone_and_domain():
         quantile(DEVICE_PARAMS, 1.0)
 
 
+# the benchmark's quadrature panel points: README, aarset McG (b ~ 8e-3)
+# and glass McG (a/c ~ 2e-3, c ~ 219)
+PANEL = [
+    (0.5, 0.8, 2.0, 0.1, 0.5),
+    (0.48602506867701145, 0.008027407931889215, 39.077927764506605,
+     0.029940972501835417, 0.07574424808702038),
+    (0.4500793196655103, 0.042314322674387124, 219.49017482882707,
+     7.149867624426224e-06, 8.090210587209212),
+]
+
+
+def _seeded_shape_sets(n, seed=15):
+    """PANEL, then n seeded sets with a/c down to 1e-3, b down to 1e-3 and
+    c up to 219."""
+    rng = np.random.default_rng(seed)
+    sets = list(PANEL)
+    for _ in range(n):
+        c = math.exp(rng.uniform(math.log(0.05), math.log(219.0)))
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        b = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+        sets.append((alpha * c, b, c, math.exp(rng.uniform(-8, 1)), math.exp(rng.uniform(-3, 2))))
+    return sets
+
+
+QUANTILE_TS = np.concatenate([
+    [1e-9, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-10],
+    np.random.default_rng(16).uniform(0.0, 1.0, 20),
+])
+
+
+def test_quantile_columns_equal_scalar_rows():
+    # (m, 1) parameter columns invert the whole grid in one call, each row
+    # bit for bit as a call with that row's floats
+    sets = _seeded_shape_sets(40)
+    cols = McGParams(*(np.array(field)[:, None] for field in zip(*sets)))
+    got = quantile(cols, QUANTILE_TS)
+    assert got.shape == (len(sets), QUANTILE_TS.size)
+    for row, values in zip(got, sets):
+        want = quantile(McGParams(*values), QUANTILE_TS)
+        assert row.tobytes() == want.tobytes()
+    # a column in c alone, as a shape curve builds it
+    for a, b, _, theta, gamma in sets[:10]:
+        cs = np.array([1e-3, 0.02, 0.5, 1.0, 2.5, 5.0, 219.0])
+        got = quantile(McGParams(a, b, cs[:, None], theta, gamma), QUANTILE_TS)
+        for row, c in zip(got, cs):
+            want = quantile(McGParams(a, b, float(c), theta, gamma), QUANTILE_TS)
+            assert row.tobytes() == want.tobytes()
+
+
 def test_sample_deterministic():
     s1 = sample(DEVICE_PARAMS, 20, seed=123)
     s2 = sample(DEVICE_PARAMS, 20, seed=123)

@@ -354,6 +354,60 @@ class TestShapeCurves:
         with pytest.raises(ValueError):
             shape_curves("kurtosis", [1.0], 0.5, 0.5, 0.1, 1.0)
 
+    @staticmethod
+    def _per_c(measure, c_grid, a, b, theta, gamma):
+        """The curve one quantile call per c gives, or the error it raises."""
+        fn = bowley if measure == "bowley" else moors
+        ts = (0.25, 0.5, 0.75) if measure == "bowley" else tuple(k / 8.0 for k in range(1, 8))
+        values = []
+        try:
+            for c in c_grid:
+                q = quantile(McGParams(a, b, float(c), theta, gamma), np.array(ts))
+                values.append(fn(dict(zip(ts, q.tolist())).__getitem__))
+        except ValueError as exc:
+            return str(exc)
+        return values
+
+    @staticmethod
+    def _one_call(measure, c_grid, a, b, theta, gamma):
+        try:
+            return [r["value"] for r in shape_curves(measure, c_grid, a, b, theta, gamma)]
+        except ValueError as exc:
+            return str(exc)
+
+    def test_grid_equals_per_c_quantiles(self):
+        # the one quantile call over the (c x t) grid gives every row bit
+        # for bit; the seeded sets reach a/c ~ 1e-3, b ~ 1e-3 and c ~ 219
+        rng = np.random.default_rng(15)
+        sets = [(p.a, p.b, p.theta, p.gamma) for p in (GLASS_MCG, AARSET_MCG)]
+        sets.append((0.5, 0.8, 0.1, 0.5))
+        for _ in range(12):
+            sets.append(tuple(math.exp(rng.uniform(lo, hi)) for lo, hi in
+                              ((-7.0, 3.0), (-7.0, 3.0), (-8.0, 1.0), (-3.0, 2.0))))
+        grid = np.concatenate([np.linspace(0.5, 5.0, 10), [0.2, 39.0, 219.49017482882707]])
+        for a, b, theta, gamma in sets:
+            for measure in ("bowley", "moors"):
+                want = self._per_c(measure, grid, a, b, theta, gamma)
+                assert self._one_call(measure, grid, a, b, theta, gamma) == want
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "x"])
+    def test_bad_c_raises_as_per_c_path(self, bad):
+        grid = [1.0, bad, 2.0]
+        want = self._per_c("moors", grid, 0.5, 0.5, 0.1, 1.0)
+        assert isinstance(want, str)
+        assert self._one_call("moors", grid, 0.5, 0.5, 0.1, 1.0) == want
+
+    def test_degenerate_row_raises_before_later_bad_c(self):
+        # rows are assessed in grid order, so a degenerate row ahead of a
+        # bad c raises its own error, as the per-c loop did
+        shapes = (1.5e-4, 0.4, 2.7e-3, 0.66)
+        want = self._per_c("bowley", [1.0, 0.0], *shapes)
+        assert want.startswith("degenerate quantile function")
+        assert self._one_call("bowley", [1.0, 0.0], *shapes) == want
+
+    def test_empty_grid(self):
+        assert shape_curves("moors", [], 0.5, 0.5, 0.1, 1.0) == []
+
     def test_csv_header_and_roundtrip(self):
         rows = shape_curves("bowley", [0.5, 1.5], 0.5, 0.5, 0.1, 1.0)
         text = curves_to_csv(rows)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgompertz.specfun import (
+    _U_DEEP,
     beta_fn,
     digamma,
     expint_e1,
@@ -190,6 +191,47 @@ def test_inc_beta_inv_log_deep_round_trip():
     assert np.all(lny < 0)
     back = np.asarray(inc_beta_reg_logx(lny, a, b))
     assert_allclose(back, ps, atol=1e-9)
+
+
+# shape pairs whose inverses reach the deep lower tail (tiny a), the
+# deep upper tail (tiny b), both halves and lopsided shapes
+COLUMN_SHAPES = [
+    (1e-3, 0.5), (0.5, 1e-3), (2e-3, 0.04), (0.04, 2e-3), (3.0, 2.0),
+    (1e-4, 1e-4), (50.0, 0.01), (0.01, 50.0), (0.07, 0.075),
+]
+
+
+def test_inc_beta_inv_log_columns_equal_scalar_calls():
+    ps = np.concatenate([np.geomspace(1e-300, 0.5, 25), 1.0 - np.geomspace(1e-16, 0.5, 25)])
+    a = np.array([s[0] for s in COLUMN_SHAPES])[:, None]
+    b = np.array([s[1] for s in COLUMN_SHAPES])[:, None]
+    got = inc_beta_inv_log(ps, a, b)
+    assert got.shape == (len(COLUMN_SHAPES), ps.size)
+    grid = np.broadcast_to(ps, got.shape).ravel()
+    per_point = inc_beta_inv_log(grid, np.broadcast_to(a, got.shape).ravel(),
+                                 np.broadcast_to(b, got.shape).ravel())
+    assert per_point.tobytes() == got.tobytes()
+    deep = {"low": 0, "high": 0}
+    for row, (ai, bi) in zip(got, COLUMN_SHAPES):
+        want = np.asarray(inc_beta_inv_log(ps, ai, bi))
+        assert row.tobytes() == want.tobytes()
+        assert [inc_beta_inv_log(p, ai, bi) for p in ps[::7]] == want[::7].tolist()
+        # the leading-order starts route a point to the deep solve
+        lbeta = log_beta(ai, bi)
+        u_low = (np.log(ps) + math.log(ai) + lbeta) / ai
+        u_high = (np.log1p(-ps) + math.log(bi) + lbeta) / bi
+        deep["low"] += np.count_nonzero(u_low < _U_DEEP)
+        deep["high"] += np.count_nonzero((u_high < _U_DEEP) & (u_low >= _U_DEEP))
+    assert deep["low"] > 0 and deep["high"] > 0
+
+
+def test_inc_beta_reg_logx_columns_equal_scalar_calls():
+    log_ys = np.array([-5000.0, -691.0, -689.0, -100.0, -1.0, -0.6, -1e-3, -1e-20, 0.0])
+    a = np.array([s[0] for s in COLUMN_SHAPES])[:, None]
+    b = np.array([s[1] for s in COLUMN_SHAPES])[:, None]
+    got = inc_beta_reg_logx(log_ys, a, b)
+    for row, (ai, bi) in zip(got, COLUMN_SHAPES):
+        assert row.tobytes() == np.asarray(inc_beta_reg_logx(log_ys, ai, bi)).tobytes()
 
 
 def test_inc_beta_reg_logx_matches_plain():

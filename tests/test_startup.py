@@ -1,5 +1,5 @@
 """Start-up cost: what `import mcgompertz` and a fit load, and the
-benchmark's view of the fitter.
+benchmark's view of the fitter and of the quantile inverse.
 
 The package loads numpy and `scipy.special` only, and a fit loads nothing
 more, since the fitter's minimizers are the library's own: no process
@@ -13,10 +13,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from mcgompertz import inference
+from mcgompertz import core, inference, shape
 from mcgompertz.cli import _read_dataset
 from mcgompertz.inference import OptimizerConfig
 
@@ -122,3 +124,28 @@ def test_tracer_sees_the_optimizer():
     metrics = tracer.metrics(len(tracer.name_id))
     assert metrics["inference.minimize.self_s"] > 0.0
     assert metrics["inference.nfev_per_fit"] > 0.0
+
+
+def test_tracer_sees_the_inverse():
+    # the inverse's layer metrics read spans named specfun.inc_beta_inv_log
+    # and the incomplete-beta evaluations under them: quantile and a shape
+    # curve must reach the inverse, and its deep solve the log-argument
+    # incomplete beta, through their public names
+    tracing = _load_tracing()
+    glass = core.McGParams(0.4500793196655103, 0.042314322674387124, 219.49017482882707,
+                           7.149867624426224e-06, 8.090210587209212)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "pass"
+        core.quantile(glass, np.array([1e-9, 0.5, 1.0 - 1e-10]))
+        shape.shape_curves("moors", [0.5, 1.0, 2.0], 0.5, 0.8, 0.1, 0.5)
+        tracer.phase = None
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(len(tracer.name_id))
+    assert metrics["specfun.inc_beta_inv_log.ns_per_point"] > 0.0
+    assert metrics["specfun.inc_beta_reg.points_per_draw"] > 0.0
+    # one inverse call per quantile call, the curve grid included
+    calls = Counter(tracer.names[nid] for nid in tracer.name_id)
+    assert calls["core.quantile"] == calls["specfun.inc_beta_inv_log"] == 2
