@@ -22,7 +22,6 @@ import numpy as np
 
 from .specfun import (
     _as_float_array,
-    _beta_half,
     _maybe_scalar,
     _over_columns,
     beta_fn,
@@ -391,44 +390,26 @@ def reversed_hazard(p, y):
 def _w_of_t(a, b, c, t):
     """Base cumulative hazards w with I(G^c; a/c, b) = t, G = 1 - e^{-w}.
 
-    V = I^{-1}(t; a/c, b) enters only through logs: ln V where V <= 1/2,
-    so tiny a/c (V underflows) stays exact, and ln(1 - V) =
-    ln I^{-1}(1 - t; b, a/c) above, so tiny b (1 - V underflows) does too.
-    Where 1 - V < e^{-700} the inverse of the survival asymptote,
-    w = ln c - ln(1 - V), is exact and avoids subnormal intermediates.
+    V = I^{-1}(t; a/c, b) enters only through ln V and ln(1 - V), which
+    the inverse returns together, each exact where it is the side nearer
+    0: tiny a/c (V underflows) and tiny b (1 - V underflows) stay exact.
+    w = -ln(1 - V^(1/c)), except where 1 - V < e^{-700}: there the
+    inverse of the survival asymptote, w = ln c - ln(1 - V), is exact and
+    avoids subnormal intermediates.
 
     a, b and c are floats or (m, 1) columns, and t broadcasts against
     them: w has the broadcast shape, and row i of an (m, k) result equals
-    bit for bit what the floats of row i give at the same t.  Both sides
-    go through one inverse call, their points grouped by side, so each
-    row's shapes reach it in two runs.
+    bit for bit what the floats of row i give at the same t.
     """
-    alpha = a / c
-    above = t > _beta_half(alpha, b)
-    hi = above.ravel()
-    lo_pts, hi_pts = (~hi).nonzero()[0], hi.nonzero()[0]
-    order = np.concatenate((lo_pts, hi_pts))
-    ln_x = inc_beta_inv_log(
-        np.where(above, 1.0 - t, t).ravel()[order],
-        np.where(above, b, alpha).ravel()[order],
-        np.where(above, alpha, b).ravel()[order],
-    )
-    n_lo = lo_pts.size
-    ln_1mv = ln_x[n_lo:]
-    c_pts = c
-    if isinstance(c, np.ndarray):
-        c_pts = np.broadcast_to(c, above.shape).ravel()[order]
-    w = np.empty(hi.size)
+    ln_v, ln_1mv = inc_beta_inv_log(t, a / c, b)
     with np.errstate(divide="ignore", under="ignore"):
-        # ln V from ln(1 - V) above the split: both sides then share
-        # w = -ln(1 - V^(1/c))
-        ln_v = np.concatenate((ln_x[:n_lo], log1mexp(-ln_1mv))) if hi_pts.size else ln_x
-        w[order] = -log1mexp(-ln_v / c_pts)
+        # an array also for a 0-d t, so the deep points can be patched
+        w = np.asarray(-log1mexp(-ln_v / c))
     deep = ln_1mv < -_W_DEEP
     if np.count_nonzero(deep):
-        c_deep = np.broadcast_to(c_pts, ln_x.shape)[n_lo:][deep]
-        w[hi_pts[deep]] = [math.log(v) for v in c_deep.tolist()] - ln_1mv[deep]
-    return w.reshape(above.shape)
+        c_deep = np.broadcast_to(c, w.shape)[deep]
+        w[deep] = [math.log(v) for v in c_deep.tolist()] - np.asarray(ln_1mv)[deep]
+    return w
 
 
 def quantile(p, t):

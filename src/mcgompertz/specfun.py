@@ -189,9 +189,11 @@ def log1mexp(u):
 def inc_beta_reg(y, a, b):
     """Regularized incomplete beta I_y(a, b) for y in [0, 1], a, b > 0."""
     y_arr, _ = _as_float_array(y)
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
+    # one ufunc pass per check, counted in C (np.any costs ~8 us a call on
+    # 0-d arrays); fmin skips NaN, so only a shape <= 0 raises, as before
+    if np.count_nonzero(np.fmin(a, b) <= 0):
         raise ValueError("inc_beta_reg requires a, b > 0")
-    if np.any((y_arr < 0) | (y_arr > 1)):
+    if np.count_nonzero((y_arr < 0) | (y_arr > 1)):
         raise ValueError("inc_beta_reg requires y in [0, 1]")
     out = sps.betainc(a, b, y_arr)
     return _maybe_scalar(out, np.ndim(out) == 0)
@@ -284,13 +286,18 @@ def inc_beta_reg_logx(log_y, a, b):
 
 
 def inc_beta_inv_log(p, a, b):
-    """ln of the inverse incomplete beta, for p in (0, 1).
+    """(ln y, ln(1 - y)) for the inverse incomplete beta y = I^{-1}_p(a, b),
+    p in (0, 1).
 
-    Accurate even when the inverse underflows (tiny a, small p): the
-    solve then runs in u = ln y from the leading-order start
-    u0 = (ln p + ln a + ln B)/a.  Where the preimage lies above 1/2 the
-    complement inverse gives ln y = log1p(-I^{-1}_{1-p}(b, a)).
-    Elsewhere the inverse is scipy's betaincinv.
+    The split is made here, once per point: from p = I_{1/2}(a, b) on, y
+    lies above 1/2 and the solve is for 1 - y, the inverse of 1 - p under
+    the swapped shapes (b, a); below it the solve is for y.  The other log
+    is log1mexp of the solved one.  The solved side is exact even where it
+    underflows (tiny a with small p, tiny b with p near 1): below e^{-30}
+    it is a Newton solve in its log from the leading-order start
+    u0 = (ln p + ln a + ln B)/a, elsewhere scipy's betaincinv.  Where
+    I_{1/2}(a, b) < 2^-53, 1 - p can round to 1 above the split; those
+    points take 1 - y from scipy's betainccinv of p.
 
     a and b are floats or arrays that broadcast against p, such as (m, 1)
     columns against an (m, k) p, or one shape per point.  Each point is
@@ -307,39 +314,35 @@ def inc_beta_inv_log(p, a, b):
     if np.count_nonzero(a <= 0) or np.count_nonzero(b <= 0):
         raise ValueError("inc_beta_inv_log requires a, b > 0")
     log_a, log_b, lbeta, half = _per_shape(a, b, _log_a, _log_b, log_beta, _beta_half)
-    out = np.empty_like(flat)
-    u_low = (np.log(flat) + log_a + lbeta) / a
-    u_high = (np.log1p(-flat) + log_b + lbeta) / b
-    deep_low = u_low < _U_DEEP
-    deep_high = (u_high < _U_DEEP) & ~deep_low
-    deep = deep_low | deep_high
+    q = 1.0 - flat
     # route on where the solution sits, not on p: with lopsided shapes
     # even p near 1 can have a preimage below 0.5
-    lower_half = ~deep & (flat < half)
-    upper_half = ~(deep | lower_half)
+    upper = flat >= half
+    # the upper side is the lower side of 1 - y under the swapped shapes,
+    # and ln B is symmetric: both sides share one solve
+    p_s = np.where(upper, q, flat)
+    a_s = np.where(upper, b, a)
+    b_s = np.where(upper, a, b)
+    u0 = (np.log(p_s) + np.where(upper, log_b, log_a) + lbeta) / a_s
+    # above a split that underflows, p < 2^-53 leaves 1 - p = 1: such a
+    # point takes 1 - y from the complement inverse of p itself
+    lost = upper & (q == 1.0)
+    deep = (u0 < _U_DEEP) & ~lost
+    mid = ~(deep | lost)
+    near = np.empty_like(flat)
     if np.count_nonzero(deep):
-        # the upper tail is the lower tail of 1 - y under the swapped
-        # shapes, and ln B is symmetric: both tails share one solve
-        n_low = np.count_nonzero(deep_low)
-        ln_x = _beta_inv_log_deep(
-            np.concatenate((flat[deep_low], 1.0 - flat[deep_high])),
-            np.concatenate((u_low[deep_low], u_high[deep_high])),
-            np.concatenate((a[deep_low], b[deep_high])),
-            np.concatenate((b[deep_low], a[deep_high])),
-            np.concatenate((lbeta[deep_low], lbeta[deep_high])),
-        )
-        out[deep_low] = ln_x[:n_low]
-        with np.errstate(under="ignore"):
-            out[deep_high] = np.log1p(-np.exp(ln_x[n_low:]))
-    if np.count_nonzero(lower_half):
-        out[lower_half] = np.log(
-            sps.betaincinv(a[lower_half], b[lower_half], flat[lower_half])
-        )
-    if np.count_nonzero(upper_half):
-        out[upper_half] = np.log1p(
-            -sps.betaincinv(b[upper_half], a[upper_half], 1.0 - flat[upper_half])
-        )
-    return _maybe_scalar(out.reshape(shape), scalar and not shape)
+        near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta[deep])
+    if np.count_nonzero(mid):
+        near[mid] = np.log(sps.betaincinv(a_s[mid], b_s[mid], p_s[mid]))
+    if np.count_nonzero(lost):
+        near[lost] = np.log(sps.betainccinv(b[lost], a[lost], flat[lost]))
+    with np.errstate(under="ignore"):
+        far = log1mexp(-near)
+    scalar = scalar and not shape
+    return (
+        _maybe_scalar(np.where(upper, far, near).reshape(shape), scalar),
+        _maybe_scalar(np.where(upper, near, far).reshape(shape), scalar),
+    )
 
 
 def _beta_inv_log_deep(p, u0, a, b, lbeta):

@@ -21,6 +21,7 @@ from mcgompertz.core import McEParams, McGParams, cdf, hazard, quantile, surviva
 from mcgompertz.specfun import (
     digamma_diff,
     inc_beta_inv_log,
+    inc_beta_reg,
     inc_beta_reg_logx,
     log1mexp,
     log_beta,
@@ -90,11 +91,83 @@ def test_inc_beta_inv_log_deep_round_trip_vs_mpmath(ln_a, ln_b, ln_p):
     # a <= 0.01 and p <= 1/2 put the preimage below e^{-30}, where the
     # inverse is the Newton solve in u = ln y
     a, b, p = math.exp(ln_a), math.exp(ln_b), math.exp(ln_p)
-    ln_y = inc_beta_inv_log(p, a, b)
+    ln_y = inc_beta_inv_log(p, a, b)[0]
     assert ln_y < -30.0
     with mp.workdps(50):
         back = mp.betainc(a, b, 0, mp.exp(ln_y), regularized=True)
     assert abs(float(back) - p) <= 1e-9 * p
+
+
+def _mp_ln_1my(p, a, b, v0):
+    """ln(1 - y) with I_y(a, b) = p, by mpmath: I_{1-y}(b, a) = 1 - p
+    solved for v = ln(1 - y) from a start v0 near the root, at enough
+    digits to keep p in 1 - p."""
+    with mp.workdps(30 + max(0, int(-math.log10(p)))):
+        a, b = mp.mpf(a), mp.mpf(b)
+        ln_q = mp.log(1 - mp.mpf(p))
+        v = mp.findroot(
+            lambda v: mp.log(mp.betainc(b, a, 0, mp.exp(v), regularized=True)) - ln_q,
+            (mp.mpf(v0), mp.mpf(v0) * (1 + mp.mpf("1e-9"))),
+        )
+    return v
+
+
+def _from_the_split(a, b):
+    # the split p = I_{1/2}(a, b) itself and points just above it
+    half = inc_beta_reg(0.5, a, b)
+    return [half, float(np.nextafter(half, 1.0)), half + 1e-9, half + 0.05]
+
+
+@pytest.mark.parametrize(
+    "a, b, ps",
+    [
+        # deep upper tail: 1 - y underflows, ln(1 - y) from -6.9e3 to -2.3e5
+        (0.5, 1e-4, [0.5, 0.9, 1 - 1e-6, 1 - 1e-10]),
+        (2.5, 1.7, _from_the_split(2.5, 1.7)),
+        (0.6, 0.9, _from_the_split(0.6, 0.9)),
+    ],
+)
+def test_inc_beta_inv_log_upper_side_vs_mpmath(a, b, ps):
+    for p in ps:
+        ln_y, ln_1my = inc_beta_inv_log(p, a, b)
+        assert p >= inc_beta_reg(0.5, a, b)
+        ref = _mp_ln_1my(p, a, b, ln_1my)
+        assert abs(ln_1my - float(ref)) <= 1e-13 * abs(float(ref))
+        with mp.workdps(30):
+            ref_y = mp.log1p(-mp.exp(ref))
+        assert abs(ln_y - float(ref_y)) <= 1e-13 * abs(float(ref_y))
+
+
+# shapes whose split I_{1/2}(a/c, b) is below 2^-53: every t < 2^-53 lies
+# above it, yet 1 - t rounds to 1 (the first is an McE fit corner; the
+# second, a/c = 1.4e7 over c = 1/2, puts V within 5e-5 of 1)
+SPLIT_UNDERFLOW = McEParams(
+    2.5890202316736546, 141.5650479633736, 0.00033606535807500907, 2.2767216229660674
+)
+SPLIT_UNDERFLOW_NEAR_ONE = McEParams(2 * 14080607.45395181, 0.0002087354286991577, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "p, t",
+    [
+        (SPLIT_UNDERFLOW, 1e-17),
+        (SPLIT_UNDERFLOW, 1e-30),
+        (SPLIT_UNDERFLOW, 1e-100),
+        (SPLIT_UNDERFLOW_NEAR_ONE, 1e-21),
+        (SPLIT_UNDERFLOW_NEAR_ONE, 1e-300),
+    ],
+)
+def test_quantile_above_an_underflowing_split_vs_mpmath(p, t):
+    alpha = p.a / p.c
+    assert inc_beta_reg(0.5, alpha, p.b) < 2.0**-53
+    ln_v, ln_1mv = inc_beta_inv_log(t, alpha, p.b)
+    ref = _mp_ln_1my(t, alpha, p.b, ln_1mv)
+    assert abs(ln_1mv - float(ref)) <= 1e-12 * abs(float(ref))
+    with mp.workdps(30):
+        ref_v = mp.log1p(-mp.exp(ref))
+        ref_y = -mp.log1p(-mp.exp(ref_v / p.c)) / p.theta
+    assert abs(ln_v - float(ref_v)) <= 1e-12 * abs(float(ref_v))
+    assert quantile(p, t) == pytest.approx(float(ref_y), rel=1e-12)
 
 
 def test_log1mexp_vs_mpmath():
