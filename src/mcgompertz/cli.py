@@ -49,20 +49,17 @@ class InputError(ValueError):
     """Unusable user input: missing file, bad value, unknown model."""
 
 
-def _fmt_float(v):
-    """Render a float with 17 significant digits, keeping it a JSON float."""
-    s = format(float(v), ".17g")
-    if s.lstrip("+-").isdigit():
-        s += ".0"
-    return s
-
-
 def _fmt_floats(values):
-    """`_fmt_float` over a float array in one pass."""
+    """Each float with 17 significant digits, kept a JSON float by ".0"."""
     return [
         s if "." in s or "e" in s or "n" in s else s + ".0"
         for s in map("{:.17g}".format, np.asarray(values, dtype=float).tolist())
     ]
+
+
+def _fmt_float(v):
+    """`_fmt_floats` of one float."""
+    return _fmt_floats([v])[0]
 
 
 def _json_text(obj, indent=0):

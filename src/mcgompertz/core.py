@@ -23,7 +23,6 @@ import numpy as np
 from .specfun import (
     _as_float_array,
     _maybe_scalar,
-    _over_columns,
     beta_fn,
     inc_beta_inv_log,
     inc_beta_reg,
@@ -232,7 +231,7 @@ def _log_pdf_terms(p, y):
     a, b, c = p.a, p.b, p.c
     base = p.base
     log_c = np.log(c)
-    lead = log_c - _over_columns(log_beta, a / c, b) + base.log_dw(y)
+    lead = log_c - log_beta(a / c, b) + base.log_dw(y)
     w = base.w(y)
     with np.errstate(under="ignore", invalid="ignore"):
         ln_g = log1mexp(w)

@@ -28,7 +28,7 @@ import numpy as np
 from ._optimize import minimize, minimize_scalar_bounded
 from .core import _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
-from .specfun import _over_columns, digamma_diff, trigamma, trigamma_diff
+from .specfun import digamma_diff, trigamma, trigamma_diff
 
 
 # Log-parameter box: optimization is confined to |ln p| <= _BOX by a penalty,
@@ -264,9 +264,9 @@ def _derivs(params, y):
         for v in (params.a, params.b, params.c)
     )
     alpha = a / c
-    zeta_ab = _over_columns(digamma_diff, alpha, b)
-    zeta_ba = _over_columns(digamma_diff, b, alpha)
-    P = -_over_columns(trigamma_diff, alpha, b)
+    zeta_ab = digamma_diff(alpha, b)
+    zeta_ba = digamma_diff(b, alpha)
+    P = -trigamma_diff(alpha, b)
     tg_ab = trigamma(alpha + b)
     q_sum = blk["Q"].sum(axis=-1)
     A = blk["A"][..., None]
@@ -280,7 +280,7 @@ def _derivs(params, y):
     H = np.empty(U.shape + (k,))
     H[..., 0, 0] = -n * P / c**2
     H[..., 0, 1] = n * tg_ab / c
-    H[..., 1, 1] = n * _over_columns(trigamma_diff, b, alpha)
+    H[..., 1, 1] = n * trigamma_diff(b, alpha)
     H[..., 0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
     H[..., 1, 2] = -n * a / c**2 * tg_ab - q_sum
     H[..., 2, 2] = (

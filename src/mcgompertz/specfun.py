@@ -7,13 +7,13 @@ regularized upper incomplete gamma, the exponential integral E1, and the
 asymptotic Kolmogorov survival function.
 
 The kernels are scipy's (Boost.Math backs the incomplete beta and its
-inverse).  This module adds input validation, scalars-in/scalars-out, and
-the pieces scipy has no form for: ``log1mexp``, the incomplete beta at
-arguments whose exponential underflows (ln y < -690), the inverse solved
-in u = ln y where the preimage underflows, and the differences that
-cancel when taken from scipy's values: ln B(a, b) with one argument
-dwarfing the other, psi(x + h) - psi(x) and psi'(x + h) - psi'(x) at
-large x.  The last three share one table of Bernoulli numbers.
+inverse).  Every function takes floats (giving floats) or broadcasting
+arrays; this module adds the validation and what scipy has no form for:
+``log1mexp``, the incomplete beta where its argument underflows (ln y <
+-690), the inverse solved in u = ln y where the preimage underflows, and
+the differences that cancel when taken from scipy's values: ln B(a, b)
+with one argument dwarfing the other, and psi(x + h) - psi(x) and psi'(x
++ h) - psi'(x) at large x: Bernoulli series, run only where needed.
 """
 
 import math
@@ -44,8 +44,13 @@ _LOG_Y_DEEP = -690.0
 # preimages with ln y below this are solved in u = ln y (or ln(1 - y))
 _U_DEEP = -30.0
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Stirling-type asymptotic
-# series of ln Gamma, psi and psi'
+# series of ln Gamma, psi and psi', whose tails in ln (hi)_lo, psi(x + h) -
+# psi(x) and psi'(x + h) - psi'(x) are (coefficients, -powers) pairs
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_2K = np.arange(2.0, 17.0, 2.0)
+_POCH_TAIL = (_BERNOULLI_2K / (_2K * (_2K - 1.0)), 1.0 - _2K)
+_PSI_TAIL = (-(_BERNOULLI_2K[:4] / _2K[:4]), -_2K[:4])
+_PSI1_TAIL = (np.array((0.5,) + _BERNOULLI_2K[:4]), np.r_[-2.0, -1.0 - _2K[:4]])
 # from this argument on, 4 terms of the psi/psi' series are exact to ~1e-16
 _PSI_ASYMPTOTIC = 100.0
 # the deep inverse solve accepts an error in p of at most _INV_ABS_TOL and
@@ -63,6 +68,10 @@ def _maybe_scalar(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _float_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _positive_finite(x, name):
     arr, scalar = _as_float_array(x)
     # one ufunc pass (NaN fails both comparisons); the np.any/np.all
@@ -72,18 +81,44 @@ def _positive_finite(x, name):
     return arr, scalar
 
 
-def _over_columns(fn, x, h):
-    """fn(x, h) for a special function `fn` of two floats, called once per
-    element where x or h is an array (the (S, 1) parameter columns of a
-    batched fit, S small); with float arguments it is fn itself.
+def _positive_pair(x, h, message):
+    """(x, h, min, max) with x and h checked finite and > 0: scalars as
+    given, compared in Python (~0.2 us, where an array pass costs ~5 us),
+    else float arrays broadcast to one shape."""
+    if isinstance(x, np.ndarray) or isinstance(h, np.ndarray):
+        x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
+        if x.shape != h.shape:
+            x, h = np.broadcast_arrays(x, h)
+        lo, hi = np.minimum(x, h), np.maximum(x, h)
+        # NaN propagates through both and fails both comparisons
+        ok = np.count_nonzero((lo > 0) & (hi < math.inf)) == x.size
+    else:
+        lo, hi = min(x, h), max(x, h)
+        ok = 0 < x < math.inf and 0 < h < math.inf
+    if not ok:
+        raise ValueError(message)
+    return x, h, lo, hi
 
-    The per-element loop keeps one implementation per special function
-    and leaves the float callers' cost untouched: vectorizing log_beta
-    or digamma_diff would cost them ~10x per call.
-    """
-    if not (isinstance(x, np.ndarray) or isinstance(h, np.ndarray)):
-        return fn(x, h)
-    return np.frompyfunc(fn, 2, 1)(x, h).astype(float)
+
+def _patched(out, mask, series, x, h):
+    """out, scipy's value at x and h, with series(x, h) where mask holds, run
+    on those elements only (a float for scalars): without any, scipy's cost."""
+    if not isinstance(out, np.ndarray):
+        return float(series(x, h) if mask else out)
+    if np.count_nonzero(mask):
+        out[mask] = series(x[mask], h[mask])
+    return out
+
+
+def _bernoulli_sum(out, x, t, tail):
+    """out + sum_j coef_j x^-p_j expm1(-p_j t) for tail = (coef, -p), the
+    terms of each element added to it one at a time in series order."""
+    coef, neg_p = tail
+    x, t = np.asarray(x)[..., None], np.asarray(t)[..., None]
+    terms = coef * x**neg_p * np.expm1(neg_p * t)
+    for j in range(coef.size):
+        out = out + terms[..., j]
+    return out
 
 
 def log_gamma(x):
@@ -102,22 +137,19 @@ def log_beta(a, b):
     Stirling series taken term by term in log1p(lo/hi): 8 Bernoulli terms
     leave ~1e-16 at hi = 10, and nothing in it cancels.
     """
-    if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("log_beta requires finite a, b > 0")
-    lo, hi = min(a, b), max(a, b)
-    if lo <= 1.0 and hi >= 10.0:
-        t = math.log1p(lo / hi)
-        log_poch = (hi - 0.5) * t + lo * math.log(hi + lo) - lo
-        for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-            m = 2 * k - 1
-            log_poch += b2k / (2 * k * m) * hi**-m * math.expm1(-m * t)
-        return float(sps.gammaln(lo)) - log_poch
-    return float(sps.betaln(a, b))
+    a, b, lo, hi = _positive_pair(a, b, "log_beta requires finite a, b > 0")
+    return _patched(sps.betaln(a, b), (lo <= 1.0) & (hi >= 10.0), _log_beta_lopsided, lo, hi)
+
+
+def _log_beta_lopsided(lo, hi):
+    t = np.log1p(lo / hi)
+    log_poch = (hi - 0.5) * t + lo * np.log(hi + lo) - lo
+    return sps.gammaln(lo) - _bernoulli_sum(log_poch, hi, t, _POCH_TAIL)
 
 
 def beta_fn(a, b):
     """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
-    return math.exp(log_beta(a, b))
+    return _float_or_array(np.exp(log_beta(a, b)))
 
 
 def digamma(x):
@@ -133,11 +165,6 @@ def trigamma(x):
     return _maybe_scalar(sps.zeta(2, arr), scalar)
 
 
-def _check_diff_args(x, h, name):
-    if not (x > 0 and h > 0 and math.isfinite(x) and math.isfinite(h)):
-        raise ValueError(f"{name} requires finite x, h > 0")
-
-
 def digamma_diff(x, h):
     """psi(x + h) - psi(x) for x, h > 0, without the cancellation of the
     direct difference when h << x.
@@ -147,28 +174,27 @@ def digamma_diff(x, h):
     expm1(-2k log1p(h/x)).  Below that the direct difference keeps
     ~1e-16 * |psi(x)| absolute.
     """
-    _check_diff_args(x, h, "digamma_diff")
-    if x < _PSI_ASYMPTOTIC:
-        return float(sps.digamma(x + h) - sps.digamma(x))
-    t = math.log1p(h / x)
-    out = t + h / (2.0 * x * (x + h))
-    for k, b2k in enumerate(_BERNOULLI_2K[:4], start=1):
-        out -= b2k / (2 * k) * x ** (-2 * k) * math.expm1(-2 * k * t)
-    return out
+    x, h, _, _ = _positive_pair(x, h, "digamma_diff requires finite x, h > 0")
+    direct = sps.digamma(x + h) - sps.digamma(x)
+    return _patched(direct, x >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, x, h)
+
+
+def _digamma_diff_asymptotic(x, h):
+    t = np.log1p(h / x)
+    return _bernoulli_sum(t + h / (2.0 * x * (x + h)), x, t, _PSI_TAIL)
 
 
 def trigamma_diff(x, h):
     """psi'(x + h) - psi'(x) for x, h > 0, cancellation-free from x = 100
     on like digamma_diff: -h/(x(x + h)) + expm1(-2t)/(2x^2) + sum B_2k
     x^-(2k+1) expm1(-(2k+1) t) with t = log1p(h/x)."""
-    _check_diff_args(x, h, "trigamma_diff")
-    if x < _PSI_ASYMPTOTIC:
-        return float(sps.zeta(2, x + h) - sps.zeta(2, x))
-    t = math.log1p(h / x)
-    out = -h / (x * (x + h)) + 0.5 * math.expm1(-2.0 * t) / (x * x)
-    for k, b2k in enumerate(_BERNOULLI_2K[:4], start=1):
-        out += b2k * x ** (-2 * k - 1) * math.expm1(-(2 * k + 1) * t)
-    return out
+    x, h, _, _ = _positive_pair(x, h, "trigamma_diff requires finite x, h > 0")
+    direct = sps.zeta(2, x + h) - sps.zeta(2, x)
+    return _patched(direct, x >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, x, h)
+
+
+def _trigamma_diff_asymptotic(x, h):
+    return _bernoulli_sum(-h / (x * (x + h)), x, np.log1p(h / x), _PSI1_TAIL)
 
 
 def log1mexp(u):
@@ -195,8 +221,7 @@ def inc_beta_reg(y, a, b):
         raise ValueError("inc_beta_reg requires a, b > 0")
     if np.count_nonzero((y_arr < 0) | (y_arr > 1)):
         raise ValueError("inc_beta_reg requires y in [0, 1]")
-    out = sps.betainc(a, b, y_arr)
-    return _maybe_scalar(out, np.ndim(out) == 0)
+    return _float_or_array(sps.betainc(a, b, y_arr))
 
 
 def _points(shape, v):
@@ -209,31 +234,14 @@ def _points(shape, v):
     return v.ravel()
 
 
-def _per_shape(a, b, *fns):
-    """[fn(a, b) for fn in fns] at every point of the flat per-point shape
-    arrays a and b.  Each fn, a function of two floats, runs once per run
-    of equal (a, b) and its value is repeated over the run, so points that
-    come grouped by shape cost one call per shape, not one per point."""
+def _per_shape(a, b):
+    """(a', b', run) for flat per-point shapes a and b (or two floats): one
+    (a', b') per run of equal shapes and each point's run, so f(a', b')[run]
+    is f at every point while f runs once per shape, not once per point."""
+    a, b = np.atleast_1d(a, b)
     first = np.ones(a.size, dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    starts = first.nonzero()[0]
-    runs = list(zip(a[starts].tolist(), b[starts].tolist()))
-    if len(runs) == 1:
-        return [np.full(a.size, fn(*runs[0]), dtype=float) for fn in fns]
-    run = first.cumsum(dtype=np.intp) - 1
-    return [np.array([fn(x, y) for x, y in runs], dtype=float)[run] for fn in fns]
-
-
-def _log_a(a, b):
-    return math.log(a)
-
-
-def _log_b(a, b):
-    return math.log(b)
-
-
-def _beta_half(a, b):
-    return sps.betainc(a, b, 0.5)
+    return a[first], b[first], first.cumsum(dtype=np.intp) - 1
 
 
 def inc_beta_reg_logx(log_y, a, b):
@@ -276,11 +284,8 @@ def inc_beta_reg_logx(log_y, a, b):
         out[upper] = sps.betaincc(at(b, upper), at(a, upper), -np.expm1(arr[upper]))
     if np.count_nonzero(tiny):
         a_t, b_t = at(a, tiny), at(b, tiny)
-        if per_point:
-            log_a, lbeta = _per_shape(a_t, b_t, _log_a, log_beta)
-        else:
-            log_a, lbeta = math.log(a), log_beta(a, b)
-        lead = a_t * arr[tiny] - log_a - lbeta
+        a_r, b_r, run = _per_shape(a_t, b_t)
+        lead = a_t * arr[tiny] - np.log(a_r)[run] - log_beta(a_r, b_r)[run]
         out[tiny] = np.exp(np.minimum(lead, 0.0))
     return _maybe_scalar(out.reshape(shape), scalar and not shape)
 
@@ -290,14 +295,13 @@ def inc_beta_inv_log(p, a, b):
     p in (0, 1).
 
     The split is made here, once per point: from p = I_{1/2}(a, b) on, y
-    lies above 1/2 and the solve is for 1 - y, the inverse of 1 - p under
-    the swapped shapes (b, a); below it the solve is for y.  The other log
-    is log1mexp of the solved one.  The solved side is exact even where it
-    underflows (tiny a with small p, tiny b with p near 1): below e^{-30}
+    lies above 1/2 and the solve is for 1 - y, with I_{1-y}(b, a) = 1 - p;
+    below it the solve is for y.  The other log is log1mexp of the solved
+    one.  The solved side is exact even where it underflows (tiny a with
+    small p, tiny b with p near 1): below e^{-30}, or where scipy fails,
     it is a Newton solve in its log from the leading-order start
-    u0 = (ln p + ln a + ln B)/a, elsewhere scipy's betaincinv.  Where
-    I_{1/2}(a, b) < 2^-53, 1 - p can round to 1 above the split; those
-    points take 1 - y from scipy's betainccinv of p.
+    u0 = (ln p + ln a + ln B)/a; elsewhere it is scipy's betaincinv, or
+    above the split its betainccinv, both of p itself.
 
     a and b are floats or arrays that broadcast against p, such as (m, 1)
     columns against an (m, k) p, or one shape per point.  Each point is
@@ -307,35 +311,37 @@ def inc_beta_inv_log(p, a, b):
     its points by shape pays for them once per shape, not per point.
     """
     p_arr, scalar = _as_float_array(p)
-    if np.count_nonzero((p_arr <= 0) | (p_arr >= 1)):
+    if np.count_nonzero((p_arr > 0) & (p_arr < 1)) < p_arr.size:
         raise ValueError("inc_beta_inv_log requires p in (0, 1)")
     shape = np.broadcast(p_arr, a, b).shape
     flat, a, b = (_points(shape, v) for v in (p_arr, a, b))
     if np.count_nonzero(a <= 0) or np.count_nonzero(b <= 0):
         raise ValueError("inc_beta_inv_log requires a, b > 0")
-    log_a, log_b, lbeta, half = _per_shape(a, b, _log_a, _log_b, log_beta, _beta_half)
-    q = 1.0 - flat
+    a_r, b_r, run = _per_shape(a, b)
+    log_a, log_b, lbeta, half = (
+        v[run] for v in (np.log(a_r), np.log(b_r), log_beta(a_r, b_r), sps.betainc(a_r, b_r, 0.5))
+    )
     # route on where the solution sits, not on p: with lopsided shapes
     # even p near 1 can have a preimage below 0.5
     upper = flat >= half
     # the upper side is the lower side of 1 - y under the swapped shapes,
     # and ln B is symmetric: both sides share one solve
-    p_s = np.where(upper, q, flat)
+    p_s = np.where(upper, 1.0 - flat, flat)
     a_s = np.where(upper, b, a)
     b_s = np.where(upper, a, b)
     u0 = (np.log(p_s) + np.where(upper, log_b, log_a) + lbeta) / a_s
-    # above a split that underflows, p < 2^-53 leaves 1 - p = 1: such a
-    # point takes 1 - y from the complement inverse of p itself
-    lost = upper & (q == 1.0)
-    deep = (u0 < _U_DEEP) & ~lost
-    mid = ~(deep | lost)
-    near = np.empty_like(flat)
+    near = np.full_like(flat, math.nan)
+    # scipy's inverses keep every digit of p; where 1 - p rounds to 1 above
+    # the split no solve in logs could start, and betainccinv needs none
+    mid = (u0 >= _U_DEEP) | (p_s == 1.0)
+    for side, inverse in ((~upper, sps.betaincinv), (upper, sps.betainccinv)):
+        side = side & mid
+        if np.count_nonzero(side):
+            near[side] = np.log(inverse(a_s[side], b_s[side], flat[side]))
+    # the deep points, and any where scipy's inverse gives NaN, are solved in logs
+    deep = np.isnan(near)
     if np.count_nonzero(deep):
         near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta[deep])
-    if np.count_nonzero(mid):
-        near[mid] = np.log(sps.betaincinv(a_s[mid], b_s[mid], p_s[mid]))
-    if np.count_nonzero(lost):
-        near[lost] = np.log(sps.betainccinv(b[lost], a[lost], flat[lost]))
     with np.errstate(under="ignore"):
         far = log1mexp(-near)
     scalar = scalar and not shape
@@ -382,25 +388,23 @@ def _beta_inv_log_deep(p, u0, a, b, lbeta):
 
 def inc_gamma_upper_reg(s, x):
     """Regularized upper incomplete gamma Q(s, x), s > 0, x >= 0."""
-    if s <= 0:
+    if np.count_nonzero(np.less_equal(s, 0)):
         raise ValueError("inc_gamma_upper_reg requires s > 0")
-    if x < 0:
+    if np.count_nonzero(np.less(x, 0)):
         raise ValueError("inc_gamma_upper_reg requires x >= 0")
-    return float(sps.gammaincc(s, x))
+    return _float_or_array(sps.gammaincc(s, x))
 
 
 def expint_e1(x):
     """Exponential integral E1(x) for x > 0."""
-    if x <= 0:
+    if np.count_nonzero(np.less_equal(x, 0)):
         raise ValueError("expint_e1 requires x > 0")
-    return float(sps.exp1(x))
+    return _float_or_array(sps.exp1(x))
 
 
 def kolmogorov_sf(d, n):
     """Asymptotic Kolmogorov survival probability for statistic d at
-    sample size n: 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 n d^2)."""
+    sample size n: 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 n d^2), 1 for d <= 0."""
     if n < 1:
         raise ValueError("kolmogorov_sf requires n >= 1")
-    if d <= 0.0:
-        return 1.0
-    return float(sps.kolmogorov(math.sqrt(n) * d))
+    return _float_or_array(sps.kolmogorov(math.sqrt(n) * d))

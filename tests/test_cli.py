@@ -76,7 +76,10 @@ class TestFloatFormatting:
     @example(values=[math.inf, -math.inf, math.nan, -math.nan, 2.0, 219.0])
     def test_column_formatter_matches_cell_formatter(self, values):
         column = np.array(values, dtype=float)
-        assert _fmt_floats(column) == [_fmt_float(v) for v in values]
+        # the cell rule written out: .17g, with ".0" after a bare integer
+        texts = [format(v, ".17g") for v in values]
+        ref = [t + ".0" if t.lstrip("+-").isdigit() else t for t in texts]
+        assert _fmt_floats(column) == [_fmt_float(v) for v in values] == ref
         # CSV keeps inf and nan as text, JSON writes them as null
         assert _csv(("v",), [column]) == _csv(("v",), [values])
         assert _json_text({"v": column}) == _json_text({"v": values})

@@ -125,6 +125,9 @@ def _from_the_split(a, b):
         (0.5, 1e-4, [0.5, 0.9, 1 - 1e-6, 1 - 1e-10]),
         (2.5, 1.7, _from_the_split(2.5, 1.7)),
         (0.6, 0.9, _from_the_split(0.6, 0.9)),
+        # p < 1/2 above a split of 1.7e-17: inverting 1 - p, which keeps p
+        # only to 2^-54, gave ln y = -0.62783 at the first p
+        (38.3503269438837, 1.168388207760766e-4, [2.739e-16, 1e-12, 1e-6, 0.3]),
     ],
 )
 def test_inc_beta_inv_log_upper_side_vs_mpmath(a, b, ps):
@@ -168,6 +171,44 @@ def test_quantile_above_an_underflowing_split_vs_mpmath(p, t):
         ref_y = -mp.log1p(-mp.exp(ref_v / p.c)) / p.theta
     assert abs(ln_v - float(ref_v)) <= 1e-12 * abs(float(ref_v))
     assert quantile(p, t) == pytest.approx(float(ref_y), rel=1e-12)
+
+
+def _mp_ln_y(p, a, b, u0):
+    """ln y with I_y(a, b) = p, by mpmath, from a start u0 near the root."""
+    with mp.workdps(40):
+        a, b, ln_p = mp.mpf(a), mp.mpf(b), mp.log(mp.mpf(p))
+        return mp.findroot(
+            lambda u: mp.log(mp.betainc(a, b, 0, mp.exp(u), regularized=True)) - ln_p,
+            (mp.mpf(u0), mp.mpf(u0) * (1 + mp.mpf("1e-9"))),
+        )
+
+
+def test_inc_beta_inv_log_where_scipy_inverse_fails_vs_mpmath():
+    # betaincinv(1.0138, 1.86e-4, 2^-54) is NaN, with the preimage just
+    # above the threshold of the solve in u = ln y (u0 ~ -28.4 > -30)
+    a, b, p = 1.0137903909207018, 0.000186117287211366, 2.0**-54
+    ln_y, ln_1my = inc_beta_inv_log(p, a, b)
+    assert math.isfinite(ln_y) and math.isfinite(ln_1my)
+    ref = _mp_ln_y(p, a, b, ln_y)
+    assert abs(ln_y - float(ref)) <= 1e-12 * abs(float(ref))
+    params = McGParams(2 * a, b, 2.0, 1.0, 1.0)
+    with mp.workdps(40):
+        w = -mp.log1p(-mp.exp(ref / 2))
+        ref_q = mp.log1p(w)
+    assert quantile(params, p) == pytest.approx(float(ref_q), rel=1e-12)
+
+
+def test_inc_beta_inv_log_split_rounding_in_the_deep_region():
+    # I_{1/2}(a, b) = 0 and p < 2^-53, so 1 - p rounds to 1 above the
+    # split, while the start for 1 - y lies below e^{-30}: a solve in logs
+    # of 1 - p would land far from 1 - y (ln(1 - y) -29.44 for -28.95)
+    a, b, p = 1e14, 1e-4, 1e-17
+    ln_y, ln_1my = inc_beta_inv_log(p, a, b)
+    ref = _mp_ln_1my(p, a, b, ln_1my)
+    assert abs(ln_1my - float(ref)) <= 1e-12 * abs(float(ref))
+    with mp.workdps(30):
+        ref_y = mp.log1p(-mp.exp(ref))
+    assert abs(ln_y - float(ref_y)) <= 1e-12 * abs(float(ref_y))
 
 
 def test_log1mexp_vs_mpmath():
@@ -360,9 +401,32 @@ def test_psi_differences_vs_mpmath():
                 assert abs(trigamma_diff(x, h) - d2) <= 2e-15 * float(mp.polygamma(1, X))
 
 
-@pytest.mark.parametrize("fn", [digamma_diff, trigamma_diff])
-@pytest.mark.parametrize("x, h", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0),
-                                  (math.inf, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("fn", [digamma_diff, trigamma_diff, log_beta])
+@pytest.mark.parametrize("x, h", [
+    (0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan),
+    # one bad element in an array raises too, wherever it sits
+    pytest.param(np.array([[1.0], [0.0], [2.0]]), np.array([[1.0], [3.0], [2.0]]), id="column-zero"),
+    pytest.param(np.array([1.0, 150.0, 2.0]), np.array([1.0, 2.0, math.nan]), id="vector-nan"),
+    pytest.param(np.array([[1.0], [2.0]]), -1.0, id="column-negative-float"),
+    pytest.param(5.0, np.array([1.0, math.inf]), id="float-vector-inf"),
+])
 def test_psi_differences_reject_bad_arguments(fn, x, h):
+    # log_beta shares the finite-and-positive check of the psi differences
     with pytest.raises(ValueError):
         fn(x, h)
+
+
+def test_special_function_columns_match_float_calls():
+    # (S, 1) parameter columns, as a batched fit passes them, whose rows
+    # take every branch: ln B lopsided (min <= 1, max >= 10) or not, and
+    # the psi differences at x >= 100 (asymptotic series) or below
+    x = np.array([[0.3], [2.5], [150.0], [1e4], [0.7], [99.0], [100.0], [3e6], [12.0]])
+    h = np.array([[40.0], [1.7], [0.01], [2.0], [0.2], [5.0], [1e-3], [0.5], [0.9]])
+    for fn in (log_beta, digamma_diff, trigamma_diff):
+        for u, v in ((x, h), (h, x), (x, 0.5), (x.ravel(), 7.0)):
+            out = fn(u, v)
+            ref = np.array([fn(float(ui), float(vi)) for ui, vi in
+                            zip(*(np.broadcast_to(w, out.shape).ravel() for w in (u, v)))])
+            assert out.shape == np.broadcast(u, v).shape
+            assert out.ravel().tobytes() == ref.tobytes(), (fn.__name__, u, v)
+        assert type(fn(2.5, 150.0)) is float

@@ -94,6 +94,9 @@ def test_beta_fn_value():
     assert_allclose(beta_fn(1.0, 1.0), 1.0, rtol=1e-15)
     # B(a,b) = B(b,a)
     assert_allclose(beta_fn(0.3, 4.2), beta_fn(4.2, 0.3), rtol=1e-14)
+    # an array call gives the float calls elementwise
+    got = beta_fn(np.array([2.5, 0.3, 1.0]), np.array([1.7, 4.2, 1.0]))
+    assert_allclose(got, [beta_fn(2.5, 1.7), beta_fn(0.3, 4.2), 1.0], rtol=1e-15)
 
 
 def test_inc_beta_endpoints():
@@ -152,6 +155,10 @@ def test_inc_beta_rejects_bad_args():
         inc_beta_reg(0.5, -1.0, 2.0)
     with pytest.raises(ValueError):
         inc_beta_reg(1.5, 1.0, 2.0)
+    # NaN is not in (0, 1): the inverse must not hand it to its log solve
+    for p in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            inc_beta_inv_log(p, 1.0, 2.0)
 
 
 def test_inc_beta_inv_bisection_oracle():
@@ -272,6 +279,10 @@ def test_inc_gamma_upper_vs_scipy():
         assert_allclose(
             inc_gamma_upper_reg(s, x), sps.gammaincc(s, x), atol=1e-12
         )
+    s, x = rng.uniform(0.1, 30.0, (5, 1)), rng.uniform(0.0, 60.0, 4)
+    assert np.array_equal(inc_gamma_upper_reg(s, x), sps.gammaincc(s, x))
+    with pytest.raises(ValueError):
+        inc_gamma_upper_reg(s, np.array([1.0, -1.0]))
 
 
 def test_expint_e1_values():
@@ -285,6 +296,9 @@ def test_expint_e1_vs_scipy():
     xs = np.geomspace(1e-4, 600.0, 50)
     for x in xs:
         assert_allclose(expint_e1(float(x)), sps.exp1(x), rtol=1e-12)
+    assert np.array_equal(expint_e1(xs), [expint_e1(float(x)) for x in xs])
+    with pytest.raises(ValueError):
+        expint_e1(np.array([1.0, 0.0]))
 
 
 def test_log1mexp():
@@ -307,6 +321,8 @@ def test_kolmogorov_monotone_in_d():
     ds = np.linspace(0.01, 0.5, 50)
     vals = [kolmogorov_sf(float(d), 63) for d in ds]
     assert np.all(np.diff(vals) <= 1e-15)
+    assert np.array_equal(kolmogorov_sf(ds, 63), vals)
+    assert kolmogorov_sf(-0.1, 63) == 1.0
 
 
 def test_log_beta_consistency():
