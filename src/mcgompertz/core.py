@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    _as_float_array,
-    _maybe_scalar,
+    _float_or_array,
     beta_fn,
     inc_beta_inv_log,
     inc_beta_reg,
@@ -196,27 +195,27 @@ class McEParams:
 
 
 def _checked_y(y):
-    arr, scalar = _as_float_array(y)
+    arr = np.asarray(y, dtype=float)
     # NaN fails both comparisons
     if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValueError("y must be nonnegative and finite")
-    return arr, scalar
+    return arr
 
 
 def base_cdf(base, y):
     """G(y) = 1 - exp(-w(y)); 0 at y = 0, 1 once w(y) overflows."""
-    arr, scalar = _checked_y(y)
+    arr = _checked_y(y)
     with np.errstate(under="ignore"):
         out = -np.expm1(-base.w(arr))
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def base_pdf(base, y):
     """g(y) = w'(y) exp(-w(y)), the base density."""
-    arr, scalar = _checked_y(y)
+    arr = _checked_y(y)
     with np.errstate(under="ignore"):
         out = np.exp(base.log_dw(arr) - base.w(arr))
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def _log_pdf_terms(p, y):
@@ -261,8 +260,7 @@ def log_pdf(p, y):
     form is evaluated on the whole array and the other two patched in
     only where they occur.
     """
-    arr, scalar = _checked_y(y)
-    return _maybe_scalar(_log_pdf_terms(p, arr)[0], scalar)
+    return _float_or_array(_log_pdf_terms(p, _checked_y(y))[0])
 
 
 def pdf(p, y):
@@ -303,12 +301,12 @@ def _cdf_survival_w(a, b, c, w):
 def cdf(p, y):
     """F(y) = I(G(y)^c; a/c, b), exact where G^c underflows and where
     1 - G^c does."""
-    arr, scalar = _checked_y(y)
+    arr = _checked_y(y)
     w = p.base.w(arr)
     out = np.zeros_like(w)
     pos = w > 0.0
     out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[0]
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def survival(p, y):
@@ -318,12 +316,12 @@ def survival(p, y):
     at observed data) and 1 - G^c may underflow (tiny b puts the upper
     quantiles past w = 700); both are handled in log space.
     """
-    arr, scalar = _checked_y(y)
+    arr = _checked_y(y)
     w = p.base.w(arr)
     out = np.ones_like(w)
     pos = w > 0.0
     out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[1]
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def _log_survival_series(a, b, c, w):
@@ -363,7 +361,7 @@ def hazard(p, y):
     ln S from _log_survival_series, which raises where that series does
     not apply.
     """
-    arr, scalar = _checked_y(y)
+    arr = _checked_y(y)
     base = p.base
     w = base.w(arr)
     with np.errstate(under="ignore"):
@@ -375,15 +373,15 @@ def hazard(p, y):
     if np.any(under):
         ln_s = _log_survival_series(p.a, p.b, p.c, w[under])
         out[under] = np.exp(np.asarray(log_pdf(p, arr[under])) - ln_s)
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def reversed_hazard(p, y):
     """f/F.  Raises where the cdf is exactly zero (y = 0 included)."""
-    f_val = np.asarray(cdf(p, y))
+    f_val = cdf(p, y)
     if np.any(f_val == 0.0):
         raise ValueError("reversed hazard undefined: cdf is 0")
-    return pdf(p, y) / _maybe_scalar(f_val, np.ndim(y) == 0)
+    return pdf(p, y) / f_val
 
 
 def _w_of_t(a, b, c, t):
@@ -423,11 +421,11 @@ def quantile(p, t):
     (k,) then gives an (m, k) array whose row i equals bit for bit the
     quantiles of the floats of row i, all from one inverse call.
     """
-    arr, _ = _as_float_array(t)
+    arr = np.asarray(t, dtype=float)
     if np.count_nonzero((arr > 0.0) & (arr < 1.0)) < arr.size:
         raise ValueError("quantile requires t in (0, 1)")
     y = p.base.y_of_w(_w_of_t(p.a, p.b, p.c, arr))
-    return _maybe_scalar(y, np.ndim(y) == 0)
+    return _float_or_array(y)
 
 
 def sample(p, n: int, seed: int):

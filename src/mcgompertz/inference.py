@@ -453,9 +453,8 @@ def _positive_definite(m):
 
 
 def _trust_region_step(g, B, radius):
-    """Exact minimizer s of the model g.s + s.B.s/2 over |s| <= radius, for
-    one model (g of shape (k,)) or row by row over a batch (g (m, k),
-    B (m, k, k), radius (m,)).
+    """Exact minimizer s of the model g.s + s.B.s/2 over |s| <= radius, row
+    by row over a batch: g (m, k), B (m, k, k), radius (m,).
 
     Moré & Sorensen (1983) on the eigendecomposition B = Q diag(lam) Q^T:
     the Newton step when B is positive definite and the step fits, else
@@ -468,11 +467,7 @@ def _trust_region_step(g, B, radius):
     which a row keeps its sigma once it has converged.  Returns (s,
     predicted decrease of the model).
     """
-    single = np.ndim(g) == 1
-    g = np.atleast_2d(g)
-    m, k = g.shape
-    lam, Q = np.linalg.eigh(np.reshape(B, (m, k, k)))
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (m,))
+    lam, Q = np.linalg.eigh(B)
     gt = (Q * g[:, :, None]).sum(axis=1)
     gt2 = gt * gt
     r2 = radius * radius
@@ -523,8 +518,6 @@ def _trust_region_step(g, B, radius):
     st[rows] = -gt[rows] / (lam_r + at[:, None])
     s = (Q * st[:, None, :]).sum(axis=-1)
     predicted = -((gt * st).sum(axis=-1) + 0.5 * ((lam * st) * st).sum(axis=-1))
-    if single:
-        return s[0], float(predicted[0])
     return s, predicted
 
 

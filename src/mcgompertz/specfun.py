@@ -7,13 +7,18 @@ regularized upper incomplete gamma, the exponential integral E1, and the
 asymptotic Kolmogorov survival function.
 
 The kernels are scipy's (Boost.Math backs the incomplete beta and its
-inverse).  Every function takes floats (giving floats) or broadcasting
-arrays; this module adds the validation and what scipy has no form for:
-``log1mexp``, the incomplete beta where its argument underflows (ln y <
--690), the inverse solved in u = ln y where the preimage underflows, and
-the differences that cancel when taken from scipy's values: ln B(a, b)
-with one argument dwarfing the other, and psi(x + h) - psi(x) and psi'(x
-+ h) - psi'(x) at large x: Bernoulli series, run only where needed.
+inverse).  Every function takes floats or broadcasting arrays, and its
+result is a Python float exactly when it is 0-d.  Shapes are used as
+given: the per-shape constants of the incomplete beta and its inverse
+(ln a, ln b, ln B, I_{1/2}(a, b)) are taken once per element of the
+shapes as passed, floats as floats and (m, 1) columns as columns, and
+broadcast against the points.  This module adds the validation and what
+scipy has no form for: ``log1mexp``, the incomplete beta where its
+argument underflows (ln y < -690), the inverse solved in u = ln y where
+the preimage underflows, and the differences that cancel when taken from
+scipy's values: ln B(a, b) with one argument dwarfing the other, and
+psi(x + h) - psi(x) and psi'(x + h) - psi'(x) at large x: Bernoulli
+series, run only where needed.
 """
 
 import math
@@ -59,26 +64,17 @@ _INV_ABS_TOL = 1e-12
 _INV_MAX_ITER = 300
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
-def _maybe_scalar(arr, scalar):
-    return float(arr) if scalar else arr
-
-
 def _float_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _positive_finite(x, name):
-    arr, scalar = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     # one ufunc pass (NaN fails both comparisons); the np.any/np.all
     # wrappers cost ~15 us on the 0-d arrays of scalar calls
     if not ((arr > 0) & (arr < math.inf)).all():
         raise ValueError(f"{name} requires finite x > 0")
-    return arr, scalar
+    return arr
 
 
 def _positive_pair(x, h, message):
@@ -123,8 +119,7 @@ def _bernoulli_sum(out, x, t, tail):
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    arr, scalar = _positive_finite(x, "log_gamma")
-    return _maybe_scalar(sps.gammaln(arr), scalar)
+    return _float_or_array(sps.gammaln(_positive_finite(x, "log_gamma")))
 
 
 def log_beta(a, b):
@@ -154,15 +149,13 @@ def beta_fn(a, b):
 
 def digamma(x):
     """psi(x) for x > 0."""
-    arr, scalar = _positive_finite(x, "digamma")
-    return _maybe_scalar(sps.digamma(arr), scalar)
+    return _float_or_array(sps.digamma(_positive_finite(x, "digamma")))
 
 
 def trigamma(x):
     """psi'(x) for x > 0: the Hurwitz zeta(2, x), which is what
     `polygamma(1, x)` evaluates, without its Python-level dispatch."""
-    arr, scalar = _positive_finite(x, "trigamma")
-    return _maybe_scalar(sps.zeta(2, arr), scalar)
+    return _float_or_array(sps.zeta(2, _positive_finite(x, "trigamma")))
 
 
 def digamma_diff(x, h):
@@ -204,17 +197,17 @@ def log1mexp(u):
     picked per point: cheaper than masked assignment on the arrays the
     likelihood passes.
     """
-    arr, scalar = _as_float_array(u)
+    arr = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
         out = np.where(
             arr < math.log(2.0), np.log(-np.expm1(-arr)), np.log1p(-np.exp(-arr))
         )
-    return _maybe_scalar(out, scalar)
+    return _float_or_array(out)
 
 
 def inc_beta_reg(y, a, b):
     """Regularized incomplete beta I_y(a, b) for y in [0, 1], a, b > 0."""
-    y_arr, _ = _as_float_array(y)
+    y_arr = np.asarray(y, dtype=float)
     # one ufunc pass per check, counted in C (np.any costs ~8 us a call on
     # 0-d arrays); fmin skips NaN, so only a shape <= 0 raises, as before
     if np.count_nonzero(np.fmin(a, b) <= 0):
@@ -224,24 +217,10 @@ def inc_beta_reg(y, a, b):
     return _float_or_array(sps.betainc(a, b, y_arr))
 
 
-def _points(shape, v):
-    """v broadcast to `shape` as a flat float array, one value per point."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != shape:
-        full = np.empty(shape)
-        full[...] = v
-        v = full
-    return v.ravel()
-
-
-def _per_shape(a, b):
-    """(a', b', run) for flat per-point shapes a and b (or two floats): one
-    (a', b') per run of equal shapes and each point's run, so f(a', b')[run]
-    is f at every point while f runs once per shape, not once per point."""
-    a, b = np.atleast_1d(a, b)
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return a[first], b[first], first.cumsum(dtype=np.intp) - 1
+def _at(v, mask):
+    """v at the points where mask holds, for v that broadcasts to the shape
+    of mask: a 0-d v as it is, so float shapes stay floats."""
+    return np.broadcast_to(v, mask.shape)[mask] if isinstance(v, np.ndarray) and v.ndim else v
 
 
 def inc_beta_reg_logx(log_y, a, b):
@@ -257,37 +236,28 @@ def inc_beta_reg_logx(log_y, a, b):
     a and b are floats or arrays that broadcast against log_y, such as
     (m, 1) columns against an (m, k) log_y, or one shape per point.  Each
     point is evaluated with its own shapes, bit for bit as a call with
-    those floats would; ln a and ln B are taken once per run of equal
-    shapes in row-major order.
+    those floats would; ln a and ln B are taken once per element of the
+    shapes as given, so a caller that passes one shape per point pays for
+    them per point.
     """
-    arr, scalar = _as_float_array(log_y)
+    arr = np.asarray(log_y, dtype=float)
     if np.count_nonzero(arr > 0):
         raise ValueError("inc_beta_reg_logx requires log_y <= 0")
-    # float shapes stay floats: the cdf and survival of large samples
-    # call this with one shape pair for every point
-    per_point = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-    shape = arr.shape
-    if per_point:
-        shape = np.broadcast(arr, a, b).shape
-        arr, a, b = (_points(shape, v) for v in (arr, a, b))
-
-    def at(s, mask):
-        return s[mask] if per_point else s
-
-    out = np.empty_like(arr)
+    shape = np.broadcast(arr, a, b).shape
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape)
+    out = np.empty(shape)
     tiny = arr < _LOG_Y_DEEP
     upper = arr > -math.log(2.0)
     mid = ~tiny & ~upper
     if np.count_nonzero(mid):
-        out[mid] = sps.betainc(at(a, mid), at(b, mid), np.exp(arr[mid]))
+        out[mid] = sps.betainc(_at(a, mid), _at(b, mid), np.exp(arr[mid]))
     if np.count_nonzero(upper):
-        out[upper] = sps.betaincc(at(b, upper), at(a, upper), -np.expm1(arr[upper]))
+        out[upper] = sps.betaincc(_at(b, upper), _at(a, upper), -np.expm1(arr[upper]))
     if np.count_nonzero(tiny):
-        a_t, b_t = at(a, tiny), at(b, tiny)
-        a_r, b_r, run = _per_shape(a_t, b_t)
-        lead = a_t * arr[tiny] - np.log(a_r)[run] - log_beta(a_r, b_r)[run]
+        lead = _at(a, tiny) * arr[tiny] - _at(np.log(a), tiny) - _at(log_beta(a, b), tiny)
         out[tiny] = np.exp(np.minimum(lead, 0.0))
-    return _maybe_scalar(out.reshape(shape), scalar and not shape)
+    return _float_or_array(out)
 
 
 def inc_beta_inv_log(p, a, b):
@@ -307,47 +277,47 @@ def inc_beta_inv_log(p, a, b):
     columns against an (m, k) p, or one shape per point.  Each point is
     inverted with its own shapes, bit for bit as a call with those floats
     would; ln a, ln b, ln B and the split I_{1/2}(a, b) are computed once
-    per run of equal shapes in row-major order, so a caller that groups
-    its points by shape pays for them once per shape, not per point.
+    per element of the shapes as given, so (m, 1) columns pay for them m
+    times, whatever k, and a caller that passes one shape per point pays
+    for them per point.
     """
-    p_arr, scalar = _as_float_array(p)
+    p_arr = np.asarray(p, dtype=float)
     if np.count_nonzero((p_arr > 0) & (p_arr < 1)) < p_arr.size:
         raise ValueError("inc_beta_inv_log requires p in (0, 1)")
-    shape = np.broadcast(p_arr, a, b).shape
-    flat, a, b = (_points(shape, v) for v in (p_arr, a, b))
-    if np.count_nonzero(a <= 0) or np.count_nonzero(b <= 0):
+    # fmin skips NaN, which log_beta then rejects
+    if np.count_nonzero(np.fmin(a, b) <= 0):
         raise ValueError("inc_beta_inv_log requires a, b > 0")
-    a_r, b_r, run = _per_shape(a, b)
-    log_a, log_b, lbeta, half = (
-        v[run] for v in (np.log(a_r), np.log(b_r), log_beta(a_r, b_r), sps.betainc(a_r, b_r, 0.5))
-    )
+    shape = np.broadcast(p_arr, a, b).shape
+    if p_arr.shape != shape:
+        p_arr = np.broadcast_to(p_arr, shape)
+    log_a, log_b, lbeta, half = np.log(a), np.log(b), log_beta(a, b), sps.betainc(a, b, 0.5)
     # route on where the solution sits, not on p: with lopsided shapes
     # even p near 1 can have a preimage below 0.5
-    upper = flat >= half
+    upper = p_arr >= half
     # the upper side is the lower side of 1 - y under the swapped shapes,
     # and ln B is symmetric: both sides share one solve
-    p_s = np.where(upper, 1.0 - flat, flat)
+    p_s = np.where(upper, 1.0 - p_arr, p_arr)
     a_s = np.where(upper, b, a)
     b_s = np.where(upper, a, b)
     u0 = (np.log(p_s) + np.where(upper, log_b, log_a) + lbeta) / a_s
-    near = np.full_like(flat, math.nan)
+    near = np.full(shape, math.nan)
     # scipy's inverses keep every digit of p; where 1 - p rounds to 1 above
     # the split no solve in logs could start, and betainccinv needs none
     mid = (u0 >= _U_DEEP) | (p_s == 1.0)
     for side, inverse in ((~upper, sps.betaincinv), (upper, sps.betainccinv)):
         side = side & mid
         if np.count_nonzero(side):
-            near[side] = np.log(inverse(a_s[side], b_s[side], flat[side]))
+            near[side] = np.log(inverse(a_s[side], b_s[side], p_arr[side]))
     # the deep points, and any where scipy's inverse gives NaN, are solved in logs
     deep = np.isnan(near)
     if np.count_nonzero(deep):
-        near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta[deep])
+        lbeta = np.broadcast_to(lbeta, shape)[deep]
+        near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta)
     with np.errstate(under="ignore"):
         far = log1mexp(-near)
-    scalar = scalar and not shape
     return (
-        _maybe_scalar(np.where(upper, far, near).reshape(shape), scalar),
-        _maybe_scalar(np.where(upper, near, far).reshape(shape), scalar),
+        _float_or_array(np.where(upper, far, near)),
+        _float_or_array(np.where(upper, near, far)),
     )
 
 

@@ -287,6 +287,24 @@ def test_quantile_columns_equal_scalar_rows():
             assert row.tobytes() == want.tobytes()
 
 
+def test_log_pdf_columns_at_scalar_y_equal_scalar_rows():
+    # (m, 1) parameter columns at one y give an (m, 1) array whose row i
+    # equals bit for bit the value at the floats of row i: y = 0 is the
+    # boundary (a below, at and above 1) and y = 30 puts rows past w = 700
+    sets = [
+        (0.5, 0.8, 2.0, 0.1, 0.5), (1.0, 2.0, 1.0, 1.0, 1.0), (2.0, 2.0, 2.0, 0.1, 0.5),
+        (0.2619, 0.0752, 3.7652, 0.0012, 0.0875), (0.7940, 0.1248, 192.1704, 0.0009, 5.2013),
+    ]
+    cols = McGParams(*(np.array(field)[:, None] for field in zip(*sets)))
+    assert np.count_nonzero(cols.base.w(30.0) > 700.0) > 0
+    for y in (0.0, 0.7, 30.0):
+        for fn in (log_pdf, pdf):
+            got = fn(cols, y)
+            assert got.shape == (len(sets), 1)
+            for row, values in zip(got, sets):
+                assert row.tobytes() == np.float64(fn(McGParams(*values), y)).tobytes()
+
+
 def test_sample_deterministic():
     s1 = sample(DEVICE_PARAMS, 20, seed=123)
     s2 = sample(DEVICE_PARAMS, 20, seed=123)

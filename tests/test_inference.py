@@ -593,6 +593,12 @@ class TestLockstep:
 
 class TestTrustRegionStep:
     @staticmethod
+    def _step(g, B, radius):
+        # one model as a batch of one row
+        s, predicted = inference._trust_region_step(g[None], B[None], np.array([radius]))
+        return s[0], predicted[0]
+
+    @staticmethod
     def _check_optimal(g, B, radius, s):
         # Moré-Sorensen conditions: (B + sigma I) s = -g with sigma >= 0,
         # B + sigma I positive semidefinite, sigma > 0 only on the boundary
@@ -607,7 +613,7 @@ class TestTrustRegionStep:
 
     def test_random_models(self):
         # the models of each dimension also go through one call as a
-        # batch, and every row must equal its own single-model call
+        # batch, and every row must equal its own one-row call
         rng = np.random.default_rng(5)
         models = []
         for _ in range(200):
@@ -618,7 +624,7 @@ class TestTrustRegionStep:
             radius = 10.0 ** rng.uniform(-2, 1)
             models.append((g, B, radius))
         models.append((np.array([0.0, 1.0]), np.diag([-1.0, 2.0]), 2.0))  # hard case
-        steps = [inference._trust_region_step(g, B, radius) for g, B, radius in models]
+        steps = [self._step(g, B, radius) for g, B, radius in models]
         for k in range(1, 6):
             rows = [i for i, (g, _, _) in enumerate(models) if len(g) == k]
             s_b, pred_b = inference._trust_region_step(
@@ -634,7 +640,7 @@ class TestTrustRegionStep:
     def test_newton_step_inside_radius(self):
         B = np.diag([2.0, 4.0])
         g = np.array([1.0, -2.0])
-        s, predicted = inference._trust_region_step(g, B, 10.0)
+        s, predicted = self._step(g, B, 10.0)
         assert s == pytest.approx([-0.5, 0.5])
         assert predicted == pytest.approx(0.75)
 
@@ -643,7 +649,7 @@ class TestTrustRegionStep:
         # the shifted step is shorter than the radius
         B = np.diag([-1.0, 2.0])
         g = np.array([0.0, 1.0])
-        s, _ = inference._trust_region_step(g, B, 2.0)
+        s, _ = self._step(g, B, 2.0)
         assert np.linalg.norm(s) == pytest.approx(2.0)
         assert s[1] == pytest.approx(-1.0 / 3.0)
         self._check_optimal(g, B, 2.0, s)

@@ -223,6 +223,15 @@ def test_inc_beta_inv_log_columns_equal_scalar_calls():
         want = np.asarray(inc_beta_inv_log(ps, ai, bi)[0])
         assert row.tobytes() == want.tobytes()
         assert [inc_beta_inv_log(p, ai, bi)[0] for p in ps[::7]] == want[::7].tolist()
+        # the return rule, for both logs: a 0-d point gives floats, a
+        # 1-element point arrays, with the values of the array call
+        for k in range(0, ps.size, 7):
+            point = inc_beta_inv_log(np.array(ps[k]), ai, bi)
+            vector = inc_beta_inv_log(ps[k:k + 1], ai, bi)
+            assert [type(v) for v in point] == [float, float]
+            assert [type(v) for v in vector] == [np.ndarray, np.ndarray]
+            assert point[0] == want[k] and vector[0].tobytes() == want[k:k + 1].tobytes()
+            assert [np.array([v]).tobytes() for v in point] == [v.tobytes() for v in vector]
         # the leading-order starts route a point to the deep solve
         lbeta = log_beta(ai, bi)
         u_low = (np.log(ps) + math.log(ai) + lbeta) / ai
@@ -239,6 +248,20 @@ def test_inc_beta_reg_logx_columns_equal_scalar_calls():
     got = inc_beta_reg_logx(log_ys, a, b)
     for row, (ai, bi) in zip(got, COLUMN_SHAPES):
         assert row.tobytes() == np.asarray(inc_beta_reg_logx(log_ys, ai, bi)).tobytes()
+        # the return rule: a 0-d point gives a float, a 1-element point an
+        # array, with the values of the array call
+        for k in range(log_ys.size):
+            point = inc_beta_reg_logx(np.array(log_ys[k]), ai, bi)
+            vector = inc_beta_reg_logx(log_ys[k:k + 1], ai, bi)
+            assert type(point) is float and type(vector) is np.ndarray
+            assert point == row[k] and vector.tobytes() == row[k:k + 1].tobytes()
+    # log1mexp keeps the same rule
+    us = -log_ys[:-1]
+    want = log1mexp(us)
+    for k in range(us.size):
+        point, vector = log1mexp(np.array(us[k])), log1mexp(us[k:k + 1])
+        assert type(point) is float and type(vector) is np.ndarray
+        assert point == want[k] and vector.tobytes() == want[k:k + 1].tobytes()
 
 
 def test_inc_beta_reg_logx_matches_plain():
