@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    _at,
     _float_or_array,
     beta_fn,
     inc_beta_inv_log,
@@ -41,6 +42,7 @@ __all__ = [
     "log_pdf",
     "cdf",
     "survival",
+    "cdf_survival",
     "hazard",
     "reversed_hazard",
     "quantile",
@@ -268,7 +270,15 @@ def pdf(p, y):
     val = log_pdf(p, y)
     with np.errstate(over="ignore", under="ignore"):
         out = np.exp(val)
-    return out
+    return _float_or_array(out)
+
+
+def _log_each(v):
+    """ln v by math.log, element by element for an array: a column of
+    shapes then gives bit for bit what its floats do."""
+    if isinstance(v, np.ndarray):
+        return np.array([math.log(x) for x in v.tolist()])
+    return math.log(v)
 
 
 def _cdf_survival_w(a, b, c, w):
@@ -280,6 +290,8 @@ def _cdf_survival_w(a, b, c, w):
     incomplete beta, so S keeps relative precision in the upper tail;
     past w = 700, where e^{-w} underflows, ln(1 - G^c) is its asymptote
     ln c - w.  Each side is one minus the other.
+
+    a, b and c are floats or arrays of w's shape, one shape per point.
     """
     alpha = a / c
     with np.errstate(under="ignore"):
@@ -289,39 +301,57 @@ def _cdf_survival_w(a, b, c, w):
     lo = u <= -math.log(2.0)
     deep = ~lo & (w > _W_DEEP)
     mid = ~lo & ~deep
-    F[lo] = inc_beta_reg_logx(u[lo], alpha, b)
-    S[lo] = 1.0 - F[lo]
-    with np.errstate(under="ignore"):
-        S[mid] = inc_beta_reg(-np.expm1(u[mid]), b, alpha)
-    S[deep] = inc_beta_reg_logx(math.log(c) - w[deep], b, alpha)
+    if np.count_nonzero(lo):
+        F[lo] = inc_beta_reg_logx(u[lo], _at(alpha, lo), _at(b, lo))
+        S[lo] = 1.0 - F[lo]
+    if np.count_nonzero(mid):
+        with np.errstate(under="ignore"):
+            S[mid] = inc_beta_reg(-np.expm1(u[mid]), _at(b, mid), _at(alpha, mid))
+    if np.count_nonzero(deep):
+        ln_c = _log_each(_at(c, deep))
+        S[deep] = inc_beta_reg_logx(ln_c - w[deep], _at(b, deep), _at(alpha, deep))
     F[~lo] = 1.0 - S[~lo]
     return F, S
 
 
-def cdf(p, y):
-    """F(y) = I(G(y)^c; a/c, b), exact where G^c underflows and where
-    1 - G^c does."""
-    arr = _checked_y(y)
-    w = p.base.w(arr)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[0]
-    return _float_or_array(out)
+def _w_of_y(p, y):
+    """w(y) on a checked array y, broadcast against (m, 1) shape columns
+    so that each point has its own (a, b, c)."""
+    w = p.base.w(y)
+    shapes = (p.a, p.b, p.c)
+    if any(isinstance(v, np.ndarray) for v in shapes):
+        w = np.broadcast_to(w, np.broadcast_shapes(np.shape(w), *map(np.shape, shapes)))
+    return w
 
 
-def survival(p, y):
-    """1 - F(y), keeping relative precision in the deep upper tail.
+def cdf_survival(p, y):
+    """(F(y), 1 - F(y)) from one pass, each exact where G^c underflows and
+    where 1 - G^c does.
 
     G^c may be log-small (the fitted fiber shapes push it below e^{-1000}
     at observed data) and 1 - G^c may underflow (tiny b puts the upper
-    quantiles past w = 700); both are handled in log space.
+    quantiles past w = 700); both are handled in log space, so S keeps
+    relative precision in the deep upper tail.  The fields of `p` may be
+    (m, 1) columns, as for log_pdf: row i of the result then equals bit
+    for bit what the floats of row i give.
     """
-    arr = _checked_y(y)
-    w = p.base.w(arr)
-    out = np.ones_like(w)
+    w = _w_of_y(p, _checked_y(y))
+    F = np.zeros_like(w)
+    S = np.ones_like(w)
     pos = w > 0.0
-    out[pos] = _cdf_survival_w(p.a, p.b, p.c, w[pos])[1]
-    return _float_or_array(out)
+    F[pos], S[pos] = _cdf_survival_w(_at(p.a, pos), _at(p.b, pos), _at(p.c, pos), w[pos])
+    return _float_or_array(F), _float_or_array(S)
+
+
+def cdf(p, y):
+    """F(y) = I(G(y)^c; a/c, b); see cdf_survival."""
+    return cdf_survival(p, y)[0]
+
+
+def survival(p, y):
+    """1 - F(y), keeping relative precision in the deep upper tail; see
+    cdf_survival."""
+    return cdf_survival(p, y)[1]
 
 
 def _log_survival_series(a, b, c, w):
@@ -348,7 +378,7 @@ def _log_survival_series(a, b, c, w):
                 break
         else:
             raise ValueError("hazard undefined: survival series did not converge")
-    return b * ln_x + a * ln_g - math.log(b) - log_beta(b, alpha) + np.log(total)
+    return b * ln_x + a * ln_g - _log_each(b) - log_beta(b, alpha) + np.log(total)
 
 
 def hazard(p, y):
@@ -363,16 +393,17 @@ def hazard(p, y):
     """
     arr = _checked_y(y)
     base = p.base
-    w = base.w(arr)
+    w = _w_of_y(p, arr)
     with np.errstate(under="ignore"):
         tail = (p.a + p.c) * np.exp(-w) <= 1e-16
     s = np.asarray(survival(p, arr))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(tail, p.b * np.exp(base.log_dw(arr)), np.asarray(pdf(p, arr)) / s)
+    lp = _log_pdf_terms(p, arr)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        out = np.where(tail, p.b * np.exp(base.log_dw(arr)), np.exp(lp) / s)
     under = (s == 0.0) & ~tail
     if np.any(under):
-        ln_s = _log_survival_series(p.a, p.b, p.c, w[under])
-        out[under] = np.exp(np.asarray(log_pdf(p, arr[under])) - ln_s)
+        ln_s = _log_survival_series(_at(p.a, under), _at(p.b, under), _at(p.c, under), w[under])
+        out[under] = np.exp(lp[under] - ln_s)
     return _float_or_array(out)
 
 
@@ -381,7 +412,7 @@ def reversed_hazard(p, y):
     f_val = cdf(p, y)
     if np.any(f_val == 0.0):
         raise ValueError("reversed hazard undefined: cdf is 0")
-    return pdf(p, y) / f_val
+    return _float_or_array(np.asarray(pdf(p, y)) / f_val)
 
 
 def _w_of_t(a, b, c, t):
@@ -404,8 +435,7 @@ def _w_of_t(a, b, c, t):
         w = np.asarray(-log1mexp(-ln_v / c))
     deep = ln_1mv < -_W_DEEP
     if np.count_nonzero(deep):
-        c_deep = np.broadcast_to(c, w.shape)[deep]
-        w[deep] = [math.log(v) for v in c_deep.tolist()] - np.asarray(ln_1mv)[deep]
+        w[deep] = _log_each(np.broadcast_to(c, w.shape)[deep]) - np.asarray(ln_1mv)[deep]
     return w
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cdf, pdf, survival
+from .core import cdf, cdf_survival, pdf
 from .expansions import _component_moments, cdf_power_coeffs
 from .shape import _panel_integral
 from .specfun import inc_beta_reg, log_beta
@@ -48,8 +48,7 @@ def _beta_weights(spec):
 def os_pdf(p, spec, y):
     """Density of the i-th of n: f F^{i-1} (1-F)^{n-i} / B(i, n-i+1)."""
     i, n = spec.i, spec.n
-    F = cdf(p, y)
-    S = survival(p, y)
+    F, S = cdf_survival(p, y)
     inv_beta = math.exp(-log_beta(i, n - i + 1))
     return pdf(p, y) * F ** (i - 1) * S ** (n - i) * inv_beta
 
@@ -74,9 +73,8 @@ def os_moment(p, spec, s):
     (authoritative).
 
     The log-integrand (s+1)u + ln f + (i-1) ln F + (n-i) ln S - ln B is
-    built on each round's node array from one cdf and one survival call; a
-    node contributes nothing where it is <= -700, including where F or S
-    is 0.
+    built on each round's node array from one cdf_survival call; a node
+    contributes nothing where it is <= -700, including where F or S is 0.
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
@@ -85,10 +83,12 @@ def os_moment(p, spec, s):
 
     def log_integrand(u, y, lp):
         v = (s + 1.0) * u + lp - lb
-        if i > 1:
-            v = v + (i - 1) * np.log(cdf(p, y))
-        if n > i:
-            v = v + (n - i) * np.log(survival(p, y))
+        if n > 1:
+            F, S = cdf_survival(p, y)
+            if i > 1:
+                v = v + (i - 1) * np.log(F)
+            if n > i:
+                v = v + (n - i) * np.log(S)
         return v
 
     return _panel_integral(p, log_integrand)

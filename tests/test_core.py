@@ -8,12 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from mcgompertz import core
 from mcgompertz.core import (
     GompertzBase,
+    McEParams,
     McGParams,
     base_cdf,
     base_pdf,
     cdf,
+    cdf_survival,
     density_limit_at_zero,
     hazard,
     log_pdf,
@@ -303,6 +306,79 @@ def test_log_pdf_columns_at_scalar_y_equal_scalar_rows():
             assert got.shape == (len(sets), 1)
             for row, values in zip(got, sets):
                 assert row.tobytes() == np.float64(fn(McGParams(*values), y)).tobytes()
+
+
+# rows across the regimes of cdf_survival and hazard: G^c above and below
+# 1/2, w > 700, the survival underflowing with the hazard on its asymptote
+# (w > 700) and off it (b = 50 at y = 3, where ln S is a series), and the
+# tiny-b aarset optimum
+DISTRIBUTION_SETS = [
+    (0.5, 0.8, 2.0, 0.1, 0.5), (1.0, 2.0, 1.0, 1.0, 1.0), (2.0, 2.0, 2.0, 0.1, 0.5),
+    (0.2619, 0.0752, 3.7652, 0.0012, 0.0875), (0.7940, 0.1248, 192.1704, 0.0009, 5.2013),
+    (1.0, 50.0, 1.0, 1.0, 1.0),
+    (0.48602506867701145, 0.008027407931889215, 39.077927764506605,
+     0.029940972501835417, 0.07574424808702038),
+]
+DISTRIBUTION_YS = np.array([0.0, 0.05, 0.7, 3.0, 6.5, 30.0, 90.0])
+
+
+def test_distribution_columns_equal_scalar_rows():
+    # (m, 1) parameter columns give rows equal bit for bit to the calls
+    # with each row's floats, at an array y and at a scalar y
+    sets = DISTRIBUTION_SETS
+    cols = McGParams(*(np.array(field)[:, None] for field in zip(*sets)))
+    assert np.count_nonzero(np.asarray(survival(cols, DISTRIBUTION_YS)) == 0.0) > 0
+
+    def pair(p, y):
+        return np.stack(cdf_survival(p, y))
+
+    for fn in (cdf, survival, hazard, reversed_hazard, pair):
+        for y in (DISTRIBUTION_YS[1:], 3.0):
+            got = np.asarray(fn(cols, y))
+            assert got.shape[-2:] == (len(sets), np.size(y))
+            for i, values in enumerate(sets):
+                want = np.asarray(fn(McGParams(*values), y))
+                assert got[..., i, :].tobytes() == want.reshape(got[..., i, :].shape).tobytes()
+    # a column in the shapes alone over the exponential base
+    cs = np.array([0.5, 1.0, 2.0, 219.0])
+    got = cdf_survival(McEParams(0.5, 0.8, cs[:, None], 0.1), DISTRIBUTION_YS)
+    for i, c in enumerate(cs):
+        want = cdf_survival(McEParams(0.5, 0.8, float(c), 0.1), DISTRIBUTION_YS)
+        assert got[0][i].tobytes() == want[0].tobytes()
+        assert got[1][i].tobytes() == want[1].tobytes()
+
+
+def test_cdf_survival_is_cdf_and_survival():
+    for values in DISTRIBUTION_SETS:
+        p = McGParams(*values)
+        F, S = cdf_survival(p, DISTRIBUTION_YS)
+        assert F.tobytes() == np.asarray(cdf(p, DISTRIBUTION_YS)).tobytes()
+        assert S.tobytes() == np.asarray(survival(p, DISTRIBUTION_YS)).tobytes()
+
+
+def test_scalar_calls_return_python_floats():
+    # every public function of core returns a float at a scalar point
+    p = McGParams(0.5, 0.8, 2.0, 0.1, 0.5)
+    calls = {
+        "base_cdf": lambda: base_cdf(p.base, 0.7),
+        "base_pdf": lambda: base_pdf(p.base, 0.7),
+        "pdf": lambda: pdf(p, 0.7),
+        "log_pdf": lambda: log_pdf(p, 0.7),
+        "cdf": lambda: cdf(p, 0.7),
+        "survival": lambda: survival(p, 0.7),
+        "cdf_survival": lambda: cdf_survival(p, 0.7),
+        "hazard": lambda: hazard(p, 0.7),
+        "reversed_hazard": lambda: reversed_hazard(p, 0.7),
+        "quantile": lambda: quantile(p, 0.3),
+        "density_limit_at_zero": lambda: density_limit_at_zero(p),
+    }
+    functions = {name for name in core.__all__ if not isinstance(getattr(core, name), type)}
+    assert functions - {"sample"} == set(calls)
+    for name, call in calls.items():
+        out = call()
+        for value in out if name == "cdf_survival" else (out,):
+            assert type(value) is float, name
+    assert type(sample(p, 3, seed=1)) is np.ndarray
 
 
 def test_sample_deterministic():

@@ -150,9 +150,85 @@ class TestPanelEngine:
         monkeypatch.setattr(shape, "_ABS_TOL", 1e-300)
         monkeypatch.setattr(shape, "_REL_TOL", 1e-17)
         monkeypatch.setattr(shape, "_MAX_SUBDIVISIONS", 2)
-        with pytest.warns(integrate.IntegrationWarning, match="max_subdivisions=2"):
+        with pytest.warns(integrate.IntegrationWarning, match="max_subdivisions=2") as single:
             value = moment_numeric(GOMPERTZ, 1)
         assert value == pytest.approx(math.e * expint_e1(1.0), rel=1e-6)
+        # a stack names its worst row: beside an all-zero row, which never
+        # asks for a bisection, the moment row refines as it does alone
+        with pytest.warns(integrate.IntegrationWarning) as stacked:
+            got = shape._panel_quad(GOMPERTZ, lambda u, y, lp: np.stack(
+                [np.zeros_like(u), shape._exp_or_zero(2.0 * u + lp)]))
+        assert got.tolist() == [0.0, value]
+        assert str(stacked[0].message) == f"{single[0].message} in row 1"
+
+    @staticmethod
+    def _stack(p):
+        """shannon_closed's rows (E[Y], M(gamma), Shannon) with scalar
+        versions for the oracle."""
+        stacked = [
+            lambda u, y, lp: shape._exp_or_zero(2.0 * u + lp),
+            lambda u, y, lp: shape._exp_or_zero(u + p.gamma * y + lp),
+            shape._shannon_integrand,
+        ]
+        scalar = [
+            lambda u, y, lp: exp_or_zero(2.0 * u + lp),
+            lambda u, y, lp: exp_or_zero(u + p.gamma * y + lp),
+            lambda u, y, lp: -math.exp(u + lp) * lp if u + lp >= -700.0 else 0.0,
+        ]
+        return stacked, scalar
+
+    @pytest.mark.parametrize("p", [AARSET_MCG, GLASS_MCG], ids=["aarset", "glass"])
+    def test_stacked_rows_match_oracle(self, p):
+        stacked, scalar = self._stack(p)
+        got = shape._panel_quad(p, lambda u, y, lp: np.stack([f(u, y, lp) for f in stacked]))
+        assert got.shape == (3,)
+        for value, integrand in zip(got.tolist(), scalar):
+            assert value == pytest.approx(quad_oracle(p, integrand), rel=1e-9)
+
+    def test_one_row_stack_is_the_single_integral(self):
+        # also beside an all-zero row, on either side: that row never asks
+        # for a bisection, so the other refines and stops as it does alone
+        for p in MC_SETS + [AARSET_MCG, GLASS_MCG]:
+            for integrand in self._stack(p)[0]:
+                want = np.float64(shape._panel_quad(p, integrand)).tobytes()
+                got = shape._panel_quad(p, lambda u, y, lp: integrand(u, y, lp)[None])
+                assert got.shape == (1,)
+                assert got[0].tobytes() == want
+                for row in (0, 1):
+                    got = shape._panel_quad(p, lambda u, y, lp: np.insert(
+                        np.zeros((1, u.size)), row, integrand(u, y, lp), axis=0))
+                    assert got[row].tobytes() == want
+                    assert got[1 - row] == 0.0
+
+    def test_shannon_closed_shares_one_panel_pass(self, monkeypatch):
+        # one cut inversion, and per round one array log_pdf call for the
+        # three integrands together
+        calls = {"quantile": 0, "rounds": 0}
+        sizes = []
+        real_quantile, real_log_pdf, real_at_nodes = shape.quantile, shape.log_pdf, shape._at_nodes
+
+        def quantile(p, t):
+            calls["quantile"] += 1
+            return real_quantile(p, t)
+
+        def log_pdf(p, y):
+            sizes.append(np.size(y))
+            return real_log_pdf(p, y)
+
+        def at_nodes(p, integrand, u):
+            calls["rounds"] += 1
+            return real_at_nodes(p, integrand, u)
+
+        monkeypatch.setattr(shape, "quantile", quantile)
+        monkeypatch.setattr(shape, "log_pdf", log_pdf)
+        monkeypatch.setattr(shape, "_at_nodes", at_nodes)
+        for p in (AARSET_MCG, GLASS_MCG):
+            calls.update(quantile=0, rounds=0)
+            sizes.clear()
+            shannon_closed(p)
+            assert calls["quantile"] == 1
+            assert 1 <= calls["rounds"] == len(sizes)
+            assert min(sizes) >= 15
 
     def test_returns_python_floats(self):
         assert type(moment_numeric(GOMPERTZ, 1)) is float
