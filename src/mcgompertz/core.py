@@ -282,20 +282,23 @@ def _log_each(v):
 
 
 def _cdf_survival_w(a, b, c, w):
-    """(F, S) at base cumulative hazards w > 0, where G = 1 - e^{-w}.
+    """(F, S) at base cumulative hazards w >= 0, where G = 1 - e^{-w}.
 
     F = I(G^c; a/c, b) is routed through the log-argument incomplete beta
     so G^c may underflow without losing the value.  Where G^c > 1/2 the
     complement 1 - G^c is formed by expm1 and fed to the swapped-argument
     incomplete beta, so S keeps relative precision in the upper tail;
     past w = 700, where e^{-w} underflows, ln(1 - G^c) is its asymptote
-    ln c - w.  Each side is one minus the other.
+    ln c - w.  Each side is one minus the other.  At w = 0, G^c = 0
+    takes the deep lower branch, which gives F = 0 and S = 1 exactly.
 
-    a, b and c are floats or arrays of w's shape, one shape per point.
+    a, b and c are floats or arrays that broadcast to w's shape, such as
+    (m, 1) columns against an (m, n) w; each branch takes them at its
+    own points.
     """
     alpha = a / c
     with np.errstate(under="ignore"):
-        u = c * log1mexp(w)
+        u = np.asarray(c * log1mexp(w))
     F = np.empty_like(w)
     S = np.empty_like(w)
     lo = u <= -math.log(2.0)
@@ -335,11 +338,7 @@ def cdf_survival(p, y):
     (m, 1) columns, as for log_pdf: row i of the result then equals bit
     for bit what the floats of row i give.
     """
-    w = _w_of_y(p, _checked_y(y))
-    F = np.zeros_like(w)
-    S = np.ones_like(w)
-    pos = w > 0.0
-    F[pos], S[pos] = _cdf_survival_w(_at(p.a, pos), _at(p.b, pos), _at(p.c, pos), w[pos])
+    F, S = _cdf_survival_w(p.a, p.b, p.c, _w_of_y(p, _checked_y(y)))
     return _float_or_array(F), _float_or_array(S)
 
 

@@ -111,11 +111,15 @@ def _panel_quad(p, integrand):
     # per panel: -1 for the lower tail, +1 for the upper, 0 in between
     side = np.zeros(n_panels)
     side[0], side[-1] = -1.0, 1.0
-    anchor = np.zeros(n_panels)
-    anchor[0], anchor[-1] = cuts[0], cuts[-1]
+    # where the tail maps start, cuts[0] below and cuts[-1] above (the
+    # middle panels' entries are not used)
+    anchor = np.concatenate((cuts[:1], cuts))
     depth = cuts[0] - _U_TINY
-    lo = np.concatenate([[0.0], cuts[:-1], [0.0]])
-    hi = np.concatenate([[depth / (1.0 + depth)], cuts[1:], [1.0]])
+    lo = np.zeros(n_panels)
+    lo[1:-1] = cuts[:-1]
+    hi = np.ones(n_panels)
+    hi[1:-1] = cuts[1:]
+    hi[0] = depth / (1.0 + depth)
     panel = np.arange(n_panels)
     share = 2.0 / (hi - lo).sum()
     # the panels of each round's bisections; a panel has 1 + its bisections
@@ -136,18 +140,19 @@ def _panel_quad(p, integrand):
             u = np.where(inner, s, anchor[panel][:, None] + sd * s / rest)
             jac = np.where(inner, 1.0, 1.0 / rest**2)
         vals = _at_nodes(p, integrand, u.ravel())
-        # (subintervals, nodes), or (rows, subintervals, nodes) for a
-        # stack; the per-row sums, targets and totals keep a last axis of 1
+        # (subintervals, nodes), or (rows, subintervals, nodes) for a stack,
+        # whose per-row sums, targets and totals are (rows, 1) columns
+        stacked = vals.ndim > 1
         f = vals.reshape(vals.shape[:-1] + u.shape) * jac
         est = half * (f @ _W_KRONROD)
         err = np.abs(half * (f @ _W_ERROR))
-        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total + est.sum(-1, keepdims=True)))
-        if np.count_nonzero(err_done + err.sum(-1, keepdims=True) <= tol) == tol.size:
-            total += est.sum(-1, keepdims=True)
-            err_done += err.sum(-1, keepdims=True)
+        tol = np.maximum(_ABS_TOL, _REL_TOL * abs(total + est.sum(-1, keepdims=stacked)))
+        if np.count_nonzero(err_done + err.sum(-1, keepdims=stacked) <= tol) == np.size(tol):
+            total += est.sum(-1, keepdims=stacked)
+            err_done += err.sum(-1, keepdims=stacked)
             break
         refine = err > tol * share * half
-        if refine.ndim > 1:
+        if stacked:
             refine = refine.any(0)
         split = panel[refine]
         if n_splits + split.size >= _MAX_SUBDIVISIONS:
@@ -160,25 +165,25 @@ def _panel_quad(p, integrand):
         splits.append(split)
         n_splits += split.size
         keep = ~refine
-        total += est.compress(keep, -1).sum(-1, keepdims=True)
-        err_done += err.compress(keep, -1).sum(-1, keepdims=True)
+        total += est.compress(keep, -1).sum(-1, keepdims=stacked)
+        err_done += err.compress(keep, -1).sum(-1, keepdims=stacked)
         bisected = mid[refine]
         lo = np.concatenate([lo[refine], bisected])
         hi = np.concatenate([bisected, hi[refine]])
         panel = np.concatenate([split, split])
-    total, err_done = total.reshape(-1), err_done.reshape(-1)
+    total, err_done = np.reshape(total, -1), np.reshape(err_done, -1)
     if exhausted:
         from scipy.integrate import IntegrationWarning
 
         worst = np.argmax(err_done / np.maximum(_ABS_TOL, _REL_TOL * np.abs(total)))
-        row = f" in row {worst}" if vals.ndim > 1 else ""
+        row = f" in row {worst}" if stacked else ""
         warnings.warn(
             f"a panel would exceed max_subdivisions={_MAX_SUBDIVISIONS}; "
             f"estimated error {err_done[worst]:.3g}{row}",
             IntegrationWarning,
             stacklevel=2,
         )
-    return total if vals.ndim > 1 else float(total[0])
+    return total if stacked else float(total[0])
 
 
 def _exp_or_zero(v):

@@ -339,13 +339,17 @@ def test_distribution_columns_equal_scalar_rows():
             for i, values in enumerate(sets):
                 want = np.asarray(fn(McGParams(*values), y))
                 assert got[..., i, :].tobytes() == want.reshape(got[..., i, :].shape).tobytes()
-    # a column in the shapes alone over the exponential base
-    cs = np.array([0.5, 1.0, 2.0, 219.0])
-    got = cdf_survival(McEParams(0.5, 0.8, cs[:, None], 0.1), DISTRIBUTION_YS)
-    for i, c in enumerate(cs):
-        want = cdf_survival(McEParams(0.5, 0.8, float(c), 0.1), DISTRIBUTION_YS)
-        assert got[0][i].tobytes() == want[0].tobytes()
-        assert got[1][i].tobytes() == want[1].tobytes()
+    # a column in one shape alone (a, then c) over the exponential base
+    column = np.array([0.5, 1.0, 2.0, 219.0])
+    for field in (0, 2):
+        fields = [0.5, 0.8, 2.0, 0.1]
+        fields[field] = column[:, None]
+        got = cdf_survival(McEParams(*fields), DISTRIBUTION_YS)
+        for i, v in enumerate(column.tolist()):
+            fields[field] = v
+            want = cdf_survival(McEParams(*fields), DISTRIBUTION_YS)
+            assert got[0][i].tobytes() == want[0].tobytes()
+            assert got[1][i].tobytes() == want[1].tobytes()
 
 
 def test_cdf_survival_is_cdf_and_survival():
