@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._optimize import minimize, minimize_scalar_bounded
+from ._optimize import minimize
 from .core import _log_pdf_terms, log_pdf
 from .family import ModelSpec, make_submodel, model_spec
 from .specfun import digamma_diff, trigamma, trigamma_diff
@@ -351,26 +351,39 @@ def observed_info(model, params, data):
 
 
 def _gompertz_seed(y):
-    """Profile-likelihood starting point for the base Gompertz parameters.
+    """Profile-likelihood starting point (theta, gamma) for the Gompertz base.
 
     For fixed gamma the rate has the closed form theta(gamma) =
-    n * gamma / sum(expm1(gamma * y)); a bounded 1-d search over ln gamma
-    then locates the profile optimum.
+    n gamma / sum(expm1(gamma y)), and the profile log-likelihood has the
+    derivative n + gamma sum(y) - n gamma sum(y e^{gamma y}) /
+    sum(expm1(gamma y)) in ln gamma.  Bisection on the sign of that score
+    over ln(gamma ybar) in [-12, 6] locates the profile optimum in the
+    units of the data: the sums run over x = y / ybar, scaled by
+    e^{-g max x} at g = gamma ybar so that nothing overflows, and the root
+    maps back as (theta, gamma) / ybar.  Tightly clustered data put
+    theta ybar near e^{-g}; the upper end keeps it a normal double.
     """
-    n = y.size
-    sy = float(y.sum())
+    ybar = float(y.mean())
+    x = y / ybar
+    xmax = float(x.max())
+    top = x - xmax
 
-    def neg_profile(lg):
-        g = math.exp(lg)
-        with np.errstate(over="ignore"):
-            t = float(np.expm1(g * y).sum())
-        if not math.isfinite(t) or t <= 0.0:
-            return math.inf
-        return -(n * math.log(n * g / t) + g * sy - n)
+    def scaled_sums(g):
+        e = np.exp(g * top)
+        return float(x @ e), -float(e @ np.expm1(-g * x))
 
-    g = math.exp(minimize_scalar_bounded(neg_profile, -12.0, 3.0, 1e-8))
-    theta = n * g / float(np.expm1(g * y).sum())
-    return theta, g
+    lo, hi = -12.0, 6.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        g = math.exp(mid)
+        num, den = scaled_sums(g)
+        if (1.0 + g) * den > g * num:
+            lo = mid
+        else:
+            hi = mid
+    g = math.exp(0.5 * (lo + hi))
+    theta = x.size * g * math.exp(-g * xmax) / scaled_sums(g)[1]
+    return theta / ybar, g / ybar
 
 
 def _seed_values(spec, y):
@@ -392,10 +405,10 @@ def _start_points(x0, free, cfg):
     `n_starts` corners of the +-scale sign lattice; slots the lattice
     cannot fill take seeded Gaussian jitter of that scale.  The wide scale
     reaches optima far out in a shape, like the glass McG fit at c ~ 219.
+    The rates keep their seed values, so every start of a model with no
+    free shape (G, E) is the seed, which is that model's MLE.
     """
     shape_idx = [i for i, f in enumerate(free) if f in ("a", "b", "c")]
-    if not shape_idx:
-        shape_idx = list(range(len(free)))
     points = [np.array(x0, dtype=float)]
     rng = np.random.default_rng(cfg.seed)
     for delta in _LATTICE_SCALES:

@@ -278,6 +278,19 @@ class TestFit:
         assert est["gamma"] == pytest.approx(0.0882, abs=5e-4)
         assert set(payload["std_errors"]) == {"a", "b", "theta", "gamma"}
 
+    def test_gompertz_fit_in_large_units(self, tmp_path, glass):
+        # the glass strengths in units a million times smaller: the fit is
+        # the glass fit, rescaled, with no warning on the way
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"{v * 1e6:.17g}\n" for v in glass))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = _run(tmp_path, "fit", "--model", "g", "--data", str(data), name="big.json")
+        assert code == EXIT_OK
+        _, ref = _run(tmp_path, "fit", "--model", "g", "--data", "glass", name="ref.json")
+        assert json.loads(text)["neg_loglik"] == pytest.approx(
+            json.loads(ref)["neg_loglik"] + glass.size * math.log(1e6), abs=1e-9)
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("fit", "--model", "gg", "--data", "glass", "--starts", "2")
         _, first = _run(tmp_path, *args, name="a.json")

@@ -458,10 +458,9 @@ class TestFitMle:
             fit_mle("mce", glass_data)
 
     def test_large_units_fit_without_warnings(self):
-        # the Gompertz profile overflows over most of the seed search's
-        # bracket here; the search must not warn on its inf values, and the
-        # fit must rescale with the data: theta and gamma are rates, and
-        # the NLL of y is that of y / 1e4 plus n ln 1e4
+        # data in units of 1e4: the fit must not warn, and must rescale
+        # with the data: theta and gamma are rates, and the NLL of y is
+        # that of y / 1e4 plus n ln 1e4
         big = Dataset(values=(10000.0, 20000.0, 30000.0, 50000.0))
         small = Dataset(values=tuple(v / 1e4 for v in big.values))
         with warnings.catch_warnings():
@@ -469,13 +468,30 @@ class TestFitMle:
             fit_big = fit_mle("g", big)
             fit_small = fit_mle("g", small)
         assert fit_big.converged and fit_small.converged
-        assert inference._gompertz_seed(big.array) == (
-            1.2243014963808785e-05, 4.8492973380158664e-05)
         for name in ("theta", "gamma"):
             assert fit_big.estimates[name] * 1e4 == pytest.approx(
                 fit_small.estimates[name], rel=1e-6)
         assert fit_small.neg_loglik == pytest.approx(
             fit_big.neg_loglik - big.n * math.log(1e4), rel=1e-9)
+
+    @pytest.mark.parametrize("dataset, scale", [("aarset", 1e4), ("glass", 1e6)])
+    @pytest.mark.parametrize("model", ["mcg", "bg", "kumg", "gg", "g"])
+    def test_gompertz_base_fits_in_any_units(self, model, dataset, scale, request):
+        # the seed is found in units of the data, so a Gompertz-base fit of
+        # the data in large units is the fit of the data, rescaled
+        data = request.getfixturevalue(f"{dataset}_data")
+        scaled = Dataset(values=tuple(v * scale for v in data.values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(model, data)
+            fit_scaled = fit_mle(model, scaled)
+        assert fit_scaled.converged == fit.converged
+        assert fit_scaled.neg_loglik == pytest.approx(
+            fit.neg_loglik + data.n * math.log(scale), abs=1e-9)
+        for name, est in fit.estimates.items():
+            rate = name in ("theta", "gamma")
+            assert fit_scaled.estimates[name] * (scale if rate else 1.0) == pytest.approx(
+                est, rel=1e-6), name
 
     def test_glass_be_converges(self, glass_data):
         # The optimum sits far out in b (~1e5) on a flat valley, where a fit
@@ -515,20 +531,34 @@ class TestTrace:
             r.neg_loglik for r in fit.trace
         )
 
-    def test_starts_past_exp_underflow_converge(self, glass_data):
-        # With no shape parameter free, the lattice perturbs gamma, and the
-        # wide-scale starts put the largest glass strength past e^{-w}
-        # underflow (w > 745); the derivatives stay finite there, so those
-        # starts walk back to the optimum like the others.
+    def test_starts_past_exp_underflow_converge(self, glass_data, monkeypatch):
+        # starts at 16 times the seed's gamma put the largest glass strength
+        # past e^{-w} underflow (w > 745); the derivatives stay finite
+        # there, so those starts walk back to the optimum like the seed
+        wide = math.log(16.0)
+        shifts = np.array([(-wide, wide), (0.0, wide), (wide, wide)])
+        monkeypatch.setattr(
+            inference, "_start_points", lambda x0, free, cfg: [x0, *(x0 + shifts)]
+        )
         fit = fit_mle("g", glass_data)
         ymax = max(glass_data.values)
         deep = [
             r for r in fit.trace
             if r.start[0] / r.start[1] * math.expm1(r.start[1] * ymax) > 745.0
         ]
-        assert deep
+        assert len(deep) == len(shifts)
         assert all(r.reason is None for r in fit.trace)
+        assert all(r.nit > 0 for r in deep)
         assert all(r.neg_loglik <= fit.neg_loglik + 1e-9 for r in deep)
+
+    @pytest.mark.parametrize("model", ["g", "e"])
+    def test_shape_free_starts_are_the_seed(self, model, glass_data):
+        # with no free shape there is nothing to perturb, and the seed is
+        # the MLE: every start is the seed and stops where it starts
+        fit = fit_mle(model, glass_data)
+        assert len(fit.trace) == 2 * OptimizerConfig().n_starts + 1
+        assert {r.start for r in fit.trace} == {fit.trace[0].start}
+        assert all(r.nit == 0 and r.reason is None for r in fit.trace)
 
     def test_seed_only(self, glass_data):
         fit = fit_mle("gg", glass_data, OptimizerConfig(n_starts=0))
