@@ -67,6 +67,15 @@ def _check_positive(obj, names):
             raise ValueError(f"{name} must be positive and finite")
 
 
+def _trusted(cls, *values):
+    """An instance of the parameter dataclass `cls` holding `values`, built
+    without the check of its __post_init__: for the rates of a checked
+    McGParams, and for the points of a fit after its checked starts."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 @dataclass(frozen=True)
 class GompertzBase:
     """Gompertz base law: cdf 1 - exp(-(theta/gamma)(e^{gamma y} - 1))."""
@@ -91,20 +100,19 @@ class GompertzBase:
         """The y with w(y) = w."""
         return np.log1p((self.gamma / self.theta) * w) / self.gamma
 
-    def w_partials(self, y):
-        """w(y) with its partials in the rates (theta, gamma), and those of
-        ln w'(y), per observation: (w, dw, d2w, dlw, d2lw) of shapes
-        (..., n), (..., 2, n), (..., 2, 2, n), (..., 2, n) and
-        (..., 2, 2, n), where the leading axes are those of (S, 1) rate
-        columns (one row per start) and absent for float rates."""
+    def w_partials(self, y, w):
+        """The partials of w(y) in the rates (theta, gamma) per observation,
+        and those of ln w'(y) summed over the observations, given w = w(y):
+        (dw, d2w, dlw, d2lw) of shapes (..., 2, n), (..., 2, 2, n), (..., 2)
+        and (..., 2, 2), where the leading axes are those of (S, 1) rate
+        columns (one row per start) and absent for float rates.  Overflow
+        gives inf, under the caller's errstate."""
         theta, gamma = self.theta, self.gamma
-        with np.errstate(over="ignore", invalid="ignore"):
-            gy = gamma * y
-            egy = np.exp(gy)
-            w = (theta / gamma) * np.expm1(gy)
-            s = gy * egy - egy + 1.0
-            w_tg = s / gamma**2
-            w_gg = theta * (gy**2 * egy - 2.0 * s) / gamma**3
+        gy = gamma * y
+        egy = np.exp(gy)
+        s = gy * egy - egy + 1.0
+        w_tg = s / gamma**2
+        w_gg = theta * (gy**2 * egy - 2.0 * s) / gamma**3
         lead = w.shape[:-1]
         dw = np.empty(lead + (2,) + w.shape[-1:])
         dw[..., 0, :] = w / theta
@@ -112,12 +120,16 @@ class GompertzBase:
         d2w = np.zeros(lead + (2,) + dw.shape[-2:])
         d2w[..., 0, 1, :] = d2w[..., 1, 0, :] = w_tg
         d2w[..., 1, 1, :] = w_gg
-        dlw = np.empty_like(dw)
-        dlw[..., 0, :] = 1.0 / theta
-        dlw[..., 1, :] = y
-        d2lw = np.zeros_like(d2w)
-        d2lw[..., 0, 0, :] = -1.0 / theta**2
-        return w, dw, d2w, dlw, d2lw
+        # the nonzero partials of ln w' = ln theta + gamma y per observation,
+        # 1/theta, y and -1/theta^2, summed in one pass
+        lw = np.empty(lead + (3,) + w.shape[-1:])
+        lw[..., 0, :] = 1.0 / theta
+        lw[..., 1, :] = y
+        lw[..., 2, :] = -1.0 / theta**2
+        lw = lw.sum(axis=-1)
+        d2lw = np.zeros(lead + (2, 2))
+        d2lw[..., 0, 0] = lw[..., 2]
+        return dw, d2w, lw[..., :2], d2lw
 
 
 @dataclass(frozen=True)
@@ -142,21 +154,21 @@ class ExpBaseParams:
         """The y with w(y) = w."""
         return w / self.theta
 
-    def w_partials(self, y):
-        """w(y) with its partials in the rate theta, and those of ln w'(y),
-        per observation: (w, dw, d2w, dlw, d2lw) of shapes (..., n),
-        (..., 1, n), (..., 1, 1, n), (..., 1, n) and (..., 1, 1, n), with
-        leading axes as for GompertzBase.w_partials."""
-        theta = self.theta
-        w = theta * y
+    def w_partials(self, y, w):
+        """As GompertzBase.w_partials, in the rate theta: (dw, None, dlw,
+        d2lw) of shapes (..., 1, n), (..., 1) and (..., 1, 1), with None
+        for the second partials of w = theta*y, which vanish."""
         dw = np.broadcast_to(y, w.shape[:-1] + (1,) + w.shape[-1:])
-        # C order, like every per-observation array: a sum over the last
-        # axis then runs within each row, whatever the number of rows
-        dlw = np.empty(dw.shape)
-        dlw[..., 0, :] = 1.0 / theta
-        d2lw = np.empty(dw.shape[:-1] + dw.shape[-2:])
-        d2lw[..., 0, 0, :] = -(1.0 / theta) / theta
-        return w, dw, np.zeros_like(d2lw), dlw, d2lw
+        # the partials of ln w' = ln theta per observation, 1/theta and
+        # -1/theta^2, in C order like every per-observation array: a sum
+        # over the last axis then runs within each row, whatever the
+        # number of rows
+        inv = 1.0 / self.theta
+        lw = np.empty(w.shape[:-1] + (2,) + w.shape[-1:])
+        lw[..., 0, :] = inv
+        lw[..., 1, :] = -inv / self.theta
+        lw = lw.sum(axis=-1)
+        return dw, None, lw[..., :1], lw[..., 1:, None]
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,7 @@ class McGParams:
 
     @property
     def base(self) -> GompertzBase:
-        return GompertzBase(self.theta, self.gamma)
+        return _trusted(GompertzBase, self.theta, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -193,7 +205,7 @@ class McEParams:
 
     @property
     def base(self) -> ExpBaseParams:
-        return ExpBaseParams(self.theta)
+        return _trusted(ExpBaseParams, self.theta)
 
 
 def _checked_y(y):
@@ -222,7 +234,8 @@ def base_pdf(base, y):
 
 def _log_pdf_terms(p, y):
     """ln f(y) on a checked array y, with the intermediates it builds:
-    (ln f, w, ln G, ln(1 - G^c), deep), where deep marks w > 700.
+    (ln f, w, ln G, ln(1 - G^c), deep), where deep marks w > 700, or is
+    None where no point is that deep.
 
     The fields of `p` may be floats or (S, 1) columns, one row per start
     of a batched fit; the arrays then have shape (S, n).  Where deep,
@@ -238,16 +251,16 @@ def _log_pdf_terms(p, y):
         ln_g = log1mexp(w)
         ln_1mv = log1mexp(-c * ln_g)
         out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
-    deep = w > _W_DEEP
-    if deep.any():
+    deep = None
+    if w.size and w.max() > _W_DEEP:
+        deep = w > _W_DEEP
         # b w overflows to inf only where the density is far below the
         # smallest double, and -inf is then the exact ln f
         with np.errstate(over="ignore"):
             out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
-    zero = w == 0.0
-    if zero.any():
+    if w.size and w.min() == 0.0:
         at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))
-        out = np.where(zero, at_zero, out)
+        out = np.where(w == 0.0, at_zero, out)
     return out, w, ln_g, ln_1mv, deep
 
 

@@ -90,14 +90,16 @@ def make_submodel(name, values):
         if extra:
             parts.append(f"unexpected {extra}")
         raise ValueError(f"{spec.name} takes exactly {sorted(expected)}: " + ", ".join(parts))
+    return spec.params_type(*_full_values(spec, values))
 
+
+def _full_values(spec, values):
+    """The fields of spec's parameter type, in order, from its free values:
+    a tied parameter takes its partner's value, a fixed one its constant."""
     full = dict(values)
     for pname, fixed in spec.constraints:
-        if isinstance(fixed, str):
-            full[pname] = full[fixed]
-        else:
-            full[pname] = fixed
-    return spec.params_type(*(full[f.name] for f in fields(spec.params_type)))
+        full[pname] = full[fixed] if isinstance(fixed, str) else fixed
+    return [full[f.name] for f in fields(spec.params_type)]
 
 
 # The exponential-base models are evaluated by the base-generic functions

@@ -13,6 +13,17 @@ still running in one derivative pass over a (starts x n) array, so a fit
 costs as many passes as its slowest start.  A start counts as converged on
 its scaled gradient norm, interiority, and positive definiteness of the
 observed information, and every start is reported in the fit's trace.
+
+A pass is fixed cost more than arithmetic: at n <= 63 observations and
+<= 17 starts its time goes to the count of numpy calls.  So the
+parameters are checked once per fit, at the starts; psi and psi' at
+a/c + b are shared by the four psi differences; the box penalty, the
+hard case of the step and the free-parameter embedding run only on the
+rows or models that need them; a repeated start runs once; and the end
+points reuse the driver's last evaluation.  The 8 fits of the paper's
+two applications (mcg, bg, kumg, mce on both datasets) take 475 passes
+at ~560 us each on 2 vCPUs, against ~685 us before these cuts
+(`BENCH_pass_cost.json`), with every fit unchanged to the bit.
 """
 
 from __future__ import annotations
@@ -26,9 +37,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._optimize import minimize
-from .core import _log_pdf_terms, log_pdf
-from .family import ModelSpec, make_submodel, model_spec
-from .specfun import digamma_diff, trigamma, trigamma_diff
+from .core import _log_pdf_terms, _trusted, log_pdf
+from .family import ModelSpec, _full_values, make_submodel, model_spec
+from .specfun import _psi_sum_differences
 
 
 # Log-parameter box: optimization is confined to |ln p| <= _BOX by a penalty,
@@ -198,7 +209,9 @@ def _check_params(spec, params):
 
 def _shape_blocks(params, w, ln_g, ln_1mv, deep):
     """Per-observation pieces shared by the score and the Hessian, from the
-    intermediates of `core._log_pdf_terms` (w, ln G, ln(1 - G^c), deep).
+    intermediates of `core._log_pdf_terms` (w, ln G, ln(1 - G^c), deep),
+    evaluated under the errstate of `_derivs`.  Shared subexpressions are
+    taken once where that keeps every bit of the values.
 
     Past w = 700, where e^{-w} underflows and 1 - G^c with it, they take
     their limits as in `core.log_pdf`: ln(1 - G^c) -> ln c - w, R -> 1/c,
@@ -208,28 +221,35 @@ def _shape_blocks(params, w, ln_g, ln_1mv, deep):
     G = np.exp(ln_g)
     V = np.exp(c * ln_g)
     one_mV = np.exp(ln_1mv)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio1 = 1.0 / np.expm1(w)
-        R = np.exp((c - 1.0) * ln_g - w) / one_mV
-        Q = V * ln_g / one_mV
-        dQ = Q * ln_g / one_mV
-        dR = np.exp((c - 2.0) * ln_g - w) * ((c - 1.0) - c * G) / one_mV + c * R * R
-        T = c * R * ln_g + V * ratio1 / one_mV + c * R * Q
-    if deep.any():
+    # the three rows of the cross partials, written in place
+    cross = np.empty(w.shape[:-1] + (3,) + w.shape[-1:])
+    ratio1 = np.divide(1.0, np.expm1(w), out=cross[..., 0, :])
+    c_m1 = c - 1.0
+    R = np.exp(c_m1 * ln_g - w) / one_mV
+    Q = V * ln_g / one_mV
+    dQ = Q * ln_g / one_mV
+    cR = c * R
+    dR = np.exp((c - 2.0) * ln_g - w) * (c_m1 - c * G) / one_mV + cR * R
+    T = cR * ln_g + V * ratio1 / one_mV + cR * Q
+    if deep is not None:
         ln_1mv = np.where(deep, np.log(c) - w, ln_1mv)
         R = np.where(deep, 1.0 / c, R)
+        cR = c * R
         Q = np.where(deep, -1.0 / c, Q)
         dQ = np.where(deep, 1.0 / (c * c), dQ)
         dR = np.where(deep, 0.0, dR)
         T = np.where(deep, 0.0, T)
+    np.negative(cR, out=cross[..., 1, :])
+    np.multiply(-(b - 1.0), T, out=cross[..., 2, :])
+    am1_r = (a - 1.0) * ratio1
+    bm1_c = (b - 1.0) * c
     return {
-        "lnG": ln_g,
         "ln1mV": ln_1mv,
         "Q": Q,
         "dQ": dQ,
-        "A": -1.0 + (a - 1.0) * ratio1 - (b - 1.0) * c * R,
-        "Ap": -(a - 1.0) * ratio1 / G - (b - 1.0) * c * dR,
-        "cross": np.stack([ratio1, -c * R, -(b - 1.0) * T], axis=-2),
+        "A": -1.0 + am1_r - bm1_c * R,
+        "Ap": -(am1_r / G) - bm1_c * dR,
+        "cross": cross,
     }
 
 
@@ -251,53 +271,54 @@ def _derivs(params, y):
     is not finite.  The base rates enter only through w(y) and ln w'(y),
     whose partials the base supplies; the digamma and trigamma
     differences are taken cancellation-free, which matters on the
-    b -> infinity ridge.  Every reduction and matrix product runs within
-    a row, so a start's numbers do not depend on which other starts
-    share the pass.
+    b -> infinity ridge, and share psi and psi' at a/c + b.  Every
+    reduction and matrix product runs within a row, so a start's numbers
+    do not depend on which other starts share the pass: a block's row
+    equals bit for bit the pass of that row alone.
     """
-    logf, *terms = _log_pdf_terms(params, y)
-    blk = _shape_blocks(params, *terms)
-    _, dw, d2w, dlw, d2lw = params.base.w_partials(y)
+    with np.errstate(all="ignore"):
+        logf, w, ln_g, ln_1mv, deep = _log_pdf_terms(params, y)
+        blk = _shape_blocks(params, w, ln_g, ln_1mv, deep)
+        dw, d2w, dlw, d2lw = params.base.w_partials(y, w)
     n = y.size
     a, b, c = (
         np.ravel(v) if isinstance(v, np.ndarray) else v
         for v in (params.a, params.b, params.c)
     )
     alpha = a / c
-    zeta_ab = digamma_diff(alpha, b)
-    zeta_ba = digamma_diff(b, alpha)
-    P = -trigamma_diff(alpha, b)
-    tg_ab = trigamma(alpha + b)
+    zeta_ab, zeta_ba, tg_diff_ab, tg_diff_ba, tg_ab = _psi_sum_differences(alpha, b)
+    P = -tg_diff_ab
+    c2, c3 = c**2, c**3
+    na_c2 = n * a / c2
+    n_c2 = -n / c2
+    bm1 = b - 1.0
     q_sum = blk["Q"].sum(axis=-1)
     A = blk["A"][..., None]
     dwT = np.swapaxes(dw, -1, -2)
     k = 3 + dw.shape[-2]
     U = np.empty(logf.shape[:-1] + (k,))
-    U[..., 0] = n * zeta_ab / c + blk["lnG"].sum(axis=-1)
+    U[..., 0] = n * zeta_ab / c + ln_g.sum(axis=-1)
     U[..., 1] = n * zeta_ba + blk["ln1mV"].sum(axis=-1)
-    U[..., 2] = n / c - n * a / c**2 * zeta_ab - (b - 1.0) * q_sum
-    U[..., 3:] = dlw.sum(axis=-1) + (dw @ A)[..., 0]
+    U[..., 2] = n / c - na_c2 * zeta_ab - bm1 * q_sum
+    U[..., 3:] = dlw + (dw @ A)[..., 0]
     H = np.empty(U.shape + (k,))
-    H[..., 0, 0] = -n * P / c**2
-    H[..., 0, 1] = n * tg_ab / c
-    H[..., 1, 1] = n * trigamma_diff(b, alpha)
-    H[..., 0, 2] = -n / c**2 * zeta_ab + n * a * P / c**3
-    H[..., 1, 2] = -n * a / c**2 * tg_ab - q_sum
+    H[..., 0, 0] = -n * P / c2
+    H[..., 0, 1] = H[..., 1, 0] = n * tg_ab / c
+    H[..., 1, 1] = n * tg_diff_ba
+    H[..., 0, 2] = H[..., 2, 0] = n_c2 * zeta_ab + n * a * P / c3
+    H[..., 1, 2] = H[..., 2, 1] = -(na_c2 * tg_ab) - q_sum
     H[..., 2, 2] = (
-        -n / c**2
-        + 2.0 * n * a * zeta_ab / c**3
+        n_c2
+        + 2.0 * n * a * zeta_ab / c3
         - n * a**2 * P / c**4
-        - (b - 1.0) * blk["dQ"].sum(axis=-1)
+        - bm1 * blk["dQ"].sum(axis=-1)
     )
     cross = blk["cross"] @ dwT
     H[..., :3, 3:] = cross
     H[..., 3:, :3] = np.swapaxes(cross, -1, -2)
-    H[..., 3:, 3:] = (
-        d2lw.sum(axis=-1)
-        + (dw * blk["Ap"][..., None, :]) @ dwT
-        + (d2w @ A[..., None, :, :])[..., 0]
-    )
-    H[..., 1, 0], H[..., 2, 0], H[..., 2, 1] = H[..., 0, 1], H[..., 0, 2], H[..., 1, 2]
+    rates = d2lw + (dw * blk["Ap"][..., None, :]) @ dwT
+    # the exponential base has no second partials of w
+    H[..., 3:, 3:] = rates if d2w is None else rates + (d2w @ A[..., None, :, :])[..., 0]
     value = logf.sum(axis=-1)
     return np.where(np.isfinite(value), value, -np.inf), U, H
 
@@ -436,23 +457,38 @@ def _box_penalty(x):
 
 def _log_space_derivs(spec, J, y, x):
     """At an (m, k) block of free log-parameter points x = ln p, one
-    `_derivs` pass gives (nll, info, f, g, B): the negative log-likelihood
-    (m,) and observed information (m, k, k) in the free natural parameters,
-    and the penalized objective f (m,) with its gradient (m, k) and Hessian
-    (m, k, k) in x.  f is +inf wherever any of them is not finite."""
+    `_derivs` pass gives (f, g, B, nll, info): the penalized objective f
+    (m,) with its gradient (m, k) and Hessian (m, k, k) in x, and the
+    negative log-likelihood (m,) and observed information (m, k, k) in the
+    free natural parameters.  f is +inf wherever any of them is not
+    finite.  J is the model's embedding, or None where it is the identity.
+
+    The objective of the lockstep driver, run under its errstate.  The
+    parameters are not checked: `fit_mle` checks the starts, and every
+    later point is the exp of a point within a few units of the box, at
+    which a non-finite result gives f = +inf.  The box penalty is zero
+    inside the box, so it runs only on the rows past the wall."""
     p = np.exp(x)
-    params = make_submodel(spec.name, {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)})
-    with np.errstate(all="ignore"):
-        value, U, H = _derivs(params, y)
+    columns = {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)}
+    value, U, H = _derivs(_trusted(spec.params_type, *_full_values(spec, columns)), y)
+    if J is not None:
         U, H = U @ J, J.T @ H @ J
-        pen, pen_g, pen_h = _box_penalty(x)
-        g = -p * U + pen_g
-        B = -(p[:, :, None] * H * p[:, None, :])
-        diag = np.arange(x.shape[1])
-        B[:, diag, diag] -= p * U
-        B[:, diag, diag] += pen_h
-    ok = np.isfinite(value) & np.isfinite(g).all(axis=-1) & np.isfinite(B).all(axis=(-2, -1))
-    return -value, -H, np.where(ok, -value + pen, math.inf), g, B
+    g = -p * U
+    B = -(p[:, :, None] * H * p[:, None, :])
+    m, k = x.shape
+    diag = B.reshape(m, k * k)[:, ::k + 1]
+    diag -= p * U
+    f = -value
+    ax = np.abs(x)
+    if ax.max() > _BOX:
+        wall = np.flatnonzero((ax > _BOX).any(axis=-1))
+        pen, pen_g, pen_h = _box_penalty(x[wall])
+        f[wall] += pen
+        g[wall] += pen_g
+        diag[wall] += pen_h
+    # B's diagonal holds -p * U, so a finite B implies a finite g
+    ok = np.isfinite(value) & np.isfinite(B).all(axis=(-2, -1))
+    return np.where(ok, f, math.inf), g, B, -value, -H
 
 
 def _positive_definite(m):
@@ -475,63 +511,77 @@ def _trust_region_step(g, B, radius):
     solving the secular equation 1/|s(sigma)| = 1/radius by safeguarded
     Newton.  In the hard case (g orthogonal to the lowest eigenspace and the
     shifted step inside the radius) the step is completed along the lowest
-    eigenvector.  One batched eigh serves every row, each row takes its
-    case by mask, and the boundary rows share one secular iteration in
-    which a row keeps its sigma once it has converged.  Returns (s,
-    predicted decrease of the model).
+    eigenvector.  One batched eigh serves every row, and each row takes its
+    case by mask: only the rows whose Newton step does not serve go on,
+    only those of them with lam_1 <= 0 are tested for the hard case, and
+    the boundary rows share one secular iteration in which a row keeps its
+    sigma once it has converged.  Returns (s, predicted decrease of the
+    model).
     """
     lam, Q = np.linalg.eigh(B)
     gt = (Q * g[:, :, None]).sum(axis=1)
-    gt2 = gt * gt
-    r2 = radius * radius
-    lam_1 = lam[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         st = -gt / lam
-        todo = ~((lam_1 > 0.0) & ((st * st).sum(axis=-1) <= r2))
-        sig_lo = np.maximum(0.0, -lam_1)
-        bottom = lam - lam[:, :1] <= 1e-12 * np.abs(lam).max(axis=-1, keepdims=True)
-        gnorm = np.sqrt(gt2.sum(axis=-1))
-        hard_st = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, lam + sig_lo[:, None]))
-    room = r2 - (hard_st * hard_st).sum(axis=-1)
-    hard = (
-        todo
-        & (lam_1 <= 0.0)
-        & (~bottom | (np.abs(gt) <= 1e-12 * gnorm[:, None])).all(axis=-1)
-        & (room >= 0.0)
-    )
-    hard_st[:, 0] = np.sqrt(np.maximum(room, 0.0))
-    st[hard] = hard_st[hard]
-    rows = np.flatnonzero(todo & ~hard)
-    lam_r, gt2_r, rad = lam[rows], gt2[rows], radius[rows]
-    lo = sig_lo[rows]
-    hi = gnorm[rows] / rad - lam_r[:, 0]
+        rows = np.flatnonzero(~((lam[:, 0] > 0.0) & ((st * st).sum(axis=-1) <= radius * radius)))
+        if rows.size:
+            _boundary_steps(st, rows, lam[rows], gt[rows], radius[rows])
+    s = (Q * st[:, None, :]).sum(axis=-1)
+    predicted = -((gt * st).sum(axis=-1) + 0.5 * ((lam * st) * st).sum(axis=-1))
+    return s, predicted
+
+
+def _boundary_steps(st, rows, lam, gt, rad):
+    """Write into st[rows] the steps in the eigenbasis of the rows whose
+    Newton step does not serve: the hard-case steps, then the boundary
+    steps -gt/(lam + sigma) of the secular iteration."""
+    lam_1 = lam[:, 0]
+    gt2 = gt * gt
+    lo = np.maximum(0.0, -lam_1)
+    gnorm = np.sqrt(gt2.sum(axis=-1))
+    neg = np.flatnonzero(lam_1 <= 0.0)
+    if neg.size:
+        lam_n, gt_n = lam[neg], gt[neg]
+        bottom = lam_n - lam_n[:, :1] <= 1e-12 * np.abs(lam_n).max(axis=-1, keepdims=True)
+        hard_st = np.where(bottom, 0.0, -gt_n / np.where(bottom, 1.0, lam_n + lo[neg, None]))
+        room = rad[neg] * rad[neg] - (hard_st * hard_st).sum(axis=-1)
+        hard = (~bottom | (np.abs(gt_n) <= 1e-12 * gnorm[neg, None])).all(axis=-1) & (room >= 0.0)
+        if hard.any():
+            hard_st[:, 0] = np.sqrt(np.maximum(room, 0.0))
+            st[rows[neg[hard]]] = hard_st[hard]
+            keep = np.ones(rows.size, dtype=bool)
+            keep[neg[hard]] = False
+            rows, lam, gt, gt2, rad, lo, gnorm = (
+                v[keep] for v in (rows, lam, gt, gt2, rad, lo, gnorm)
+            )
+            if not rows.size:
+                return
+    hi = gnorm / rad - lam[:, 0]
     # start left of the root, where |s| >= radius: at 0 when B is positive
     # definite (the Newton step did not fit), else at -lam_1 + |gt_1|/radius,
     # where the lowest component alone has length radius.  Newton on the
     # concave 1/|s(sigma)| then rises to the root without overshooting; the
     # upper bound serves where gt_1 = 0 leaves no such point.
-    pos_def = lam_r[:, 0] > 0.0
-    left = lo + np.where(pos_def, 0.0, np.abs(gt[rows, 0]) / rad)
+    pos_def = lam[:, 0] > 0.0
+    left = lo + np.where(pos_def, 0.0, np.abs(gt[:, 0]) / rad)
     sigma = np.where(pos_def | (left > lo), left, hi)
+    tol = 1e-8 * rad
     for _ in range(100):
         at = sigma
-        inv = 1.0 / (lam_r + sigma[:, None])
-        q = gt2_r * inv * inv
+        inv = 1.0 / (lam + sigma[:, None])
+        q = gt2 * inv * inv
         snorm2 = q.sum(axis=-1)
         snorm = np.sqrt(snorm2)
-        done = np.abs(snorm - rad) <= 1e-8 * rad
+        gap = snorm - rad
+        done = np.abs(gap) <= tol
         if done.all():
             break
         short = snorm < rad
         hi = np.where(short, sigma, hi)
         lo = np.where(short, lo, sigma)
-        step = sigma + (snorm - rad) / rad * snorm2 / (q * inv).sum(axis=-1)
+        step = sigma + gap / rad * snorm2 / (q * inv).sum(axis=-1)
         step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
         sigma = np.where(done, sigma, step)
-    st[rows] = -gt[rows] / (lam_r + at[:, None])
-    s = (Q * st[:, None, :]).sum(axis=-1)
-    predicted = -((gt * st).sum(axis=-1) + 0.5 * ((lam * st) * st).sum(axis=-1))
-    return s, predicted
+    st[rows] = -gt / (lam + at[:, None])
 
 
 def _trust_region_newton(fun, x0, *, max_iter, **_):
@@ -539,9 +589,11 @@ def _trust_region_newton(fun, x0, *, max_iter, **_):
     the method `fit_mle` passes to `minimize`.
 
     x0 is the (S, k) block of S start points.  `fun` maps an (m, k) block
-    of points to objective values (m,), gradients (m, k) and Hessians
-    (m, k, k); it returns +inf where the objective is not defined, and
-    steps there are rejected like any other step that fails to decrease it.
+    of points to a tuple of per-point arrays whose first three are the
+    objective values (m,), gradients (m, k) and Hessians (m, k, k); it
+    returns +inf where the objective is not defined, and steps there are
+    rejected like any other step that fails to decrease it.  `fun` and the
+    steps run under one errstate that ignores floating-point errors.
 
     Each start keeps its own iterate, trust radius and stop status and
     takes the exact step of _trust_region_step on its own Hessian; one call
@@ -552,50 +604,72 @@ def _trust_region_newton(fun, x0, *, max_iter, **_):
     lowers the objective, as at the box wall), or after `max_iter`
     iterations.
 
-    The result holds per start x (S, k), fun, jac, hess, nit_per_start,
-    nfev_per_start and status: 3 objective not finite at the start, 0
-    gradient below _GRAD_TOL, 2 trust radius below _STEP_TOL, 1 iteration
-    limit reached.  nit, nfev and njev are sums over the starts; npass
-    counts the calls of `fun`.
+    The result holds per start x (S, k), fun, jac, hess, evals (every
+    array `fun` returned, at the points x, so no caller need evaluate
+    them again), nit_per_start, nfev_per_start and status: 3 objective
+    not finite at the start, 0 gradient below _GRAD_TOL, 2 trust radius
+    below _STEP_TOL, 1 iteration limit reached.  nit, nfev and njev are
+    sums over the starts; npass counts the calls of `fun`.
     """
     x = np.array(x0, dtype=float)
-    f, g, B = fun(x)
     S = x.shape[0]
-    nit = np.zeros(S, dtype=int)
-    nfev = np.ones(S, dtype=int)
-    njev = np.ones(S, dtype=int)
-    radius = np.ones(S)
     status = np.full(S, -1)
-    npass = 1
-    while True:
-        stop = np.where(
-            ~np.isfinite(f), 3, np.where(
-                np.abs(g).max(axis=-1) <= _GRAD_TOL, 0, np.where(
-                    radius < _STEP_TOL, 2, np.where(nit >= max_iter, 1, -1))))
-        status = np.where(status < 0, stop, status)
-        run = np.flatnonzero(status < 0)
-        if not run.size:
-            break
-        nit[run] += 1
-        step, predicted = _trust_region_step(g[run], B[run], radius[run])
-        x_new = x[run] + step
-        f_new, g_new, B_new = fun(x_new)
-        npass += 1
-        nfev[run] += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(predicted > 0.0, (f[run] - f_new) / predicted, -math.inf)
-        snorm = np.sqrt((step * step).sum(axis=-1))
-        rad = radius[run]
-        grow = (ratio > 0.75) & (snorm > 0.8 * rad)
-        rad = np.where(grow, np.minimum(2.0 * rad, _MAX_RADIUS), rad)
-        radius[run] = np.where(ratio > 0.25, rad, 0.25 * snorm)
-        took = ratio > _ACCEPT
-        moved = run[took]
-        x[moved], f[moved], g[moved], B[moved] = x_new[took], f_new[took], g_new[took], B_new[took]
-        njev[moved] += 1
+    nit = np.zeros(S, dtype=int)
+    njev = np.ones(S, dtype=int)
+    # the running starts keep their state in arrays of their own rows,
+    # which shrink as starts stop; a start's final state is written out
+    # once, when it stops
+    run = np.arange(S)
+    radius = np.ones(S)
+    x_run, nit_run, njev_run = x.copy(), nit.copy(), njev.copy()
+    with np.errstate(all="ignore"):
+        state = list(fun(x))
+        evals = [v.copy() for v in state]
+        npass = 1
+        while True:
+            f, g, B = state[:3]
+            stop = np.where(
+                ~np.isfinite(f), 3, np.where(
+                    np.abs(g).max(axis=-1) <= _GRAD_TOL, 0, np.where(
+                        radius < _STEP_TOL, 2, np.where(nit_run >= max_iter, 1, -1))))
+            ended = stop >= 0
+            if ended.any():
+                out = run[ended]
+                status[out], x[out], nit[out], njev[out] = (
+                    stop[ended], x_run[ended], nit_run[ended], njev_run[ended])
+                for kept, v in zip(evals, state):
+                    kept[out] = v[ended]
+                if ended.all():
+                    break
+                going = ~ended
+                run, radius, x_run, nit_run, njev_run = (
+                    v[going] for v in (run, radius, x_run, nit_run, njev_run))
+                state = [v[going] for v in state]
+                f, g, B = state[:3]
+            nit_run += 1
+            step, predicted = _trust_region_step(g, B, radius)
+            x_new = x_run + step
+            trial = fun(x_new)
+            npass += 1
+            ratio = np.where(predicted > 0.0, (f - trial[0]) / predicted, -math.inf)
+            snorm = np.sqrt((step * step).sum(axis=-1))
+            grow = (ratio > 0.75) & (snorm > 0.8 * radius)
+            rad = np.where(grow, np.minimum(2.0 * radius, _MAX_RADIUS), radius)
+            radius = np.where(ratio > 0.25, rad, 0.25 * snorm)
+            took = ratio > _ACCEPT
+            if took.all():
+                x_run, state = x_new, list(trial)
+                njev_run += 1
+            elif took.any():
+                x_run[took] = x_new[took]
+                for kept, v in zip(state, trial):
+                    kept[took] = v[took]
+                njev_run[took] += 1
+    # every iteration of a start evaluates its trial point
+    nfev = nit + 1
     return SimpleNamespace(
-        x=x, fun=f, jac=g, hess=B, status=status, nit=int(nit.sum()),
-        nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,
+        x=x, fun=evals[0], jac=evals[1], hess=evals[2], evals=tuple(evals), status=status,
+        nit=int(nit.sum()), nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,
         nit_per_start=nit, nfev_per_start=nfev,
     )
 
@@ -609,9 +683,11 @@ def fit_mle(model, data, config=None):
     starts run in lockstep, each on its own trajectory: one batched
     derivative pass per iteration evaluates all starts still running, so
     a fit costs about as many passes as its slowest start needs.  The
-    winner is the best converged start (scaled gradient at most 1e-5,
-    strictly inside the box, positive definite observed information); if
-    none converges the best raw minimum is returned with
+    parameters are checked once per fit, at the starts.  A start that
+    repeats an earlier one is not run again; its record copies its
+    twin's.  The winner is the best converged start (scaled gradient at
+    most 1e-5, strictly inside the box, positive definite observed
+    information); if none converges the best raw minimum is returned with
     `converged=False`.  `trace` holds one StartRecord per start.
     """
     spec = _spec(model)
@@ -623,20 +699,30 @@ def fit_mle(model, data, config=None):
         raise ValueError(
             f"{spec.name} has {k} free parameters; need more than {k} observations"
         )
-    J = _embedding(spec)
     seed = _seed_values(spec, y)
     starts = np.array(_start_points(np.log([seed[f] for f in free]), free, cfg))
+    # each distinct start once, in battery order: slot i runs as row
+    # twin[i] of `distinct`, and the rows are independent
+    keys = {}
+    twin = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in starts])
+    distinct = starts[np.unique(twin, return_index=True)[1]]
+    # the one check of the parameters; a start past exp overflow fails it
+    with np.errstate(over="ignore"):
+        p = np.exp(distinct)
+    make_submodel(spec.name, {f: p[:, j:j + 1] for j, f in enumerate(free)})
+    J = _embedding(spec)
+    J = None if np.array_equal(J, np.eye(k)) else J
     res = minimize(
-        lambda x: _log_space_derivs(spec, J, y, x)[2:],
-        starts,
+        lambda x: _log_space_derivs(spec, J, y, x),
+        distinct,
         method=_trust_region_newton,
         options={"max_iter": cfg.max_iter},
     )
     ends = res.x
-    nll, info, f_end, g_end, _ = _log_space_derivs(spec, J, y, ends)
+    f_end, g_end, _, nll, info = res.evals
     info = 0.5 * (info + info.transpose(0, 2, 1))
-    trace = []
-    for i, x_start in enumerate(starts):
+    records = []
+    for i, x_start in enumerate(distinct):
         scaled_grad = float(np.max(np.abs(g_end[i]))) / max(1.0, abs(nll[i]))
         interior = bool(np.all(np.abs(ends[i]) < _BOX))
         pos_def = _positive_definite(info[i])
@@ -650,7 +736,7 @@ def fit_mle(model, data, config=None):
             reason = "not positive definite"
         else:
             reason = None
-        trace.append(
+        records.append(
             StartRecord(
                 start=tuple(float(v) for v in np.exp(x_start)),
                 nit=int(res.nit_per_start[i]),
@@ -662,6 +748,7 @@ def fit_mle(model, data, config=None):
                 reason=reason,
             )
         )
+    trace = [records[i] for i in twin]
 
     usable = [i for i, r in enumerate(trace) if r.reason != "degenerate"]
     if not usable:
@@ -669,10 +756,11 @@ def fit_mle(model, data, config=None):
     converged = [i for i in usable if trace[i].reason is None]
     winner = min(converged or usable, key=lambda i: trace[i].neg_loglik)
     best = trace[winner]
-    estimates = {f: float(v) for f, v in zip(free, np.exp(ends[winner]))}
+    w = twin[winner]
+    estimates = {f: float(v) for f, v in zip(free, np.exp(ends[w]))}
     std_errors = None
     try:
-        cov = np.linalg.inv(info[winner])
+        cov = np.linalg.inv(info[w])
         diag = np.diag(cov)
         if np.all(np.isfinite(diag)) and np.all(diag > 0.0):
             std_errors = {f: float(math.sqrt(d)) for f, d in zip(free, diag)}
@@ -683,7 +771,7 @@ def fit_mle(model, data, config=None):
         estimates=estimates,
         std_errors=std_errors,
         neg_loglik=best.neg_loglik,
-        info_matrix=info[winner],
+        info_matrix=info[w],
         converged=bool(converged),
         iterations=best.nit,
         grad_norm=best.grad_norm,

@@ -18,7 +18,9 @@ argument underflows (ln y < -690), the inverse solved in u = ln y where
 the preimage underflows, and the differences that cancel when taken from
 scipy's values: ln B(a, b) with one argument dwarfing the other, and
 psi(x + h) - psi(x) and psi'(x + h) - psi'(x) at large x: Bernoulli
-series, run only where needed.
+series, run only where needed.  A likelihood pass takes both differences
+both ways, with psi'(x + h), from one call that takes psi and psi' at
+x + h once.
 """
 
 import math
@@ -190,6 +192,23 @@ def _trigamma_diff_asymptotic(x, h):
     return _bernoulli_sum(-h / (x * (x + h)), x, np.log1p(h / x), _PSI1_TAIL)
 
 
+def _psi_sum_differences(x, h):
+    """digamma_diff(x, h), digamma_diff(h, x), trigamma_diff(x, h),
+    trigamma_diff(h, x) and trigamma(x + h), bit for bit, from one check
+    and scipy's psi and psi' at x, h and x + h, each taken once; each
+    difference keeps its asymptotic patch where its own x >= 100."""
+    x, h, _, _ = _positive_pair(x, h, "psi differences require finite x, h > 0")
+    s = x + h
+    psi_s, psi1_s = sps.digamma(s), sps.zeta(2, s)
+    return (
+        _patched(psi_s - sps.digamma(x), x >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, x, h),
+        _patched(psi_s - sps.digamma(h), h >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, h, x),
+        _patched(psi1_s - sps.zeta(2, x), x >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, x, h),
+        _patched(psi1_s - sps.zeta(2, h), h >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, h, x),
+        _float_or_array(psi1_s),
+    )
+
+
 def log1mexp(u):
     """ln(1 - exp(-u)) for u > 0, stable at both ends (Maechler 2012).
 
@@ -198,10 +217,9 @@ def log1mexp(u):
     likelihood passes.
     """
     arr = np.asarray(u, dtype=float)
+    neg = -arr
     with np.errstate(divide="ignore"):
-        out = np.where(
-            arr < math.log(2.0), np.log(-np.expm1(-arr)), np.log1p(-np.exp(-arr))
-        )
+        out = np.where(arr < math.log(2.0), np.log(-np.expm1(neg)), np.log1p(-np.exp(neg)))
     return _float_or_array(out)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from mcgompertz import inference
 from mcgompertz.core import McGParams, log_pdf, sample
-from mcgompertz.family import McEParams, exp_limit_log_pdf, make_submodel
+from mcgompertz.family import McEParams, exp_limit_log_pdf, make_submodel, model_spec
 from mcgompertz.inference import (
     Dataset,
     FitResult,
@@ -565,6 +565,31 @@ class TestTrace:
         assert len(fit.trace) == 1 and fit.winner == 0
 
 
+# rows of one lockstep block that take every branch of a pass: the printed
+# aarset point, a row past exp underflow, plain rows, and the glass b-ridge
+_LOCKSTEP_ROWS = [
+    (
+        McGParams,
+        "aarset",
+        [
+            (0.2619, 0.0752, 3.7652, 0.0012, 0.0875),
+            (0.2619, 0.0752, 3.7652, 0.0012, 0.14),  # w ~ 1452
+            (1.0, 1.0, 1.0, 0.001, 0.05),
+            (0.5, 2.0, 0.7, 0.002, 0.08),
+        ],
+    ),
+    (
+        McEParams,
+        "glass",
+        [
+            (4.847, 1.069e13, 7.872, 0.01264),  # the b-ridge
+            (0.9, 1.8, 1.3, 0.7),
+            (2.0, 0.5, 3.0, 0.05),
+        ],
+    ),
+]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("model, dataset", [("mcg", "aarset"), ("mce", "glass")])
     def test_starts_run_independently(self, model, dataset, request, monkeypatch):
@@ -585,30 +610,7 @@ class TestLockstep:
             ), i
             assert alone.neg_loglik == pytest.approx(rec.neg_loglik, abs=1e-12), i
 
-    @pytest.mark.parametrize(
-        "params_type, dataset, rows",
-        [
-            (
-                McGParams,
-                "aarset",
-                [
-                    (0.2619, 0.0752, 3.7652, 0.0012, 0.0875),
-                    (0.2619, 0.0752, 3.7652, 0.0012, 0.14),  # w ~ 1452
-                    (1.0, 1.0, 1.0, 0.001, 0.05),
-                    (0.5, 2.0, 0.7, 0.002, 0.08),
-                ],
-            ),
-            (
-                McEParams,
-                "glass",
-                [
-                    (4.847, 1.069e13, 7.872, 0.01264),  # the b-ridge
-                    (0.9, 1.8, 1.3, 0.7),
-                    (2.0, 0.5, 3.0, 0.05),
-                ],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("params_type, dataset, rows", _LOCKSTEP_ROWS)
     def test_derivs_block_matches_single_rows(self, params_type, dataset, rows, request):
         y = request.getfixturevalue(f"{dataset}_data").array
         block = params_type(*(np.array(col)[:, None] for col in zip(*rows)))
@@ -619,6 +621,112 @@ class TestLockstep:
             np.testing.assert_allclose(value[i], v1, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(U[i], U1, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(H[i], H1, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("params_type, dataset, rows", _LOCKSTEP_ROWS)
+    def test_one_row_blocks_equal_their_block_rows(self, params_type, dataset, rows, request):
+        # a pass on a one-row block gives bit for bit that row of the full
+        # block, in _derivs and in the log-space pass of the driver: the
+        # driver's last evaluation of a start serves as its end point, and
+        # a start that repeats another runs only once
+        y = request.getfixturevalue(f"{dataset}_data").array
+        cols = np.array(rows)
+        full = inference._derivs(params_type(*(c[:, None] for c in cols.T)), y)
+        spec = model_spec("mcg" if params_type is McGParams else "mce")
+        x = np.log(cols[:, [list(spec.params_type.__dataclass_fields__).index(f)
+                            for f in spec.free_params]])
+        full_log = inference._log_space_derivs(spec, None, y, x)
+        for i in range(len(rows)):
+            one = inference._derivs(params_type(*(c[i:i + 1, None] for c in cols.T)), y)
+            for a, b in zip(full, one):
+                assert a[i].tobytes() == b[0].tobytes(), i
+            one_log = inference._log_space_derivs(spec, None, y, x[i:i + 1])
+            for a, b in zip(full_log, one_log):
+                assert a[i].tobytes() == b[0].tobytes(), i
+
+    @pytest.mark.parametrize("model", ["g", "mcg"])
+    @pytest.mark.parametrize("dataset", ["aarset", "glass"])
+    def test_seed_block_rows_equal_the_seed_alone(self, model, dataset, request):
+        # the 17 identical seed rows a shape-free battery used to run, and
+        # the seed repeated in a five-parameter block
+        y = request.getfixturevalue(f"{dataset}_data").array
+        spec = model_spec(model)
+        seed = inference._seed_values(spec, y)
+        x0 = np.log([[seed[f] for f in spec.free_params]])
+        J = inference._embedding(spec)
+        J = None if np.array_equal(J, np.eye(len(spec.free_params))) else J
+        block = inference._log_space_derivs(spec, J, y, np.repeat(x0, 17, axis=0))
+        alone = inference._log_space_derivs(spec, J, y, x0)
+        for a, b in zip(block, alone):
+            for i in range(17):
+                assert a[i].tobytes() == b[0].tobytes(), i
+
+    def test_repeated_starts_run_once(self, aarset_data, monkeypatch):
+        # a battery with repeats runs each distinct start once, and every
+        # repeat's record is its twin's
+        all_starts = inference._start_points
+        pick = [0, 3, 0, 3, 5, 0]
+        monkeypatch.setattr(
+            inference, "_start_points", lambda *args: [all_starts(*args)[i] for i in pick]
+        )
+        counted = []
+        real = inference.minimize
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counted.append(res)
+            return res
+
+        monkeypatch.setattr(inference, "minimize", counting)
+        fit = fit_mle("mcg", aarset_data)
+        assert counted[0].x.shape[0] == 3
+        assert counted[0].nfev == sum(fit.trace[i].nfev for i in (0, 1, 4))
+        assert fit.trace[2] == fit.trace[0] and fit.trace[5] == fit.trace[0]
+        assert fit.trace[3] == fit.trace[1]
+        monkeypatch.setattr(
+            inference, "_start_points", lambda *args: [all_starts(*args)[i] for i in (0, 3, 5)]
+        )
+        once = fit_mle("mcg", aarset_data)
+        assert [fit.trace[i] for i in (0, 1, 4)] == list(once.trace)
+        assert fit.neg_loglik == once.neg_loglik and fit.winner == once.winner
+
+    @pytest.mark.parametrize("model", ["g", "e"])
+    def test_shape_free_fit_is_one_evaluation(self, model, glass_data, monkeypatch):
+        counted = []
+        real = inference.minimize
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counted.append(res)
+            return res
+
+        monkeypatch.setattr(inference, "minimize", counting)
+        fit = fit_mle(model, glass_data)
+        assert (counted[0].nfev, counted[0].npass) == (1, 1)
+        assert len(fit.trace) == 2 * OptimizerConfig().n_starts + 1
+        assert all(r == fit.trace[0] for r in fit.trace)
+
+    def test_one_pass_per_iteration_and_one_check(self, aarset_data, monkeypatch):
+        # the end points reuse the driver's last evaluations, and the
+        # parameters are checked once, at the starts
+        passes, checks, counted = [], [], []
+        real_pass, real_check, real_min = (
+            inference._log_space_derivs, inference.make_submodel, inference.minimize)
+        monkeypatch.setattr(inference, "_log_space_derivs",
+                            lambda *a: passes.append(1) or real_pass(*a))
+        monkeypatch.setattr(inference, "make_submodel",
+                            lambda *a: checks.append(1) or real_check(*a))
+        monkeypatch.setattr(inference, "minimize",
+                            lambda *a, **k: counted.append(real_min(*a, **k)) or counted[-1])
+        fit_mle("bg", aarset_data)
+        assert len(passes) == counted[0].npass
+        assert len(checks) == 1
+
+    def test_starts_are_checked(self, aarset_data, monkeypatch):
+        monkeypatch.setattr(
+            inference, "_start_points", lambda x0, free, cfg: [x0, x0 + np.r_[800.0, 0, 0, 0, 0]]
+        )
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_mle("mcg", aarset_data)
 
 
 class TestTrustRegionStep:

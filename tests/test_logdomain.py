@@ -19,12 +19,14 @@ from numpy.testing import assert_allclose
 from mcgompertz.cli import EXIT_OK, main
 from mcgompertz.core import McEParams, McGParams, cdf, hazard, quantile, survival
 from mcgompertz.specfun import (
+    _psi_sum_differences,
     digamma_diff,
     inc_beta_inv_log,
     inc_beta_reg,
     inc_beta_reg_logx,
     log1mexp,
     log_beta,
+    trigamma,
     trigamma_diff,
 )
 
@@ -401,7 +403,7 @@ def test_psi_differences_vs_mpmath():
                 assert abs(trigamma_diff(x, h) - d2) <= 2e-15 * float(mp.polygamma(1, X))
 
 
-@pytest.mark.parametrize("fn", [digamma_diff, trigamma_diff, log_beta])
+@pytest.mark.parametrize("fn", [digamma_diff, trigamma_diff, log_beta, _psi_sum_differences])
 @pytest.mark.parametrize("x, h", [
     (0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan),
     # one bad element in an array raises too, wherever it sits
@@ -414,6 +416,25 @@ def test_psi_differences_reject_bad_arguments(fn, x, h):
     # log_beta shares the finite-and-positive check of the psi differences
     with pytest.raises(ValueError):
         fn(x, h)
+
+
+@pytest.mark.parametrize("x, h", [
+    (2.5, 1.7), (150.0, 0.01), (0.3, 250.0), (1e4, 2e4), (1e-3, 1e6),
+    # (S, 1) columns, as a lockstep pass gives them: elements on both sides
+    # of x = 100 on either side, and one lopsided pair
+    (np.array([[0.3], [150.0], [99.0], [100.0], [3e6], [4.8], [1e-4]]),
+     np.array([[40.0], [0.01], [120.0], [1e-3], [0.5], [1.1e13], [2e5]])),
+])
+def test_psi_sum_differences_match_the_single_calls(x, h):
+    # one check and psi, psi' at x + h taken once must give the five values
+    # of the single calls bit for bit, floats as floats
+    got = _psi_sum_differences(x, h)
+    ref = (digamma_diff(x, h), digamma_diff(h, x), trigamma_diff(x, h),
+           trigamma_diff(h, x), trigamma(x + h))
+    for g, r in zip(got, ref):
+        assert type(g) is type(r)
+        assert np.shape(g) == np.shape(r)
+        assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
 
 
 def test_special_function_columns_match_float_calls():
