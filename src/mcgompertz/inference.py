@@ -22,7 +22,7 @@ hard case of the step and the free-parameter embedding run only on the
 rows or models that need them; a repeated start runs once; and the end
 points reuse the driver's last evaluation.  The 8 fits of the paper's
 two applications (mcg, bg, kumg, mce on both datasets) take 475 passes
-at ~560 us each on 2 vCPUs, against ~685 us before these cuts
+at ~536 us each on 2 vCPUs, against ~658 us before these cuts
 (`BENCH_pass_cost.json`), with every fit unchanged to the bit.
 """
 
