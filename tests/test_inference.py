@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mcgompertz import inference
+from mcgompertz import _optimize, inference
 from mcgompertz.core import McGParams, log_pdf, sample
 from mcgompertz.family import McEParams, exp_limit_log_pdf, make_submodel, model_spec
 from mcgompertz.inference import (
@@ -733,7 +733,7 @@ class TestTrustRegionStep:
     @staticmethod
     def _step(g, B, radius):
         # one model as a batch of one row
-        s, predicted = inference._trust_region_step(g[None], B[None], np.array([radius]))
+        s, predicted = _optimize._trust_region_step(g[None], B[None], np.array([radius]))
         return s[0], predicted[0]
 
     @staticmethod
@@ -765,7 +765,7 @@ class TestTrustRegionStep:
         steps = [self._step(g, B, radius) for g, B, radius in models]
         for k in range(1, 6):
             rows = [i for i, (g, _, _) in enumerate(models) if len(g) == k]
-            s_b, pred_b = inference._trust_region_step(
+            s_b, pred_b = _optimize._trust_region_step(
                 *(np.array([models[i][j] for i in rows]) for j in range(3))
             )
             for r, i in enumerate(rows):

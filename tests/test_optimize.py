@@ -1,5 +1,5 @@
-"""The library's own optimizer pieces: `_optimize.minimize`, which takes the
-keywords of `scipy.optimize.minimize`, and the Gompertz profile seed of
+"""The library's own optimizer pieces: the lockstep trust-region driver
+`_optimize.minimize` and its step, and the Gompertz profile seed of
 `inference._gompertz_seed`, checked against the profile score (in mpmath)
 and against scipy's bounded search of the profile likelihood."""
 
@@ -110,17 +110,42 @@ def test_gompertz_seed_on_random_samples(seed):
     assert large_units >= 20
 
 
-def test_minimize_takes_scipy_keywords():
-    seen = {}
+def test_minimize_runs_a_block_of_starts():
+    # a separable convex quadratic, +inf past x_0 = 100; fun also returns
+    # its points, which evals must hold at x
+    curv, centre = np.array([1.0, 4.0]), np.array([0.5, -2.0])
+    calls = []
 
-    def method(fun, x0, **kwargs):
-        seen.update(kwargs)
-        return fun(x0)
+    def fun(x):
+        calls.append(len(x))
+        d = x - centre
+        f = np.where(x[:, 0] > 100.0, math.inf, 0.5 * (curv * d * d).sum(axis=-1))
+        B = np.broadcast_to(np.diag(curv), (len(x), 2, 2)).copy()
+        return f, curv * d, B, x.copy()
 
-    out = inference.minimize(lambda x: 2.0 * x, 3.0, jac=None, hess=None,
-                             method=method, options={"max_iter": 4})
-    assert out == 6.0
-    assert seen == {"args": (), "jac": None, "hess": None, "max_iter": 4}
+    starts = np.array([[0.0, 0.0], [3.0, 3.0], [-5.0, 1.0], [1000.0, 0.0]])
+    res = _optimize.minimize(fun, starts, max_iter=50, jac=None)
+    np.testing.assert_allclose(res.x[:3], np.broadcast_to(centre, (3, 2)), atol=1e-9)
+    np.testing.assert_array_equal(res.x[3], starts[3])
+    np.testing.assert_array_equal(res.status, [0, 0, 0, 3])
+    np.testing.assert_array_equal(res.nit_per_start[3], 0)
+    np.testing.assert_array_equal(res.nfev_per_start, res.nit_per_start + 1)
+    assert res.nfev == int(res.nfev_per_start.sum()) and res.nit == int(res.nit_per_start.sum())
+    assert res.npass == len(calls) == 1 + int(res.nit_per_start.max())
+    for kept, at_x in zip(res.evals, fun(res.x)):
+        np.testing.assert_array_equal(kept, at_x)
     assert inference.minimize is _optimize.minimize
-    with pytest.raises(TypeError):
-        inference.minimize(lambda x: x, 0.0, method="trust-exact")
+
+
+def test_trust_region_step_is_silent():
+    # the first two rows get an inf or nan step, and the third overflows
+    # the secular update; none may warn
+    rows = [
+        ([1e-160, 1e-160], [-1.0, 2.0]),
+        ([0.0, 1e-200], [0.0, -1.0]),
+        ([1e-160, 0.0], [1e-300, 2.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, curv in rows:
+            _optimize._trust_region_step(np.array([g]), np.diag(curv)[None], np.array([1.0]))

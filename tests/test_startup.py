@@ -51,9 +51,10 @@ print(json.dumps(out))
 """
 
 
-def _fresh(script, *argv):
-    """Run `script` in a fresh interpreter; the JSON of its last line."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def _fresh(script, *argv, path=()):
+    """Run `script` in a fresh interpreter with src/ and the directories
+    `path` on its import path; the JSON of its last line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.join(ROOT, "src"),) + path))
     run = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=300,
@@ -124,6 +125,49 @@ def test_tracer_sees_the_optimizer():
     metrics = tracer.metrics(len(tracer.name_id))
     assert metrics["inference.minimize.self_s"] > 0.0
     assert metrics["inference.nfev_per_fit"] > 0.0
+
+
+TRACED_FIT_SCRIPT = """
+import json
+import tracing
+from mcgompertz import inference
+from mcgompertz.cli import _read_dataset
+
+def summary(fit):
+    return (fit.estimates, fit.std_errors, fit.neg_loglik, fit.info_matrix.tobytes(),
+            fit.trace, fit.winner)
+
+data = _read_dataset("aarset")
+untraced = summary(inference.fit_mle("bg", data))
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    tracer.phase = "pass"
+    fit = inference.fit_mle("bg", data)
+    tracer.phase = None
+finally:
+    tracer.uninstall()
+metrics = tracer.metrics(len(tracer.name_id))
+spans = {(tracer.names[i], tracer.layers[i]) for i in set(tracer.name_id)}
+print(json.dumps({
+    "same_fit": summary(fit) == untraced,
+    "nfev_counted": tracer.counts["pass"]["nfev"],
+    "nfev_traced": sum(r.nfev for r in fit.trace),
+    "minimize_span": ("inference.minimize", "minimize") in spans,
+    "minimize_self_s": metrics["inference.minimize.self_s"],
+}))
+"""
+
+
+def test_traced_fit_in_a_fresh_interpreter():
+    # the benchmark's traced run imports `tracing` from perfbench/; traced,
+    # a fit is unchanged, its minimize call has a span of its own, and the
+    # tracer counts every evaluation the fit's trace records
+    out = _fresh(TRACED_FIT_SCRIPT, path=(os.path.join(ROOT, "perfbench"),))
+    assert out["same_fit"]
+    assert out["nfev_counted"] == out["nfev_traced"] == 252
+    assert out["minimize_span"]
+    assert out["minimize_self_s"] > 0.0
 
 
 def test_tracer_sees_the_inverse():
