@@ -374,16 +374,16 @@ def known_errata():
                 "The likelihood supremum sits on the b -> infinity "
                 "boundary with theta -> 0 jointly: on the device data the "
                 "negative log-likelihood falls monotonically along the "
-                "ridge past every interior optimum (213.351 at b = 1.3e13)."
+                "ridge past every interior optimum (214.934 at b = 9.6e12)."
                 " A strict MLE does not exist; the fitter reports interior "
                 "stationary points and classifies ridge endpoints as "
                 "non-converged."
             ),
             evidence={
-                "device_ridge_nll": 213.351,
-                "device_ridge_b": 1.3e13,
-                "fiber_bg_ridge_nll_approach": 13.91,
-                "fiber_mce_ridge_nll_approach": 14.61,
+                "device_ridge_nll": 214.934,
+                "device_ridge_b": 9.6e12,
+                "fiber_bg_ridge_nll_approach": 13.88,
+                "fiber_mce_ridge_nll_approach": 14.59,
             },
         ),
         Erratum(
@@ -397,9 +397,9 @@ def known_errata():
             corrected=(
                 "The three information criteria all back-solve to "
                 "-log L = 14.6285 with k = 4, inconsistent with the "
-                "printed 15.5995; and the printed K-S matches the b-ridge "
-                "endpoint (0.1467 where -log L = 14.611), not the printed "
-                "estimates (0.1673). The column mixes a ridge run with an "
+                "printed 15.5995; and the printed K-S lies near the b-ridge "
+                "endpoint's (0.1455 where -log L = 14.592), not the printed "
+                "estimates' (0.1673). The column mixes a ridge run with an "
                 "interior non-stationary point."
             ),
             evidence={
@@ -407,7 +407,7 @@ def known_errata():
                 "neg_loglik_implied_by_aic": 14.62845,
                 "ks_at_printed_row": 0.1673,
                 "printed_ks": 0.1466,
-                "ks_at_ridge_endpoint": 0.1467,
+                "ks_at_ridge_endpoint": 0.1455,
             },
         ),
         Erratum(

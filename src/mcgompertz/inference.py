@@ -9,7 +9,10 @@ log-parameter space through the lockstep trust-region Newton driver of
 `_optimize`, which evaluates all starts still running in one derivative
 pass over a (starts x n) array.  A start counts as converged on its scaled
 gradient norm, interiority, and positive definiteness of the observed
-information, and every start is reported in the fit's trace.
+information, and every start is reported in the fit's trace.  A start
+whose trial step takes a shape parameter past the box wall is on a ridge
+and stops there, not interior: a lockstep fit costs as many passes as its
+slowest start, and on the paper's data that is a ridge start.
 
 A pass is fixed cost more than arithmetic: at n <= 63 observations and
 <= 17 starts its time goes to the count of numpy calls.  So the
@@ -17,10 +20,11 @@ parameters are checked once per fit, at the starts; psi and psi' at
 a/c + b are shared by the four psi differences; the box penalty and the
 free-parameter embedding run only on the rows or models that need them; a
 repeated start runs once; and the end points reuse the driver's last
-evaluation.  The 8 fits of the paper's two applications (mcg, bg, kumg,
-mce on both datasets) take 475 passes at ~536 us each on 2 vCPUs, against
-~658 us before these cuts (`BENCH_pass_cost.json`), with every fit
-unchanged to the bit.
+evaluation.  A pass costs ~536 us on 2 vCPUs, against ~658 us before
+these cuts, with every fit unchanged to the bit (`BENCH_pass_cost.json`).
+The 8 fits of the paper's two applications (mcg, bg, kumg, mce on both
+datasets) take 354 passes, 475 before ridge starts stopped at the wall
+(`BENCH_wall_stop.json`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._optimize import minimize
+from ._optimize import STOPS, minimize
 from .core import _log_pdf_terms, _trusted, log_pdf
 from .family import ModelSpec, _full_values, make_submodel, model_spec
 from .specfun import _psi_sum_differences
@@ -116,12 +120,18 @@ class StartRecord:
     nit, nfev: Newton iterations and objective evaluations it spent.
     neg_loglik: negative log-likelihood where it stopped.
     grad_norm: the scaled log-space gradient there, as in FitResult.
-    interior: whether it stopped strictly inside the box |ln p| < 30.
+    interior: whether it stopped strictly inside the box |ln p| < 30 and
+        was not stopped at the wall: a start whose trial step took a shape
+        parameter past |ln p| = 30 ends at its last accepted point, which
+        may lie inside, with interior False.
     pos_def: whether the observed information there is positive definite.
     reason: why it cannot win as a converged fit, or None when it
         converged.  Checked in this order: "degenerate" (the likelihood or
         its derivatives are not finite there), "not interior", "gradient"
         (scaled gradient above 1e-5), "not positive definite".
+    stop: why the optimizer stopped it: "gradient", "iteration limit",
+        "radius" (trust radius below 1e-10), "not finite" (at the start)
+        or "wall" (a trial step past the box in a shape parameter).
     """
 
     start: tuple
@@ -132,6 +142,7 @@ class StartRecord:
     interior: bool
     pos_def: bool
     reason: str | None
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -526,14 +537,22 @@ def fit_mle(model, data, config=None):
     make_submodel(spec.name, {f: p[:, j:j + 1] for j, f in enumerate(free)})
     J = _embedding(spec)
     J = None if np.array_equal(J, np.eye(k)) else J
-    res = minimize(lambda x: _log_space_derivs(spec, J, y, x), distinct, max_iter=cfg.max_iter)
+    # a start whose trial step takes a shape past the wall is on a ridge:
+    # it stops there, never converged.  A rate at the wall is a matter of
+    # units, and such a start may walk back.
+    shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
+    res = minimize(
+        lambda x: _log_space_derivs(spec, J, y, x), distinct, max_iter=cfg.max_iter,
+        outside=lambda x: (np.abs(x[:, shape]) > _BOX).any(axis=-1),
+    )
     ends = res.x
     f_end, g_end, _, nll, info = res.evals
     info = 0.5 * (info + info.transpose(0, 2, 1))
     records = []
     for i, x_start in enumerate(distinct):
         scaled_grad = float(np.max(np.abs(g_end[i]))) / max(1.0, abs(nll[i]))
-        interior = bool(np.all(np.abs(ends[i]) < _BOX))
+        stop = STOPS[res.status[i]]
+        interior = stop != "wall" and bool(np.all(np.abs(ends[i]) < _BOX))
         pos_def = _positive_definite(info[i])
         if not math.isfinite(f_end[i]):
             reason = "degenerate"
@@ -555,6 +574,7 @@ def fit_mle(model, data, config=None):
                 interior=interior,
                 pos_def=pos_def,
                 reason=reason,
+                stop=stop,
             )
         )
     trace = [records[i] for i in twin]

@@ -82,11 +82,17 @@ def _positive_finite(x, name):
 def _positive_pair(x, h, message):
     """(x, h, min, max) with x and h checked finite and > 0: scalars as
     given, compared in Python (~0.2 us, where an array pass costs ~5 us),
-    else float arrays broadcast to one shape."""
+    else float arrays broadcast to one shape: a 0-d one is filled out with
+    np.full, several times cheaper than np.broadcast_arrays."""
     if isinstance(x, np.ndarray) or isinstance(h, np.ndarray):
         x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
         if x.shape != h.shape:
-            x, h = np.broadcast_arrays(x, h)
+            if not h.ndim:
+                h = np.full(x.shape, h)
+            elif not x.ndim:
+                x = np.full(h.shape, x)
+            else:
+                x, h = np.broadcast_arrays(x, h)
         lo, hi = np.minimum(x, h), np.maximum(x, h)
         # NaN propagates through both and fails both comparisons
         ok = np.count_nonzero((lo > 0) & (hi < math.inf)) == x.size

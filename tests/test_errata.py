@@ -20,7 +20,7 @@ from mcgompertz.errata import (
 )
 from mcgompertz.expansions import mgf_series, power_series_power
 from mcgompertz.family import exp_limit_cdf, make_submodel
-from mcgompertz.inference import Dataset, log_likelihood, observed_info
+from mcgompertz.inference import Dataset, fit_mle, log_likelihood, observed_info
 from mcgompertz.selection import ks_test
 from mcgompertz.shape import (
     mgf_numeric,
@@ -165,6 +165,25 @@ class TestTableEvidence:
         assert -log_likelihood("mce", row, fd) == pytest.approx(15.5995, abs=5e-4)
         ks, _ = ks_test(fd, lambda y: exp_limit_cdf(row, y))
         assert ks == pytest.approx(ev["ks_at_printed_row"], abs=5e-4)
+
+    def test_ridge_endpoints(self, aarset, glass):
+        # the fitter's own ridge endpoints: the lowest start stopped at the
+        # box wall (device McG, fiber BG) and the unconverged fiber McE fit
+        ev = _entry("likelihood-ridge-no-strict-mle").evidence
+        dd = Dataset(values=tuple(float(v) for v in aarset))
+        fd = Dataset(values=tuple(float(v) for v in glass))
+        for model, data, key, tol in (("mcg", dd, "device_ridge_nll", 5e-4),
+                                      ("bg", fd, "fiber_bg_ridge_nll_approach", 5e-3)):
+            fit = fit_mle(model, data)
+            ridge = min(r.neg_loglik for r in fit.trace if r.stop == "wall")
+            assert ridge < fit.neg_loglik
+            assert ridge == pytest.approx(ev[key], abs=tol)
+        mce = fit_mle("mce", fd)
+        assert not mce.converged
+        assert mce.neg_loglik == pytest.approx(ev["fiber_mce_ridge_nll_approach"], abs=5e-3)
+        ks, _ = ks_test(fd, lambda y: exp_limit_cdf(mce.params, y))
+        assert ks == pytest.approx(_entry("fiber-mce-column-mixed-runs").evidence[
+            "ks_at_ridge_endpoint"], abs=5e-4)
 
     def test_fiber_bg_ks_points(self, glass):
         ev = _entry("fiber-bg-ks-from-different-point").evidence

@@ -531,6 +531,18 @@ class TestTrace:
             r.neg_loglik for r in fit.trace
         )
 
+    def test_ridge_starts_stop_at_the_wall(self, aarset_mcg_fit, glass_data):
+        # a start that leaves the box along a shape is stopped by the
+        # driver on its first trial step past the wall, and only such
+        # starts are not interior; the converged ones stopped on the
+        # gradient
+        for fit in (aarset_mcg_fit, fit_mle("mce", glass_data)):
+            wall = [r for r in fit.trace if r.reason == "not interior"]
+            assert wall
+            assert all(r.stop == "wall" and not r.interior for r in wall)
+            assert all(r.stop != "wall" for r in fit.trace if r.reason != "not interior")
+            assert all(r.stop == "gradient" for r in fit.trace if r.reason is None)
+
     def test_starts_past_exp_underflow_converge(self, glass_data, monkeypatch):
         # starts at 16 times the seed's gamma put the largest glass strength
         # past e^{-w} underflow (w > 745); the derivatives stay finite

@@ -424,6 +424,9 @@ def test_psi_differences_reject_bad_arguments(fn, x, h):
     # of x = 100 on either side, and one lopsided pair
     (np.array([[0.3], [150.0], [99.0], [100.0], [3e6], [4.8], [1e-4]]),
      np.array([[40.0], [0.01], [120.0], [1e-3], [0.5], [1.1e13], [2e5]])),
+    # a float against a column, as the gg and ge fits give them (b = 1)
+    (np.array([[0.3], [150.0], [1e-4]]), 1.0),
+    (1.0, np.array([[0.3], [150.0], [1e-4]])),
 ])
 def test_psi_sum_differences_match_the_single_calls(x, h):
     # one check and psi, psi' at x + h taken once must give the five values
@@ -444,7 +447,7 @@ def test_special_function_columns_match_float_calls():
     x = np.array([[0.3], [2.5], [150.0], [1e4], [0.7], [99.0], [100.0], [3e6], [12.0]])
     h = np.array([[40.0], [1.7], [0.01], [2.0], [0.2], [5.0], [1e-3], [0.5], [0.9]])
     for fn in (log_beta, digamma_diff, trigamma_diff):
-        for u, v in ((x, h), (h, x), (x, 0.5), (x.ravel(), 7.0)):
+        for u, v in ((x, h), (h, x), (x, 0.5), (0.5, x), (x.ravel(), 7.0)):
             out = fn(u, v)
             ref = np.array([fn(float(ui), float(vi)) for ui, vi in
                             zip(*(np.broadcast_to(w, out.shape).ravel() for w in (u, v)))])

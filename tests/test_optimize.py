@@ -149,3 +149,61 @@ def test_trust_region_step_is_silent():
         warnings.simplefilter("error")
         for g, curv in rows:
             _optimize._trust_region_step(np.array([g]), np.diag(curv)[None], np.array([1.0]))
+
+
+
+def _ridge(x):
+    """ln(1 + t^2) - t/2 in t = x_0, plus (x_1 - 1)^2 / 2 and a cubic
+    penalty past t = 10 as `fit_mle` puts on its box: a local minimum at
+    t = 2 - sqrt(3), a crest at 2 + sqrt(3) and, past it, a ridge that
+    falls until the penalty holds it at t ~ 10."""
+    t, u = x[:, 0], x[:, 1] - 1.0
+    q = 1.0 + t * t
+    over = np.maximum(t - 10.0, 0.0)
+    f = np.log(q) - 0.5 * t + 0.5 * u * u + 1e6 * over ** 3
+    g = np.stack([2.0 * t / q - 0.5 + 3e6 * over ** 2, u], axis=-1)
+    B = np.zeros((len(x), 2, 2))
+    B[:, 0, 0] = 2.0 * (1.0 - t * t) / (q * q) + 6e6 * over
+    B[:, 1, 1] = 1.0
+    return f, g, B
+
+
+def _past_ten(x):
+    return np.abs(x[:, 0]) > 10.0
+
+
+def test_minimize_stops_a_start_on_its_first_trial_past_the_wall():
+    starts = np.array([[0.0, 0.0], [5.0, 3.0], [-3.0, 1.0], [4.5, -2.0], [1.0, 2.0]])
+    ridge, kept = [1, 3], [0, 2, 4]
+    res = _optimize.minimize(_ridge, starts, max_iter=50, outside=_past_ten)
+    free = _optimize.minimize(_ridge, starts, max_iter=50)
+    np.testing.assert_array_equal(res.status, [0, 4, 0, 4, 0])
+    assert [_optimize.STOPS[s] for s in res.status[ridge]] == ["wall", "wall"]
+    # unchecked, the ridge starts close in on the wall and stop there on
+    # the gradient, many iterations later
+    np.testing.assert_array_equal(free.status, [0, 0, 0, 0, 0])
+    assert (free.x[ridge, 0] > 10.0).all()
+    assert (free.nit_per_start[ridge] > 5 * res.nit_per_start[ridge]).all()
+    assert res.npass < free.npass
+    # rows that never leave are untouched by the predicate
+    for name in ("x", "status", "nit_per_start", "nfev_per_start"):
+        np.testing.assert_array_equal(getattr(res, name)[kept], getattr(free, name)[kept])
+    for i in ridge:
+        # the trial past the wall was rejected, and the start ends at its
+        # last accepted point, inside: where the unchecked run stands after
+        # as many iterations.  One iteration earlier it had not left.
+        nit = int(res.nit_per_start[i])
+        assert abs(res.x[i, 0]) <= 10.0
+        upto = _optimize.minimize(_ridge, starts[i:i + 1], max_iter=nit)
+        np.testing.assert_array_equal(upto.x[0], res.x[i])
+        np.testing.assert_array_equal(upto.status, [1])
+        before = _optimize.minimize(_ridge, starts[i:i + 1], max_iter=nit - 1, outside=_past_ten)
+        np.testing.assert_array_equal(before.status, [1])
+        for kept_eval, at_x in zip(res.evals, _ridge(res.x[i:i + 1])):
+            np.testing.assert_array_equal(kept_eval[i], at_x[0])
+    # a start run alone ends as its row of the block
+    for i, row in enumerate(starts):
+        alone = _optimize.minimize(_ridge, row[None], max_iter=50, outside=_past_ten)
+        np.testing.assert_array_equal(alone.x[0], res.x[i])
+        assert (alone.status[0], alone.nit, alone.nfev) == (
+            res.status[i], res.nit_per_start[i], res.nfev_per_start[i])
