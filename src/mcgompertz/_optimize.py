@@ -3,8 +3,8 @@ over a block of starts run in lockstep, and `_trust_region_step`, the exact
 step of each start's quadratic model (Moré & Sorensen 1983).  The driver
 sees the objective only through the values, gradients and Hessians it
 returns, +inf where it is not defined, and is told by a predicate which
-trial points lie outside the region of interest: it knows nothing of the
-likelihood or of the box that confines a fit.
+trial points lie outside the region of interest, where it takes no step:
+it knows nothing of the likelihood or of the box that confines a fit.
 
 Fitting loads no `scipy.optimize`, which would add about 0.4 s and 21 MB
 to every fitting process (2 vCPUs, `BENCH_fitdeps.json`).
@@ -50,10 +50,11 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     of `fun` per iteration evaluates the trial points of the starts still
     running.  `outside`, if given, maps an (m, k) block of trial points
     to a bool (m,) array that marks the points past the region the caller
-    cares about.  A start stops, tested in this order, where the objective
-    is not finite, when its last trial point was outside (accepted or not:
-    it ends at its last accepted point, and the steps it would spend
-    closing in on a wall are never taken), when its sup-norm gradient is
+    cares about; a marked trial point is never accepted, however much it
+    lowers the objective.  A start stops, tested in this order, where the
+    objective is not finite, when its last trial point was outside (it
+    ends at its last accepted point, and the steps it would spend closing
+    in on a wall are never taken), when its sup-norm gradient is
     at most _GRAD_TOL, when its trust radius falls below _STEP_TOL (no
     step the model trusts still lowers the objective), or after
     `max_iter` iterations.
@@ -114,7 +115,7 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
             grow = (ratio > 0.75) & (snorm > 0.8 * radius)
             rad = np.where(grow, np.minimum(2.0 * radius, _MAX_RADIUS), radius)
             radius = np.where(ratio > 0.25, rad, 0.25 * snorm)
-            took = ratio > _ACCEPT
+            took = (ratio > _ACCEPT) & ~wall
             if took.all():
                 x_run, state = x_new, list(trial)
                 njev_run += 1

@@ -17,11 +17,11 @@ slowest start, and on the paper's data that is a ridge start.
 A pass is fixed cost more than arithmetic: at n <= 63 observations and
 <= 17 starts its time goes to the count of numpy calls.  So the
 parameters are checked once per fit, at the starts; psi and psi' at
-a/c + b are shared by the four psi differences; the box penalty and the
-free-parameter embedding run only on the rows or models that need them; a
-repeated start runs once; and the end points reuse the driver's last
-evaluation.  A pass costs ~536 us on 2 vCPUs, against ~658 us before
-these cuts, with every fit unchanged to the bit (`BENCH_pass_cost.json`).
+a/c + b are shared by the four psi differences; the free-parameter
+embedding runs only on the models that need it; a repeated start runs
+once; and the end points reuse the driver's last evaluation.  A pass
+costs ~536 us on 2 vCPUs, against ~658 us before these cuts, with every
+fit unchanged to the bit (`BENCH_pass_cost.json`).
 The 8 fits of the paper's two applications (mcg, bg, kumg, mce on both
 datasets) take 354 passes, 475 before ridge starts stopped at the wall
 (`BENCH_wall_stop.json`).
@@ -42,13 +42,14 @@ from .family import ModelSpec, _full_values, make_submodel, model_spec
 from .specfun import _psi_sum_differences
 
 
-# Log-parameter box: optimization is confined to |ln p| <= _BOX by a penalty,
-# which keeps ridge escapes (likelihood paths improving forever as a shape
-# parameter diverges) from masquerading as maxima.  The penalty is cubic in
-# the overshoot, so its curvature grows from 0 at the wall and the Newton
-# model sees the wall coming instead of a jump in the Hessian.
+# Log-parameter box |ln p| < _BOX, one rule in two places, which keeps ridge
+# escapes (likelihood paths improving forever as a shape parameter diverges)
+# from masquerading as maxima: the driver never takes a trial step that puts
+# a shape parameter (a, b, c) past the wall, and stops such a start at its
+# last accepted point; and a start is interior only if it was not stopped
+# there and every coordinate lies inside.  Nothing holds a rate in the box,
+# since where a rate lies depends on the units of the data.
 _BOX = 30.0
-_PENALTY = 1.0e6
 
 # Multistart lattice scales in log-parameter space.
 _LATTICE_SCALES = (math.log(4.0), math.log(16.0))
@@ -122,8 +123,8 @@ class StartRecord:
     grad_norm: the scaled log-space gradient there, as in FitResult.
     interior: whether it stopped strictly inside the box |ln p| < 30 and
         was not stopped at the wall: a start whose trial step took a shape
-        parameter past |ln p| = 30 ends at its last accepted point, which
-        may lie inside, with interior False.
+        parameter past |ln p| = 30 ends at its last accepted point, whose
+        shape parameters lie inside, with interior False.
     pos_def: whether the observed information there is positive definite.
     reason: why it cannot win as a converged fit, or None when it
         converged.  Checked in this order: "degenerate" (the likelihood or
@@ -417,55 +418,44 @@ def _seed_values(spec, y):
     return seed
 
 
-def _start_points(x0, free, cfg):
+def _start_points(x0, shape, cfg):
     """Deterministic multistart battery around the seed point.
 
-    At each lattice scale (ln 4, then ln 16) the shape parameters get up to
-    `n_starts` corners of the +-scale sign lattice; slots the lattice
-    cannot fill take seeded Gaussian jitter of that scale.  The wide scale
-    reaches optima far out in a shape, like the glass McG fit at c ~ 219.
-    The rates keep their seed values, so every start of a model with no
-    free shape (G, E) is the seed, which is that model's MLE.
+    At each lattice scale (ln 4, then ln 16) the shape parameters, the
+    coordinates `shape` of x0, get up to `n_starts` corners of the +-scale
+    sign lattice; slots the lattice cannot fill take seeded Gaussian
+    jitter of that scale.  The wide scale reaches optima far out in a
+    shape, like the glass McG fit at c ~ 219.  The rates keep their seed
+    values, so every start of a model with no free shape (G, E) is the
+    seed, which is that model's MLE.
     """
-    shape_idx = [i for i, f in enumerate(free) if f in ("a", "b", "c")]
     points = [np.array(x0, dtype=float)]
     rng = np.random.default_rng(cfg.seed)
     for delta in _LATTICE_SCALES:
-        combos = itertools.product((-delta, delta), repeat=len(shape_idx))
+        combos = itertools.product((-delta, delta), repeat=len(shape))
         shifts = list(itertools.islice(combos, cfg.n_starts))
         while len(shifts) < cfg.n_starts:
-            shifts.append(rng.normal(0.0, delta, size=len(shape_idx)))
+            shifts.append(rng.normal(0.0, delta, size=len(shape)))
         for shift in shifts:
             xp = points[0].copy()
-            xp[shape_idx] += shift
+            xp[shape] += shift
             points.append(xp)
     return points
 
 
-def _box_penalty(x):
-    """Value, gradient and (diagonal) Hessian of the box penalty at each row
-    of an (m, k) block of log-parameter points."""
-    over = np.maximum(np.abs(x) - _BOX, 0.0)
-    return (
-        _PENALTY * (over * over**2).sum(axis=-1),
-        3.0 * _PENALTY * over**2 * np.sign(x),
-        6.0 * _PENALTY * over,
-    )
-
-
 def _log_space_derivs(spec, J, y, x):
     """At an (m, k) block of free log-parameter points x = ln p, one
-    `_derivs` pass gives (f, g, B, nll, info): the penalized objective f
-    (m,) with its gradient (m, k) and Hessian (m, k, k) in x, and the
-    negative log-likelihood (m,) and observed information (m, k, k) in the
-    free natural parameters.  f is +inf wherever any of them is not
-    finite.  J is the model's embedding, or None where it is the identity.
+    `_derivs` pass gives (f, g, B, nll, info): the negative log-likelihood
+    nll (m,) and observed information (m, k, k) in the free natural
+    parameters, and the objective f (m,) with its gradient (m, k) and
+    Hessian (m, k, k) in x, where f is nll, or +inf wherever any of them
+    is not finite.  J is the model's embedding, or None where it is the
+    identity.
 
     The objective of the lockstep driver, run under its errstate.  The
-    parameters are not checked: `fit_mle` checks the starts, and every
-    later point is the exp of a point within a few units of the box, at
-    which a non-finite result gives f = +inf.  The box penalty is zero
-    inside the box, so it runs only on the rows past the wall."""
+    parameters are not checked: `fit_mle` checks the starts, and at a
+    later point out of range (a rate trial past exp overflow, say) the
+    result is not finite, f = +inf, and the driver rejects the step."""
     p = np.exp(x)
     columns = {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)}
     value, U, H = _derivs(_trusted(spec.params_type, *_full_values(spec, columns)), y)
@@ -474,19 +464,10 @@ def _log_space_derivs(spec, J, y, x):
     g = -p * U
     B = -(p[:, :, None] * H * p[:, None, :])
     m, k = x.shape
-    diag = B.reshape(m, k * k)[:, ::k + 1]
-    diag -= p * U
-    f = -value
-    ax = np.abs(x)
-    if ax.max() > _BOX:
-        wall = np.flatnonzero((ax > _BOX).any(axis=-1))
-        pen, pen_g, pen_h = _box_penalty(x[wall])
-        f[wall] += pen
-        g[wall] += pen_g
-        diag[wall] += pen_h
+    B.reshape(m, k * k)[:, ::k + 1] -= p * U
     # B's diagonal holds -p * U, so a finite B implies a finite g
     ok = np.isfinite(value) & np.isfinite(B).all(axis=(-2, -1))
-    return np.where(ok, f, math.inf), g, B, -value, -H
+    return np.where(ok, -value, math.inf), g, B, -value, -H
 
 
 def _positive_definite(m):
@@ -525,7 +506,8 @@ def fit_mle(model, data, config=None):
             f"{spec.name} has {k} free parameters; need more than {k} observations"
         )
     seed = _seed_values(spec, y)
-    starts = np.array(_start_points(np.log([seed[f] for f in free]), free, cfg))
+    shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
+    starts = np.array(_start_points(np.log([seed[f] for f in free]), shape, cfg))
     # each distinct start once, in battery order: slot i runs as row
     # twin[i] of `distinct`, and the rows are independent
     keys = {}
@@ -538,9 +520,8 @@ def fit_mle(model, data, config=None):
     J = _embedding(spec)
     J = None if np.array_equal(J, np.eye(k)) else J
     # a start whose trial step takes a shape past the wall is on a ridge:
-    # it stops there, never converged.  A rate at the wall is a matter of
-    # units, and such a start may walk back.
-    shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
+    # it stops there, never converged.  Where a rate lies is a matter of
+    # units, so a rate may leave the box.
     res = minimize(
         lambda x: _log_space_derivs(spec, J, y, x), distinct, max_iter=cfg.max_iter,
         outside=lambda x: (np.abs(x[:, shape]) > _BOX).any(axis=-1),

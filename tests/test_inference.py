@@ -493,6 +493,22 @@ class TestFitMle:
             assert fit_scaled.estimates[name] * (scale if rate else 1.0) == pytest.approx(
                 est, rel=1e-6), name
 
+    @pytest.mark.parametrize("dataset", ["aarset", "glass"])
+    @pytest.mark.parametrize("model", ["g", "e", "gg", "ge"])
+    def test_rates_past_the_box_reach_the_scaled_optimum(self, model, dataset, request):
+        # at 1e12 times the data the fitted rates lie past |ln p| = 30;
+        # nothing holds a rate in the box, so the fit reaches the optimum
+        # of the unscaled data.  Interiority is still judged in raw units,
+        # so `converged` is not asserted.
+        data = request.getfixturevalue(f"{dataset}_data")
+        scaled = Dataset(values=tuple(v * 1e12 for v in data.values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(model, data)
+            fit_scaled = fit_mle(model, scaled)
+        assert fit_scaled.neg_loglik == pytest.approx(
+            fit.neg_loglik + data.n * math.log(1e12), rel=1e-10)
+
     def test_glass_be_converges(self, glass_data):
         # The optimum sits far out in b (~1e5) on a flat valley, where a fit
         # that stops short is left unconverged at a slightly higher NLL.

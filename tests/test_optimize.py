@@ -152,19 +152,29 @@ def test_trust_region_step_is_silent():
 
 
 
-def _ridge(x):
-    """ln(1 + t^2) - t/2 in t = x_0, plus (x_1 - 1)^2 / 2 and a cubic
-    penalty past t = 10 as `fit_mle` puts on its box: a local minimum at
-    t = 2 - sqrt(3), a crest at 2 + sqrt(3) and, past it, a ridge that
-    falls until the penalty holds it at t ~ 10."""
+def _falling_ridge(x):
+    """ln(1 + t^2) - t/2 in t = x_0, plus (x_1 - 1)^2 / 2: a local minimum
+    at t = 2 - sqrt(3), a crest at 2 + sqrt(3) and, past it, a ridge that
+    falls without bound."""
     t, u = x[:, 0], x[:, 1] - 1.0
     q = 1.0 + t * t
-    over = np.maximum(t - 10.0, 0.0)
-    f = np.log(q) - 0.5 * t + 0.5 * u * u + 1e6 * over ** 3
-    g = np.stack([2.0 * t / q - 0.5 + 3e6 * over ** 2, u], axis=-1)
+    f = np.log(q) - 0.5 * t + 0.5 * u * u
+    g = np.stack([2.0 * t / q - 0.5, u], axis=-1)
     B = np.zeros((len(x), 2, 2))
-    B[:, 0, 0] = 2.0 * (1.0 - t * t) / (q * q) + 6e6 * over
+    B[:, 0, 0] = 2.0 * (1.0 - t * t) / (q * q)
     B[:, 1, 1] = 1.0
+    return f, g, B
+
+
+def _ridge(x):
+    """The falling ridge plus a cubic penalty past t = 10, which holds the
+    ridge at t ~ 10: a wall that a start without the predicate closes in
+    on and stops at on the gradient."""
+    f, g, B = _falling_ridge(x)
+    over = np.maximum(x[:, 0] - 10.0, 0.0)
+    f += 1e6 * over ** 3
+    g[:, 0] += 3e6 * over ** 2
+    B[:, 0, 0] += 6e6 * over
     return f, g, B
 
 
@@ -204,6 +214,34 @@ def test_minimize_stops_a_start_on_its_first_trial_past_the_wall():
     # a start run alone ends as its row of the block
     for i, row in enumerate(starts):
         alone = _optimize.minimize(_ridge, row[None], max_iter=50, outside=_past_ten)
+        np.testing.assert_array_equal(alone.x[0], res.x[i])
+        assert (alone.status[0], alone.nit, alone.nfev) == (
+            res.status[i], res.nit_per_start[i], res.nfev_per_start[i])
+
+
+def test_minimize_never_accepts_a_trial_past_the_wall():
+    # on the falling ridge every trial step out past the crest lowers f,
+    # and nothing but the predicate holds a start: the ridge starts must
+    # still end inside the wall, at their last accepted point
+    starts = np.array([[0.0, 0.0], [5.0, 3.0], [-3.0, 1.0], [4.5, -2.0], [1.0, 2.0]])
+    ridge = [1, 3]
+    res = _optimize.minimize(_falling_ridge, starts, max_iter=50, outside=_past_ten)
+    np.testing.assert_array_equal(res.status, [0, 4, 0, 4, 0])
+    assert (np.abs(res.x[:, 0]) <= 10.0).all()
+    for i in ridge:
+        # unchecked, the start takes its falling trial past the wall on
+        # iteration nit; one iteration earlier it stood at the wall-stopped
+        # start's end point
+        nit = int(res.nit_per_start[i])
+        past = _optimize.minimize(_falling_ridge, starts[i:i + 1], max_iter=nit)
+        assert past.x[0, 0] > 10.0 and past.evals[0][0] < res.evals[0][i]
+        last = _optimize.minimize(_falling_ridge, starts[i:i + 1], max_iter=nit - 1)
+        np.testing.assert_array_equal(last.x[0], res.x[i])
+        for kept_eval, at_x in zip(res.evals, _falling_ridge(res.x[i:i + 1])):
+            np.testing.assert_array_equal(kept_eval[i], at_x[0])
+    # a start run alone ends as its row of the block
+    for i, row in enumerate(starts):
+        alone = _optimize.minimize(_falling_ridge, row[None], max_iter=50, outside=_past_ten)
         np.testing.assert_array_equal(alone.x[0], res.x[i])
         assert (alone.status[0], alone.nit, alone.nfev) == (
             res.status[i], res.nit_per_start[i], res.nfev_per_start[i])
