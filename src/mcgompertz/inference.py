@@ -42,13 +42,16 @@ from .family import ModelSpec, _full_values, make_submodel, model_spec
 from .specfun import _psi_sum_differences
 
 
-# Log-parameter box |ln p| < _BOX, one rule in two places, which keeps ridge
-# escapes (likelihood paths improving forever as a shape parameter diverges)
-# from masquerading as maxima: the driver never takes a trial step that puts
-# a shape parameter (a, b, c) past the wall, and stops such a start at its
-# last accepted point; and a start is interior only if it was not stopped
-# there and every coordinate lies inside.  Nothing holds a rate in the box,
-# since where a rate lies depends on the units of the data.
+# Log-parameter box: every coordinate within _BOX of the seed, |ln p - ln
+# p_seed| < _BOX.  It keeps ridge escapes (likelihood paths improving
+# forever as a parameter diverges) from masquerading as maxima, as one rule
+# in two places: the driver never takes a trial step that puts a shape
+# parameter (a, b, c) past the wall, and stops such a start at its last
+# accepted point; and a start is interior only if it was not stopped there
+# and every coordinate ends inside.  The shape seeds are 1, so the shape
+# half is |ln p| < _BOX.  The rate seeds carry the units of the data (and
+# for the Gompertz base its location), so the rate half, and with it the
+# `converged` flag, does not depend on them.
 _BOX = 30.0
 
 # Multistart lattice scales in log-parameter space.
@@ -121,10 +124,11 @@ class StartRecord:
     nit, nfev: Newton iterations and objective evaluations it spent.
     neg_loglik: negative log-likelihood where it stopped.
     grad_norm: the scaled log-space gradient there, as in FitResult.
-    interior: whether it stopped strictly inside the box |ln p| < 30 and
-        was not stopped at the wall: a start whose trial step took a shape
-        parameter past |ln p| = 30 ends at its last accepted point, whose
-        shape parameters lie inside, with interior False.
+    interior: whether it was not stopped at the wall and ended strictly
+        inside the box, every coordinate within 30 of the seed's in log
+        space: a start whose trial step took a shape parameter past
+        |ln p| = 30 ends at its last accepted point, whose shape parameters
+        lie inside, with interior False.
     pos_def: whether the observed information there is positive definite.
     reason: why it cannot win as a converged fit, or None when it
         converged.  Checked in this order: "degenerate" (the likelihood or
@@ -158,8 +162,8 @@ class FitResult:
         log-likelihood) in the free natural parameters, ordered as
         model.free_params.
     converged: True when the winning replicate had a small scaled gradient,
-        sat strictly inside the trust region, and had a positive definite
-        observed information.
+        ended strictly inside the log-parameter box around the seed, and had
+        a positive definite observed information.
     iterations: optimizer iterations spent by the winning replicate.
     grad_norm: sup-norm of the log-space gradient at the estimates, scaled
         by max(1, |log-likelihood|).
@@ -492,9 +496,10 @@ def fit_mle(model, data, config=None):
     parameters are checked once per fit, at the starts.  A start that
     repeats an earlier one is not run again; its record copies its
     twin's.  The winner is the best converged start (scaled gradient at
-    most 1e-5, strictly inside the box, positive definite observed
-    information); if none converges the best raw minimum is returned with
-    `converged=False`.  `trace` holds one StartRecord per start.
+    most 1e-5, every log-parameter strictly within 30 of the seed's,
+    positive definite observed information); if none converges the best
+    raw minimum is returned with `converged=False`.  `trace` holds one
+    StartRecord per start.
     """
     spec = _spec(model)
     cfg = config if config is not None else OptimizerConfig()
@@ -507,7 +512,8 @@ def fit_mle(model, data, config=None):
         )
     seed = _seed_values(spec, y)
     shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
-    starts = np.array(_start_points(np.log([seed[f] for f in free]), shape, cfg))
+    x0 = np.log([seed[f] for f in free])
+    starts = np.array(_start_points(x0, shape, cfg))
     # each distinct start once, in battery order: slot i runs as row
     # twin[i] of `distinct`, and the rows are independent
     keys = {}
@@ -520,8 +526,8 @@ def fit_mle(model, data, config=None):
     J = _embedding(spec)
     J = None if np.array_equal(J, np.eye(k)) else J
     # a start whose trial step takes a shape past the wall is on a ridge:
-    # it stops there, never converged.  Where a rate lies is a matter of
-    # units, so a rate may leave the box.
+    # it stops there, never converged.  The rates are not walled: a rate
+    # may walk out of the box and back, and counts where it ends.
     res = minimize(
         lambda x: _log_space_derivs(spec, J, y, x), distinct, max_iter=cfg.max_iter,
         outside=lambda x: (np.abs(x[:, shape]) > _BOX).any(axis=-1),
@@ -533,7 +539,7 @@ def fit_mle(model, data, config=None):
     for i, x_start in enumerate(distinct):
         scaled_grad = float(np.max(np.abs(g_end[i]))) / max(1.0, abs(nll[i]))
         stop = STOPS[res.status[i]]
-        interior = stop != "wall" and bool(np.all(np.abs(ends[i]) < _BOX))
+        interior = stop != "wall" and bool(np.all(np.abs(ends[i] - x0) < _BOX))
         pos_def = _positive_definite(info[i])
         if not math.isfinite(f_end[i]):
             reason = "degenerate"

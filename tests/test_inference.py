@@ -494,20 +494,63 @@ class TestFitMle:
                 est, rel=1e-6), name
 
     @pytest.mark.parametrize("dataset", ["aarset", "glass"])
-    @pytest.mark.parametrize("model", ["g", "e", "gg", "ge"])
+    @pytest.mark.parametrize("model", ["mcg", "bg", "kumg", "gg", "g", "mce", "e", "ge"])
     def test_rates_past_the_box_reach_the_scaled_optimum(self, model, dataset, request):
-        # at 1e12 times the data the fitted rates lie past |ln p| = 30;
-        # nothing holds a rate in the box, so the fit reaches the optimum
-        # of the unscaled data.  Interiority is still judged in raw units,
-        # so `converged` is not asserted.
+        # a fit of k times the data is the fit of the data, rescaled: its
+        # NLL is the unscaled NLL + n ln k, and its `converged` flag is the
+        # unscaled fit's, since the box is centred on the seed, which
+        # carries the units.  At k = 1e9 and 1e12 the fitted rates lie past
+        # |ln p| = 30 in raw units.
         data = request.getfixturevalue(f"{dataset}_data")
-        scaled = Dataset(values=tuple(v * 1e12 for v in data.values))
+        misses = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fit_mle(model, data)
-            fit_scaled = fit_mle(model, scaled)
-        assert fit_scaled.neg_loglik == pytest.approx(
-            fit.neg_loglik + data.n * math.log(1e12), rel=1e-10)
+            for k in (1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12):
+                scaled = fit_mle(model, Dataset(values=tuple(v * k for v in data.values)))
+                want = fit.neg_loglik + data.n * math.log(k)
+                if not (scaled.neg_loglik == pytest.approx(want, rel=1e-9)
+                        and scaled.converged == fit.converged):
+                    misses.append((k, scaled.neg_loglik - want, scaled.converged))
+        assert not misses
+
+    def test_shifted_data_converge(self, glass_data):
+        # glass + 10 clusters far from the origin, so the G optimum has
+        # ln theta = -41.6, past |ln p| = 30 in raw units; the seed is that
+        # optimum, and the box, centred on it, holds every start
+        shifted = Dataset(values=tuple(v + 10.0 for v in glass_data.values))
+        fit = fit_mle("g", shifted)
+        assert math.log(fit.estimates["theta"]) < -30.0
+        assert fit.converged
+        assert all(r.reason is None for r in fit.trace)
+
+    def test_rate_ridge_past_the_box_not_interior(self, monkeypatch):
+        # on this gamma(1) sample KumE improves along b -> inf, theta -> 0;
+        # the driver walls only the shapes, so theta walks out, and the
+        # box's rate half must keep those starts from converging
+        rng = np.random.default_rng(14)
+        rng.gamma(0.5, size=40)  # the sample is the second draw of this rng
+        data = _dataset(rng.gamma(1.0, size=40))
+        runs = []
+        real = inference.minimize
+
+        def recording(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            runs.append((x0, res.x))
+            return res
+
+        monkeypatch.setattr(inference, "minimize", recording)
+        fit = fit_mle("kume", data)
+        [(starts, ends)] = runs
+        j = fit.model.free_params.index("theta")
+        by_start = {r.start: r for r in fit.trace}
+        past = [
+            by_start[tuple(float(v) for v in np.exp(x))]
+            for x, end in zip(starts, ends) if end[j] < starts[0, j] - 30.0
+        ]
+        assert past
+        assert all(not r.interior and r.reason == "not interior" for r in past)
+        assert not fit.converged
 
     def test_glass_be_converges(self, glass_data):
         # The optimum sits far out in b (~1e5) on a flat valley, where a fit
