@@ -23,9 +23,7 @@ import numpy as np
 from .specfun import (
     _at,
     _float_or_array,
-    beta_fn,
     inc_beta_inv_log,
-    inc_beta_reg,
     inc_beta_reg_logx,
     log1mexp,
     log_beta,
@@ -53,9 +51,12 @@ __all__ = [
 # beyond this point exp(-w) underflows and the generator factors are
 # evaluated through their leading asymptotics instead
 _W_DEEP = 700.0
-# cap on the terms of the survival series in hazard: with x <= 1/2 the
-# term ratio (b + alpha + n) x/(b + 1 + n) is below 3/4 once n > 2 alpha
+# cap on the terms of the survival series in hazard: its term ratio
+# (b + alpha + n) x/(b + 1 + n) tends to x = 1 - G^c < 1
 _SERIES_TERMS = 5000
+# a derived half of the cdf below this is read from its own argument:
+# one minus the other keeps it only to ~1e-12 relative
+_DIRECT = 1e-4
 
 
 def _check_positive(obj, names):
@@ -287,47 +288,47 @@ def pdf(p, y):
 
 
 def _log_each(v):
-    """ln v by math.log, element by element for an array: a column of
-    shapes then gives bit for bit what its floats do."""
+    """ln v by math.log, element by element for an array, in its shape: a
+    column of shapes then gives bit for bit what its floats do."""
     if isinstance(v, np.ndarray):
-        return np.array([math.log(x) for x in v.tolist()])
+        return np.array([math.log(x) for x in v.ravel().tolist()]).reshape(v.shape)
     return math.log(v)
 
 
 def _cdf_survival_w(a, b, c, w):
     """(F, S) at base cumulative hazards w >= 0, where G = 1 - e^{-w}.
 
-    F = I(G^c; a/c, b) is routed through the log-argument incomplete beta
-    so G^c may underflow without losing the value.  Where G^c > 1/2 the
-    complement 1 - G^c is formed by expm1 and fed to the swapped-argument
-    incomplete beta, so S keeps relative precision in the upper tail;
-    past w = 700, where e^{-w} underflows, ln(1 - G^c) is its asymptote
-    ln c - w.  Each side is one minus the other.  At w = 0, G^c = 0
-    takes the deep lower branch, which gives F = 0 and S = 1 exactly.
+    F = I(V; a/c, b) and S = I(1 - V; b, a/c), V = G^c, by one rule: the
+    half whose argument is at most 1/2 is read from its log, which may
+    underflow, by the log-argument incomplete beta, and the other is one
+    minus it or, below 1e-4, read from its own argument too, so each half
+    is exact where it is the smaller.  Past w = 700, where e^{-w}
+    underflows, ln(1 - V) is its asymptote ln c - w.  At w = 0, F = 0 and S = 1.
 
-    a, b and c are floats or arrays that broadcast to w's shape, such as
-    (m, 1) columns against an (m, n) w; each branch takes them at its
-    own points.
+    a, b and c are floats or arrays, such as (m, 1) columns, that
+    broadcast to w's shape; each read takes them at its own points.
     """
-    alpha = a / c
+    shapes = ((a / c, b), (b, a / c))
     with np.errstate(under="ignore"):
-        u = np.asarray(c * log1mexp(w))
-    F = np.empty_like(w)
-    S = np.empty_like(w)
-    lo = u <= -math.log(2.0)
-    deep = ~lo & (w > _W_DEEP)
-    mid = ~lo & ~deep
-    if np.count_nonzero(lo):
-        F[lo] = inc_beta_reg_logx(u[lo], _at(alpha, lo), _at(b, lo))
-        S[lo] = 1.0 - F[lo]
-    if np.count_nonzero(mid):
-        with np.errstate(under="ignore"):
-            S[mid] = inc_beta_reg(-np.expm1(u[mid]), _at(b, mid), _at(alpha, mid))
-    if np.count_nonzero(deep):
-        ln_c = _log_each(_at(c, deep))
-        S[deep] = inc_beta_reg_logx(ln_c - w[deep], _at(b, deep), _at(alpha, deep))
-    F[~lo] = 1.0 - S[~lo]
-    return F, S
+        ln_v = np.asarray(c * log1mexp(w))
+        ln_x = [ln_v, np.asarray(log1mexp(-ln_v))]
+    if w.size and w.max() > _W_DEEP:
+        ln_x[1] = np.where(w > _W_DEEP, _log_each(c) - w, ln_x[1])
+    halves = (np.empty_like(w), np.empty_like(w))
+
+    def read(side, on):
+        halves[side][on] = inc_beta_reg_logx(ln_x[side][on], *(_at(v, on) for v in shapes[side]))
+
+    lower = ln_v <= -math.log(2.0)
+    for side, on in enumerate((lower, ~lower)):
+        if np.count_nonzero(on):
+            read(side, on)
+            halves[1 - side][on] = 1.0 - halves[side][on]
+    for side, on in enumerate((~lower, lower)):
+        on = on & (halves[side] < _DIRECT)
+        if np.count_nonzero(on):
+            read(side, on)
+    return halves
 
 
 def _w_of_y(p, y):
@@ -341,13 +342,14 @@ def _w_of_y(p, y):
 
 
 def cdf_survival(p, y):
-    """(F(y), 1 - F(y)) from one pass, each exact where G^c underflows and
-    where 1 - G^c does.
+    """(F(y), 1 - F(y)) from one pass, each exact where it is the smaller:
+    a half below 1e-4 is read directly, never as one minus the other.
 
     G^c may be log-small (the fitted fiber shapes push it below e^{-1000}
     at observed data) and 1 - G^c may underflow (tiny b puts the upper
-    quantiles past w = 700); both are handled in log space, so S keeps
-    relative precision in the deep upper tail.  The fields of `p` may be
+    quantiles past w = 700); both are handled in log space, so F keeps
+    relative precision in the lower tail and S in the deep upper tail,
+    on either side of G^c = 1/2.  The fields of `p` may be
     (m, 1) columns, as for log_pdf: row i of the result then equals bit
     for bit what the floats of row i give.
     """
@@ -367,18 +369,16 @@ def survival(p, y):
 
 
 def _log_survival_series(a, b, c, w):
-    """ln S at base cumulative hazards w where x = 1 - G^c <= 1/2.
+    """ln S at base cumulative hazards w, where x = 1 - G^c < 1.
 
     ln I_x(b, alpha) = b ln x + alpha ln(1 - x) - ln b - ln B(b, alpha)
     + ln sum_n (b + alpha)_n/(b + 1)_n x^n with alpha = a/c (DLMF 8.17.8),
     summed term by term: it stays finite where S underflows (large b).
-    Raises where x > 1/2 or the sum has not converged.
+    Raises where the sum, convergent for every x < 1, has not converged.
     """
     alpha = a / c
     ln_g = log1mexp(w)
     ln_x = log1mexp(-c * ln_g)
-    if np.any(ln_x > -math.log(2.0)):
-        raise ValueError("hazard undefined: survival underflows to 0")
     x = np.exp(ln_x)
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -400,8 +400,8 @@ def hazard(p, y):
     relative correction to it is of that order, so it is exact in double
     precision and stays finite where the survival underflows.  Elsewhere,
     where the survival underflows (large b), it is exp(ln f - ln S) with
-    ln S from _log_survival_series, which raises where that series does
-    not apply.
+    ln S from _log_survival_series, finite on either side of G^c = 1/2;
+    that series raises only where it does not converge.
     """
     arr = _checked_y(y)
     base = p.base
@@ -420,11 +420,13 @@ def hazard(p, y):
 
 
 def reversed_hazard(p, y):
-    """f/F.  Raises where the cdf is exactly zero (y = 0 included)."""
+    """f/F; inf where it exceeds the largest double.  Raises only where the
+    cdf is 0: at y = 0, or where F is below the smallest double."""
     f_val = cdf(p, y)
     if np.any(f_val == 0.0):
         raise ValueError("reversed hazard undefined: cdf is 0")
-    return _float_or_array(np.asarray(pdf(p, y)) / f_val)
+    with np.errstate(over="ignore"):
+        return _float_or_array(np.asarray(pdf(p, y)) / f_val)
 
 
 def _w_of_t(a, b, c, t):
@@ -485,10 +487,6 @@ def sample(p, n: int, seed: int):
 
 
 def density_limit_at_zero(p):
-    """lim_{y -> 0+} f(y): c w'(0)/B(1/c, b) at a = 1, 0 above, +inf
-    below.  (The density always decays to 0 as y -> inf.)"""
-    if p.a < 1.0:
-        return math.inf
-    if p.a > 1.0:
-        return 0.0
-    return math.exp(p.base.log_dw(0.0)) * p.c / beta_fn(1.0 / p.c, p.b)
+    """lim_{y -> 0+} f(y), which is pdf(p, 0): c w'(0)/B(1/c, b) at
+    a = 1, 0 above, +inf below.  (The density always decays to 0 as y -> inf.)"""
+    return pdf(p, 0.0)

@@ -480,6 +480,8 @@ class TestSeriesOracle:
                 _same(component_moment(p.a, k, p.theta, p.gamma), ref_one)
                 converged += ref[1]
         assert converged >= 20
+        # theta/gamma > 700: no term has a finite e^{m_i}
+        _same(component_moment(1.0, 1, 800.0, 1.0), (math.nan, False))
 
     def test_os_moment_series(self):
         # integer exponents a(i+k) + rc make the inner series terminate, the

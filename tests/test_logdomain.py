@@ -4,10 +4,13 @@ in u = ln y, ln B(a, b) with one argument dwarfing the other, digamma and
 trigamma differences at large arguments, and the deep
 upper tail they give the distribution functions when 1 - G^c underflows
 (tiny b, w > 700), hazard included, also where the survival underflows
-for large b.  References are mpmath values.
+for large b, and the small lower tail of the cdf where G^c > 1/2.
+References are mpmath values.
 """
 
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +20,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgompertz.cli import EXIT_OK, main
-from mcgompertz.core import McEParams, McGParams, cdf, hazard, quantile, survival
+from mcgompertz.core import (
+    McEParams,
+    McGParams,
+    cdf,
+    hazard,
+    quantile,
+    reversed_hazard,
+    survival,
+)
 from mcgompertz.specfun import (
     _psi_sum_differences,
     digamma_diff,
@@ -356,6 +367,77 @@ def test_hazard_where_survival_underflows_for_large_b(tmp_path):
     assert_allclose([float(r[3]) for r in rows], 50.0, rtol=1e-12)
 
 
+def test_hazard_where_survival_underflows_above_half():
+    # b = 2000, a = c = 1: S = e^{-2000 w} underflows from y ~ 0.31 on,
+    # where 1 - G^c = e^{-w} > 1/2; the hazard is 2000 e^y
+    p = McGParams(1.0, 2000.0, 1.0, 1.0, 1.0)
+    ys = np.array([0.05, 0.2, 0.4, 0.45])
+    assert survival(p, 0.4) == 0.0
+    assert_allclose(hazard(p, ys), 2000.0 * np.exp(ys), rtol=1e-12)
+
+
+@mp.workdps(40)
+def _mp_cdf(p, y):
+    a, b, c, th = (mp.mpf(v) for v in (p.a, p.b, p.c, p.theta))
+    y = mp.mpf(y)
+    if isinstance(p, McGParams):
+        ga = mp.mpf(p.gamma)
+        w = th / ga * mp.expm1(ga * y)
+    else:
+        w = th * y
+    v = mp.exp(c * mp.log(-mp.expm1(-w)))  # G^c
+    return mp.betainc(a / c, b, 0, v, regularized=True)
+
+
+def _lopsided_columns(rng, n):
+    """n random parameter sets of each base as (n, 1) columns: a, b, c in
+    e^[-6, 6] and the rates in e^[-2, 2]."""
+    for cls in (McGParams, McEParams):
+        fields = cls.__dataclass_fields__
+        shapes = np.exp(rng.uniform(-6.0, 6.0, (3, n)))
+        rates = np.exp(rng.uniform(-2.0, 2.0, (len(fields) - 3, n)))
+        yield cls(*(v[:, None] for v in (*shapes, *rates)))
+
+
+@pytest.mark.parametrize("t", [
+    1e-6, 1e-10, 1e-17, 1e-30, 1e-100,
+    pytest.param(1e-300, marks=pytest.mark.xfail(strict=True, reason=(
+        "two defects near the bottom of the double range: the deep inverse "
+        "stops on |I - p| <= 1e-12 absolute, so Q(1e-300) can be far off, "
+        "and for some shapes scipy's betainc gives 0 where I ~ 1e-293, so "
+        "F and with it reversed_hazard fail where F is a normal double"))),
+])
+def test_cdf_at_small_tail_quantiles_vs_mpmath(t):
+    # lopsided shapes put G^c above 1/2 where F is still tiny: there F
+    # must be read from its own argument, since the survival rounds to 1
+    rng = np.random.default_rng(5)
+    for p in _lopsided_columns(rng, 1500):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = np.asarray(quantile(p, [t]))[:, 0]
+            normal = y >= sys.float_info.min
+            y = y[normal]
+            rows = type(p)(*(v[normal] for v in (getattr(p, f) for f in p.__dataclass_fields__)))
+            F = np.asarray(cdf(rows, y[:, None]))[:, 0]
+            rh = np.asarray(reversed_hazard(rows, y[:, None]))
+        assert np.count_nonzero(normal) > 500
+        assert np.all(np.isfinite(rh))
+        assert_allclose(F, t, rtol=1e-10)
+        for i in rng.choice(len(y), 12, replace=False):
+            values = (float(getattr(rows, f)[i, 0]) for f in p.__dataclass_fields__)
+            assert_allclose(F[i], float(_mp_cdf(type(p)(*values), y[i])), rtol=1e-10)
+
+
+def test_cdf_small_tail_at_a_lopsided_point():
+    # a/c = 7.7e3 against b = 142: G^c > 1/2 at y = Q(1e-17)
+    p = McEParams(
+        2.5890202316736546, 141.5650479633736, 0.00033606535807500907, 2.2767216229660674
+    )
+    y = quantile(p, 1e-17)
+    assert_allclose(cdf(p, y), 1e-17, rtol=1e-12)
+    assert math.isfinite(reversed_hazard(p, y))
+
+
 def test_quantile_rejects_nan():
     for p in (McGParams(0.5, 0.8, 2.0, 0.1, 0.5), McEParams(0.5, 2.0, 3.0, 0.8)):
         for t in (math.nan, [0.5, math.nan]):
@@ -443,11 +525,13 @@ def test_psi_sum_differences_match_the_single_calls(x, h):
 def test_special_function_columns_match_float_calls():
     # (S, 1) parameter columns, as a batched fit passes them, whose rows
     # take every branch: ln B lopsided (min <= 1, max >= 10) or not, and
-    # the psi differences at x >= 100 (asymptotic series) or below
+    # the psi differences at x >= 100 (asymptotic series) or below; and a
+    # column against a row, which broadcast to a grid
     x = np.array([[0.3], [2.5], [150.0], [1e4], [0.7], [99.0], [100.0], [3e6], [12.0]])
     h = np.array([[40.0], [1.7], [0.01], [2.0], [0.2], [5.0], [1e-3], [0.5], [0.9]])
+    grid = (np.array([[0.5], [150.0]]), np.array([[1.0, 30.0, 500.0]]))
     for fn in (log_beta, digamma_diff, trigamma_diff):
-        for u, v in ((x, h), (h, x), (x, 0.5), (0.5, x), (x.ravel(), 7.0)):
+        for u, v in ((x, h), (h, x), (x, 0.5), (0.5, x), (x.ravel(), 7.0), grid):
             out = fn(u, v)
             ref = np.array([fn(float(ui), float(vi)) for ui, vi in
                             zip(*(np.broadcast_to(w, out.shape).ravel() for w in (u, v)))])

@@ -1,0 +1,121 @@
+"""Print a fingerprint of the package's outputs: one `name sha1` line per item.
+
+    python tools/fingerprint.py
+
+The package is imported from the `src/` beside this script, so the same
+script run in two checkouts tells, line by line, which outputs differ
+between them.  The items are:
+
+- `fit/<data>/<model>`: each of the 22 default fits (11 models on the
+  aarset and glass data): estimates, standard errors, NLL and grad_norm as
+  hex floats, the info_matrix bytes, every StartRecord, converged and the
+  winner;
+- `dist/<data>/<model>`: cdf_survival, hazard and reversed_hazard of that
+  fit's parameters on its own sorted data;
+- `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
+  list of CLI runs.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from mcgompertz import cli, core  # noqa: E402
+from mcgompertz.family import MODELS  # noqa: E402
+from mcgompertz.inference import fit_mle  # noqa: E402
+
+DATASETS = ("aarset", "glass")
+AARSET_MCG = "a=0.486,b=0.00803,c=39.08,theta=0.02994,gamma=0.07574"
+MCE = "a=2.589,b=141.57,c=0.000336,theta=2.277"
+# each run is its argv; OUT stands for a file the run writes with --out
+OUT = "OUT"
+RUNS = (
+    ["fit", "--model", "mcg", "--data", "aarset"],
+    ["fit", "--model", "mce", "--data", "glass", "--trace"],
+    ["fit", "--model", "bg", "--data", "aarset", "--format", "csv", "--out", OUT],
+    ["gof", "--model", "mcg", "--data", "aarset"],
+    ["gof", "--model", "kumg", "--data", "glass", "--trace", "--format", "csv"],
+    ["compare", "--data", "aarset"],
+    ["compare", "--data", "glass", "--format", "csv", "--trace"],
+    ["eval", "--model", "mcg", "--params", AARSET_MCG, "--grid-max", "90", "--out", OUT],
+    ["eval", "--model", "mce", "--params", MCE, "--grid-min", "1e-6", "--grid-max", "2",
+     "--format", "json"],
+    ["sample", "--model", "mcg", "--params", AARSET_MCG, "--n", "200", "--seed", "3"],
+    ["sample", "--model", "mce", "--params", MCE, "--n", "200", "--format", "json", "--out", OUT],
+    ["curves", "--params", "a=0.5,b=2,theta=0.1,gamma=0.5"],
+)
+
+
+def _exact(v):
+    """v with every float as its hex string, for hashing by repr."""
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    if isinstance(v, dict):
+        return {k: _exact(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_exact(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return [_exact(getattr(v, f.name)) for f in dataclasses.fields(v)]
+    return v
+
+
+def _sha(*parts):
+    h = hashlib.sha1()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _fit_lines(name, data):
+    fit = fit_mle(name, data)
+    yield f"fit/{data.label}/{name}", _sha(
+        _exact((fit.estimates, fit.std_errors, fit.neg_loglik, fit.grad_norm)),
+        np.ascontiguousarray(fit.info_matrix).tobytes(),
+        _exact(fit.trace),
+        fit.converged,
+        fit.winner,
+    )
+    p, y = fit.params, np.sort(data.array)
+    parts = [np.stack(core.cdf_survival(p, y)).tobytes()]
+    for fn in (core.hazard, core.reversed_hazard):
+        try:
+            parts.append(np.asarray(fn(p, y)).tobytes())
+        except ValueError as exc:
+            parts.append(str(exc))
+    yield f"dist/{data.label}/{name}", _sha(*parts)
+
+
+def _run_line(argv, tmp):
+    out_path = Path(tmp) / "out"
+    argv = [str(out_path) if a == OUT else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    written = out_path.read_bytes() if out_path.exists() else b""
+    out_path.unlink(missing_ok=True)
+    shown = " ".join(OUT if a == str(out_path) else a for a in argv)
+    return f"mcg {shown}", _sha(stdout.getvalue(), stderr.getvalue(), code, written)
+
+
+def main():
+    for label in DATASETS:
+        data = cli._read_dataset(label)
+        for name in MODELS:
+            for line in _fit_lines(name, data):
+                print(*line)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in RUNS:
+            print(*_run_line(argv, tmp))
+
+
+if __name__ == "__main__":
+    main()
