@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    _LOG_Y_DEEP,
     _at,
     _float_or_array,
     inc_beta_inv_log,
@@ -240,24 +241,19 @@ def _log_pdf_terms(p, y):
 
     The fields of `p` may be floats or (S, 1) columns, one row per start
     of a batched fit; the arrays then have shape (S, n).  Where deep,
-    ln(1 - G^c) is left as computed (-inf once e^{-w} underflows) and
-    ln f uses its asymptote ln c - w instead.
+    ln f is built on the asymptote ln c - w of ln(1 - G^c).
     """
     a, b, c = p.a, p.b, p.c
     base = p.base
     log_c = np.log(c)
     lead = log_c - log_beta(a / c, b) + base.log_dw(y)
     w = base.w(y)
-    with np.errstate(under="ignore", invalid="ignore"):
-        ln_g = log1mexp(w)
-        ln_1mv = log1mexp(-c * ln_g)
+    # (b - 1) ln(1 - G^c) and b w overflow only where the density is far
+    # below the smallest double, and -inf is then the exact ln f
+    with np.errstate(under="ignore", invalid="ignore", over="ignore"):
+        ln_g, _, ln_1mv, deep = _log_v_pair(c, w)
         out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
-    deep = None
-    if w.size and w.max() > _W_DEEP:
-        deep = w > _W_DEEP
-        # b w overflows to inf only where the density is far below the
-        # smallest double, and -inf is then the exact ln f
-        with np.errstate(over="ignore"):
+        if deep is not None:
             out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
     if w.size and w.min() == 0.0:
         at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))
@@ -266,25 +262,18 @@ def _log_pdf_terms(p, y):
 
 
 def log_pdf(p, y):
-    """ln f(y), assembled entirely in log space.
-
-    Returns -inf where the density vanishes and +inf at y = 0 when
-    a < 1 (the boundary spike).  The three regimes are w = 0 (the
-    boundary itself), moderate w (all factors representable via
-    log1p/expm1 complements), and w > 700 where exp(-w) underflows and
-    ln(1 - (1-t)^c) is replaced by its asymptote ln c - w.  The moderate
-    form is evaluated on the whole array and the other two patched in
-    only where they occur.
-    """
+    """ln f(y), assembled entirely in log space: -inf where the density
+    vanishes, +inf at y = 0 when a < 1 (the boundary spike), and past
+    w = 700, where e^{-w} underflows, built on the asymptote ln c - w of
+    ln(1 - G^c).  The w = 0 and w > 700 forms are patched in only where
+    they occur."""
     return _float_or_array(_log_pdf_terms(p, _checked_y(y))[0])
 
 
 def pdf(p, y):
     """f(y) = exp(log_pdf); +inf at y = 0 when a < 1."""
-    val = log_pdf(p, y)
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(val)
-    return _float_or_array(out)
+        return _float_or_array(np.exp(log_pdf(p, y)))
 
 
 def _log_each(v):
@@ -295,31 +284,41 @@ def _log_each(v):
     return math.log(v)
 
 
+def _log_v_pair(c, w):
+    """(ln G, ln V, ln(1 - V), deep) at base cumulative hazards w, V = G^c,
+    under the caller's errstate.  deep marks w > 700, or is None where no
+    point is that deep; there e^{-w} underflows, ln(1 - V) is its
+    asymptote ln c - w and ln V is read back from it."""
+    ln_g = log1mexp(w)
+    ln_v = c * ln_g
+    ln_1mv = log1mexp(-ln_v)
+    deep = None
+    if w.size and w.max() > _W_DEEP:
+        deep = w > _W_DEEP
+        ln_1mv = np.where(deep, _log_each(c) - w, ln_1mv)
+        ln_v = np.where(deep, log1mexp(-ln_1mv), ln_v)
+    return ln_g, ln_v, ln_1mv, deep
+
+
 def _cdf_survival_w(a, b, c, w):
-    """(F, S) at base cumulative hazards w >= 0, where G = 1 - e^{-w}.
+    """(F, S) at base cumulative hazards w >= 0, where G = 1 - e^{-w}; a, b
+    and c are floats or arrays, such as (m, 1) columns, that broadcast to w.
 
     F = I(V; a/c, b) and S = I(1 - V; b, a/c), V = G^c, by one rule: the
-    half whose argument is at most 1/2 is read from its log, which may
-    underflow, by the log-argument incomplete beta, and the other is one
-    minus it or, below 1e-4, read from its own argument too, so each half
-    is exact where it is the smaller.  Past w = 700, where e^{-w}
-    underflows, ln(1 - V) is its asymptote ln c - w.  At w = 0, F = 0 and S = 1.
-
-    a, b and c are floats or arrays, such as (m, 1) columns, that
-    broadcast to w's shape; each read takes them at its own points.
+    half whose argument is at most 1/2 is read from its log (_log_v_pair),
+    which may underflow, by the log-argument incomplete beta, and the other
+    is one minus it or, below 1e-4, read from its own argument too, so each
+    half is exact where it is the smaller.  At w = 0, F = 0 and S = 1.
     """
     shapes = ((a / c, b), (b, a / c))
     with np.errstate(under="ignore"):
-        ln_v = np.asarray(c * log1mexp(w))
-        ln_x = [ln_v, np.asarray(log1mexp(-ln_v))]
-    if w.size and w.max() > _W_DEEP:
-        ln_x[1] = np.where(w > _W_DEEP, _log_each(c) - w, ln_x[1])
+        ln_x = tuple(map(np.asarray, _log_v_pair(c, w)[1:3]))
     halves = (np.empty_like(w), np.empty_like(w))
 
     def read(side, on):
         halves[side][on] = inc_beta_reg_logx(ln_x[side][on], *(_at(v, on) for v in shapes[side]))
 
-    lower = ln_v <= -math.log(2.0)
+    lower = ln_x[0] <= -math.log(2.0)
     for side, on in enumerate((lower, ~lower)):
         if np.count_nonzero(on):
             read(side, on)
@@ -327,7 +326,13 @@ def _cdf_survival_w(a, b, c, w):
     for side, on in enumerate((~lower, lower)):
         on = on & (halves[side] < _DIRECT)
         if np.count_nonzero(on):
+            # where the other's argument x is below e^{-690}, 1 - x rounds: read
+            # this half at x = e^{-690} and carry 1 - it down to x as x^q
+            cut = on & (ln_x[1 - side] < _LOG_Y_DEEP)
+            ln_x[side][cut] = log1mexp(-_LOG_Y_DEEP)
             read(side, on)
+            carry = _at(shapes[side][1], cut) * (ln_x[1 - side][cut] - _LOG_Y_DEEP)
+            halves[side][cut] = -np.expm1(np.log1p(-halves[side][cut]) + carry)
     return halves
 
 
@@ -377,8 +382,7 @@ def _log_survival_series(a, b, c, w):
     Raises where the sum, convergent for every x < 1, has not converged.
     """
     alpha = a / c
-    ln_g = log1mexp(w)
-    ln_x = log1mexp(-c * ln_g)
+    ln_g, _, ln_x, _ = _log_v_pair(c, w)
     x = np.exp(ln_x)
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -404,14 +408,13 @@ def hazard(p, y):
     that series raises only where it does not converge.
     """
     arr = _checked_y(y)
-    base = p.base
     w = _w_of_y(p, arr)
     with np.errstate(under="ignore"):
         tail = (p.a + p.c) * np.exp(-w) <= 1e-16
     s = np.asarray(survival(p, arr))
     lp = _log_pdf_terms(p, arr)[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        out = np.where(tail, p.b * np.exp(base.log_dw(arr)), np.exp(lp) / s)
+        out = np.where(tail, p.b * np.exp(p.base.log_dw(arr)), np.exp(lp) / s)
     under = (s == 0.0) & ~tail
     if np.any(under):
         ln_s = _log_survival_series(_at(p.a, under), _at(p.b, under), _at(p.c, under), w[under])
@@ -468,8 +471,7 @@ def quantile(p, t):
     arr = np.asarray(t, dtype=float)
     if np.count_nonzero((arr > 0.0) & (arr < 1.0)) < arr.size:
         raise ValueError("quantile requires t in (0, 1)")
-    y = p.base.y_of_w(_w_of_t(p.a, p.b, p.c, arr))
-    return _float_or_array(y)
+    return _float_or_array(p.base.y_of_w(_w_of_t(p.a, p.b, p.c, arr)))
 
 
 def sample(p, n: int, seed: int):

@@ -235,7 +235,6 @@ def _shape_blocks(params, w, ln_g, ln_1mv, deep):
     dR = np.exp((c - 2.0) * ln_g - w) * (c_m1 - c * G) / one_mV + cR * R
     T = cR * ln_g + V * ratio1 / one_mV + cR * Q
     if deep is not None:
-        ln_1mv = np.where(deep, np.log(c) - w, ln_1mv)
         R = np.where(deep, 1.0 / c, R)
         cR = c * R
         Q = np.where(deep, -1.0 / c, Q)

@@ -24,7 +24,9 @@ from mcgompertz.core import (
     McEParams,
     McGParams,
     cdf,
+    cdf_survival,
     hazard,
+    pdf,
     quantile,
     reversed_hazard,
     survival,
@@ -436,6 +438,39 @@ def test_cdf_small_tail_at_a_lopsided_point():
     y = quantile(p, 1e-17)
     assert_allclose(cdf(p, y), 1e-17, rtol=1e-12)
     assert math.isfinite(reversed_hazard(p, y))
+
+
+@mp.workdps(60)
+def _mp_halves(p, y):
+    # (F, S), each read where its own argument is at most 1/2
+    a, b, c, th, ga = (mp.mpf(v) for v in (p.a, p.b, p.c, p.theta, p.gamma))
+    w = th / ga * mp.expm1(ga * mp.mpf(y))
+    ln_v = c * (mp.log(-mp.expm1(-w)) if w < 1 else mp.log1p(-mp.exp(-w)))
+    if ln_v <= -mp.log(2):
+        F = mp.betainc(a / c, b, 0, mp.exp(ln_v), regularized=True)
+        return F, 1 - F
+    S = mp.betainc(b, a / c, 0, -mp.expm1(ln_v), regularized=True)
+    return 1 - S, S
+
+
+@pytest.mark.parametrize("p, ys", [
+    # tiny b, G^c > 1/2: F ~ b w; 1 - G^c is normal at w = 100 and 704,
+    # subnormal at 720 and 0 in doubles at 800
+    (McGParams(1.0, 1e-7, 1.0, 1.0, 1.0), np.log1p([100.0, 704.0, 720.0, 800.0])),
+    # tiny a/c, G^c <= 1/2: S ~ (a/c) ln(1/G^c); G^c is normal at
+    # ln G^c = -460, subnormal near -725 and 0 in doubles near -806
+    (McGParams(1e-6, 1.0, 10.0, 1.0, 1.0), [1e-20, np.exp(-72.5), 1e-35]),
+    (McGParams(1e-8, 1.0, 1.0, 1.0, 1.0), [0.357, 1e-200]),
+])
+def test_small_derived_half_vs_mpmath(p, ys):
+    # the half taken as one minus the other is below 1e-4 at every y, and
+    # where its own argument rounds to 1 it must still keep its digits
+    F, S = (np.asarray(h) for h in cdf_survival(p, np.asarray(ys, dtype=float)))
+    ref = np.array([[float(h) for h in _mp_halves(p, y)] for y in ys])
+    assert np.all(ref.min(axis=1) < 1e-4)
+    assert_allclose(F, ref[:, 0], rtol=1e-13)
+    assert_allclose(S, ref[:, 1], rtol=1e-13)
+    assert_allclose(hazard(p, ys), np.asarray(pdf(p, ys)) / ref[:, 1], rtol=1e-13)
 
 
 def test_quantile_rejects_nan():
