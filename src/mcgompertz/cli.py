@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import importlib.resources
+import json
 import math
 import os
 import sys
@@ -74,8 +75,6 @@ def _json_text(obj, indent=0):
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)

@@ -234,31 +234,49 @@ def base_pdf(base, y):
     return _float_or_array(out)
 
 
+def _log_terms(p, y):
+    """The log-space pass of a call at a checked array y, under the caller's
+    errstate: (w, ln G, ln V, ln(1 - V), deep), V = G^c, with w broadcast
+    against (m, 1) shape columns where its shape differs.  deep marks
+    w > 700, or is None where no point is that deep; there e^{-w}
+    underflows, ln(1 - V) is its asymptote ln c - w, ln V read back from it."""
+    w = p.base.w(y)
+    if any(isinstance(v, np.ndarray) for v in (p.a, p.b, p.c)):
+        shape = np.broadcast(w, p.a, p.b, p.c).shape
+        w = w if shape == w.shape else np.broadcast_to(w, shape)
+    ln_g = log1mexp(w)
+    ln_v = p.c * ln_g
+    ln_1mv = log1mexp(-ln_v)
+    deep = None
+    if w.size and w.max() > _W_DEEP:
+        deep = w > _W_DEEP
+        ln_1mv = np.where(deep, _log_each(p.c) - w, ln_1mv)
+        ln_v = np.where(deep, log1mexp(-ln_1mv), ln_v)
+    return w, ln_g, ln_v, ln_1mv, deep
+
+
 def _log_pdf_terms(p, y):
-    """ln f(y) on a checked array y, with the intermediates it builds:
-    (ln f, w, ln G, ln(1 - G^c), deep), where deep marks w > 700, or is
-    None where no point is that deep.
+    """ln f(y) on a checked array y with the pass it is built on: (ln f,
+    w, ln G, ln V, ln(1 - V), deep), as _log_terms.
 
     The fields of `p` may be floats or (S, 1) columns, one row per start
     of a batched fit; the arrays then have shape (S, n).  Where deep,
     ln f is built on the asymptote ln c - w of ln(1 - G^c).
     """
     a, b, c = p.a, p.b, p.c
-    base = p.base
     log_c = np.log(c)
-    lead = log_c - log_beta(a / c, b) + base.log_dw(y)
-    w = base.w(y)
+    lead = log_c - log_beta(a / c, b) + p.base.log_dw(y)
     # (b - 1) ln(1 - G^c) and b w overflow only where the density is far
     # below the smallest double, and -inf is then the exact ln f
     with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        ln_g, _, ln_1mv, deep = _log_v_pair(c, w)
+        w, ln_g, ln_v, ln_1mv, deep = _log_terms(p, y)
         out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
         if deep is not None:
             out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
     if w.size and w.min() == 0.0:
         at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))
         out = np.where(w == 0.0, at_zero, out)
-    return out, w, ln_g, ln_1mv, deep
+    return out, w, ln_g, ln_v, ln_1mv, deep
 
 
 def log_pdf(p, y):
@@ -284,44 +302,27 @@ def _log_each(v):
     return math.log(v)
 
 
-def _log_v_pair(c, w):
-    """(ln G, ln V, ln(1 - V), deep) at base cumulative hazards w, V = G^c,
-    under the caller's errstate.  deep marks w > 700, or is None where no
-    point is that deep; there e^{-w} underflows, ln(1 - V) is its
-    asymptote ln c - w and ln V is read back from it."""
-    ln_g = log1mexp(w)
-    ln_v = c * ln_g
-    ln_1mv = log1mexp(-ln_v)
-    deep = None
-    if w.size and w.max() > _W_DEEP:
-        deep = w > _W_DEEP
-        ln_1mv = np.where(deep, _log_each(c) - w, ln_1mv)
-        ln_v = np.where(deep, log1mexp(-ln_1mv), ln_v)
-    return ln_g, ln_v, ln_1mv, deep
+def _halves(p, ln_v, ln_1mv):
+    """(F, S) from the pass's ln V and ln(1 - V), V = G^c, to whose shape
+    the fields of `p` broadcast.
 
-
-def _cdf_survival_w(a, b, c, w):
-    """(F, S) at base cumulative hazards w >= 0, where G = 1 - e^{-w}; a, b
-    and c are floats or arrays, such as (m, 1) columns, that broadcast to w.
-
-    F = I(V; a/c, b) and S = I(1 - V; b, a/c), V = G^c, by one rule: the
-    half whose argument is at most 1/2 is read from its log (_log_v_pair),
-    which may underflow, by the log-argument incomplete beta, and the other
-    is one minus it or, below 1e-4, read from its own argument too, so each
-    half is exact where it is the smaller.  At w = 0, F = 0 and S = 1.
+    F = I(V; a/c, b) and S = I(1 - V; b, a/c) by one rule: the half whose
+    argument is at most 1/2 is read from its log, which may underflow, by
+    the log-argument incomplete beta, and the other is one minus it or,
+    below 1e-4, read from its own argument too, so each half is exact
+    where it is the smaller.  At w = 0, F = 0 and S = 1.
     """
-    shapes = ((a / c, b), (b, a / c))
-    with np.errstate(under="ignore"):
-        ln_x = tuple(map(np.asarray, _log_v_pair(c, w)[1:3]))
-    halves = (np.empty_like(w), np.empty_like(w))
+    shapes = ((p.a / p.c, p.b), (p.b, p.a / p.c))
+    ln_x = (np.asarray(ln_v), np.asarray(ln_1mv))
+    halves = (np.empty_like(ln_x[0]), np.empty_like(ln_x[0]))
 
-    def read(side, on):
-        halves[side][on] = inc_beta_reg_logx(ln_x[side][on], *(_at(v, on) for v in shapes[side]))
+    def read(side, on, ln):
+        halves[side][on] = inc_beta_reg_logx(ln[on], *(_at(v, on) for v in shapes[side]))
 
     lower = ln_x[0] <= -math.log(2.0)
     for side, on in enumerate((lower, ~lower)):
         if np.count_nonzero(on):
-            read(side, on)
+            read(side, on, ln_x[side])
             halves[1 - side][on] = 1.0 - halves[side][on]
     for side, on in enumerate((~lower, lower)):
         on = on & (halves[side] < _DIRECT)
@@ -329,26 +330,22 @@ def _cdf_survival_w(a, b, c, w):
             # where the other's argument x is below e^{-690}, 1 - x rounds: read
             # this half at x = e^{-690} and carry 1 - it down to x as x^q
             cut = on & (ln_x[1 - side] < _LOG_Y_DEEP)
-            ln_x[side][cut] = log1mexp(-_LOG_Y_DEEP)
-            read(side, on)
+            read(side, on, np.where(cut, log1mexp(-_LOG_Y_DEEP), ln_x[side]))
             carry = _at(shapes[side][1], cut) * (ln_x[1 - side][cut] - _LOG_Y_DEEP)
             halves[side][cut] = -np.expm1(np.log1p(-halves[side][cut]) + carry)
     return halves
 
 
-def _w_of_y(p, y):
-    """w(y) on a checked array y, broadcast against (m, 1) shape columns
-    so that each point has its own (a, b, c)."""
-    w = p.base.w(y)
-    shapes = (p.a, p.b, p.c)
-    if any(isinstance(v, np.ndarray) for v in shapes):
-        w = np.broadcast_to(w, np.broadcast_shapes(np.shape(w), *map(np.shape, shapes)))
-    return w
+def _log_pdf_halves(p, y):
+    """ln f, both halves (F, S) and the pass (w, ln G, ln V, ln(1 - V))
+    they are read from, at a checked array y."""
+    lp, *terms, _ = _log_pdf_terms(p, y)
+    return lp, _halves(p, *terms[2:]), terms
 
 
 def cdf_survival(p, y):
-    """(F(y), 1 - F(y)) from one pass, each exact where it is the smaller:
-    a half below 1e-4 is read directly, never as one minus the other.
+    """(F(y), 1 - F(y)) from one log-space pass, each exact where it is the
+    smaller: a half below 1e-4 is read directly, never as one minus the other.
 
     G^c may be log-small (the fitted fiber shapes push it below e^{-1000}
     at observed data) and 1 - G^c may underflow (tiny b puts the upper
@@ -358,7 +355,9 @@ def cdf_survival(p, y):
     (m, 1) columns, as for log_pdf: row i of the result then equals bit
     for bit what the floats of row i give.
     """
-    F, S = _cdf_survival_w(p.a, p.b, p.c, _w_of_y(p, _checked_y(y)))
+    with np.errstate(under="ignore", over="ignore"):
+        terms = _log_terms(p, _checked_y(y))
+    F, S = _halves(p, *terms[2:4])
     return _float_or_array(F), _float_or_array(S)
 
 
@@ -373,63 +372,67 @@ def survival(p, y):
     return cdf_survival(p, y)[1]
 
 
-def _log_survival_series(a, b, c, w):
-    """ln S at base cumulative hazards w, where x = 1 - G^c < 1.
+def _ratio_by_series(lp, on, pa, q, ln_x, q_ln_1mx):
+    """exp(ln f - ln I_x(pa, q)) at the points `on`, from ln f, ln x and
+    q ln(1 - x), x < 1, for f over a half I_x(pa, q) that underflows.
 
-    ln I_x(b, alpha) = b ln x + alpha ln(1 - x) - ln b - ln B(b, alpha)
-    + ln sum_n (b + alpha)_n/(b + 1)_n x^n with alpha = a/c (DLMF 8.17.8),
-    summed term by term: it stays finite where S underflows (large b).
-    Raises where the sum, convergent for every x < 1, has not converged.
+    ln I_x(pa, q) = pa ln x + q ln(1 - x) - ln pa - ln B(pa, q)
+    + ln sum_n (pa + q)_n/(pa + 1)_n x^n (DLMF 8.17.8), summed term by
+    term, is finite there.  Raises where the sum, convergent for every
+    x < 1, has not converged.
     """
-    alpha = a / c
-    ln_g, _, ln_x, _ = _log_v_pair(c, w)
+    pa, q, ln_x, q_ln_1mx = (_at(v, on) for v in (pa, q, ln_x, q_ln_1mx))
     x = np.exp(ln_x)
     term = np.ones_like(x)
     total = np.ones_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_SERIES_TERMS):
-            term = term * ((b + alpha + n) / (b + 1.0 + n)) * x
+            term = term * ((pa + q + n) / (pa + 1.0 + n)) * x
             total = total + term
             if np.all(term <= 1e-17 * total):
                 break
         else:
-            raise ValueError("hazard undefined: survival series did not converge")
-    return b * ln_x + a * ln_g - _log_each(b) - log_beta(b, alpha) + np.log(total)
+            raise ValueError("incomplete beta series did not converge")
+    ln_i = pa * ln_x + q_ln_1mx - _log_each(pa) - log_beta(pa, q) + np.log(total)
+    return np.exp(lp[on] - ln_i)
 
 
 def hazard(p, y):
-    """f/(1-F).
+    """f/(1-F), from one log-space pass.
 
     Where (a + c) e^{-w} <= 1e-16 this is the asymptote b*w'(y): the
     relative correction to it is of that order, so it is exact in double
     precision and stays finite where the survival underflows.  Elsewhere,
-    where the survival underflows (large b), it is exp(ln f - ln S) with
-    ln S from _log_survival_series, finite on either side of G^c = 1/2;
-    that series raises only where it does not converge.
+    where the survival underflows (large b), ln S = ln I(1 - G^c; b, a/c)
+    is summed as a series (_ratio_by_series), finite on either side of
+    G^c = 1/2; that series raises only where it does not converge.
     """
     arr = _checked_y(y)
-    w = _w_of_y(p, arr)
-    with np.errstate(under="ignore"):
-        tail = (p.a + p.c) * np.exp(-w) <= 1e-16
-    s = np.asarray(survival(p, arr))
-    lp = _log_pdf_terms(p, arr)[0]
+    lp, (_, s), (w, ln_g, _, ln_1mv) = _log_pdf_halves(p, arr)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        tail = (p.a + p.c) * np.exp(-w) <= 1e-16
         out = np.where(tail, p.b * np.exp(p.base.log_dw(arr)), np.exp(lp) / s)
     under = (s == 0.0) & ~tail
     if np.any(under):
-        ln_s = _log_survival_series(_at(p.a, under), _at(p.b, under), _at(p.c, under), w[under])
-        out[under] = np.exp(lp[under] - ln_s)
+        out[under] = _ratio_by_series(lp, under, p.b, p.a / p.c, ln_1mv, p.a * ln_g)
     return _float_or_array(out)
 
 
 def reversed_hazard(p, y):
-    """f/F; inf where it exceeds the largest double.  Raises only where the
-    cdf is 0: at y = 0, or where F is below the smallest double."""
-    f_val = cdf(p, y)
-    if np.any(f_val == 0.0):
+    """f/F, from one log-space pass; inf where it exceeds the largest
+    double.  Where F underflows (large a/c), ln F = ln I(G^c; a/c, b) is
+    summed as a series, the mirror of hazard's.  Raises where w(y) = 0,
+    as at y = 0, where the cdf is 0, and where that series does not
+    converge."""
+    lp, (F, _), (w, _, ln_v, ln_1mv) = _log_pdf_halves(p, _checked_y(y))
+    if w.size and w.min() == 0.0:
         raise ValueError("reversed hazard undefined: cdf is 0")
-    with np.errstate(over="ignore"):
-        return _float_or_array(np.asarray(pdf(p, y)) / f_val)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        out = np.asarray(np.exp(lp) / F)
+    under = F == 0.0
+    if np.any(under):
+        out[under] = _ratio_by_series(lp, under, p.a / p.c, p.b, ln_v, p.b * ln_1mv)
+    return _float_or_array(out)
 
 
 def _w_of_t(a, b, c, t):

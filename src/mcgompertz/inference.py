@@ -210,9 +210,9 @@ def _check_params(spec, params):
             )
 
 
-def _shape_blocks(params, w, ln_g, ln_1mv, deep):
+def _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep):
     """Per-observation pieces shared by the score and the Hessian, from the
-    intermediates of `core._log_pdf_terms` (w, ln G, ln(1 - G^c), deep),
+    pass of `core._log_pdf_terms` (w, ln G, ln G^c, ln(1 - G^c), deep),
     evaluated under the errstate of `_derivs`.  Shared subexpressions are
     taken once where that keeps every bit of the values.
 
@@ -222,7 +222,7 @@ def _shape_blocks(params, w, ln_g, ln_1mv, deep):
     """
     a, b, c = params.a, params.b, params.c
     G = np.exp(ln_g)
-    V = np.exp(c * ln_g)
+    V = np.exp(ln_v)
     one_mV = np.exp(ln_1mv)
     # the three rows of the cross partials, written in place
     cross = np.empty(w.shape[:-1] + (3,) + w.shape[-1:])
@@ -279,8 +279,8 @@ def _derivs(params, y):
     equals bit for bit the pass of that row alone.
     """
     with np.errstate(all="ignore"):
-        logf, w, ln_g, ln_1mv, deep = _log_pdf_terms(params, y)
-        blk = _shape_blocks(params, w, ln_g, ln_1mv, deep)
+        logf, w, ln_g, ln_v, ln_1mv, deep = _log_pdf_terms(params, y)
+        blk = _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep)
         dw, d2w, dlw, d2lw = params.base.w_partials(y, w)
     n = y.size
     a, b, c = (

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cdf, cdf_survival, pdf
+from .core import _checked_y, _log_pdf_halves, base_cdf, cdf, cdf_survival, pdf
 from .expansions import _component_moments, cdf_power_coeffs
 from .shape import _panel_integral
-from .specfun import inc_beta_reg, log_beta
+from .specfun import _float_or_array, inc_beta_reg, log_beta
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,13 @@ def _beta_weights(spec):
 
 
 def os_pdf(p, spec, y):
-    """Density of the i-th of n: f F^{i-1} (1-F)^{n-i} / B(i, n-i+1)."""
+    """Density of the i-th of n, f F^{i-1} (1-F)^{n-i} / B(i, n-i+1), from one pass."""
     i, n = spec.i, spec.n
-    F, S = cdf_survival(p, y)
+    lp, (F, S), _ = _log_pdf_halves(p, _checked_y(y))
+    with np.errstate(over="ignore", under="ignore"):
+        f, F, S = map(_float_or_array, (np.exp(lp), F, S))
     inv_beta = math.exp(-log_beta(i, n - i + 1))
-    return pdf(p, y) * F ** (i - 1) * S ** (n - i) * inv_beta
+    return f * F ** (i - 1) * S ** (n - i) * inv_beta
 
 
 def os_cdf(p, spec, y):
@@ -129,8 +131,6 @@ def os_series_cdf(p, spec, y):
     Each F^{i+k} becomes G^{a(i+k)} sum_r q_r G^{rc} through the mixture
     weights; returns (value, converged) with the exact os_cdf as authority.
     """
-    from .core import base_cdf
-
     G = base_cdf(p.base, y)
     total = 0.0
     converged = True

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .core import log_pdf, quantile
+from .core import McGParams, log_pdf, quantile
 from .specfun import digamma_diff, log_beta
 
 _PANEL_CUTS = (1e-9, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-10)
@@ -304,8 +304,6 @@ def shape_curves(measure, c_grid, a, b, theta, gamma):
     call over a column of c values.  A grid point that is not a valid c
     raises the error McGParams gives it, after the rows before it.
     """
-    from .core import McGParams
-
     if measure not in ("bowley", "moors"):
         raise ValueError("measure must be 'bowley' or 'moors'")
     if measure == "bowley":

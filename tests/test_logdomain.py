@@ -8,6 +8,7 @@ for large b, and the small lower tail of the cdf where G^c > 1/2.
 References are mpmath values.
 """
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -313,8 +314,9 @@ def test_eval_hazard_finite_where_survival_underflows_early(tmp_path):
     assert_allclose([float(r[3]) for r in rows], 5.0, rtol=1e-15)
 
 
-@mp.workdps(50)
-def _mp_hazard(p, y):
+@mp.workdps(60)
+def _mp_hazards(p, y):
+    # (f/S, f/F)
     a, b, c, th = (mp.mpf(v) for v in (p.a, p.b, p.c, p.theta))
     y = mp.mpf(y)
     if isinstance(p, McGParams):
@@ -325,7 +327,8 @@ def _mp_hazard(p, y):
     ln_g = mp.log1p(-mp.exp(-w))
     z = -mp.expm1(c * ln_g)  # 1 - G^c
     f = c * dw * mp.exp(-w + (a - 1) * ln_g) * z ** (b - 1) / mp.beta(a / c, b)
-    return f / mp.betainc(b, a / c, 0, z, regularized=True)
+    F = mp.betainc(a / c, b, 0, mp.exp(c * ln_g), regularized=True)
+    return f / mp.betainc(b, a / c, 0, z, regularized=True), f / F
 
 
 def test_hazard_vs_mpmath_both_bases():
@@ -339,12 +342,7 @@ def test_hazard_vs_mpmath_both_bases():
             p, y = McEParams(a, b, c, th), w / th
         else:
             p, y = McGParams(a, b, c, th, ga), math.log1p(ga / th * w) / ga
-        try:
-            h = hazard(p, y)
-        except ValueError:  # survival underflows before the asymptote holds
-            assert survival(p, y) == 0.0
-            continue
-        assert_allclose(h, float(_mp_hazard(p, y)), rtol=1e-12)
+        assert_allclose(hazard(p, y), float(_mp_hazards(p, y)[0]), rtol=1e-12)
 
 
 def test_hazard_where_survival_underflows_for_large_b(tmp_path):
@@ -358,7 +356,7 @@ def test_hazard_where_survival_underflows_for_large_b(tmp_path):
     ]
     for p, y in cases:
         assert survival(p, y) == 0.0
-        assert_allclose(hazard(p, y), float(_mp_hazard(p, y)), rtol=1e-12)
+        assert_allclose(hazard(p, y), float(_mp_hazards(p, y)[0]), rtol=1e-12)
     assert_allclose(hazard(*cases[0]), 50.0, rtol=1e-12)
     assert_allclose(hazard(*cases[1]), 1004.277, rtol=1e-6)
     out = tmp_path / "mce.csv"
@@ -367,6 +365,29 @@ def test_hazard_where_survival_underflows_for_large_b(tmp_path):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert_allclose([float(r[3]) for r in rows], 50.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p, ys", [
+    # f/F = 1000 e^{-y}/(1 - e^{-y}) while F = (1 - e^{-y})^1000 underflows
+    (McEParams(1000.0, 1.0, 1.0, 1.0), [0.1, 0.3, 0.5]),
+    # a/c = 236 against b = 25.9 over the Gompertz base
+    (McGParams(236.0, 25.9, 1.0, 1.0, 1.0), [0.01, 0.02]),
+])
+def test_reversed_hazard_where_cdf_underflows(p, ys):
+    # ln F is summed as the series of I(G^c; a/c, b), the mirror of the
+    # hazard's survival series
+    ys = np.array(ys)
+    assert np.all(np.asarray(cdf(p, ys)) == 0.0)
+    rh = np.asarray(reversed_hazard(p, ys))
+    assert_allclose(rh, [float(_mp_hazards(p, y)[1]) for y in ys], rtol=1e-11)
+    # (m, 1) columns give each row the bits of its floats, also beside a
+    # row whose cdf does not underflow
+    rows = [p, dataclasses.replace(p, a=p.a / 200.0)]
+    cols = type(p)(*(np.array([getattr(r, f) for r in rows])[:, None] for f in vars(p)))
+    got = np.asarray(reversed_hazard(cols, ys))
+    for i, r in enumerate(rows):
+        assert got[i].tobytes() == np.asarray(reversed_hazard(r, ys)).tobytes()
+    assert got[0].tobytes() == rh.tobytes()
 
 
 def test_hazard_where_survival_underflows_above_half():
@@ -407,7 +428,8 @@ def _lopsided_columns(rng, n):
         "two defects near the bottom of the double range: the deep inverse "
         "stops on |I - p| <= 1e-12 absolute, so Q(1e-300) can be far off, "
         "and for some shapes scipy's betainc gives 0 where I ~ 1e-293, so "
-        "F and with it reversed_hazard fail where F is a normal double"))),
+        "F fails where it is a normal double (reversed_hazard stays finite "
+        "there, through its series)"))),
 ])
 def test_cdf_at_small_tail_quantiles_vs_mpmath(t):
     # lopsided shapes put G^c above 1/2 where F is still tiny: there F

@@ -12,6 +12,8 @@ between them.  The items are:
   winner;
 - `dist/<data>/<model>`: cdf_survival, hazard and reversed_hazard of that
   fit's parameters on its own sorted data;
+- `dist/tails/<function>`: hazard and reversed_hazard at fixed points in
+  tails the fits never reach (TAILS);
 - `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
   list of CLI runs.
 """
@@ -52,6 +54,18 @@ RUNS = (
     ["sample", "--model", "mce", "--params", MCE, "--n", "200", "--format", "json", "--out", OUT],
     ["curves", "--params", "a=0.5,b=2,theta=0.1,gamma=0.5"],
 )
+# (params, y) cases per function: the survival underflowing on either side
+# of G^c = 1/2 (b = 2000 and b = 50), 1 - G^c normal, subnormal and 0 in
+# doubles (b = 1e-7 at w = 100, 704, 720 and 800), and the cdf underflowing
+# for large a/c
+TAILS = {
+    "hazard": (
+        (core.McGParams(1, 2000, 1, 1, 1), [0.05, 0.2, 0.4, 0.45]),
+        (core.McGParams(1, 1e-7, 1, 1, 1), np.log1p([100.0, 704.0, 720.0, 800.0])),
+        (core.McEParams(1, 50, 1, 1), [20.0]),
+    ),
+    "reversed_hazard": ((core.McEParams(1000, 1, 1, 1), [0.1, 0.3, 0.5]),),
+}
 
 
 def _exact(v):
@@ -75,6 +89,14 @@ def _sha(*parts):
     return h.hexdigest()
 
 
+def _outcome(fn, p, y):
+    """fn(p, y) as bytes, or the message of the ValueError it raises."""
+    try:
+        return np.asarray(fn(p, y)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 def _fit_lines(name, data):
     fit = fit_mle(name, data)
     yield f"fit/{data.label}/{name}", _sha(
@@ -85,13 +107,10 @@ def _fit_lines(name, data):
         fit.winner,
     )
     p, y = fit.params, np.sort(data.array)
-    parts = [np.stack(core.cdf_survival(p, y)).tobytes()]
-    for fn in (core.hazard, core.reversed_hazard):
-        try:
-            parts.append(np.asarray(fn(p, y)).tobytes())
-        except ValueError as exc:
-            parts.append(str(exc))
-    yield f"dist/{data.label}/{name}", _sha(*parts)
+    yield f"dist/{data.label}/{name}", _sha(
+        np.stack(core.cdf_survival(p, y)).tobytes(),
+        *(_outcome(fn, p, y) for fn in (core.hazard, core.reversed_hazard)),
+    )
 
 
 def _run_line(argv, tmp):
@@ -112,6 +131,9 @@ def main():
         for name in MODELS:
             for line in _fit_lines(name, data):
                 print(*line)
+    for name, cases in TAILS.items():
+        fn = getattr(core, name)
+        print(f"dist/tails/{name}", _sha(*(_outcome(fn, p, y) for p, y in cases)))
     with tempfile.TemporaryDirectory() as tmp:
         for argv in RUNS:
             print(*_run_line(argv, tmp))
