@@ -383,7 +383,8 @@ def test_reversed_hazard_where_cdf_underflows(p, ys):
     # (m, 1) columns give each row the bits of its floats, also beside a
     # row whose cdf does not underflow
     rows = [p, dataclasses.replace(p, a=p.a / 200.0)]
-    cols = type(p)(*(np.array([getattr(r, f) for r in rows])[:, None] for f in vars(p)))
+    fields = p.__dataclass_fields__
+    cols = type(p)(*(np.array([getattr(r, f) for r in rows])[:, None] for f in fields))
     got = np.asarray(reversed_hazard(cols, ys))
     for i, r in enumerate(rows):
         assert got[i].tobytes() == np.asarray(reversed_hazard(r, ys)).tobytes()
