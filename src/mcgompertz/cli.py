@@ -20,6 +20,7 @@ import importlib.resources
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -102,11 +103,24 @@ def _json_text(obj, indent=0):
 
 
 def _write_output(ns, text):
-    if ns.output_path:
-        with open(ns.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    """Write `text` to stdout, or over the `--out` file in place.
+
+    The file is written from its first byte and then cut to the new
+    length, never truncated to zero first: on ext4 (`auto_da_alloc`)
+    closing a file that was truncated to zero flushes it to disk, which
+    made each rewrite cost tens of milliseconds.  The inode, mode and
+    symlink target stay as `open(path, "w")` leaves them; a device or
+    pipe is written and not cut.
+    """
+    if not ns.output_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(ns.output_path, flags, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def _read_dataset(path):
@@ -247,11 +261,13 @@ def _kv_csv(payload):
 
 
 def _emit(ns, payload, default_fmt="json", table=None):
+    """Write the payload as JSON, or as CSV: `table()` where the command
+    has a table, else key,value rows.  Only the text written is built."""
     fmt = ns.fmt or default_fmt
     if fmt == "json":
         _write_output(ns, _json_text(payload) + "\n")
     elif table is not None:
-        _write_output(ns, table)
+        _write_output(ns, table())
     else:
         _write_output(ns, _kv_csv(payload))
 
@@ -358,13 +374,18 @@ def cmd_compare(ns):
         },
         "ladder": ladder,
     }
-    header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
-    rows = [payload["full"], *ladder]
-    table = _csv(header, [[row.get(col) for row in rows] for col in header])
     if ns.trace:
         payload["diagnostics"] = _diagnostics(fits)
-        # the CSV ladder is followed, after a blank line, by the key,value rows
-        table += "\n" + _kv_csv({"diagnostics": payload["diagnostics"]})
+
+    def table():
+        header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
+        rows = [payload["full"], *ladder]
+        text = _csv(header, [[row.get(col) for row in rows] for col in header])
+        if ns.trace:
+            # the CSV ladder is followed, after a blank line, by the key,value rows
+            text += "\n" + _kv_csv({"diagnostics": payload["diagnostics"]})
+        return text
+
     _emit(ns, payload, table=table)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
@@ -383,7 +404,7 @@ def cmd_sample(ns):
         "seed": ns.seed,
         "values": values,
     }
-    table = _csv(("value",), [values])
+    table = functools.partial(_csv, ("value",), [values])
     _emit(ns, payload, default_fmt="csv", table=table)
     return EXIT_OK
 
@@ -413,7 +434,7 @@ def cmd_eval(ns):
         "hazard": np.asarray(core.hazard(params, ys)),
     }
     columns = [payload[k] for k in ("grid", "pdf", "cdf", "hazard")]
-    table = _csv(("y", "pdf", "cdf", "hazard"), columns)
+    table = functools.partial(_csv, ("y", "pdf", "cdf", "hazard"), columns)
     _emit(ns, payload, default_fmt="csv", table=table)
     return EXIT_OK
 
@@ -442,7 +463,7 @@ def cmd_curves(ns):
             )
         )
     payload = {"schema_version": 1, "command": "curves", "rows": rows}
-    _emit(ns, payload, default_fmt="csv", table=curves_to_csv(rows))
+    _emit(ns, payload, default_fmt="csv", table=functools.partial(curves_to_csv, rows))
     return EXIT_OK
 
 

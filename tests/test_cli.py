@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import builtins
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -652,6 +655,75 @@ class TestStdout:
         assert code == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("y,pdf,cdf,hazard")
+
+
+_UNIT = "a=1,b=1,c=1,theta=1,gamma=1"
+_WRITES = {
+    "sample-csv": ["sample", "--params", _UNIT, "--n", "50", "--seed", "4"],
+    "sample-json": ["sample", "--params", _UNIT, "--n", "50", "--seed", "4", "--format", "json"],
+    "eval-csv": ["eval", "--params", _UNIT, "--grid-points", "20"],
+    "eval-json": ["eval", "--params", _UNIT, "--grid-points", "20", "--format", "json"],
+}
+
+
+class TestOutFile:
+    """`--out` writes over an existing file in place and cuts it to length."""
+
+    @pytest.mark.parametrize("argv", _WRITES.values(), ids=_WRITES)
+    def test_overwrite_gives_fresh_bytes_on_same_inode(self, argv, tmp_path):
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        assert main(argv + ["--out", str(fresh)]) == EXIT_OK
+        stale.write_bytes(b"\xff" * (fresh.stat().st_size + 4096))
+        stale.chmod(0o640)
+        before = stale.stat()
+        assert main(argv + ["--out", str(stale)]) == EXIT_OK
+        after = stale.stat()
+        assert stale.read_bytes() == fresh.read_bytes()
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    def test_symlink_target_is_written(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"\xff" * 65536)
+        link.symlink_to(target)
+        assert main(_WRITES["eval-csv"] + ["--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        text = target.read_text()
+        assert text.startswith("y,pdf,cdf,hazard\n") and len(text.splitlines()) == 21
+
+    def test_dev_null(self):
+        assert main(_WRITES["sample-csv"] + ["--out", os.devnull]) == EXIT_OK
+
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        assert main(_WRITES["sample-csv"] + ["--out", str(tmp_path)]) == EXIT_INPUT
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", _WRITES.values(), ids=_WRITES)
+    def test_never_truncates_to_zero(self, argv, tmp_path, monkeypatch):
+        # opening an existing path with O_TRUNC, or in mode "w", empties the
+        # file before it is written
+        out = tmp_path / "out"
+        out.write_bytes(b"\xff" * 65536)
+        opened = []  # (path, whether the open truncates)
+        real_os_open, real_open = os.open, io.open
+
+        def os_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), bool(flags & os.O_TRUNC)))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def open_(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append((os.fspath(file), "w" in mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(io, "open", open_)
+        monkeypatch.setattr(builtins, "open", open_)
+        code = main(argv + ["--out", str(out)])
+        monkeypatch.undo()
+        assert code == EXIT_OK
+        assert (str(out), False) in opened
+        assert (str(out), True) not in opened
 
 
 class TestTrace:

@@ -15,7 +15,8 @@ between them.  The items are:
 - `dist/tails/<function>`: hazard and reversed_hazard at fixed points in
   tails the fits never reach (TAILS);
 - `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
-  list of CLI runs.
+  list of CLI runs; each `--out` file is first filled with 64 KiB of stale
+  bytes (STALE), so the line covers writing over a longer file.
 """
 
 import contextlib
@@ -37,8 +38,10 @@ from mcgompertz.inference import fit_mle  # noqa: E402
 DATASETS = ("aarset", "glass")
 AARSET_MCG = "a=0.486,b=0.00803,c=39.08,theta=0.02994,gamma=0.07574"
 MCE = "a=2.589,b=141.57,c=0.000336,theta=2.277"
-# each run is its argv; OUT stands for a file the run writes with --out
+# each run is its argv; OUT stands for a file the run writes with --out,
+# which holds STALE before the run
 OUT = "OUT"
+STALE = bytes(range(256)) * 256
 RUNS = (
     ["fit", "--model", "mcg", "--data", "aarset"],
     ["fit", "--model", "mce", "--data", "glass", "--trace"],
@@ -115,6 +118,8 @@ def _fit_lines(name, data):
 
 def _run_line(argv, tmp):
     out_path = Path(tmp) / "out"
+    if OUT in argv:
+        out_path.write_bytes(STALE)
     argv = [str(out_path) if a == OUT else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
