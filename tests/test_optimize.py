@@ -151,6 +151,83 @@ def test_trust_region_step_is_silent():
             _optimize._trust_region_step(np.array([g]), np.diag(curv)[None], np.array([1.0]))
 
 
+def _step_rows(k, rng):
+    """A shuffled batch of (g, B, radius, case) rows in dimension k, each
+    built in its eigenbasis: B = Q diag(lam) Q^T and g = Q gt, with Q a
+    random rotation, or the identity where lam must stay exact."""
+    rows = []
+
+    def add(case, lam, gt, radius, rotate=True):
+        Q = np.linalg.qr(rng.normal(size=(k, k)))[0] if rotate else np.eye(k)
+        rows.append((Q @ gt, (Q * lam) @ Q.T, radius, case))
+
+    for _ in range(3):
+        lam = np.sort(rng.uniform(0.5, 5.0, k))
+        gt = rng.normal(size=k)
+        newton = float(np.linalg.norm(gt / lam))
+        add("newton", lam, gt, newton * rng.uniform(1.5, 3.0))
+        add("boundary", lam, gt, newton * rng.uniform(0.05, 0.7))
+        lam = np.sort(np.r_[-rng.uniform(0.1, 3.0), rng.normal(0.0, 3.0, k - 1)])
+        add("indefinite", lam, rng.normal(size=k), rng.uniform(0.1, 3.0))
+        # lam_1 = 0 exactly, on a diagonal B: with g along the null
+        # direction, and orthogonal to it with room for the hard case
+        lam = np.r_[0.0, np.sort(rng.uniform(0.5, 5.0, k - 1))]
+        add("zero", lam, rng.normal(size=k), rng.uniform(0.1, 3.0), rotate=False)
+        gt = np.r_[0.0, rng.normal(size=k - 1)]
+        add("zero", lam, gt, float(np.linalg.norm(gt[1:] / lam[1:])) * rng.uniform(1.2, 3.0),
+            rotate=False)
+        # the hard case: lam_1 < 0, g orthogonal to its eigenspace (of
+        # dimension 1, or 2 where k >= 3) and the shifted step inside
+        for dim in (1, 2) if k >= 3 else (1,):
+            low = -rng.uniform(0.5, 2.0)
+            lam = np.r_[np.full(dim, low), low + np.sort(rng.uniform(0.5, 4.0, k - dim))]
+            gt = np.r_[np.zeros(dim), rng.normal(size=k - dim)]
+            inside = float(np.linalg.norm(gt[dim:] / (lam[dim:] - low)))
+            add("hard", lam, gt, inside * rng.uniform(1.2, 3.0))
+    order = rng.permutation(len(rows))
+    g, B, radius, case = zip(*(rows[i] for i in order))
+    return np.array(g), np.array(B), np.array(radius), case
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_trust_region_step_meets_the_more_sorensen_conditions(k):
+    # every row of a mixed batch is a Moré-Sorensen step: |s| <= radius,
+    # (B + sigma I)s = -g with sigma >= max(0, -lam_1) and sigma(radius -
+    # |s|) = 0, and a nonnegative predicted decrease; sigma is read off
+    # the step itself, as the least-squares shift of (B s + g) against s
+    g, B, radius, case = _step_rows(k, np.random.default_rng(40 + k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, predicted = _optimize._trust_region_step(g, B, radius)
+    snorm = np.linalg.norm(s, axis=-1)
+    lam_1 = np.linalg.eigvalsh(B)[:, 0]
+    Bs = np.einsum("mij,mj->mi", B, s)
+    sigma = -np.einsum("mi,mi->m", s, Bs + g) / (snorm * snorm)
+    scale = np.abs(lam_1) + np.linalg.norm(B, 2, axis=(-2, -1))
+    assert (snorm <= radius * (1.0 + 1e-8)).all()
+    residual = np.linalg.norm(Bs + sigma[:, None] * s + g, axis=-1)
+    assert (residual <= 1e-10 * (scale * snorm + np.linalg.norm(g, axis=-1))).all()
+    assert (sigma >= np.maximum(0.0, -lam_1) - 1e-10 * scale).all()
+    assert (np.abs(sigma * (radius - snorm)) <= 1e-7 * np.maximum(scale, sigma) * radius).all()
+    assert (predicted >= 0.0).all()
+    np.testing.assert_allclose(
+        predicted, -(np.einsum("mi,mi->m", g, s) + 0.5 * np.einsum("mi,mi->m", s, Bs)),
+        rtol=1e-9, atol=1e-12)
+    # each case took the branch it was built for
+    for i, name in enumerate(case):
+        if name == "newton":
+            assert snorm[i] < radius[i] and abs(sigma[i]) <= 1e-10 * scale[i]
+        elif name != "zero":
+            assert snorm[i] == pytest.approx(radius[i], rel=1e-8)
+        if name == "hard":
+            assert sigma[i] == pytest.approx(-lam_1[i], rel=1e-8)
+    # and each row is its one-row call, bit for bit
+    for i in range(len(g)):
+        alone = _optimize._trust_region_step(g[i:i + 1], B[i:i + 1], radius[i:i + 1])
+        np.testing.assert_array_equal(alone[0][0], s[i])
+        np.testing.assert_array_equal(alone[1][0], predicted[i])
+
+
 
 def _falling_ridge(x):
     """ln(1 + t^2) - t/2 in t = x_0, plus (x_1 - 1)^2 / 2: a local minimum

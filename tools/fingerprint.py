@@ -10,6 +10,8 @@ between them.  The items are:
   aarset and glass data): estimates, standard errors, NLL and grad_norm as
   hex floats, the info_matrix bytes, every StartRecord, converged and the
   winner;
+- `fit1/<data>/<model>`: the same for the 22 one-start fits
+  (`OptimizerConfig(n_starts=0)`, the seed alone);
 - `dist/<data>/<model>`: cdf_survival, hazard and reversed_hazard of that
   fit's parameters on its own sorted data;
 - `dist/tails/<function>`: hazard and reversed_hazard at fixed points in
@@ -33,7 +35,7 @@ import numpy as np  # noqa: E402
 
 from mcgompertz import cli, core  # noqa: E402
 from mcgompertz.family import MODELS  # noqa: E402
-from mcgompertz.inference import fit_mle  # noqa: E402
+from mcgompertz.inference import OptimizerConfig, fit_mle  # noqa: E402
 
 DATASETS = ("aarset", "glass")
 AARSET_MCG = "a=0.486,b=0.00803,c=39.08,theta=0.02994,gamma=0.07574"
@@ -100,15 +102,19 @@ def _outcome(fn, p, y):
         return str(exc)
 
 
-def _fit_lines(name, data):
-    fit = fit_mle(name, data)
-    yield f"fit/{data.label}/{name}", _sha(
+def _fit_sha(fit):
+    return _sha(
         _exact((fit.estimates, fit.std_errors, fit.neg_loglik, fit.grad_norm)),
         np.ascontiguousarray(fit.info_matrix).tobytes(),
         _exact(fit.trace),
         fit.converged,
         fit.winner,
     )
+
+
+def _fit_lines(name, data):
+    fit = fit_mle(name, data)
+    yield f"fit/{data.label}/{name}", _fit_sha(fit)
     p, y = fit.params, np.sort(data.array)
     yield f"dist/{data.label}/{name}", _sha(
         np.stack(core.cdf_survival(p, y)).tobytes(),
@@ -136,6 +142,11 @@ def main():
         for name in MODELS:
             for line in _fit_lines(name, data):
                 print(*line)
+    for label in DATASETS:
+        data = cli._read_dataset(label)
+        for name in MODELS:
+            fit = fit_mle(name, data, OptimizerConfig(n_starts=0))
+            print(f"fit1/{label}/{name}", _fit_sha(fit))
     for name, cases in TAILS.items():
         fn = getattr(core, name)
         print(f"dist/tails/{name}", _sha(*(_outcome(fn, p, y) for p, y in cases)))
