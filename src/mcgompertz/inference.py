@@ -457,11 +457,28 @@ def _log_space_derivs(spec, J, y, x):
 
     The objective of the lockstep driver, run under its errstate.  The
     parameters are not checked: `fit_mle` checks the starts, and at a
-    later point out of range (a rate trial past exp overflow, say) the
-    result is not finite, f = +inf, and the driver rejects the step."""
+    later point out of range (a trial past exp overflow or underflow, say)
+    the result is not finite, f = +inf, and the driver rejects the step.
+    Where a shape takes a/c or b out of (0, inf), the pass's own checks
+    raise; only then are those rows set apart, with f = nll = +inf and
+    NaN derivatives, and the others take their own pass."""
     p = np.exp(x)
     columns = {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)}
-    value, U, H = _derivs(_trusted(spec.params_type, *_full_values(spec, columns)), y)
+    params = _trusted(spec.params_type, *_full_values(spec, columns))
+    try:
+        value, U, H = _derivs(params, y)
+    except ValueError:
+        alpha, b = params.a / params.c, params.b
+        ok = np.ravel((alpha > 0.0) & (alpha < math.inf) & (b > 0.0) & (b < math.inf))
+        if ok.all():
+            raise
+        m, k = x.shape
+        out = (np.full(m, math.inf), np.full((m, k), np.nan), np.full((m, k, k), np.nan),
+               np.full(m, math.inf), np.full((m, k, k), np.nan))
+        if ok.any():
+            for full, v in zip(out, _log_space_derivs(spec, J, y, x[ok])):
+                full[ok] = v
+        return out
     if J is not None:
         U, H = U @ J, J.T @ H @ J
     g = -p * U

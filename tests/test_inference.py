@@ -731,6 +731,26 @@ class TestLockstep:
             for i in range(17):
                 assert a[i].tobytes() == b[0].tobytes(), i
 
+    def test_out_of_range_rows_are_infinite(self, glass_data):
+        # a shape past exp overflow or underflow takes a/c or b out of
+        # range: f = +inf there, nothing raises, and the finite rows of a
+        # mixed block are their own one-row pass, bit for bit
+        y = glass_data.array
+        spec = model_spec("mce")
+        bad = [[720.0, 0, 0, 0], [0, 720.0, 0, 0], [-750.0, 0, 0, 0], [0, 0, 0, 720.0]]
+        finite = [[0.9, 4.9, -7.9, 0.8], [0.1, 0.2, 0.3, 0.4]]
+        with np.errstate(all="ignore"):
+            for row in bad:
+                assert inference._log_space_derivs(spec, None, y, np.array([row]))[0][0] == math.inf
+            for i, row in enumerate(bad):
+                block = np.array(finite[:1] + [row] + finite[1:])
+                out = inference._log_space_derivs(spec, None, y, block)
+                assert out[0][1] == math.inf
+                for j, at in ((0, 0), (1, 2)):
+                    alone = inference._log_space_derivs(spec, None, y, np.array([finite[j]]))
+                    for a, b in zip(out, alone):
+                        assert a[at].tobytes() == b[0].tobytes(), (i, j)
+
     def test_repeated_starts_run_once(self, aarset_data, monkeypatch):
         # a battery with repeats runs each distinct start once, and every
         # repeat's record is its twin's
