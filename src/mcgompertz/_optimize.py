@@ -71,39 +71,42 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     S = x.shape[0]
     status = np.full(S, -1)
     nit = np.zeros(S, dtype=int)
-    njev = np.ones(S, dtype=int)
     # the running starts keep their state in arrays of their own rows,
     # which shrink as starts stop; a start's final state is written out
-    # once, when it stops
+    # once, when it stops.  Every start runs from the first pass on, so
+    # the running starts share one iteration count, and an evaluation is
+    # counted once per start and once per accepted step.
     run = np.arange(S)
     radius = np.ones(S)
-    wall = np.zeros(S, dtype=bool)
-    x_run, nit_run, njev_run = x.copy(), nit.copy(), njev.copy()
+    wall = np.False_
+    x_run = x.copy()
+    it, njev = 0, S
     with np.errstate(all="ignore"):
         state = list(fun(x))
         evals = [v.copy() for v in state]
         npass = 1
         while True:
             f, g, B = state[:3]
-            stop = np.where(
-                ~np.isfinite(f), 3, np.where(wall, 4, np.where(
-                    np.abs(g).max(axis=-1) <= _GRAD_TOL, 0, np.where(
-                        radius < _STEP_TOL, 2, np.where(nit_run >= max_iter, 1, -1)))))
-            ended = stop >= 0
-            if ended.any():
+            finite = np.isfinite(f)
+            flat = np.abs(g).max(axis=-1) <= _GRAD_TOL
+            tiny = radius < _STEP_TOL
+            ended = ~finite | wall | flat | tiny
+            if it >= max_iter:
+                ended[:] = True
+            n_end = np.count_nonzero(ended)
+            if n_end:
                 out = run[ended]
-                status[out], x[out], nit[out], njev[out] = (
-                    stop[ended], x_run[ended], nit_run[ended], njev_run[ended])
+                stop = np.where(~finite, 3, np.where(wall, 4, np.where(flat, 0, np.where(tiny, 2, 1))))
+                status[out], x[out], nit[out] = stop[ended], x_run[ended], it
                 for kept, v in zip(evals, state):
                     kept[out] = v[ended]
-                if ended.all():
+                if n_end == run.size:
                     break
                 going = ~ended
-                run, radius, wall, x_run, nit_run, njev_run = (
-                    v[going] for v in (run, radius, wall, x_run, nit_run, njev_run))
+                run, radius, x_run = run[going], radius[going], x_run[going]
                 state = [v[going] for v in state]
                 f, g, B = state[:3]
-            nit_run += 1
+            it += 1
             step, predicted = _trust_region_step(g, B, radius)
             x_new = x_run + step
             trial = fun(x_new)
@@ -116,19 +119,20 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
             rad = np.where(grow, np.minimum(2.0 * radius, _MAX_RADIUS), radius)
             radius = np.where(ratio > 0.25, rad, 0.25 * snorm)
             took = (ratio > _ACCEPT) & ~wall
-            if took.all():
+            n_took = np.count_nonzero(took)
+            njev += n_took
+            if n_took == run.size:
                 x_run, state = x_new, list(trial)
-                njev_run += 1
-            elif took.any():
-                x_run[took] = x_new[took]
-                for kept, v in zip(state, trial):
-                    kept[took] = v[took]
-                njev_run[took] += 1
+            elif n_took:
+                # the accepted rows, copied in place under a mask shaped
+                # to each array
+                for kept, v in zip([x_run] + state, [x_new, *trial]):
+                    np.copyto(kept, v, where=took.reshape((-1,) + (1,) * (v.ndim - 1)))
     # every iteration of a start evaluates its trial point
     nfev = nit + 1
     return SimpleNamespace(
         x=x, evals=tuple(evals), status=status,
-        nit=int(nit.sum()), nfev=int(nfev.sum()), njev=int(njev.sum()), npass=npass,
+        nit=int(nit.sum()), nfev=int(nfev.sum()), njev=int(njev), npass=npass,
         nit_per_start=nit, nfev_per_start=nfev,
     )
 
@@ -173,7 +177,11 @@ def _boundary_steps(st, rows, lam, gt, rad):
     gt2 = gt * gt
     lo = np.maximum(0.0, -lam_1)
     gnorm = np.sqrt(gt2.sum(axis=-1))
-    neg = np.flatnonzero(lam_1 <= 0.0)
+    gt_1 = np.abs(gt[:, 0])
+    # a hard case needs |gt_1| <= 1e-12 |gt|: where column 0 falls outside
+    # the bottom eigenspace (an eigenvalue not finite), its hard step
+    # -gt_1/(lam_1 + lo) is -gt_1/0 or nan, and leaves no room
+    neg = np.flatnonzero((lam_1 <= 0.0) & (gt_1 <= 1e-12 * gnorm))
     if neg.size:
         lam_n, gt_n = lam[neg], gt[neg]
         bottom = lam_n - lam_n[:, :1] <= 1e-12 * np.abs(lam_n).max(axis=-1, keepdims=True)
@@ -185,11 +193,12 @@ def _boundary_steps(st, rows, lam, gt, rad):
             st[rows[neg[hard]]] = hard_st[hard]
             keep = np.ones(rows.size, dtype=bool)
             keep[neg[hard]] = False
-            rows, lam, gt, gt2, rad, lo, gnorm = (
-                v[keep] for v in (rows, lam, gt, gt2, rad, lo, gnorm)
+            rows, lam, gt, gt2, rad, lo, gnorm, gt_1 = (
+                v[keep] for v in (rows, lam, gt, gt2, rad, lo, gnorm, gt_1)
             )
             if not rows.size:
                 return
+    n = rows.size
     hi = gnorm / rad - lam[:, 0]
     # start left of the root, where |s| >= radius: at 0 when B is positive
     # definite (the Newton step did not fit), else at -lam_1 + |gt_1|/radius,
@@ -197,23 +206,31 @@ def _boundary_steps(st, rows, lam, gt, rad):
     # concave 1/|s(sigma)| then rises to the root without overshooting; the
     # upper bound serves where gt_1 = 0 leaves no such point.
     pos_def = lam[:, 0] > 0.0
-    left = lo + np.where(pos_def, 0.0, np.abs(gt[:, 0]) / rad)
+    left = lo + np.where(pos_def, 0.0, gt_1 / rad)
     sigma = np.where(pos_def | (left > lo), left, hi)
     tol = 1e-8 * rad
+    # the bracket moves, the Newton step is bisected and a converged row
+    # keeps its sigma only where they apply: rising from the left, no row
+    # is short of the radius and every step stays in the bracket
     for _ in range(100):
         at = sigma
         inv = 1.0 / (lam + sigma[:, None])
         q = gt2 * inv * inv
         snorm2 = q.sum(axis=-1)
-        snorm = np.sqrt(snorm2)
-        gap = snorm - rad
+        gap = np.sqrt(snorm2) - rad
         done = np.abs(gap) <= tol
-        if done.all():
+        n_done = np.count_nonzero(done)
+        if n_done == n:
             break
-        short = snorm < rad
-        hi = np.where(short, sigma, hi)
-        lo = np.where(short, lo, sigma)
+        short = gap < 0.0
+        if np.count_nonzero(short):
+            hi = np.where(short, sigma, hi)
+            lo = np.where(short, lo, sigma)
+        else:
+            lo = sigma
         step = sigma + gap / rad * snorm2 / (q * inv).sum(axis=-1)
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        sigma = np.where(done, sigma, step)
+        inside = (lo < step) & (step < hi)
+        if np.count_nonzero(inside) < n:
+            step = np.where(inside, step, 0.5 * (lo + hi))
+        sigma = np.where(done, sigma, step) if n_done else step
     st[rows] = -gt / (lam + at[:, None])
