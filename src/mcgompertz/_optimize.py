@@ -181,18 +181,19 @@ def _boundary_steps(st, rows, lam, gt, rad):
     # a hard case needs |gt_1| <= 1e-12 |gt|: where column 0 falls outside
     # the bottom eigenspace (an eigenvalue not finite), its hard step
     # -gt_1/(lam_1 + lo) is -gt_1/0 or nan, and leaves no room
-    neg = np.flatnonzero((lam_1 <= 0.0) & (gt_1 <= 1e-12 * gnorm))
-    if neg.size:
-        lam_n, gt_n = lam[neg], gt[neg]
-        bottom = lam_n - lam_n[:, :1] <= 1e-12 * np.abs(lam_n).max(axis=-1, keepdims=True)
-        hard_st = np.where(bottom, 0.0, -gt_n / np.where(bottom, 1.0, lam_n + lo[neg, None]))
-        room = rad[neg] * rad[neg] - (hard_st * hard_st).sum(axis=-1)
-        hard = (~bottom | (np.abs(gt_n) <= 1e-12 * gnorm[neg, None])).all(axis=-1) & (room >= 0.0)
+    maybe = (lam_1 <= 0.0) & (gt_1 <= 1e-12 * gnorm)
+    if np.count_nonzero(maybe):
+        cand = np.flatnonzero(maybe)
+        lam_c, gt_c = lam[cand], gt[cand]
+        bottom = lam_c - lam_c[:, :1] <= 1e-12 * np.abs(lam_c).max(axis=-1, keepdims=True)
+        hard_st = np.where(bottom, 0.0, -gt_c / np.where(bottom, 1.0, lam_c + lo[cand, None]))
+        room = rad[cand] * rad[cand] - (hard_st * hard_st).sum(axis=-1)
+        hard = (~bottom | (np.abs(gt_c) <= 1e-12 * gnorm[cand, None])).all(axis=-1) & (room >= 0.0)
         if hard.any():
             hard_st[:, 0] = np.sqrt(np.maximum(room, 0.0))
-            st[rows[neg[hard]]] = hard_st[hard]
+            st[rows[cand[hard]]] = hard_st[hard]
             keep = np.ones(rows.size, dtype=bool)
-            keep[neg[hard]] = False
+            keep[cand[hard]] = False
             rows, lam, gt, gt2, rad, lo, gnorm, gt_1 = (
                 v[keep] for v in (rows, lam, gt, gt2, rad, lo, gnorm, gt_1)
             )
@@ -213,8 +214,8 @@ def _boundary_steps(st, rows, lam, gt, rad):
     # keeps its sigma only where they apply: rising from the left, no row
     # is short of the radius and every step stays in the bracket
     for _ in range(100):
-        at = sigma
-        inv = 1.0 / (lam + sigma[:, None])
+        shifted = lam + sigma[:, None]
+        inv = 1.0 / shifted
         q = gt2 * inv * inv
         snorm2 = q.sum(axis=-1)
         gap = np.sqrt(snorm2) - rad
@@ -233,4 +234,5 @@ def _boundary_steps(st, rows, lam, gt, rad):
         if np.count_nonzero(inside) < n:
             step = np.where(inside, step, 0.5 * (lo + hi))
         sigma = np.where(done, sigma, step) if n_done else step
-    st[rows] = -gt / (lam + at[:, None])
+    # the steps at the sigma of the last iteration
+    st[rows] = -gt / shifted

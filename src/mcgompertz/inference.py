@@ -481,13 +481,16 @@ def _log_space_derivs(spec, J, y, x):
         return out
     if J is not None:
         U, H = U @ J, J.T @ H @ J
-    g = -p * U
-    B = -(p[:, :, None] * H * p[:, None, :])
+    # -(p U) and -(p H p), each negated exactly once, through -p
+    neg_p = -p
+    g = neg_p * U
+    B = neg_p[:, :, None] * H * p[:, None, :]
     m, k = x.shape
-    B.reshape(m, k * k)[:, ::k + 1] -= p * U
-    # B's diagonal holds -p * U, so a finite B implies a finite g
+    B.reshape(m, k * k)[:, ::k + 1] += g
+    # B's diagonal holds g, so a finite B implies a finite g
+    nll = -value
     ok = np.isfinite(value) & np.isfinite(B).all(axis=(-2, -1))
-    return np.where(ok, -value, math.inf), g, B, -value, -H
+    return np.where(ok, nll, math.inf), g, B, nll, -H
 
 
 def _positive_definite(m):
@@ -527,7 +530,9 @@ def fit_mle(model, data, config=None):
             f"{spec.name} has {k} free parameters; need more than {k} observations"
         )
     seed = _seed_values(spec, y)
+    # the shape parameters lead the free ones in every model
     shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
+    n_shape = len(shape)
     x0 = np.log([seed[f] for f in free])
     starts = np.array(_start_points(x0, shape, cfg))
     # each distinct start once, in battery order: slot i runs as row
@@ -546,7 +551,7 @@ def fit_mle(model, data, config=None):
     # may walk out of the box and back, and counts where it ends.
     res = minimize(
         lambda x: _log_space_derivs(spec, J, y, x), distinct, max_iter=cfg.max_iter,
-        outside=lambda x: (np.abs(x[:, shape]) > _BOX).any(axis=-1),
+        outside=lambda x: (np.abs(x[:, :n_shape]) > _BOX).any(axis=-1),
     )
     ends = res.x
     f_end, g_end, _, nll, info = res.evals

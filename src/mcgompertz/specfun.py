@@ -180,8 +180,9 @@ def digamma_diff(x, h):
     return _patched(direct, x >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, x, h)
 
 
-def _digamma_diff_asymptotic(x, h):
-    t = np.log1p(h / x)
+def _digamma_diff_asymptotic(x, h, t=None):
+    if t is None:
+        t = np.log1p(h / x)
     return _bernoulli_sum(t + h / (2.0 * x * (x + h)), x, t, _PSI_TAIL)
 
 
@@ -194,25 +195,37 @@ def trigamma_diff(x, h):
     return _patched(direct, x >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, x, h)
 
 
-def _trigamma_diff_asymptotic(x, h):
-    return _bernoulli_sum(-h / (x * (x + h)), x, np.log1p(h / x), _PSI1_TAIL)
+def _trigamma_diff_asymptotic(x, h, t=None):
+    if t is None:
+        t = np.log1p(h / x)
+    return _bernoulli_sum(-h / (x * (x + h)), x, t, _PSI1_TAIL)
 
 
 def _psi_sum_differences(x, h):
     """digamma_diff(x, h), digamma_diff(h, x), trigamma_diff(x, h),
     trigamma_diff(h, x) and trigamma(x + h), bit for bit, from one check
-    and scipy's psi and psi' at x, h and x + h, each taken once; each
-    difference keeps its asymptotic patch where its own x >= 100."""
+    and scipy's psi and psi' at x, h and x + h, each taken once.  Each side
+    takes its asymptotic patches where its own x >= 100, from one mask and
+    one t = log1p(h/x) shared by the digamma and trigamma series."""
     x, h, _, _ = _positive_pair(x, h, "psi differences require finite x, h > 0")
     s = x + h
     psi_s, psi1_s = sps.digamma(s), sps.zeta(2, s)
-    return (
-        _patched(psi_s - sps.digamma(x), x >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, x, h),
-        _patched(psi_s - sps.digamma(h), h >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, h, x),
-        _patched(psi1_s - sps.zeta(2, x), x >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, x, h),
-        _patched(psi1_s - sps.zeta(2, h), h >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, h, x),
-        _float_or_array(psi1_s),
-    )
+    out = [psi_s - sps.digamma(x), psi_s - sps.digamma(h),
+           psi1_s - sps.zeta(2, x), psi1_s - sps.zeta(2, h)]
+    for j, (u, v) in enumerate(((x, h), (h, x))):
+        big = u >= _PSI_ASYMPTOTIC
+        if not np.count_nonzero(big):
+            continue
+        scalar = not isinstance(big, np.ndarray)
+        if not scalar:
+            u, v = u[big], v[big]
+        t = np.log1p(v / u)
+        for i, series in ((j, _digamma_diff_asymptotic), (j + 2, _trigamma_diff_asymptotic)):
+            if scalar:
+                out[i] = series(u, v, t)
+            else:
+                out[i][big] = series(u, v, t)
+    return (*map(_float_or_array, out), _float_or_array(psi1_s))
 
 
 def log1mexp(u):

@@ -34,6 +34,12 @@ class TestModelRegistry:
         for name, k in expected.items():
             assert MODELS[name].free_count == k, name
 
+    def test_shapes_lead_the_free_parameters(self):
+        # fit_mle's wall test reads the shapes as the leading columns
+        for name, spec in MODELS.items():
+            kinds = [f in ("a", "b", "c") for f in spec.free_params]
+            assert kinds == sorted(kinds, reverse=True), name
+
     def test_lookup_case_insensitive(self):
         assert model_spec("McG") is MODELS["mcg"]
         assert model_spec("KUMG") is MODELS["kumg"]
