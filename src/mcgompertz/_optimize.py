@@ -48,7 +48,11 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     Each start keeps its own iterate, trust radius and stop status and
     takes the exact step of _trust_region_step on its own Hessian; one call
     of `fun` per iteration evaluates the trial points of the starts still
-    running.  `outside`, if given, maps an (m, k) block of trial points
+    running.  The bookkeeping of an iteration is a few whole-block numpy
+    calls: every start runs from the first pass, so the running starts
+    share one iteration count; the stop rules form one mask, and status
+    codes are formed only in a pass where some start stops; accepted trial
+    rows are copied into the state in place, one masked copy per array.  `outside`, if given, maps an (m, k) block of trial points
     to a bool (m,) array that marks the points past the region the caller
     cares about; a marked trial point is never accepted, however much it
     lowers the objective.  A start stops, tested in this order, where the
@@ -149,10 +153,14 @@ def _trust_region_step(g, B, radius):
     shifted step inside the radius) the step is completed along the lowest
     eigenvector.  One batched eigh serves every row, and each row takes its
     case by mask: only the rows whose Newton step does not serve go on,
-    only those of them with lam_1 <= 0 are tested for the hard case, and
-    the boundary rows share one secular iteration in which a row keeps its
-    sigma once it has converged.  Returns (s, predicted decrease of the
-    model).
+    only those of them with lam_1 <= 0 and |gt_1| <= 1e-12 |gt| (gt = Q^T g)
+    are tested for the hard case, and the boundary rows share one secular
+    iteration in which a row keeps its sigma once it has converged.  The
+    safeguards of that iteration (moving the bracket, bisecting a step
+    that leaves it, holding converged rows) run only in the iterations
+    where some row needs them, so a row's sigma, and the step, are the
+    same bits whichever rows share the batch.  Returns (s, predicted
+    decrease of the model).
     """
     lam, Q = np.linalg.eigh(B)
     gt = (Q * g[:, :, None]).sum(axis=1)

@@ -19,9 +19,11 @@ A pass is fixed cost more than arithmetic: at n <= 63 observations and
 parameters are checked once per fit, at the starts; psi and psi' at
 a/c + b are shared by the four psi differences; the free-parameter
 embedding runs only on the models that need it; a repeated start runs
-once; and the end points reuse the driver's last evaluation.  A pass
-costs ~536 us on 2 vCPUs, against ~658 us before these cuts, with every
-fit unchanged to the bit (`BENCH_pass_cost.json`).
+once; and the end points reuse the driver's last evaluation.  These
+cuts, and a trust-region step and driver that make fewer numpy calls,
+bring a pass to ~525 us on 2 vCPUs (casestudy `pass_s` over its 354
+passes), from ~582 us before the step was trimmed, with every fit
+unchanged to the bit (`BENCH_pass_cost.json`, `BENCH_step_cost.json`).
 The 8 fits of the paper's two applications (mcg, bg, kumg, mce on both
 datasets) take 354 passes, 475 before ridge starts stopped at the wall
 (`BENCH_wall_stop.json`).

@@ -174,8 +174,11 @@ def _step_rows(k, rng):
         lam = np.r_[0.0, np.sort(rng.uniform(0.5, 5.0, k - 1))]
         add("zero", lam, rng.normal(size=k), rng.uniform(0.1, 3.0), rotate=False)
         gt = np.r_[0.0, rng.normal(size=k - 1)]
-        add("zero", lam, gt, float(np.linalg.norm(gt[1:] / lam[1:])) * rng.uniform(1.2, 3.0),
-            rotate=False)
+        inside = float(np.linalg.norm(gt[1:] / lam[1:]))
+        add("zero", lam, gt, inside * rng.uniform(1.2, 3.0), rotate=False)
+        # with the shifted step outside, the secular iteration starts
+        # from its upper bound, right of the root
+        add("upper", lam, gt, inside * rng.uniform(0.3, 0.8), rotate=False)
         # the hard case: lam_1 < 0, g orthogonal to its eigenspace (of
         # dimension 1, or 2 where k >= 3) and the shifted step inside
         for dim in (1, 2) if k >= 3 else (1,):
@@ -184,6 +187,7 @@ def _step_rows(k, rng):
             gt = np.r_[np.zeros(dim), rng.normal(size=k - dim)]
             inside = float(np.linalg.norm(gt[dim:] / (lam[dim:] - low)))
             add("hard", lam, gt, inside * rng.uniform(1.2, 3.0))
+            add("upper", lam, gt, inside * rng.uniform(0.3, 0.8))
     order = rng.permutation(len(rows))
     g, B, radius, case = zip(*(rows[i] for i in order))
     return np.array(g), np.array(B), np.array(radius), case
