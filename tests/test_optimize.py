@@ -187,7 +187,9 @@ def _step_rows(k, rng):
             gt = np.r_[np.zeros(dim), rng.normal(size=k - dim)]
             inside = float(np.linalg.norm(gt[dim:] / (lam[dim:] - low)))
             add("hard", lam, gt, inside * rng.uniform(1.2, 3.0))
-            add("upper", lam, gt, inside * rng.uniform(0.3, 0.8))
+            # just short of that step, where the first Newton step from
+            # the upper bound overshoots the bracket and is bisected
+            add("upper", lam, gt, inside * (1.0 - 10.0 ** rng.uniform(-4.0, -2.0)))
     order = rng.permutation(len(rows))
     g, B, radius, case = zip(*(rows[i] for i in order))
     return np.array(g), np.array(B), np.array(radius), case
