@@ -48,11 +48,7 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     Each start keeps its own iterate, trust radius and stop status and
     takes the exact step of _trust_region_step on its own Hessian; one call
     of `fun` per iteration evaluates the trial points of the starts still
-    running.  The bookkeeping of an iteration is a few whole-block numpy
-    calls: every start runs from the first pass, so the running starts
-    share one iteration count; the stop rules form one mask, and status
-    codes are formed only in a pass where some start stops; accepted trial
-    rows are copied into the state in place, one masked copy per array.  `outside`, if given, maps an (m, k) block of trial points
+    running.  `outside`, if given, maps an (m, k) block of trial points
     to a bool (m,) array that marks the points past the region the caller
     cares about; a marked trial point is never accepted, however much it
     lowers the objective.  A start stops, tested in this order, where the
@@ -62,6 +58,12 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     at most _GRAD_TOL, when its trust radius falls below _STEP_TOL (no
     step the model trusts still lowers the objective), or after
     `max_iter` iterations.
+
+    The bookkeeping of an iteration is a few whole-block numpy calls.
+    Every start runs from the first pass, so the running starts share one
+    iteration count; the stop rules form one mask, and the status codes
+    are formed only in a pass where some start stops; the accepted trial
+    rows are copied into the state in place, one masked copy per array.
 
     The result holds per start x (S, k), evals (every array `fun`
     returned, at the points x, so no caller need evaluate them again),
@@ -77,9 +79,10 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
     nit = np.zeros(S, dtype=int)
     # the running starts keep their state in arrays of their own rows,
     # which shrink as starts stop; a start's final state is written out
-    # once, when it stops.  Every start runs from the first pass on, so
-    # the running starts share one iteration count, and an evaluation is
-    # counted once per start and once per accepted step.
+    # once, when it stops.  `it` is the iteration count of every running
+    # start, and njev counts an evaluation per start and per accepted
+    # step.  Each `wall` that `outside` returns is read before the rows
+    # shrink, so it is never shrunk; it is False until the first call.
     run = np.arange(S)
     radius = np.ones(S)
     wall = np.False_
@@ -128,9 +131,7 @@ def minimize(fun, x0, *, max_iter, jac=None, outside=None):
             if n_took == run.size:
                 x_run, state = x_new, list(trial)
             elif n_took:
-                # the accepted rows, copied in place under a mask shaped
-                # to each array
-                for kept, v in zip([x_run] + state, [x_new, *trial]):
+                for kept, v in zip([x_run, *state], [x_new, *trial]):
                     np.copyto(kept, v, where=took.reshape((-1,) + (1,) * (v.ndim - 1)))
     # every iteration of a start evaluates its trial point
     nfev = nit + 1
