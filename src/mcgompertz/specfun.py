@@ -210,21 +210,16 @@ def _psi_sum_differences(x, h):
     x, h, _, _ = _positive_pair(x, h, "psi differences require finite x, h > 0")
     s = x + h
     psi_s, psi1_s = sps.digamma(s), sps.zeta(2, s)
-    out = [psi_s - sps.digamma(x), psi_s - sps.digamma(h),
-           psi1_s - sps.zeta(2, x), psi1_s - sps.zeta(2, h)]
+    # 0-d arrays for scalars, so one masked write serves both
+    out = [np.asarray(d) for d in (psi_s - sps.digamma(x), psi_s - sps.digamma(h),
+                                    psi1_s - sps.zeta(2, x), psi1_s - sps.zeta(2, h))]
     for j, (u, v) in enumerate(((x, h), (h, x))):
         big = u >= _PSI_ASYMPTOTIC
-        if not np.count_nonzero(big):
-            continue
-        scalar = not isinstance(big, np.ndarray)
-        if not scalar:
-            u, v = u[big], v[big]
-        t = np.log1p(v / u)
-        for i, series in ((j, _digamma_diff_asymptotic), (j + 2, _trigamma_diff_asymptotic)):
-            if scalar:
-                out[i] = series(u, v, t)
-            else:
-                out[i][big] = series(u, v, t)
+        if np.count_nonzero(big):
+            u, v = np.asarray(u)[big], np.asarray(v)[big]
+            t = np.log1p(v / u)
+            out[j][big] = _digamma_diff_asymptotic(u, v, t)
+            out[j + 2][big] = _trigamma_diff_asymptotic(u, v, t)
     return (*map(_float_or_array, out), _float_or_array(psi1_s))
 
 
