@@ -21,8 +21,8 @@ a/c + b are shared by the four psi differences; the free-parameter
 embedding runs only on the models that need it; a repeated start runs
 once; and the end points reuse the driver's last evaluation.  These
 cuts, and a trust-region step and driver that make fewer numpy calls,
-bring a pass to ~525 us on 2 vCPUs (casestudy `pass_s` over its 354
-passes), from ~582 us before the step was trimmed, with every fit
+bring a pass to ~532 us on 2 vCPUs (casestudy `pass_s` over its 354
+passes), from ~584 us before the step was trimmed, with every fit
 unchanged to the bit (`BENCH_pass_cost.json`, `BENCH_step_cost.json`).
 The 8 fits of the paper's two applications (mcg, bg, kumg, mce on both
 datasets) take 354 passes, 475 before ridge starts stopped at the wall
