@@ -1,4 +1,5 @@
-"""Print a fingerprint of the package's outputs: one `name sha1` line per item.
+"""Print a fingerprint of the package's outputs: one `name sha1` line per item,
+or `name value...` for the integrals.
 
     python tools/fingerprint.py
 
@@ -18,7 +19,10 @@ between them.  The items are:
   tails the fits never reach (TAILS);
 - `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
   list of CLI runs; each `--out` file is first filled with 64 KiB of stale
-  bytes (STALE), so the line covers writing over a longer file.
+  bytes (STALE), so the line covers writing over a longer file;
+- `quad/<point>/<op>`: the value (and flags) of each quadrature-engine
+  integral at the points QUAD_POINTS, as reprs, so a moved line shows its
+  old and new value.
 """
 
 import contextlib
@@ -33,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mcgompertz import cli, core  # noqa: E402
+from mcgompertz import cli, core, expansions, orderstats, shape  # noqa: E402
 from mcgompertz.family import MODELS  # noqa: E402
 from mcgompertz.inference import OptimizerConfig, fit_mle  # noqa: E402
 
@@ -71,6 +75,36 @@ TAILS = {
     ),
     "reversed_hazard": ((core.McEParams(1000, 1, 1, 1), [0.1, 0.3, 0.5]),),
 }
+
+# (label, parameters): the README point, the aarset and glass mcg optima, and
+# a point whose integrals lie far below the engine's absolute target
+# (ROADMAP item 2)
+QUAD_POINTS = (
+    ("readme", core.McGParams(0.5, 0.8, 2.0, 0.1, 0.5)),
+    ("aarset_mcg", core.McGParams(
+        0.48602506867701145, 0.008027407931889215, 39.077927764506605,
+        0.029940972501835417, 0.07574424808702038)),
+    ("glass_mcg", core.McGParams(
+        0.4500793196655103, 0.042314322674387124, 219.49017482882707,
+        7.149867624426224e-06, 8.090210587209212)),
+    ("tiny", core.McGParams(
+        0.0022128326672193116, 34.68829657763449, 0.008031376131796298,
+        0.02055959180096699, 0.01284054871853585)),
+)
+
+
+def _quad_ops(p):
+    """(op, callable) for each integral at p; a callable returns a float or
+    a tuple of a float and its flags."""
+    ops = [(f"moment{k}", lambda k=k: shape.moment_numeric(p, k)) for k in range(1, 5)]
+    return ops + [
+        ("mgf", lambda: shape.mgf_numeric(p, p.gamma)),
+        ("shannon", lambda: shape.shannon_numeric(p)),
+        ("shannon_closed", lambda: shape.shannon_closed(p)),
+        ("renyi", lambda: shape.renyi_numeric(p, 0.5)),
+        ("os_moment", lambda: orderstats.os_moment(p, orderstats.OrderSpec(2, 5), 1)),
+        ("mgf_series", lambda: expansions.mgf_series(p, p.gamma)),
+    ]
 
 
 def _exact(v):
@@ -153,6 +187,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for argv in RUNS:
             print(*_run_line(argv, tmp))
+    for label, p in QUAD_POINTS:
+        for op, fn in _quad_ops(p):
+            out = fn()
+            print(f"quad/{label}/{op}", *map(repr, out if isinstance(out, tuple) else (out,)))
 
 
 if __name__ == "__main__":
