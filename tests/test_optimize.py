@@ -190,6 +190,12 @@ def _step_rows(k, rng):
             # just short of that step, where the first Newton step from
             # the upper bound overshoots the bracket and is bisected
             add("upper", lam, gt, inside * (1.0 - 10.0 ** rng.uniform(-4.0, -2.0)))
+    if k == 3:
+        # the first Newton step from the upper bound (sigma 3.75) lands at
+        # -1.59, past the pole at -lam_2 = -0.1; unbisected, the iteration
+        # ends at sigma = -3.23, on the radius but with B + sigma I
+        # indefinite, where the root in the bracket is sigma = 0.516
+        add("upper", np.array([-0.2, 0.1, 6.8]), np.array([0.0, 0.4, 2.6]), 0.74, rotate=False)
     order = rng.permutation(len(rows))
     g, B, radius, case = zip(*(rows[i] for i in order))
     return np.array(g), np.array(B), np.array(radius), case
