@@ -54,10 +54,12 @@ _W_ERROR = _W_KRONROD - _W_GAUSS
 
 
 # the target error of each integral (each row of a stack) is
-# max(_ABS_TOL, _REL_TOL |I|); _MAX_SUBDIVISIONS caps the subintervals of
-# each panel
+# max(_ABS_TOL, _REL_TOL |I|); the first round splits each panel into
+# _FIRST_SPLIT equal subintervals, and _MAX_SUBDIVISIONS caps the
+# subintervals of each panel, those first ones included
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
+_FIRST_SPLIT = 4
 _MAX_SUBDIVISIONS = 200
 
 
@@ -120,11 +122,15 @@ def _panel_quad(p, integrand):
     hi = np.ones(n_panels)
     hi[1:-1] = cuts[1:]
     hi[0] = depth / (1.0 + depth)
-    panel = np.arange(n_panels)
     share = 2.0 / (hi - lo).sum()
-    # the panels of each round's bisections; a panel has 1 + its bisections
-    # subintervals, and their total n_splits bounds every panel's, so they
-    # are counted per panel only once that bound could pass the cap
+    frac = np.arange(_FIRST_SPLIT + 1) / _FIRST_SPLIT
+    edges = lo[:, None] * (1.0 - frac) + hi[:, None] * frac
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    panel = np.arange(n_panels).repeat(_FIRST_SPLIT)
+    # the panels of each round's bisections; a panel has _FIRST_SPLIT + its
+    # bisections subintervals, and their total n_splits bounds every
+    # panel's, so they are counted per panel only once that bound could pass
+    # the cap
     splits = []
     n_splits = 0
     total = err_done = 0.0
@@ -155,8 +161,8 @@ def _panel_quad(p, integrand):
         if stacked:
             refine = refine.any(0)
         split = panel[refine]
-        if n_splits + split.size >= _MAX_SUBDIVISIONS:
-            grown = 1 + np.bincount(np.concatenate(splits + [split]), minlength=n_panels)
+        if _FIRST_SPLIT + n_splits + split.size > _MAX_SUBDIVISIONS:
+            grown = _FIRST_SPLIT + np.bincount(np.concatenate(splits + [split]), minlength=n_panels)
             full = grown > _MAX_SUBDIVISIONS
             if full.any():
                 exhausted = True

@@ -146,6 +146,29 @@ class TestPanelEngine:
         assert 1 <= len(sizes) <= 40
         assert min(sizes) >= 15  # whole node arrays, never one point
 
+    def test_case_study_integrals_seldom_refine(self, monkeypatch):
+        # the 27 engine integrals at the README point and the two
+        # case-study optima take 39 density passes on the first-round mesh
+        # (85 when each panel started as one subinterval): 12 of them
+        # bisect once, at the optima, and the rest take the first round
+        calls = []
+        real = shape.log_pdf
+
+        def counting(p, y):
+            calls.append(np.size(y))
+            return real(p, y)
+
+        monkeypatch.setattr(shape, "log_pdf", counting)
+        for p in (McGParams(0.5, 0.8, 2.0, 0.1, 0.5), AARSET_MCG, GLASS_MCG):
+            for k in range(1, 5):
+                moment_numeric(p, k)
+            mgf_numeric(p, p.gamma)
+            shannon_numeric(p)
+            shannon_closed(p)
+            renyi_numeric(p, 0.5)
+            os_moment(p, OrderSpec(2, 5), 1)
+        assert len(calls) == 39
+
     def test_exhausted_budget_warns(self, monkeypatch):
         monkeypatch.setattr(shape, "_ABS_TOL", 1e-300)
         monkeypatch.setattr(shape, "_REL_TOL", 1e-17)
