@@ -7,7 +7,8 @@ and such power laws are hard to integrate in the linear variable, while in
 u = ln y they are smooth exponentials.  Panels are split at fixed
 quantiles of the distribution itself.  Each refinement round evaluates a
 Gauss-Kronrod 7/15 rule on every live subinterval at once, so the density
-is called on whole node arrays, a few times per integral.  The engine also
+is called on whole node arrays, once per round; the first round's mesh is
+fine enough that most integrals take that round alone.  The engine also
 takes a stack of integrands, which share the cuts, the node arrays, the
 density calls and the refinement while each keeps its own error target:
 shannon_closed takes E[Y], M(gamma) and its Shannon reference from one
@@ -92,20 +93,23 @@ def _panel_quad(p, integrand):
     The line is split into panels at the quantiles _PANEL_CUTS.  The two
     end panels, (-inf, ln Q(1e-9)) and (ln Q(1 - 1e-10), +inf), are mapped
     onto s in [0, 1) by u = u0 -/+ s/(1 - s), so no tail is dropped; the
-    lower one stops at _U_TINY, below which nothing contributes.  Each
-    round applies the Gauss-Kronrod 7/15 rule (Piessens et al., QUADPACK,
-    1983) to every live subinterval of every panel at once: one array call
-    to the integrand, and so to log_pdf, per round, whatever R.  |K15 - G7|
-    is the error estimate.  Each row r has its own target
+    lower one stops at _U_TINY, below which nothing contributes.  The
+    first round splits each panel into _FIRST_SPLIT equal subintervals in
+    its variable (u, or s on the end panels).  Each round applies the
+    Gauss-Kronrod 7/15 rule (Piessens et al., QUADPACK, 1983) to every live
+    subinterval of every panel at once: one array call to the integrand,
+    and so to log_pdf, per round, whatever R.  |K15 - G7| is the error
+    estimate.  Each row r has its own target
     max(_ABS_TOL, _REL_TOL |I_r|).  As in quadgk (Shampine 2008), a
     subinterval is accepted when, in every row, its error is within its
     length's share of that row's target, and the others are bisected for
     all rows together; the loop ends when every row's summed error meets
     its target or every subinterval is accepted.  A one-row stack thus
     gives bit for bit the single integrand's value.  A panel whose
-    bisections would take it past _MAX_SUBDIVISIONS is accepted as it
-    stands, and an IntegrationWarning gives the estimated error of the row
-    furthest past its target.
+    bisections would take it past _MAX_SUBDIVISIONS subintervals, its
+    _FIRST_SPLIT first ones included, is accepted as it stands, and an
+    IntegrationWarning gives the estimated error of the row furthest past
+    its target.
     """
     with np.errstate(divide="ignore"):
         cuts = np.maximum(np.log(quantile(p, np.array(_PANEL_CUTS))), _U_TINY)
