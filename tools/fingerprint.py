@@ -18,8 +18,9 @@ between them.  The items are:
 - `dist/tails/<function>`: hazard and reversed_hazard at fixed points in
   tails the fits never reach (TAILS);
 - `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
-  list of CLI runs; each `--out` file is first filled with 64 KiB of stale
-  bytes (STALE), so the line covers writing over a longer file;
+  list of CLI runs, among them runs that exit 2 on bad input; each `--out`
+  file is first filled with 64 KiB of stale bytes (STALE), so the line
+  covers writing over a longer file;
 - `quad/<point>/<op>`: the value (and flags) of each quadrature-engine
   integral at the points QUAD_POINTS, as reprs, so a moved line shows its
   old and new value.
@@ -45,9 +46,13 @@ DATASETS = ("aarset", "glass")
 AARSET_MCG = "a=0.486,b=0.00803,c=39.08,theta=0.02994,gamma=0.07574"
 MCE = "a=2.589,b=141.57,c=0.000336,theta=2.277"
 # each run is its argv; OUT stands for a file the run writes with --out,
-# which holds STALE before the run
+# which holds STALE before the run, and FIVE for a data file of FIVE_POINTS:
+# five observations, too few for the 5 free parameters of mcg, so a
+# sub-model's gof reports no likelihood-ratio test
 OUT = "OUT"
 STALE = bytes(range(256)) * 256
+FIVE = "FIVE"
+FIVE_POINTS = "strength\n0.55\n0.93\n1.25\n1.5\n2.24\n"
 RUNS = (
     ["fit", "--model", "mcg", "--data", "aarset"],
     ["fit", "--model", "mce", "--data", "glass", "--trace"],
@@ -62,6 +67,11 @@ RUNS = (
     ["sample", "--model", "mcg", "--params", AARSET_MCG, "--n", "200", "--seed", "3"],
     ["sample", "--model", "mce", "--params", MCE, "--n", "200", "--format", "json", "--out", OUT],
     ["curves", "--params", "a=0.5,b=2,theta=0.1,gamma=0.5"],
+    ["curves", "--params", "a=0.5,b=2,theta=0.1,gamma=0.5", "--format", "json"],
+    ["compare", "--model", "mcg,bg", "--data", "aarset", "--format", "csv"],
+    ["gof", "--model", "bg", "--data", FIVE],
+    ["sample", "--params", "a"],
+    ["fit", "--model", "nope", "--data", "aarset"],
 )
 # (params, y) cases per function: the survival underflowing on either side
 # of G^c = 1/2 (b = 2000 and b = 50), 1 - G^c normal, subnormal and 0 in
@@ -160,13 +170,14 @@ def _run_line(argv, tmp):
     out_path = Path(tmp) / "out"
     if OUT in argv:
         out_path.write_bytes(STALE)
-    argv = [str(out_path) if a == OUT else a for a in argv]
+    stand_ins = {OUT: str(out_path), FIVE: str(Path(tmp) / "five.csv")}
+    argv = [stand_ins.get(a, a) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     written = out_path.read_bytes() if out_path.exists() else b""
     out_path.unlink(missing_ok=True)
-    shown = " ".join(OUT if a == str(out_path) else a for a in argv)
+    shown = " ".join({v: k for k, v in stand_ins.items()}.get(a, a) for a in argv)
     return f"mcg {shown}", _sha(stdout.getvalue(), stderr.getvalue(), code, written)
 
 
@@ -185,6 +196,7 @@ def main():
         fn = getattr(core, name)
         print(f"dist/tails/{name}", _sha(*(_outcome(fn, p, y) for p, y in cases)))
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "five.csv").write_text(FIVE_POINTS, encoding="utf-8")
         for argv in RUNS:
             print(*_run_line(argv, tmp))
     for label, p in QUAD_POINTS:
