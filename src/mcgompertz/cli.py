@@ -199,8 +199,6 @@ def _std_errors(fit):
 
 def _fit_payload(fit, data, opt):
     return {
-        "schema_version": 1,
-        "command": "fit",
         "model": fit.model.name,
         "data": data.label,
         "n_obs": data.n,
@@ -260,9 +258,11 @@ def _kv_csv(payload):
     return _csv(("key", "value"), (keys, values))
 
 
-def _emit(ns, payload, default_fmt="json", table=None):
-    """Write the payload as JSON, or as CSV: `table()` where the command
-    has a table, else key,value rows.  Only the text written is built."""
+def _emit(ns, body, default_fmt="json", table=None):
+    """Write the command's payload, the schema_version and command name
+    followed by `body`, as JSON, or as CSV: `table()` where the command has
+    a table, else key,value rows.  Only the text written is built."""
+    payload = {"schema_version": 1, "command": ns.command, **body}
     fmt = ns.fmt or default_fmt
     if fmt == "json":
         _write_output(ns, _json_text(payload) + "\n")
@@ -290,14 +290,20 @@ def _diagnostics(fits):
     ]
 
 
+def _emit_fits(ns, body, fits, table=None):
+    """`_emit` for a fitting command, with each fit's optimizer trace added
+    to `body` under `diagnostics` when --trace is given; EXIT_OK only when
+    every fit converged."""
+    if ns.trace:
+        body["diagnostics"] = _diagnostics(fits)
+    _emit(ns, body, table=table)
+    return EXIT_OK if all(fit.converged for fit in fits) else EXIT_NO_CONVERGENCE
+
+
 def cmd_fit(ns):
     data, (spec,), opt = _fit_inputs(ns, [ns.model])
     fit = fit_mle(spec, data, opt)
-    payload = _fit_payload(fit, data, opt)
-    if ns.trace:
-        payload["diagnostics"] = _diagnostics([fit])
-    _emit(ns, payload)
-    return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
+    return _emit_fits(ns, _fit_payload(fit, data, opt), [fit])
 
 
 def cmd_gof(ns):
@@ -317,9 +323,7 @@ def cmd_gof(ns):
                 f"parameters and needs more than {k} observations; the data have {data.n}"
             )
     report = gof_report(fit, data, full_fit=full_fit)
-    payload = {
-        "schema_version": 1,
-        "command": "gof",
+    body = {
         **report.to_dict(),
         "estimates": _estimates(fit),
         "std_errors": _std_errors(fit),
@@ -331,25 +335,19 @@ def cmd_gof(ns):
         },
     }
     if lrt_note is not None:
-        payload["metadata"]["lrt_note"] = lrt_note
-    if ns.trace:
-        payload["diagnostics"] = _diagnostics([f for f in (fit, full_fit) if f is not None])
-    _emit(ns, payload)
-    ok = fit.converged and (full_fit is None or full_fit.converged)
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+        body["metadata"]["lrt_note"] = lrt_note
+    return _emit_fits(ns, body, [f for f in (fit, full_fit) if f is not None])
 
 
 def cmd_compare(ns):
     names = [n.strip() for n in ns.model.split(",") if n.strip()]
     data, (full_spec, *nested_specs), opt = _fit_inputs(ns, names)
     full = fit_mle(full_spec, data, opt)
-    all_converged = full.converged
     ladder = []
     fits = [full]
     for spec in nested_specs:
         sub = fit_mle(spec, data, opt)
         fits.append(sub)
-        all_converged = all_converged and sub.converged
         stat, df, pval = lrt(full, sub)
         ladder.append(
             {
@@ -361,9 +359,7 @@ def cmd_compare(ns):
                 "lrt_pvalue": float(pval),
             }
         )
-    payload = {
-        "schema_version": 1,
-        "command": "compare",
+    body = {
         "data": data.label,
         "n_obs": data.n,
         "full": {
@@ -374,20 +370,18 @@ def cmd_compare(ns):
         },
         "ladder": ladder,
     }
-    if ns.trace:
-        payload["diagnostics"] = _diagnostics(fits)
 
     def table():
         header = ("model", "neg_loglik", "converged", "lrt_stat", "lrt_df", "lrt_pvalue")
-        rows = [payload["full"], *ladder]
+        rows = [body["full"], *ladder]
         text = _csv(header, [[row.get(col) for row in rows] for col in header])
         if ns.trace:
-            # the CSV ladder is followed, after a blank line, by the key,value rows
-            text += "\n" + _kv_csv({"diagnostics": payload["diagnostics"]})
+            # the CSV ladder is followed, after a blank line, by the key,value
+            # rows of the diagnostics, which `_emit_fits` adds before this runs
+            text += "\n" + _kv_csv({"diagnostics": body["diagnostics"]})
         return text
 
-    _emit(ns, payload, table=table)
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return _emit_fits(ns, body, fits, table=table)
 
 
 def cmd_sample(ns):
@@ -396,16 +390,14 @@ def cmd_sample(ns):
         raise InputError("--n must be a positive integer")
     spec = model_spec(ns.model)
     values = np.asarray(core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed))
-    payload = {
-        "schema_version": 1,
-        "command": "sample",
+    body = {
         "model": spec.name,
         "n": ns.n,
         "seed": ns.seed,
         "values": values,
     }
     table = functools.partial(_csv, ("value",), [values])
-    _emit(ns, payload, default_fmt="csv", table=table)
+    _emit(ns, body, default_fmt="csv", table=table)
     return EXIT_OK
 
 
@@ -424,18 +416,16 @@ def cmd_eval(ns):
     spec = model_spec(ns.model)
     params = make_submodel(ns.model, mapping)
     ys = _grid(ns)
-    payload = {
-        "schema_version": 1,
-        "command": "eval",
+    body = {
         "model": spec.name,
         "grid": ys,
         "pdf": np.asarray(core.pdf(params, ys)),
         "cdf": np.asarray(core.cdf(params, ys)),
         "hazard": np.asarray(core.hazard(params, ys)),
     }
-    columns = [payload[k] for k in ("grid", "pdf", "cdf", "hazard")]
+    columns = [body[k] for k in ("grid", "pdf", "cdf", "hazard")]
     table = functools.partial(_csv, ("y", "pdf", "cdf", "hazard"), columns)
-    _emit(ns, payload, default_fmt="csv", table=table)
+    _emit(ns, body, default_fmt="csv", table=table)
     return EXIT_OK
 
 
@@ -462,8 +452,7 @@ def cmd_curves(ns):
                 mapping["gamma"],
             )
         )
-    payload = {"schema_version": 1, "command": "curves", "rows": rows}
-    _emit(ns, payload, default_fmt="csv", table=functools.partial(curves_to_csv, rows))
+    _emit(ns, {"rows": rows}, default_fmt="csv", table=functools.partial(curves_to_csv, rows))
     return EXIT_OK
 
 

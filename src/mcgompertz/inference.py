@@ -19,14 +19,12 @@ A pass is fixed cost more than arithmetic: at n <= 63 observations and
 parameters are checked once per fit, at the starts; psi and psi' at
 a/c + b are shared by the four psi differences; the free-parameter
 embedding runs only on the models that need it; a repeated start runs
-once; and the end points reuse the driver's last evaluation.  These
-cuts, and a trust-region step and driver that make fewer numpy calls,
-bring a pass to ~532 us on 2 vCPUs (casestudy `pass_s` over its 354
-passes), from ~584 us before the step was trimmed, with every fit
-unchanged to the bit (`BENCH_pass_cost.json`, `BENCH_step_cost.json`).
-The 8 fits of the paper's two applications (mcg, bg, kumg, mce on both
-datasets) take 354 passes, 475 before ridge starts stopped at the wall
-(`BENCH_wall_stop.json`).
+once; and the end points reuse the driver's last evaluation.  With a
+trust-region step and driver that make few numpy calls, a pass takes
+~532 us on 2 vCPUs (casestudy `pass_s` over its 354 passes;
+`BENCH_pass_cost.json`, `BENCH_step_cost.json`).  The 8 fits of the
+paper's two applications (mcg, bg, kumg, mce on both datasets) take 354
+passes (`BENCH_wall_stop.json`).
 """
 
 from __future__ import annotations
@@ -196,20 +194,24 @@ def _spec(model):
     return model_spec(model)
 
 
-def _check_params(spec, params):
-    """Reject parameter objects that do not satisfy the sub-model constraints."""
+def _check_params(model, params):
+    """The model's ModelSpec, once `params` is checked to be a parameter
+    object that satisfies the sub-model constraints: each field equal to
+    the one its free values give."""
+    spec = _spec(model)
     if not isinstance(params, spec.params_type):
         raise TypeError(f"{spec.name} expects {spec.params_type.__name__}")
-    for target, fixed in spec.constraints:
-        if not hasattr(params, target):
-            continue
-        actual = getattr(params, target)
-        expected = getattr(params, fixed) if isinstance(fixed, str) else fixed
-        if actual != expected:
+    expected = _full_values(spec, {f: getattr(params, f) for f in spec.free_params})
+    for f, want in zip(fields(params), expected):
+        actual = getattr(params, f.name)
+        # a free field is its own expected value
+        if actual is not want and actual != want:
+            fixed = dict(spec.constraints)[f.name]
             raise ValueError(
-                f"params violate the {spec.name} constraint {target} = {fixed}: "
+                f"params violate the {spec.name} constraint {f.name} = {fixed}: "
                 f"got {actual}"
             )
+    return spec
 
 
 def _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep):
@@ -255,13 +257,6 @@ def _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep):
         "Ap": -(am1_r / G) - bm1_c * dR,
         "cross": cross,
     }
-
-
-def _loglik_value(params, y):
-    """Log-likelihood of a full parameter point on raw observations; -inf
-    where it is not finite."""
-    value = float(log_pdf(params, y).sum())
-    return value if math.isfinite(value) else -math.inf
 
 
 def _derivs(params, y):
@@ -331,17 +326,14 @@ def _embedding(spec):
     """The constant 0/1 matrix J mapping free-parameter differentials to
     full ones, so the free score is J^T U and the free Hessian J^T H J.
 
-    An equality tie such as a = c makes the shared free parameter drive
-    two full coordinates, so its column holds two ones.
+    Its rows are the full values of the unit free points: a free or tied
+    coordinate takes its free parameter's unit vector, so an equality tie
+    such as a = c puts two ones in that parameter's column, and a fixed
+    one is constant, a zero row.
     """
-    order = [f.name for f in fields(spec.params_type)]
-    J = np.zeros((len(order), len(spec.free_params)))
-    for j, fname in enumerate(spec.free_params):
-        J[order.index(fname), j] = 1.0
-        for target, fixed in spec.constraints:
-            if fixed == fname:
-                J[order.index(target), j] = 1.0
-    return J
+    k = spec.free_count
+    rows = _full_values(spec, dict(zip(spec.free_params, np.eye(k))))
+    return np.array([r if isinstance(r, np.ndarray) else np.zeros(k) for r in rows])
 
 
 def log_likelihood(model, params, data):
@@ -350,23 +342,19 @@ def log_likelihood(model, params, data):
     `params` must be a full parameter object consistent with the model's
     constraints.  Returns -inf when the density degenerates on the sample.
     """
-    spec = _spec(model)
-    _check_params(spec, params)
-    return _loglik_value(params, data.array)
+    _check_params(model, params)
+    value = float(log_pdf(params, data.array).sum())
+    return value if math.isfinite(value) else -math.inf
 
 
 def score(model, params, data):
     """Gradient of the log-likelihood in the model's free parameters."""
-    spec = _spec(model)
-    _check_params(spec, params)
-    return _embedding(spec).T @ _derivs(params, data.array)[1]
+    return _embedding(_check_params(model, params)).T @ _derivs(params, data.array)[1]
 
 
 def loglik_hessian(model, params, data):
     """Hessian of the log-likelihood in the model's free parameters."""
-    spec = _spec(model)
-    _check_params(spec, params)
-    J = _embedding(spec)
+    J = _embedding(_check_params(model, params))
     return J.T @ _derivs(params, data.array)[2] @ J
 
 

@@ -1,10 +1,10 @@
 """Log-domain special functions over ``scipy.special``.
 
 Everything transcendental the rest of the package consumes is reached
-through here: log-gamma and beta, digamma/trigamma, the regularized
+through here: ln B, the digamma and trigamma differences, the regularized
 incomplete beta (plain and log-domain) and its log-domain inverse, the
-regularized upper incomplete gamma, the exponential integral E1, and the
-asymptotic Kolmogorov survival function.
+regularized upper incomplete gamma, and the asymptotic Kolmogorov
+survival function.
 
 The kernels are scipy's (Boost.Math backs the incomplete beta and its
 inverse).  Every function takes floats or broadcasting arrays, and its
@@ -29,19 +29,14 @@ import numpy as np
 import scipy.special as sps
 
 __all__ = [
-    "log_gamma",
-    "digamma",
-    "trigamma",
     "digamma_diff",
     "trigamma_diff",
-    "beta_fn",
     "log_beta",
     "log1mexp",
     "inc_beta_reg",
     "inc_beta_reg_logx",
     "inc_beta_inv_log",
     "inc_gamma_upper_reg",
-    "expint_e1",
     "kolmogorov_sf",
 ]
 
@@ -68,15 +63,6 @@ _INV_MAX_ITER = 300
 
 def _float_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _positive_finite(x, name):
-    arr = np.asarray(x, dtype=float)
-    # one ufunc pass (NaN fails both comparisons); the np.any/np.all
-    # wrappers cost ~15 us on the 0-d arrays of scalar calls
-    if not ((arr > 0) & (arr < math.inf)).all():
-        raise ValueError(f"{name} requires finite x > 0")
-    return arr
 
 
 def _positive_pair(x, h, message):
@@ -125,11 +111,6 @@ def _bernoulli_sum(out, x, t, tail):
     return out
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    return _float_or_array(sps.gammaln(_positive_finite(x, "log_gamma")))
-
-
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0, accurate when one argument dwarfs the other.
 
@@ -148,22 +129,6 @@ def _log_beta_lopsided(lo, hi):
     t = np.log1p(lo / hi)
     log_poch = (hi - 0.5) * t + lo * np.log(hi + lo) - lo
     return sps.gammaln(lo) - _bernoulli_sum(log_poch, hi, t, _POCH_TAIL)
-
-
-def beta_fn(a, b):
-    """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
-    return _float_or_array(np.exp(log_beta(a, b)))
-
-
-def digamma(x):
-    """psi(x) for x > 0."""
-    return _float_or_array(sps.digamma(_positive_finite(x, "digamma")))
-
-
-def trigamma(x):
-    """psi'(x) for x > 0: the Hurwitz zeta(2, x), which is what
-    `polygamma(1, x)` evaluates, without its Python-level dispatch."""
-    return _float_or_array(sps.zeta(2, _positive_finite(x, "trigamma")))
 
 
 def digamma_diff(x, h):
@@ -203,10 +168,10 @@ def _trigamma_diff_asymptotic(x, h, t=None):
 
 def _psi_sum_differences(x, h):
     """digamma_diff(x, h), digamma_diff(h, x), trigamma_diff(x, h),
-    trigamma_diff(h, x) and trigamma(x + h), bit for bit, from one check
-    and scipy's psi and psi' at x, h and x + h, each taken once.  Each side
-    takes its asymptotic patches where its own x >= 100, from one mask and
-    one t = log1p(h/x) shared by the digamma and trigamma series."""
+    trigamma_diff(h, x) and psi'(x + h) = zeta(2, x + h), bit for bit, from
+    one check and scipy's psi and psi' at x, h and x + h, each taken once.
+    Each side takes its asymptotic patches where its own x >= 100, from one
+    mask and one t = log1p(h/x) shared by the digamma and trigamma series."""
     x, h, _, _ = _positive_pair(x, h, "psi differences require finite x, h > 0")
     s = x + h
     psi_s, psi1_s = sps.digamma(s), sps.zeta(2, s)
@@ -395,13 +360,6 @@ def inc_gamma_upper_reg(s, x):
     if np.count_nonzero(np.less(x, 0)):
         raise ValueError("inc_gamma_upper_reg requires x >= 0")
     return _float_or_array(sps.gammaincc(s, x))
-
-
-def expint_e1(x):
-    """Exponential integral E1(x) for x > 0."""
-    if np.count_nonzero(np.less_equal(x, 0)):
-        raise ValueError("expint_e1 requires x > 0")
-    return _float_or_array(sps.exp1(x))
 
 
 def kolmogorov_sf(d, n):

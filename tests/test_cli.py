@@ -64,6 +64,9 @@ class TestFloatFormatting:
         assert parsed["a"] == 1.5
         assert parsed["inf"] is None
         assert text == _json_text(obj)
+        assert _json_text({}) == "{}"
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            _json_text(object())
 
     # any double: integral values up to 1e17 (printed without an exponent
     # below it), subnormals, signed zeros and the non-finite values
@@ -171,9 +174,18 @@ class TestExitCodes:
             (["sample", "--model", "g", "--params", "theta=1"], "missing ['gamma']"),
             (["sample", "--params", "a=1,b=1,c=1,theta=1,gamma=1", "--n", "0"], "--n must be"),
             (["fit", "--data", "{tmp}/absent.csv"], "data file not found"),
+            (["sample", "--params", "a"], "bad parameter assignment: 'a'"),
+            (["sample", "--params", "a=x"], "bad parameter value: 'a=x'"),
+            (["sample", "--params", ""], "empty --params"),
+            (["eval", "--params", "a=1,b=1,c=1,theta=1,gamma=1", "--grid-points", "1"],
+             "--grid-points must be at least 2"),
+            (["curves", "--params", "a=1,b=0,theta=0.1,gamma=1"],
+             "curve parameters must be positive and finite"),
         ],
         ids=["compare-unknown-nested", "compare-no-names", "sample-wrong-params",
-             "sample-n-zero", "missing-data-file"],
+             "sample-n-zero", "missing-data-file", "params-no-assignment",
+             "params-bad-value", "params-empty", "eval-one-grid-point",
+             "curves-zero-parameter"],
     )
     def test_input_error_reports_on_stderr(self, argv, fragment, tmp_path, capsys):
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -489,6 +501,14 @@ class TestSample:
 
         _, pval = ks_test(Dataset(values=tuple(values)), lambda y: mcg_cdf(p, y))
         assert pval > 0.01
+
+    def test_empty_params_piece_is_skipped(self, capsys):
+        params = "a=1,b=1,c=1,theta=1,gamma=1"
+        outputs = []
+        for text in (params, params.replace(",", ",,", 1) + ","):
+            assert main(["sample", "--params", text, "--n", "3"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_seeded_and_deterministic(self, tmp_path):
         args = ("sample", "--model", "e", "--params", "theta=2.0", "--n", "10",

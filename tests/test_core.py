@@ -391,6 +391,8 @@ def test_sample_deterministic():
     assert np.array_equal(s1, s2)
     assert not np.array_equal(s1, sample(DEVICE_PARAMS, 20, seed=124))
     assert sample(DEVICE_PARAMS, 0, seed=1).shape == (0,)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        sample(DEVICE_PARAMS, -1, 0)
 
 
 def test_sample_ks_agreement():

@@ -7,9 +7,13 @@ an entry fails loudly.
 
 import json
 import math
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from mcgompertz.core import McGParams, cdf as mcg_cdf
 from mcgompertz.errata import (
@@ -28,7 +32,7 @@ from mcgompertz.shape import (
     shannon_closed,
     shannon_numeric,
 )
-from mcgompertz.specfun import digamma, expint_e1, log_beta
+from mcgompertz.specfun import log_beta
 
 DEVICE_MCG_ROW = McGParams(0.2619, 0.0752, 3.7652, 0.0012, 0.0875)
 FIBER_MCG_ROW = McGParams(0.7940, 0.1248, 192.1704, 0.0009, 5.2013)
@@ -78,6 +82,19 @@ class TestCatalogShape:
         assert on_disk == returned
         assert on_disk["entry_count"] >= 15
 
+    def test_module_entry_point_writes_report(self, tmp_path, monkeypatch):
+        # `python -m mcgompertz.errata out.json`, run in this process
+        path = tmp_path / "out.json"
+        monkeypatch.setattr(sys, "argv", ["errata", str(path)])
+        with warnings.catch_warnings():
+            # the module is already imported by this test file
+            warnings.filterwarnings("ignore", "'mcgompertz.errata' found in sys.modules",
+                                    RuntimeWarning)
+            runpy.run_module("mcgompertz.errata", run_name="__main__")
+        on_disk = json.loads(path.read_text())
+        assert on_disk == erratum_report()
+        assert on_disk["entry_count"] == len(on_disk["entries"]) == 18
+
 
 class TestSeriesEvidence:
     def test_recurrence_bracket_variant_fails_on_square(self):
@@ -108,7 +125,7 @@ class TestSeriesEvidence:
         p = McGParams(1.0, 1.0, 1.0, 1.0, 1.0)
         mean = moment_numeric(p, 1)
         assert mean == pytest.approx(ev["true_mean"], abs=1e-7)
-        assert mean == pytest.approx(math.e * expint_e1(1.0), rel=1e-9)
+        assert mean == pytest.approx(math.e * sps.exp1(1.0), rel=1e-9)
 
     def test_shannon_argument_variants(self):
         ev = _entry("shannon-entropy-digamma-arguments").evidence
@@ -120,7 +137,7 @@ class TestSeriesEvidence:
         assert displayed == pytest.approx(ev["displayed_form_value"], abs=1e-7)
 
         def zeta(r, s):
-            return digamma(r + s) - digamma(r)
+            return sps.digamma(r + s) - sps.digamma(r)
 
         a, b, c, th, ga = p.a, p.b, p.c, p.theta, p.gamma
         corrected = (

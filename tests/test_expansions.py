@@ -6,6 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from mcgompertz import expansions
 from mcgompertz.core import McGParams, base_cdf, cdf, pdf, quantile
@@ -22,7 +23,6 @@ from mcgompertz.expansions import (
 )
 from mcgompertz.orderstats import OrderSpec, _beta_weights, os_moment_series
 from mcgompertz.shape import mgf_numeric, moment_numeric
-from mcgompertz.specfun import expint_e1
 
 
 def random_integer_b_params(rng):
@@ -166,6 +166,8 @@ class TestPowerSeriesPower:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             power_series_power([1.0, 1.0], 0, 3)
+        with pytest.raises(ValueError, match="r_max must be nonnegative"):
+            power_series_power([1.0, 1.0], 2, r_max=-1)
 
 
 class TestCdfPowerCoeffs:
@@ -196,7 +198,7 @@ class TestMomentSeries:
     def test_unit_gompertz_mean(self):
         value, ok = moment_series(McGParams(1.0, 1.0, 1.0, 1.0, 1.0), 1)
         assert ok
-        assert value == pytest.approx(math.e * expint_e1(1.0), rel=1e-10)
+        assert value == pytest.approx(math.e * sps.exp1(1.0), rel=1e-10)
         assert value == pytest.approx(0.596347, abs=1e-4)
 
     def test_two_term_gg_mean(self):

@@ -132,6 +132,8 @@ class TestOsMoment:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             os_moment(GOMPERTZ, OrderSpec(1, 2), 0)
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            os_moment_series(GOMPERTZ, OrderSpec(1, 2), 0)
 
 
 class TestOsSeriesCdf:
