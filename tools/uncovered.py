@@ -8,17 +8,16 @@ files and nothing else.  It then prints, per module, the executable lines
 that never ran, with their source: the lines of each code object's
 `co_lines`, docstrings left out (comments and blank lines have none).
 
-Only this process is seen.  Code that a test runs in a subprocess, such as
-`python -m mcgompertz.cli` or the fresh interpreters of
-`tests/test_startup.py`, counts as not run.  Under the hook the suite
-takes about twice as long, so this is not part of the test run.  The exit
-status is pytest's.
+Only this thread of this process is seen (no test starts threads).  Code
+that a test runs in a subprocess, such as `python -m mcgompertz.cli` or
+the fresh interpreters of `tests/test_startup.py`, counts as not run.
+Under the hook the suite takes about twice as long, so this is not part
+of the test run.  The exit status is pytest's.
 """
 
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,13 +62,11 @@ def run_traced(argv):
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return on_line
 
-    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         code = pytest.main(argv)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return code, ran
 
 
