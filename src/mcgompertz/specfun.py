@@ -59,6 +59,10 @@ _PSI_ASYMPTOTIC = 100.0
 # stops after _INV_MAX_ITER Newton iterations
 _INV_ABS_TOL = 1e-12
 _INV_MAX_ITER = 300
+# a deep start whose relative error is provably at most this is taken as
+# it stands; the solve's first test, |I - p| <= _INV_ABS_TOL with p <= 1,
+# would accept it too
+_START_EXACT = 1e-14
 
 
 def _float_or_array(out):
@@ -268,7 +272,11 @@ def inc_beta_inv_log(p, a, b):
     small p, tiny b with p near 1): below e^{-30}, or where scipy fails,
     it is a Newton solve in its log from the leading-order start
     u0 = (ln p + ln a + ln B)/a; elsewhere it is scipy's betaincinv, or
-    above the split its betainccinv, both of p itself.
+    above the split its betainccinv, both of p itself.  The start needs no
+    solve where DLMF 8.17.7, I_y(a, b) = y^a/(a B) 2F1(a, 1 - b; a + 1; y),
+    bounds its relative error by a/(a + 1) q/(1 - q) <= 1e-14, with
+    q = e^{u0}(1 + |1 - b|) < 1/2: there u0 is the answer, as the solve's
+    first test would accept it, bit for bit.
 
     a and b are floats or arrays that broadcast against p, such as (m, 1)
     columns against an (m, k) p, or one shape per point.  Each point is
@@ -305,11 +313,16 @@ def inc_beta_inv_log(p, a, b):
         side = side & mid
         if np.count_nonzero(side):
             near[side] = np.log(inverse(a_s[side], b_s[side], p_arr[side]))
-    # the deep points, and any where scipy's inverse gives NaN, are solved in logs
+    # the deep points, and any where scipy's inverse gives NaN, are solved in
+    # logs, save those whose start is already the root
     deep = np.isnan(near)
     if np.count_nonzero(deep):
-        lbeta = np.broadcast_to(lbeta, shape)[deep]
-        near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta)
+        exact = deep & _start_is_exact(u0, a_s, b_s)
+        near[exact] = u0[exact]
+        deep ^= exact
+        if np.count_nonzero(deep):
+            lbeta = np.broadcast_to(lbeta, shape)[deep]
+            near[deep] = _beta_inv_log_deep(p_s[deep], u0[deep], a_s[deep], b_s[deep], lbeta)
     with np.errstate(under="ignore"):
         far = log1mexp(-near)
     return (
@@ -318,11 +331,33 @@ def inc_beta_inv_log(p, a, b):
     )
 
 
+def _start_is_exact(u0, a, b):
+    """Where y0 = e^{u0} solves I_y(a, b) = p to a relative 1e-14.
+
+    By DLMF 8.17.7, I_y(a, b) = y^a/(a B(a, b)) 2F1(a, 1 - b; a + 1; y),
+    and u0 makes the factor before 2F1 equal p.  Term n >= 1 of 2F1 - 1 is
+    at most a/(a + 1) q^n in size, with q = y(1 + |1 - b|), since
+    |(1 - b)_n|/n! <= (1 + |1 - b|)^n and a/(a + n) <= a/(a + 1); so where
+    q < 1/2 the relative error of the start is at most a/(a + 1) q/(1 - q),
+    tested here without the divisions against _START_EXACT.
+    """
+    q = np.exp(np.minimum(u0, 0.0)) * (1.0 + np.abs(1.0 - b))
+    return (q < 0.5) & (a * q <= _START_EXACT * (a + 1.0) * (1.0 - q))
+
+
 def _beta_inv_log_deep(p, u0, a, b, lbeta):
-    # in the deep region I(e^u) ~ exp(a u - ln a - ln B), so u0 is a
-    # near-exact start and dI/du = a I to the same accuracy; Newton in u
-    # is safeguarded by a bisection bracket.  Every argument holds one
-    # value per point; the arrays shrink to the unconverged points.
+    """u = ln y with I_{e^u}(a, b) = p, by Newton in u from u0.
+
+    In the deep region I(e^u) ~ exp(a u - ln a - ln B), so u0 is a
+    near-exact start and dI/du = a I to the same accuracy; by DLMF 8.17.7
+    the relative error of the start is at most a/(a + 1) q/(1 - q), with
+    q = e^{u0}(1 + |1 - b|), and the caller takes u0 as it stands where
+    that is at most 1e-14 (_start_is_exact), so only the starts this
+    bound does not cover reach here.  Newton in u is safeguarded by a
+    bisection bracket and stops on |I - p| <= _INV_ABS_TOL.  Every
+    argument holds one value per point; the arrays shrink to the
+    unconverged points.
+    """
     res = np.empty_like(p)
     pos = np.arange(p.size)
     lo = u0 - 10.0 / a - 1.0

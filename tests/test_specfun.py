@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mcgompertz import specfun
 from mcgompertz.specfun import (
     _U_DEEP,
     inc_beta_inv_log,
@@ -176,6 +177,75 @@ def test_inc_beta_inv_log_columns_equal_scalar_calls():
         deep["low"] += np.count_nonzero(u_low < _U_DEEP)
         deep["high"] += np.count_nonzero((u_high < _U_DEEP) & (u_low >= _U_DEEP))
     assert deep["low"] > 0 and deep["high"] > 0
+
+
+# a seeded battery of shape pairs, moderate and extreme, with the shapes of
+# two recorded hard cases: betainc(236, 25.9, x) loses I near the bottom of
+# the double range, and inc_beta_inv_log(1e-12, 1e13, 1e-3) stops unrefined
+_rng = np.random.default_rng(32)
+BATTERY_SHAPES = np.concatenate([
+    np.exp(_rng.uniform(-9.0, 9.0, (100, 2))),
+    np.exp(_rng.uniform(-30.0, 30.0, (100, 2))),
+    [[236.0, 25.9], [1e13, 1e-3]],
+])
+BATTERY_PS = np.concatenate([np.geomspace(1e-300, 0.1, 20), np.linspace(0.2, 0.8, 4),
+                             1.0 - np.geomspace(1e-2, 1e-15, 6), [1e-12]])
+
+
+def _battery(monkeypatch):
+    """inc_beta_inv_log over BATTERY_PS at every pair of BATTERY_SHAPES, and
+    the number of points that reached the deep Newton solve."""
+    reached = []
+    solve = specfun._beta_inv_log_deep
+
+    def counted(p, *rest):
+        reached.append(p.size)
+        return solve(p, *rest)
+
+    monkeypatch.setattr(specfun, "_beta_inv_log_deep", counted)
+    out = np.array([inc_beta_inv_log(BATTERY_PS, a, b) for a, b in BATTERY_SHAPES])
+    return out, sum(reached)
+
+
+def test_exact_start_gives_the_newton_solve_bit_for_bit(monkeypatch):
+    # where DLMF 8.17.7 bounds the error of the deep start below 1e-14
+    # relative, the inverse takes it as it stands: the solve's first test
+    # accepts such a start, so with the bound switched off every point,
+    # each now solved from the same start, must give the same bits
+    with monkeypatch.context() as m:
+        fast, solved = _battery(m)
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_start_is_exact", lambda u0, a, b: np.zeros(np.shape(u0), bool))
+        slow, solved_all = _battery(m)
+    assert fast.tobytes() == slow.tobytes()
+    # both paths ran: some deep starts were taken as they stand, others solved
+    assert 0 < solved < solved_all
+
+
+def test_exact_starts_vs_mpmath():
+    # at the lower-side deep points whose start the bound covers, the
+    # inverse's ln y = u0 leaves 2F1 of DLMF 8.17.7 within 1e-14 of 1, and
+    # I(e^{ln y}) = p to that 1e-14 plus the error of u0 = (ln p + ln a +
+    # ln B)/a: ~eps in each term, and the error of ln B itself
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    checked = 0
+    for a, b in BATTERY_SHAPES[::10]:
+        lbeta = log_beta(a, b)
+        beta_err = abs(lbeta - float(mp.log(mp.beta(a, b))))
+        low = BATTERY_PS < sps.betainc(a, b, 0.5)
+        u0 = (np.log(BATTERY_PS) + math.log(a) + lbeta) / a
+        taken = low & (u0 < _U_DEEP) & specfun._start_is_exact(u0, a, b)
+        ln_y = inc_beta_inv_log(BATTERY_PS[taken], a, b)[0]
+        for p, u in zip(BATTERY_PS[taken], ln_y):
+            got = mp.betainc(a, b, 0, mp.exp(u), regularized=True)
+            lead = mp.exp(a * mp.mpf(u)) / (a * mp.beta(a, b))
+            assert abs(got / lead - 1) <= 1e-14, (a, b, p)
+            tol = 1e-14 + 8e-16 * (abs(math.log(p)) + abs(math.log(a)) + abs(lbeta)) + beta_err
+            assert abs(got / p - 1) <= tol, (a, b, p)
+            checked += 1
+    assert checked >= 20
 
 
 def test_inc_beta_reg_logx_columns_equal_scalar_calls():
