@@ -12,7 +12,9 @@ fine enough that most integrals take that round alone.  The engine also
 takes a stack of integrands, which share the cuts, the node arrays, the
 density calls and the refinement while each keeps its own error target:
 shannon_closed takes E[Y], M(gamma) and its Shannon reference from one
-such pass.  Nothing is cached beyond one call.
+such pass.  The targets scale with the integrand: max(1e-10 int |f|,
+1e-8 |int f|), so an integral of 1e-35 is held to the same relative
+accuracy as one of 1.  Nothing is cached beyond one call.
 """
 
 import math
@@ -55,7 +57,7 @@ _W_ERROR = _W_KRONROD - _W_GAUSS
 
 
 # the target error of each integral (each row of a stack) is
-# max(_ABS_TOL, _REL_TOL |I|); the first round splits each panel into
+# max(_ABS_TOL int |f|, _REL_TOL |I|); the first round splits each panel into
 # _FIRST_SPLIT equal subintervals, and _MAX_SUBDIVISIONS caps the
 # subintervals of each panel, those first ones included
 _ABS_TOL = 1e-10
@@ -100,7 +102,10 @@ def _panel_quad(p, integrand):
     subinterval of every panel at once: one array call to the integrand,
     and so to log_pdf, per round, whatever R.  |K15 - G7| is the error
     estimate.  Each row r has its own target
-    max(_ABS_TOL, _REL_TOL |I_r|).  As in quadgk (Shampine 2008), a
+    max(_ABS_TOL int |f_r|, _REL_TOL |I_r|), with int |f_r| summed by the
+    same Kronrod rule: both terms scale with the integrand, so the target
+    is free of its scale, and the first keeps a target where the row's
+    signed parts cancel to I_r ~ 0.  As in quadgk (Shampine 2008), a
     subinterval is accepted when, in every row, its error is within its
     length's share of that row's target, and the others are bisected for
     all rows together; the loop ends when every row's summed error meets
@@ -137,7 +142,7 @@ def _panel_quad(p, integrand):
     # the cap
     splits = []
     n_splits = 0
-    total = err_done = 0.0
+    total = err_done = mag_done = 0.0
     exhausted = False
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -155,11 +160,14 @@ def _panel_quad(p, integrand):
         stacked = vals.ndim > 1
         f = vals.reshape(vals.shape[:-1] + u.shape) * jac
         est = half * (f @ _W_KRONROD)
+        mag = half * (np.abs(f) @ _W_KRONROD)
         err = np.abs(half * (f @ _W_ERROR))
-        tol = np.maximum(_ABS_TOL, _REL_TOL * abs(total + est.sum(-1, keepdims=stacked)))
+        tol = np.maximum(_ABS_TOL * (mag_done + mag.sum(-1, keepdims=stacked)),
+                         _REL_TOL * abs(total + est.sum(-1, keepdims=stacked)))
         if np.count_nonzero(err_done + err.sum(-1, keepdims=stacked) <= tol) == np.size(tol):
             total += est.sum(-1, keepdims=stacked)
             err_done += err.sum(-1, keepdims=stacked)
+            mag_done += mag.sum(-1, keepdims=stacked)
             break
         refine = err > tol * share * half
         if stacked:
@@ -177,6 +185,7 @@ def _panel_quad(p, integrand):
         keep = ~refine
         total += est.compress(keep, -1).sum(-1, keepdims=stacked)
         err_done += err.compress(keep, -1).sum(-1, keepdims=stacked)
+        mag_done += mag.compress(keep, -1).sum(-1, keepdims=stacked)
         bisected = mid[refine]
         lo = np.concatenate([lo[refine], bisected])
         hi = np.concatenate([bisected, hi[refine]])
@@ -185,7 +194,10 @@ def _panel_quad(p, integrand):
     if exhausted:
         from scipy.integrate import IntegrationWarning
 
-        worst = np.argmax(err_done / np.maximum(_ABS_TOL, _REL_TOL * np.abs(total)))
+        # a row with no error (an all-zero one, whose target is 0) is not past it
+        target = np.maximum(_ABS_TOL * np.reshape(mag_done, -1), _REL_TOL * np.abs(total))
+        past = np.divide(err_done, target, out=np.zeros_like(err_done), where=err_done > 0.0)
+        worst = np.argmax(past)
         row = f" in row {worst}" if stacked else ""
         warnings.warn(
             f"a panel would exceed max_subdivisions={_MAX_SUBDIVISIONS}; "

@@ -133,6 +133,18 @@ class TestPanelEngine:
         ref = quad_oracle(steep, lambda u, y, lp: exp_or_zero(2.0 * u + lp))
         assert moment_numeric(steep, 1) == pytest.approx(ref, rel=1e-9)
 
+    def test_tiny_integrals_keep_relative_accuracy(self):
+        # integrals far below 1e-10 are held to a target that scales with
+        # them.  References: mpmath at 30 digits, 30-node Gauss-Legendre on
+        # every 2 units of u = ln y over [-900, 8] (the same to 16 digits
+        # with 40 nodes on every unit); an adaptive mpmath.quad with sparse
+        # breakpoints misses part of the mass
+        p = McGParams(0.0022128326672193116, 34.68829657763449, 0.008031376131796298,
+                      0.02055959180096699, 0.01284054871853585)
+        assert moment_numeric(p, 1) == pytest.approx(1.0102974979825148e-35, rel=1e-9)
+        assert moment_numeric(p, 3) == pytest.approx(1.1501686815084457e-47, rel=1e-9)
+        assert renyi_numeric(p, 0.5) == pytest.approx(-77.323432142890106, rel=1e-9)
+
     def test_one_array_log_pdf_call_per_round(self, monkeypatch):
         sizes = []
         real = shape.log_pdf

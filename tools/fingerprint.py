@@ -23,7 +23,11 @@ between them.  The items are:
   covers writing over a longer file;
 - `quad/<point>/<op>`: the value (and flags) of each quadrature-engine
   integral at the points QUAD_POINTS, as reprs, so a moved line shows its
-  old and new value.
+  old and new value;
+- `inv/inc_beta_inv_log`: both logs of the inverse incomplete beta over a
+  seeded grid of shape pairs and levels (`_inv_lines`);
+- `inv/sample/<point>`: 1,000 draws of `sample` at each point of the
+  benchmark's parameter panel (SAMPLE_POINTS).
 """
 
 import contextlib
@@ -38,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mcgompertz import cli, core, expansions, orderstats, shape  # noqa: E402
+from mcgompertz import cli, core, expansions, orderstats, shape, specfun  # noqa: E402
 from mcgompertz.family import MODELS  # noqa: E402
 from mcgompertz.inference import OptimizerConfig, fit_mle  # noqa: E402
 
@@ -101,6 +105,29 @@ QUAD_POINTS = (
         0.0022128326672193116, 34.68829657763449, 0.008031376131796298,
         0.02055959180096699, 0.01284054871853585)),
 )
+
+# the benchmark's parameter panel: the first three points above and the
+# aarset McE optimum
+SAMPLE_POINTS = QUAD_POINTS[:3] + (
+    ("aarset_mce", core.McEParams(
+        1.5459549956237353, 0.01547702642987936, 20.182691849005597, 1.2381119128617442)),
+)
+
+
+def _inv_lines():
+    """The `inv/` lines.  The inverse's grid is 200 shape pairs from
+    e^U(-9, 9) and 200 from e^U(-30, 30), seeded, at 42 levels from 1e-300
+    to 1 - 1e-15: it reaches scipy's inverses, the deep starts taken as they
+    stand and the deep Newton solve."""
+    rng = np.random.default_rng(32)
+    shapes = np.exp(np.concatenate([rng.uniform(-9.0, 9.0, (200, 2)),
+                                    rng.uniform(-30.0, 30.0, (200, 2))]))
+    levels = np.concatenate([np.geomspace(1e-300, 0.1, 30), np.linspace(0.2, 0.8, 4),
+                             1.0 - np.geomspace(1e-2, 1e-15, 8)])
+    yield "inv/inc_beta_inv_log", _sha(
+        *(np.stack(specfun.inc_beta_inv_log(levels, a, b)).tobytes() for a, b in shapes))
+    for label, p in SAMPLE_POINTS:
+        yield f"inv/sample/{label}", _sha(core.sample(p, 1000, 42).tobytes())
 
 
 def _quad_ops(p):
@@ -203,6 +230,8 @@ def main():
         for op, fn in _quad_ops(p):
             out = fn()
             print(f"quad/{label}/{op}", *map(repr, out if isinstance(out, tuple) else (out,)))
+    for line in _inv_lines():
+        print(*line)
 
 
 if __name__ == "__main__":
