@@ -27,13 +27,17 @@ between them.  The items are:
 - `inv/inc_beta_inv_log`: both logs of the inverse incomplete beta over a
   seeded grid of shape pairs and levels (`_inv_lines`);
 - `inv/sample/<point>`: 1,000 draws of `sample` at each point of the
-  benchmark's parameter panel (SAMPLE_POINTS).
+  benchmark's parameter panel (SAMPLE_POINTS);
+- `pass/<model>`: the five arrays of the fit's derivative pass
+  (`inference._log_space_derivs`), under the fit driver's errstate, on
+  both data sets over blocks of log-parameter rows (`_pass_lines`).
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mcgompertz import cli, core, expansions, orderstats, shape, specfun  # noqa: E402
+from mcgompertz import cli, core, expansions, inference, orderstats, shape, specfun  # noqa: E402
 from mcgompertz.family import MODELS  # noqa: E402
 from mcgompertz.inference import OptimizerConfig, fit_mle  # noqa: E402
 
@@ -128,6 +132,50 @@ def _inv_lines():
         *(np.stack(specfun.inc_beta_inv_log(levels, a, b)).tobytes() for a, b in shapes))
     for label, p in SAMPLE_POINTS:
         yield f"inv/sample/{label}", _sha(core.sample(p, 1000, 42).tobytes())
+
+
+def _pass_blocks(spec, y, rng):
+    """The blocks of free log-parameter rows one `pass/` line runs: S = 1, 7
+    and 17 rows drawn from N(0, 6^2); 11 rows on the b-ridge, ln b from 20
+    to 30 with the other coordinates at the seed; 9 rows whose rates put
+    w(y) past 700 at some or all of the data (the rate seed shifted by
+    ln 4 to ln 24); and 7 drawn rows among which two hold a shape at
+    ln p = 720, whose a/c or b is then out of range and takes the +inf
+    path."""
+    free = spec.free_params
+    k = len(free)
+    seed = inference._seed_values(spec, y)
+    x0 = np.log([seed[f] for f in free])
+    blocks = [rng.normal(0.0, 6.0, (S, k)) for S in (1, 7, 17)]
+    if "b" in free:
+        ridge = np.tile(x0, (11, 1))
+        ridge[:, free.index("b")] = np.linspace(20.0, 30.0, 11)
+        blocks.append(ridge)
+    deep = np.tile(x0, (9, 1))
+    deep[:, free.index("theta")] += np.linspace(math.log(4.0), 24.0, 9)
+    blocks.append(deep)
+    shape = [j for j, f in enumerate(free) if f in ("a", "b", "c")]
+    if shape:
+        mixed = rng.normal(0.0, 6.0, (7, k))
+        mixed[1, shape[0]] = mixed[4, shape[-1]] = 720.0
+        blocks.append(mixed)
+    return blocks
+
+
+def _pass_lines():
+    """The `pass/` lines, one per model over both data sets."""
+    data = [cli._read_dataset(label).array for label in DATASETS]
+    for name in MODELS:
+        spec = inference._spec(name)
+        J = inference._embedding(spec)
+        J = None if np.array_equal(J, np.eye(spec.free_count)) else J
+        rng = np.random.default_rng(34)
+        parts = []
+        with np.errstate(all="ignore"):
+            for y in data:
+                for x in _pass_blocks(spec, y, rng):
+                    parts.extend(v.tobytes() for v in inference._log_space_derivs(spec, J, y, x))
+        yield f"pass/{name}", _sha(*parts)
 
 
 def _quad_ops(p):
@@ -231,6 +279,8 @@ def main():
             out = fn()
             print(f"quad/{label}/{op}", *map(repr, out if isinstance(out, tuple) else (out,)))
     for line in _inv_lines():
+        print(*line)
+    for line in _pass_lines():
         print(*line)
 
 
