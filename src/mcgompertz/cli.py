@@ -416,12 +416,17 @@ def cmd_eval(ns):
     spec = model_spec(ns.model)
     params = make_submodel(ns.model, mapping)
     ys = _grid(ns)
+    # the three columns from one log-space pass, bit for bit as core.pdf,
+    # core.cdf and core.hazard give them
+    with np.errstate(all="ignore"):
+        lp, halves, terms = core._log_pdf_halves(params, ys)
+        hazard = core._hazard(params, ys, lp, halves, terms)
     body = {
         "model": spec.name,
         "grid": ys,
-        "pdf": np.asarray(core.pdf(params, ys)),
-        "cdf": np.asarray(core.cdf(params, ys)),
-        "hazard": np.asarray(core.hazard(params, ys)),
+        "pdf": np.exp(lp),
+        "cdf": halves[0],
+        "hazard": hazard,
     }
     columns = [body[k] for k in ("grid", "pdf", "cdf", "hazard")]
     table = functools.partial(_csv, ("y", "pdf", "cdf", "hazard"), columns)

@@ -24,9 +24,9 @@ from .specfun import (
     _LOG_Y_DEEP,
     _at,
     _float_or_array,
+    _log1mexp,
     inc_beta_inv_log,
     inc_beta_reg_logx,
-    log1mexp,
     log_beta,
 )
 
@@ -90,9 +90,9 @@ class GompertzBase:
 
     def w(self, y):
         """Cumulative hazard (theta/gamma)(e^{gamma y} - 1); +inf when it
-        overflows, which downstream code treats as G = 1 exactly."""
-        with np.errstate(over="ignore"):
-            return (self.theta / self.gamma) * np.expm1(self.gamma * y)
+        overflows, which downstream code treats as G = 1 exactly, under the
+        caller's errstate."""
+        return (self.theta / self.gamma) * np.expm1(self.gamma * y)
 
     def log_dw(self, y):
         """ln w'(y) = ln theta + gamma y."""
@@ -221,7 +221,7 @@ def _checked_y(y):
 def base_cdf(base, y):
     """G(y) = 1 - exp(-w(y)); 0 at y = 0, 1 once w(y) overflows."""
     arr = _checked_y(y)
-    with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         out = -np.expm1(-base.w(arr))
     return _float_or_array(out)
 
@@ -229,35 +229,50 @@ def base_cdf(base, y):
 def base_pdf(base, y):
     """g(y) = w'(y) exp(-w(y)), the base density."""
     arr = _checked_y(y)
-    with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         out = np.exp(base.log_dw(arr) - base.w(arr))
     return _float_or_array(out)
 
 
 def _log_terms(p, y):
-    """The log-space pass of a call at a checked array y, under the caller's
-    errstate: (w, ln G, ln V, ln(1 - V), deep), V = G^c, with w broadcast
-    against (m, 1) shape columns where its shape differs.  deep marks
-    w > 700, or is None where no point is that deep; there e^{-w}
-    underflows, ln(1 - V) is its asymptote ln c - w, ln V read back from it."""
+    """The log-space pass of a call at a checked array y: (w, ln G, ln V,
+    ln(1 - V), deep), V = G^c, with w broadcast against (m, 1) shape
+    columns where its shape differs.  deep marks w > 700, or is None where
+    no point is that deep; there e^{-w} underflows, ln(1 - V) is its
+    asymptote ln c - w, ln V read back from it.
+
+    Like every private helper of a pass, it enters no errstate of its own:
+    each public function that runs a pass (here, `inference.score` and
+    `loglik_hessian`, and the fit's driver) runs all of it under one
+    np.errstate(all="ignore"), since overflow to inf, underflow to 0 and
+    ln 0 = -inf are values the pass is built on.  The arguments are
+    checked there too: y by _checked_y, and (a/c, b) once, by `log_beta`
+    (_log_b) or by the fit's (a/c, b) block."""
     w = p.base.w(y)
     if any(isinstance(v, np.ndarray) for v in (p.a, p.b, p.c)):
         shape = np.broadcast(w, p.a, p.b, p.c).shape
         w = w if shape == w.shape else np.broadcast_to(w, shape)
-    ln_g = log1mexp(w)
+    ln_g = _log1mexp(w)
     ln_v = p.c * ln_g
-    ln_1mv = log1mexp(-ln_v)
+    ln_1mv = _log1mexp(-ln_v)
     deep = None
     if w.size and w.max() > _W_DEEP:
         deep = w > _W_DEEP
         ln_1mv = np.where(deep, _log_each(p.c) - w, ln_1mv)
-        ln_v = np.where(deep, log1mexp(-ln_1mv), ln_v)
+        ln_v = np.where(deep, _log1mexp(-ln_1mv), ln_v)
     return w, ln_g, ln_v, ln_1mv, deep
 
 
-def _log_pdf_terms(p, y):
+def _log_b(p):
+    """ln B(a/c, b) of the fields of `p`, in their shape (floats or (S, 1)
+    columns), checked by `log_beta`."""
+    return log_beta(p.a / p.c, p.b)
+
+
+def _log_pdf_terms(p, y, log_b):
     """ln f(y) on a checked array y with the pass it is built on: (ln f,
-    w, ln G, ln V, ln(1 - V), deep), as _log_terms.
+    w, ln G, ln V, ln(1 - V), deep), as _log_terms, given log_b, ln B(a/c,
+    b) in the shape of the fields (_log_b).
 
     The fields of `p` may be floats or (S, 1) columns, one row per start
     of a batched fit; the arrays then have shape (S, n).  Where deep,
@@ -265,14 +280,13 @@ def _log_pdf_terms(p, y):
     """
     a, b, c = p.a, p.b, p.c
     log_c = np.log(c)
-    lead = log_c - log_beta(a / c, b) + p.base.log_dw(y)
+    lead = log_c - log_b + p.base.log_dw(y)
     # (b - 1) ln(1 - G^c) and b w overflow only where the density is far
     # below the smallest double, and -inf is then the exact ln f
-    with np.errstate(under="ignore", invalid="ignore", over="ignore"):
-        w, ln_g, ln_v, ln_1mv, deep = _log_terms(p, y)
-        out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
-        if deep is not None:
-            out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
+    w, ln_g, ln_v, ln_1mv, deep = _log_terms(p, y)
+    out = lead - w + (a - 1.0) * ln_g + (b - 1.0) * ln_1mv
+    if deep is not None:
+        out = np.where(deep, lead + (b - 1.0) * log_c - b * w, out)
     if w.size and w.min() == 0.0:
         at_zero = np.where(a < 1.0, math.inf, np.where(a == 1.0, lead, -math.inf))
         out = np.where(w == 0.0, at_zero, out)
@@ -285,13 +299,14 @@ def log_pdf(p, y):
     w = 700, where e^{-w} underflows, built on the asymptote ln c - w of
     ln(1 - G^c).  The w = 0 and w > 700 forms are patched in only where
     they occur."""
-    return _float_or_array(_log_pdf_terms(p, _checked_y(y))[0])
+    with np.errstate(all="ignore"):
+        return _float_or_array(_log_pdf_terms(p, _checked_y(y), _log_b(p))[0])
 
 
 def pdf(p, y):
     """f(y) = exp(log_pdf); +inf at y = 0 when a < 1."""
-    with np.errstate(over="ignore", under="ignore"):
-        return _float_or_array(np.exp(log_pdf(p, y)))
+    with np.errstate(all="ignore"):
+        return _float_or_array(np.exp(_log_pdf_terms(p, _checked_y(y), _log_b(p))[0]))
 
 
 def _log_each(v):
@@ -330,7 +345,7 @@ def _halves(p, ln_v, ln_1mv):
             # where the other's argument x is below e^{-690}, 1 - x rounds: read
             # this half at x = e^{-690} and carry 1 - it down to x as x^q
             cut = on & (ln_x[1 - side] < _LOG_Y_DEEP)
-            read(side, on, np.where(cut, log1mexp(-_LOG_Y_DEEP), ln_x[side]))
+            read(side, on, np.where(cut, _log1mexp(-_LOG_Y_DEEP), ln_x[side]))
             carry = _at(shapes[side][1], cut) * (ln_x[1 - side][cut] - _LOG_Y_DEEP)
             halves[side][cut] = -np.expm1(np.log1p(-halves[side][cut]) + carry)
     return halves
@@ -339,7 +354,7 @@ def _halves(p, ln_v, ln_1mv):
 def _log_pdf_halves(p, y):
     """ln f, both halves (F, S) and the pass (w, ln G, ln V, ln(1 - V))
     they are read from, at a checked array y."""
-    lp, *terms, _ = _log_pdf_terms(p, y)
+    lp, *terms, _ = _log_pdf_terms(p, y, _log_b(p))
     return lp, _halves(p, *terms[2:]), terms
 
 
@@ -355,9 +370,9 @@ def cdf_survival(p, y):
     (m, 1) columns, as for log_pdf: row i of the result then equals bit
     for bit what the floats of row i give.
     """
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         terms = _log_terms(p, _checked_y(y))
-    F, S = _halves(p, *terms[2:4])
+        F, S = _halves(p, *terms[2:4])
     return _float_or_array(F), _float_or_array(S)
 
 
@@ -385,14 +400,13 @@ def _ratio_by_series(lp, on, pa, q, ln_x, q_ln_1mx):
     x = np.exp(ln_x)
     term = np.ones_like(x)
     total = np.ones_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(_SERIES_TERMS):
-            term = term * ((pa + q + n) / (pa + 1.0 + n)) * x
-            total = total + term
-            if np.all(term <= 1e-17 * total):
-                break
-        else:
-            raise ValueError("incomplete beta series did not converge")
+    for n in range(_SERIES_TERMS):
+        term = term * ((pa + q + n) / (pa + 1.0 + n)) * x
+        total = total + term
+        if np.all(term <= 1e-17 * total):
+            break
+    else:
+        raise ValueError("incomplete beta series did not converge")
     ln_i = pa * ln_x + q_ln_1mx - _log_each(pa) - log_beta(pa, q) + np.log(total)
     return np.exp(lp[on] - ln_i)
 
@@ -408,14 +422,22 @@ def hazard(p, y):
     G^c = 1/2; that series raises only where it does not converge.
     """
     arr = _checked_y(y)
-    lp, (_, s), (w, ln_g, _, ln_1mv) = _log_pdf_halves(p, arr)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        tail = (p.a + p.c) * np.exp(-w) <= 1e-16
-        out = np.where(tail, p.b * np.exp(p.base.log_dw(arr)), np.exp(lp) / s)
+    with np.errstate(all="ignore"):
+        return _float_or_array(_hazard(p, arr, *_log_pdf_halves(p, arr)))
+
+
+def _hazard(p, y, lp, halves, terms):
+    """hazard at a checked array y from the log-space pass that
+    _log_pdf_halves gives (ln f, the halves and the pass), under the
+    caller's errstate; `mcg eval` takes its three columns from one such
+    pass."""
+    (_, s), (w, ln_g, _, ln_1mv) = halves, terms
+    tail = (p.a + p.c) * np.exp(-w) <= 1e-16
+    out = np.where(tail, p.b * np.exp(p.base.log_dw(y)), np.exp(lp) / s)
     under = (s == 0.0) & ~tail
     if np.any(under):
         out[under] = _ratio_by_series(lp, under, p.b, p.a / p.c, ln_1mv, p.a * ln_g)
-    return _float_or_array(out)
+    return out
 
 
 def reversed_hazard(p, y):
@@ -424,14 +446,14 @@ def reversed_hazard(p, y):
     summed as a series, the mirror of hazard's.  Raises where w(y) = 0,
     as at y = 0, where the cdf is 0, and where that series does not
     converge."""
-    lp, (F, _), (w, _, ln_v, ln_1mv) = _log_pdf_halves(p, _checked_y(y))
-    if w.size and w.min() == 0.0:
-        raise ValueError("reversed hazard undefined: cdf is 0")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
+        lp, (F, _), (w, _, ln_v, ln_1mv) = _log_pdf_halves(p, _checked_y(y))
+        if w.size and w.min() == 0.0:
+            raise ValueError("reversed hazard undefined: cdf is 0")
         out = np.asarray(np.exp(lp) / F)
-    under = F == 0.0
-    if np.any(under):
-        out[under] = _ratio_by_series(lp, under, p.a / p.c, p.b, ln_v, p.b * ln_1mv)
+        under = F == 0.0
+        if np.any(under):
+            out[under] = _ratio_by_series(lp, under, p.a / p.c, p.b, ln_v, p.b * ln_1mv)
     return _float_or_array(out)
 
 
@@ -452,7 +474,7 @@ def _w_of_t(a, b, c, t):
     ln_v, ln_1mv = inc_beta_inv_log(t, a / c, b)
     with np.errstate(divide="ignore", under="ignore"):
         # an array also for a 0-d t, so the deep points can be patched
-        w = np.asarray(-log1mexp(-ln_v / c))
+        w = np.asarray(-_log1mexp(-ln_v / c))
     deep = ln_1mv < -_W_DEEP
     if np.count_nonzero(deep):
         w[deep] = _log_each(np.broadcast_to(c, w.shape)[deep]) - np.asarray(ln_1mv)[deep]

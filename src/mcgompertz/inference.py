@@ -16,8 +16,10 @@ slowest start, and on the paper's data that is a ridge start.
 
 A pass is fixed cost more than arithmetic: at n <= 63 observations and
 <= 17 starts its time goes to the count of numpy calls.  So the
-parameters are checked once per fit, at the starts; psi and psi' at
-a/c + b are shared by the four psi differences; the free-parameter
+parameters are checked once per fit, at the starts; the pass runs under
+the driver's errstate and enters none of its own; ln B(a/c, b), the four
+psi differences and psi'(a/c + b) come from one (a/c, b) block with one
+check, psi and psi' at a/c + b taken once; the free-parameter
 embedding runs only on the models that need it; a repeated start runs
 once; and the end points reuse the driver's last evaluation.  With a
 trust-region step and driver that make few numpy calls, a pass takes
@@ -217,7 +219,7 @@ def _check_params(model, params):
 def _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep):
     """Per-observation pieces shared by the score and the Hessian, from the
     pass of `core._log_pdf_terms` (w, ln G, ln G^c, ln(1 - G^c), deep),
-    evaluated under the errstate of `_derivs`.  Shared subexpressions are
+    evaluated under the caller's errstate.  Shared subexpressions are
     taken once where that keeps every bit of the values.
 
     Past w = 700, where e^{-w} underflows and 1 - G^c with it, they take
@@ -268,24 +270,31 @@ def _derivs(params, y):
     the pass then runs over an (S, n) array and the value, score and
     Hessian gain a leading axis of length S.  The value is -inf where it
     is not finite.  The base rates enter only through w(y) and ln w'(y),
-    whose partials the base supplies; the digamma and trigamma
-    differences are taken cancellation-free, which matters on the
-    b -> infinity ridge, and share psi and psi' at a/c + b.  Every
+    whose partials the base supplies.  ln B(a/c, b), the digamma and
+    trigamma differences and psi'(a/c + b) come from one (a/c, b) block,
+    `specfun._psi_sum_differences`: cancellation-free, which matters on
+    the b -> infinity ridge, with the pass's one check of (a/c, b), which
+    raises ValueError where either is not finite and positive.  Every
     reduction and matrix product runs within a row, so a start's numbers
     do not depend on which other starts share the pass: a block's row
     equals bit for bit the pass of that row alone.
+
+    Runs under the caller's errstate, as every helper of the pass does:
+    `score` and `loglik_hessian` enter one, and the fit's driver one for
+    the whole fit.
     """
-    with np.errstate(all="ignore"):
-        logf, w, ln_g, ln_v, ln_1mv, deep = _log_pdf_terms(params, y)
-        blk = _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep)
-        dw, d2w, dlw, d2lw = params.base.w_partials(y, w)
     n = y.size
     a, b, c = (
         np.ravel(v) if isinstance(v, np.ndarray) else v
         for v in (params.a, params.b, params.c)
     )
     alpha = a / c
-    zeta_ab, zeta_ba, tg_diff_ab, tg_diff_ba, tg_ab = _psi_sum_differences(alpha, b)
+    log_b, zeta_ab, zeta_ba, tg_diff_ab, tg_diff_ba, tg_ab = _psi_sum_differences(alpha, b)
+    if isinstance(log_b, np.ndarray):
+        log_b = log_b[:, None]
+    logf, w, ln_g, ln_v, ln_1mv, deep = _log_pdf_terms(params, y, log_b)
+    blk = _shape_blocks(params, w, ln_g, ln_v, ln_1mv, deep)
+    dw, d2w, dlw, d2lw = params.base.w_partials(y, w)
     P = -tg_diff_ab
     c2, c3 = c**2, c**3
     na_c2 = n * a / c2
@@ -349,13 +358,16 @@ def log_likelihood(model, params, data):
 
 def score(model, params, data):
     """Gradient of the log-likelihood in the model's free parameters."""
-    return _embedding(_check_params(model, params)).T @ _derivs(params, data.array)[1]
+    J = _embedding(_check_params(model, params))
+    with np.errstate(all="ignore"):
+        return J.T @ _derivs(params, data.array)[1]
 
 
 def loglik_hessian(model, params, data):
     """Hessian of the log-likelihood in the model's free parameters."""
     J = _embedding(_check_params(model, params))
-    return J.T @ _derivs(params, data.array)[2] @ J
+    with np.errstate(all="ignore"):
+        return J.T @ _derivs(params, data.array)[2] @ J
 
 
 def observed_info(model, params, data):
@@ -445,13 +457,14 @@ def _log_space_derivs(spec, J, y, x):
     is not finite.  J is the model's embedding, or None where it is the
     identity.
 
-    The objective of the lockstep driver, run under its errstate.  The
-    parameters are not checked: `fit_mle` checks the starts, and at a
-    later point out of range (a trial past exp overflow or underflow, say)
-    the result is not finite, f = +inf, and the driver rejects the step.
-    Where a shape takes a/c or b out of (0, inf), the pass's own checks
-    raise; only then are those rows set apart, with f = nll = +inf and
-    NaN derivatives, and the others take their own pass."""
+    The objective of the lockstep driver, run under its errstate, the one
+    the whole pass runs under.  The parameters are not checked: `fit_mle`
+    checks the starts, and at a later point out of range (a trial past exp
+    overflow or underflow, say) the result is not finite, f = +inf, and
+    the driver rejects the step.  Where a shape takes a/c or b out of
+    (0, inf), the pass's one check of (a/c, b) raises; only then are those
+    rows set apart, with f = nll = +inf and NaN derivatives, and the
+    others take their own pass."""
     p = np.exp(x)
     columns = {f: p[:, j:j + 1] for j, f in enumerate(spec.free_params)}
     params = _trusted(spec.params_type, *_full_values(spec, columns))

@@ -48,11 +48,11 @@ def _beta_weights(spec):
 def os_pdf(p, spec, y):
     """Density of the i-th of n, f F^{i-1} (1-F)^{n-i} / B(i, n-i+1), from one pass."""
     i, n = spec.i, spec.n
-    lp, (F, S), _ = _log_pdf_halves(p, _checked_y(y))
-    with np.errstate(over="ignore", under="ignore"):
-        f, F, S = map(_float_or_array, (np.exp(lp), F, S))
     inv_beta = math.exp(-log_beta(i, n - i + 1))
-    return f * F ** (i - 1) * S ** (n - i) * inv_beta
+    with np.errstate(all="ignore"):
+        lp, (F, S), _ = _log_pdf_halves(p, _checked_y(y))
+        f, F, S = map(_float_or_array, (np.exp(lp), F, S))
+        return f * F ** (i - 1) * S ** (n - i) * inv_beta
 
 
 def os_cdf(p, spec, y):

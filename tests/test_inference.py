@@ -636,6 +636,44 @@ class TestTrace:
         assert len(fit.trace) == 1 and fit.winner == 0
 
 
+class TestFailurePaths:
+    """The ways a fit of valid data can fail, each reached through public
+    inputs: data spread over 230 decades, tied data, and data in units so
+    small that the observed information underflows."""
+
+    def test_degenerate_starts_are_set_aside(self):
+        # at 16 of the 17 kume starts the derivatives of this spread's
+        # likelihood are not finite: those starts stop at once, "not
+        # finite", with a non-finite information, and none of them wins,
+        # though some have a lower NLL than the one usable start
+        fit = fit_mle("kume", Dataset((1e-200, 1e-100, 1.0, 10.0, 1e5, 1e10, 1e30)))
+        degenerate = [r for r in fit.trace if r.reason == "degenerate"]
+        assert len(degenerate) == len(fit.trace) - 1
+        assert all(r.stop == "not finite" and r.nit == 0 and not r.pos_def for r in degenerate)
+        assert min(r.neg_loglik for r in degenerate) < fit.neg_loglik
+        assert fit.trace[fit.winner].reason not in (None, "degenerate")
+        assert math.isfinite(fit.neg_loglik) and not fit.converged
+
+    @pytest.mark.parametrize("model, values", [
+        ("mcg", (1.0,) * 7),
+        ("e", tuple(np.linspace(1.0, 2.0, 7) * 1e300)),
+    ])
+    def test_every_start_degenerate_raises(self, model, values):
+        with pytest.raises(RuntimeError, match="every optimization replicate"):
+            fit_mle(model, Dataset(values))
+
+    def test_singular_information_gives_no_standard_errors(self):
+        # in units of 1e-200 the exponential information n/theta^2
+        # underflows to 0, which np.linalg.inv cannot invert
+        fit = fit_mle("e", Dataset(tuple(np.linspace(1.0, 2.0, 7) * 1e-200)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(fit.info_matrix)
+        assert fit.std_errors is None and not fit.converged
+        assert fit.estimates["theta"] == pytest.approx(7.0 / sum(np.linspace(1.0, 2.0, 7) * 1e-200))
+        with pytest.raises(ValueError, match="no standard errors"):
+            asymptotic_ci(fit)
+
+
 # rows of one lockstep block that take every branch of a pass: the printed
 # aarset point, a row past exp underflow, plain rows, and the glass b-ridge
 _LOCKSTEP_ROWS = [
@@ -683,12 +721,14 @@ class TestLockstep:
 
     @pytest.mark.parametrize("params_type, dataset, rows", _LOCKSTEP_ROWS)
     def test_derivs_block_matches_single_rows(self, params_type, dataset, rows, request):
+        # the pass runs under its caller's errstate, here the driver's
         y = request.getfixturevalue(f"{dataset}_data").array
         block = params_type(*(np.array(col)[:, None] for col in zip(*rows)))
-        value, U, H = inference._derivs(block, y)
+        with np.errstate(all="ignore"):
+            value, U, H = inference._derivs(block, y)
+            singles = [inference._derivs(params_type(*row), y) for row in rows]
         assert value.shape == (len(rows),) and U.shape[0] == H.shape[0] == len(rows)
-        for i, row in enumerate(rows):
-            v1, U1, H1 = inference._derivs(params_type(*row), y)
+        for i, (v1, U1, H1) in enumerate(singles):
             np.testing.assert_allclose(value[i], v1, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(U[i], U1, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(H[i], H1, rtol=1e-14, atol=0.0)
@@ -701,18 +741,19 @@ class TestLockstep:
         # a start that repeats another runs only once
         y = request.getfixturevalue(f"{dataset}_data").array
         cols = np.array(rows)
-        full = inference._derivs(params_type(*(c[:, None] for c in cols.T)), y)
         spec = model_spec("mcg" if params_type is McGParams else "mce")
         x = np.log(cols[:, [list(spec.params_type.__dataclass_fields__).index(f)
                             for f in spec.free_params]])
-        full_log = inference._log_space_derivs(spec, None, y, x)
-        for i in range(len(rows)):
-            one = inference._derivs(params_type(*(c[i:i + 1, None] for c in cols.T)), y)
-            for a, b in zip(full, one):
-                assert a[i].tobytes() == b[0].tobytes(), i
-            one_log = inference._log_space_derivs(spec, None, y, x[i:i + 1])
-            for a, b in zip(full_log, one_log):
-                assert a[i].tobytes() == b[0].tobytes(), i
+        with np.errstate(all="ignore"):
+            full = inference._derivs(params_type(*(c[:, None] for c in cols.T)), y)
+            full_log = inference._log_space_derivs(spec, None, y, x)
+            for i in range(len(rows)):
+                one = inference._derivs(params_type(*(c[i:i + 1, None] for c in cols.T)), y)
+                for a, b in zip(full, one):
+                    assert a[i].tobytes() == b[0].tobytes(), i
+                one_log = inference._log_space_derivs(spec, None, y, x[i:i + 1])
+                for a, b in zip(full_log, one_log):
+                    assert a[i].tobytes() == b[0].tobytes(), i
 
     @pytest.mark.parametrize("model", ["g", "mcg"])
     @pytest.mark.parametrize("dataset", ["aarset", "glass"])
