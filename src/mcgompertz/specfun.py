@@ -61,10 +61,9 @@ _U_DEEP = -30.0
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 _2K = np.arange(2.0, 17.0, 2.0)
 _NEG_J = -np.arange(1.0, 16.0)
-# the three series of a side, in ascending order of their term counts, so
-# that those still summing at a term are a suffix: (output index on side
-# 0, 0 where it runs on the ln B mask and 1 on the psi one, coefficients,
-# the rows j - 1 of the table its terms read, in series order)
+# the three series of a side: (output index on side 0, 0 where it runs on
+# the ln B mask and 1 on the psi one, coefficients, the rows j - 1 of the
+# table its terms read, in series order)
 _SERIES = (
     (1, 1, -(_BERNOULLI_2K[:4] / _2K[:4]), np.arange(1, 8, 2)),
     (3, 1, np.array((0.5,) + _BERNOULLI_2K[:4]), np.array([1, 2, 4, 6, 8])),
@@ -125,17 +124,17 @@ def _series_lead(k, u, v, t):
 
 @functools.cache
 def _stack(sel):
-    """For the series `sel` (indices into _SERIES, ascending): the powers
-    -j of the table they read, the coefficients (8, K, 1) and rows of that
-    table (8, K) of their terms, padded past each one's last term, and at
-    each term the first of them still summing."""
-    series = [_SERIES[i] for i in sel]
-    used = np.unique(np.concatenate([r for _, _, _, r in series]))
+    """For the series `sel` (indices into _SERIES): the powers -j of the
+    table they read, and the coefficients (8, K, 1) and rows of that table
+    (8, K) of their terms, padded past each one's last term with
+    coefficient 0, whose term is then -0.0 (u^-j >= 0, expm1(-j t) <= -0.0),
+    which leaves any sum it is added to unchanged."""
     coef, rows = np.zeros((8, len(sel), 1)), np.zeros((8, len(sel)), dtype=int)
-    for i, (_, _, c, r) in enumerate(series):
-        coef[:c.size, i, 0], rows[:r.size, i] = c, np.searchsorted(used, r)
-    firsts = [sum(c.size <= j for _, _, c, _ in series) for j in range(series[-1][2].size)]
-    return _NEG_J[used, None], coef, rows, firsts
+    used = np.unique(np.concatenate([_SERIES[i][3] for i in sel]))
+    for col, i in enumerate(sel):
+        c, r = _SERIES[i][2:]
+        coef[:c.size, col, 0], rows[:r.size, col] = c, np.searchsorted(used, r)
+    return _NEG_J[used, None], coef, rows
 
 
 def _scipy_differences(x, h, out, parts):
@@ -143,14 +142,15 @@ def _scipy_differences(x, h, out, parts):
     betaln, psi and psi' at x, h and x + h taken at most once."""
     if 0 in parts:
         out[0] = sps.betaln(x, h)
+    s = x + h
     if 1 in parts or 2 in parts:
-        psi_s = sps.digamma(x + h)
+        psi_s = sps.digamma(s)
         if 1 in parts:
             out[1] = psi_s - sps.digamma(x)
         if 2 in parts:
             out[2] = psi_s - sps.digamma(h)
     if 3 in parts or 4 in parts or 5 in parts:
-        psi1_s = sps.zeta(2, x + h)
+        psi1_s = sps.zeta(2, s)
         if 5 in parts:
             out[5] = psi1_s
         if 3 in parts:
@@ -196,20 +196,14 @@ def _psi_sum_differences(x, h, message="ln B and the psi differences require fin
         on = masks[0] | masks[1]
         u, v = u[on], v[on]
         t = np.log1p(v / u)
-        neg_j, coef, rows, firsts = _stack(sel)
-        # the series' terms (8, K, m), added to their leads one at a time
-        # in series order; a series whose terms have run out leaves the
-        # running sums (a suffix of the K) for `done`
+        neg_j, coef, rows = _stack(sel)
+        # each series' lead and its terms, (9, K, m): accumulating along the
+        # first axis adds each element's terms to it one at a time in
+        # series order
         terms = coef * (u ** neg_j)[rows] * np.expm1(neg_j * t)[rows]
-        sums = np.array([_series_lead(_SERIES[i][0], u, v, t) for i in sel])
-        done = []
-        for j, first in enumerate(firsts):
-            if first > len(done):
-                ended = first - len(done)
-                done.extend(sums[:ended])
-                sums = sums[ended:]
-            sums = sums + terms[j, first:]
-        for i, total in zip(sel, done + list(sums)):
+        leads = np.array([_series_lead(_SERIES[i][0], u, v, t) for i in sel])
+        sums = np.add.accumulate(np.concatenate((leads[None], terms)))[-1]
+        for i, total in zip(sel, sums):
             k, which = _SERIES[i][:2]
             value = total if k else sps.gammaln(v) - total
             k = k and k + side
