@@ -86,10 +86,10 @@ def _float_or_array(out):
 
 
 def _positive_pair(x, h, message):
-    """(x, h, min, max) with x and h checked finite and > 0: scalars as
-    given, compared in Python (~0.2 us, where an array pass costs ~5 us),
-    else float arrays broadcast to one shape: a 0-d one is filled out with
-    np.full, several times cheaper than np.broadcast_arrays."""
+    """(x, h) checked finite and > 0: scalars as given, compared in Python
+    (~0.2 us, where an array pass costs ~5 us), else float arrays broadcast
+    to one shape: a 0-d one is filled out with np.full, several times
+    cheaper than np.broadcast_arrays."""
     if isinstance(x, np.ndarray) or isinstance(h, np.ndarray):
         x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
         if x.shape != h.shape:
@@ -99,15 +99,13 @@ def _positive_pair(x, h, message):
                 x = np.full(h.shape, x)
             else:
                 x, h = np.broadcast_arrays(x, h)
-        lo, hi = np.minimum(x, h), np.maximum(x, h)
         # NaN propagates through both and fails both comparisons
-        ok = np.count_nonzero((lo > 0) & (hi < math.inf)) == x.size
+        ok = np.count_nonzero((np.minimum(x, h) > 0) & (np.maximum(x, h) < math.inf)) == x.size
     else:
-        lo, hi = min(x, h), max(x, h)
         ok = 0 < x < math.inf and 0 < h < math.inf
     if not ok:
         raise ValueError(message)
-    return x, h, lo, hi
+    return x, h
 
 
 def _series_lead(k, u, v, t):
@@ -134,7 +132,11 @@ def _stack(sel):
     for col, i in enumerate(sel):
         c, r = _SERIES[i][2:]
         coef[:c.size, col, 0], rows[:r.size, col] = c, np.searchsorted(used, r)
-    return _NEG_J[used, None], coef, rows
+    out = _NEG_J[used, None], coef, rows
+    # cached, so shared by every call: read-only
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def _scipy_differences(x, h, out, parts):
@@ -168,17 +170,19 @@ def _psi_sum_differences(x, h, message="ln B and the psi differences require fin
 
     One check of x and h, raising ValueError(message), and scipy's values
     (_scipy_differences); then per side u in (x, h), with v the other, one
-    mask, one t = log1p(v/u) and one table of u^-j and expm1(-j t),
-    j = 1, ..., 15, serve the Stirling series that replace scipy's values
-    there: ln B where u >= 10 and v <= 1, whose ln (u)_v the two series of
-    ln Gamma give term by term, 8 Bernoulli terms leaving ~1e-16 at
-    u = 10; psi and psi' where u >= 100, 4 terms.  Arrays broadcast (see
-    _positive_pair); floats and 0-d arrays take the float path and give
-    floats, bit for bit as a one-element array would.
+    gather of the rows where a series runs, one t = log1p(v/u) and one
+    table of u^-j and expm1(-j t) (the j of 1, ..., 15 the series read)
+    serve the Stirling series that replace scipy's values there: ln B
+    where u >= 10 and v <= 1, whose ln (u)_v the two series of ln Gamma
+    give term by term, 8 Bernoulli terms leaving ~1e-16 at u = 10; psi and
+    psi' where u >= 100, 4 terms.  The series of a side are summed
+    together, by one accumulate.  Arrays broadcast (see _positive_pair);
+    floats and 0-d arrays take the float path and give floats, bit for
+    bit as a one-element array would.
     """
-    x, h, _, hi = _positive_pair(x, h, message)
+    x, h = _positive_pair(x, h, message)
     if not (isinstance(x, np.ndarray) and x.ndim):
-        return _float_sum_differences(float(x), float(h), hi >= 10.0, parts)
+        return _float_sum_differences(float(x), float(h), parts)
     out = [None] * 6
     _scipy_differences(x, h, out, parts)
     for side, (u, v) in enumerate(((x, h), (h, x))):
@@ -216,25 +220,28 @@ def _psi_sum_differences(x, h, message="ln B and the psi differences require fin
     return tuple(out)
 
 
-def _float_sum_differences(x, h, lopsided, parts):
-    """_psi_sum_differences at floats x and h, where no series runs unless
-    `lopsided`, max(x, h) >= 10: the series run over Python floats, from
-    the table as lists, and scipy's values are taken only where no series
-    replaces them."""
+def _float_sum_differences(x, h, parts):
+    """_psi_sum_differences at floats x and h: the series run over Python
+    floats, from the table as lists, and scipy's values are taken only
+    where no series replaces them."""
     out = [None] * 6
-    for side, (u, v) in enumerate(((x, h), (h, x)) if lopsided else ()):
-        masks = (u >= 10.0 and v <= 1.0, u >= _PSI_ASYMPTOTIC)
-        t = None
-        for k, which, coef, rows in _SERIES:
-            if masks[which] and (k and k + side) in parts:
-                if t is None:
-                    t = float(np.log1p(v / u))
-                    powers, expm1s = (u ** _NEG_J).tolist(), np.expm1(t * _NEG_J).tolist()
-                total = _series_lead(k, u, v, t)
-                for c, j in zip(coef.tolist(), rows.tolist()):
-                    total = total + c * powers[j] * expm1s[j]
-                out[k and k + side] = total if k else sps.gammaln(v) - total
-    _scipy_differences(x, h, out, [k for k in parts if out[k] is None])
+    todo = parts
+    # no series runs below max(x, h) = 10
+    if x >= 10.0 or h >= 10.0:
+        for side, (u, v) in enumerate(((x, h), (h, x))):
+            masks = (u >= 10.0 and v <= 1.0, u >= _PSI_ASYMPTOTIC)
+            t = None
+            for k, which, coef, rows in _SERIES:
+                if masks[which] and (k and k + side) in parts:
+                    if t is None:
+                        t = float(np.log1p(v / u))
+                        powers, expm1s = (u ** _NEG_J).tolist(), np.expm1(t * _NEG_J).tolist()
+                    total = _series_lead(k, u, v, t)
+                    for c, j in zip(coef.tolist(), rows.tolist()):
+                        total = total + c * powers[j] * expm1s[j]
+                    out[k and k + side] = total if k else sps.gammaln(v) - total
+        todo = [k for k in parts if out[k] is None]
+    _scipy_differences(x, h, out, todo)
     for k in parts:
         out[k] = float(out[k])
     return tuple(out)
