@@ -26,7 +26,7 @@ the one of a `core` function or of the fit's driver).  ln B and the psi
 differences have one helper, ``_psi_sum_differences``: ``log_beta``,
 ``digamma_diff`` and ``trigamma_diff`` each take their value from it, and
 a likelihood pass takes ln B(a/c, b), both psi differences both ways and
-psi'(a/c + b) from one call, with one check of (a/c, b), one mask per
+psi'(a/c + b) from one call, with one check of (a/c, b), one gather per
 side and one table of powers shared by the series.  Floats take a path
 of their own through it, bit for bit the array path's.
 """
