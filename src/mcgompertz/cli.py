@@ -416,18 +416,9 @@ def cmd_eval(ns):
     spec = model_spec(ns.model)
     params = make_submodel(ns.model, mapping)
     ys = _grid(ns)
-    # the three columns from one log-space pass, bit for bit as core.pdf,
-    # core.cdf and core.hazard give them
-    with np.errstate(all="ignore"):
-        lp, halves, terms = core._log_pdf_halves(params, ys)
-        hazard = core._hazard(params, ys, lp, halves, terms)
-    body = {
-        "model": spec.name,
-        "grid": ys,
-        "pdf": np.exp(lp),
-        "cdf": halves[0],
-        "hazard": hazard,
-    }
+    # the three columns from one log-space pass
+    pdf, cdf, hazard = core._pdf_cdf_hazard(params, ys)
+    body = {"model": spec.name, "grid": ys, "pdf": pdf, "cdf": cdf, "hazard": hazard}
     columns = [body[k] for k in ("grid", "pdf", "cdf", "hazard")]
     table = functools.partial(_csv, ("y", "pdf", "cdf", "hazard"), columns)
     _emit(ns, body, default_fmt="csv", table=table)

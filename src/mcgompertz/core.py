@@ -90,8 +90,12 @@ class GompertzBase:
 
     def w(self, y):
         """Cumulative hazard (theta/gamma)(e^{gamma y} - 1); +inf when it
-        overflows, which downstream code treats as G = 1 exactly, under the
-        caller's errstate."""
+        overflows, which downstream code treats as G = 1 exactly."""
+        with np.errstate(over="ignore"):
+            return self._w(y)
+
+    def _w(self, y):
+        """w(y) under the caller's errstate, as a likelihood pass takes it."""
         return (self.theta / self.gamma) * np.expm1(self.gamma * y)
 
     def log_dw(self, y):
@@ -147,6 +151,9 @@ class ExpBaseParams:
     def w(self, y):
         """Cumulative hazard theta*y."""
         return self.theta * y
+
+    # the same under a pass's errstate: theta*y enters none of its own
+    _w = w
 
     def log_dw(self, y):
         """ln w'(y) = ln theta at every y."""
@@ -221,7 +228,7 @@ def _checked_y(y):
 def base_cdf(base, y):
     """G(y) = 1 - exp(-w(y)); 0 at y = 0, 1 once w(y) overflows."""
     arr = _checked_y(y)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(under="ignore"):
         out = -np.expm1(-base.w(arr))
     return _float_or_array(out)
 
@@ -229,7 +236,7 @@ def base_cdf(base, y):
 def base_pdf(base, y):
     """g(y) = w'(y) exp(-w(y)), the base density."""
     arr = _checked_y(y)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(under="ignore"):
         out = np.exp(base.log_dw(arr) - base.w(arr))
     return _float_or_array(out)
 
@@ -242,13 +249,14 @@ def _log_terms(p, y):
     asymptote ln c - w, ln V read back from it.
 
     Like every private helper of a pass, it enters no errstate of its own:
-    each public function that runs a pass (here, `inference.score` and
+    each public function that runs a pass (`log_pdf`, `pdf`,
+    `cdf_survival`, `hazard`, `reversed_hazard`, `inference.score` and
     `loglik_hessian`, and the fit's driver) runs all of it under one
     np.errstate(all="ignore"), since overflow to inf, underflow to 0 and
     ln 0 = -inf are values the pass is built on.  The arguments are
     checked there too: y by _checked_y, and (a/c, b) once, by `log_beta`
-    (_log_b) or by the fit's (a/c, b) block."""
-    w = p.base.w(y)
+    (_log_b) or, in the fit's pass, by `specfun._psi_sum_differences`."""
+    w = p.base._w(y)
     if any(isinstance(v, np.ndarray) for v in (p.a, p.b, p.c)):
         shape = np.broadcast(w, p.a, p.b, p.c).shape
         w = w if shape == w.shape else np.broadcast_to(w, shape)
@@ -421,23 +429,23 @@ def hazard(p, y):
     is summed as a series (_ratio_by_series), finite on either side of
     G^c = 1/2; that series raises only where it does not converge.
     """
+    return _float_or_array(_pdf_cdf_hazard(p, y)[2])
+
+
+def _pdf_cdf_hazard(p, y):
+    """(f, F, hazard) as arrays, from one log-space pass under one errstate:
+    each bit for bit what pdf, cdf and hazard give, for `mcg eval`, and
+    the hazard for hazard."""
     arr = _checked_y(y)
     with np.errstate(all="ignore"):
-        return _float_or_array(_hazard(p, arr, *_log_pdf_halves(p, arr)))
-
-
-def _hazard(p, y, lp, halves, terms):
-    """hazard at a checked array y from the log-space pass that
-    _log_pdf_halves gives (ln f, the halves and the pass), under the
-    caller's errstate; `mcg eval` takes its three columns from one such
-    pass."""
-    (_, s), (w, ln_g, _, ln_1mv) = halves, terms
-    tail = (p.a + p.c) * np.exp(-w) <= 1e-16
-    out = np.where(tail, p.b * np.exp(p.base.log_dw(y)), np.exp(lp) / s)
-    under = (s == 0.0) & ~tail
-    if np.any(under):
-        out[under] = _ratio_by_series(lp, under, p.b, p.a / p.c, ln_1mv, p.a * ln_g)
-    return out
+        lp, (F, S), (w, ln_g, _, ln_1mv) = _log_pdf_halves(p, arr)
+        f = np.exp(lp)
+        tail = (p.a + p.c) * np.exp(-w) <= 1e-16
+        out = np.where(tail, p.b * np.exp(p.base.log_dw(arr)), f / S)
+        under = (S == 0.0) & ~tail
+        if np.any(under):
+            out[under] = _ratio_by_series(lp, under, p.b, p.a / p.c, ln_1mv, p.a * ln_g)
+    return f, F, out
 
 
 def reversed_hazard(p, y):

@@ -22,16 +22,12 @@ series, run only where needed.
 
 The validation and the errstate sit at the public entry points, once per
 call; the private helpers run under their caller's (``_log1mexp`` under
-the one of a `core` function or of the fit's driver).  ln B and the psi
-differences have one helper, ``_psi_sum_differences``: ``log_beta``,
-``digamma_diff`` and ``trigamma_diff`` each take their value from it, and
-a likelihood pass takes ln B(a/c, b), both psi differences both ways and
-psi'(a/c + b) from one call, with one check of (a/c, b), one gather per
-side and one table of powers shared by the series.  Floats take a path
-of their own through it, bit for bit the array path's.
+the one of a `core` function or of the fit's driver).  A likelihood pass
+takes ln B(a/c, b), both psi differences both ways and psi'(a/c + b)
+from one call, ``_psi_sum_differences``, with one check of (a/c, b) and
+psi and psi' at a/c + b taken once.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -55,20 +51,13 @@ _LOG_Y_DEEP = -690.0
 # preimages with ln y below this are solved in u = ln y (or ln(1 - y))
 _U_DEEP = -30.0
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Stirling-type asymptotic
-# series of ln Gamma, psi and psi', whose tails in ln (u)_v, psi(u + v) -
-# psi(u) and psi'(u + v) - psi'(u) are sums of coef_j u^-j expm1(-j t),
-# t = log1p(v/u), over a table of u^-j and expm1(-j t), j = 1, ..., 15
+# series of ln Gamma, psi and psi', whose tails in ln (hi)_lo, psi(x + h) -
+# psi(x) and psi'(x + h) - psi'(x) are (coefficients, -powers) pairs
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 _2K = np.arange(2.0, 17.0, 2.0)
-_NEG_J = -np.arange(1.0, 16.0)
-# the three series of a side: (output index on side 0, 0 where it runs on
-# the ln B mask and 1 on the psi one, coefficients, the rows j - 1 of the
-# table its terms read, in series order)
-_SERIES = (
-    (1, 1, -(_BERNOULLI_2K[:4] / _2K[:4]), np.arange(1, 8, 2)),
-    (3, 1, np.array((0.5,) + _BERNOULLI_2K[:4]), np.array([1, 2, 4, 6, 8])),
-    (0, 0, _BERNOULLI_2K / (_2K * (_2K - 1.0)), np.arange(0, 15, 2)),
-)
+_POCH_TAIL = (_BERNOULLI_2K / (_2K * (_2K - 1.0)), 1.0 - _2K)
+_PSI_TAIL = (-(_BERNOULLI_2K[:4] / _2K[:4]), -_2K[:4])
+_PSI1_TAIL = (np.array((0.5,) + _BERNOULLI_2K[:4]), np.r_[-2.0, -1.0 - _2K[:4]])
 # from this argument on, 4 terms of the psi/psi' series are exact to ~1e-16
 _PSI_ASYMPTOTIC = 100.0
 # the deep inverse solve accepts an error in p of at most _INV_ABS_TOL and
@@ -86,10 +75,10 @@ def _float_or_array(out):
 
 
 def _positive_pair(x, h, message):
-    """(x, h) checked finite and > 0: scalars as given, compared in Python
-    (~0.2 us, where an array pass costs ~5 us), else float arrays broadcast
-    to one shape: a 0-d one is filled out with np.full, several times
-    cheaper than np.broadcast_arrays."""
+    """(x, h, min, max) with x and h checked finite and > 0: scalars as
+    given, compared in Python (~0.2 us, where an array pass costs ~5 us),
+    else float arrays broadcast to one shape: a 0-d one is filled out with
+    np.full, several times cheaper than np.broadcast_arrays."""
     if isinstance(x, np.ndarray) or isinstance(h, np.ndarray):
         x, h = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
         if x.shape != h.shape:
@@ -99,152 +88,36 @@ def _positive_pair(x, h, message):
                 x = np.full(h.shape, x)
             else:
                 x, h = np.broadcast_arrays(x, h)
+        lo, hi = np.minimum(x, h), np.maximum(x, h)
         # NaN propagates through both and fails both comparisons
-        ok = np.count_nonzero((np.minimum(x, h) > 0) & (np.maximum(x, h) < math.inf)) == x.size
+        ok = np.count_nonzero((lo > 0) & (hi < math.inf)) == x.size
     else:
+        lo, hi = min(x, h), max(x, h)
         ok = 0 < x < math.inf and 0 < h < math.inf
     if not ok:
         raise ValueError(message)
-    return x, h
+    return x, h, lo, hi
 
 
-def _series_lead(k, u, v, t):
-    """The term before the tail of the series whose output index on side 0
-    is k, at side u with v the other and t = log1p(v/u): t + v/(2u(u + v))
-    for psi, -v/(u(u + v)) for psi', and for ln B, ln (u)_v's (u - 1/2)t +
-    v ln(u + v) - v."""
-    if k == 1:
-        return t + v / (2.0 * u * (u + v))
-    if k == 3:
-        return -v / (u * (u + v))
-    return (u - 0.5) * t + v * np.log(u + v) - v
-
-
-@functools.cache
-def _stack(sel):
-    """For the series `sel` (indices into _SERIES): the powers -j of the
-    table they read, and the coefficients (8, K, 1) and rows of that table
-    (8, K) of their terms, padded past each one's last term with
-    coefficient 0, whose term is then -0.0 (u^-j >= 0, expm1(-j t) <= -0.0),
-    which leaves any sum it is added to unchanged."""
-    coef, rows = np.zeros((8, len(sel), 1)), np.zeros((8, len(sel)), dtype=int)
-    used = np.unique(np.concatenate([_SERIES[i][3] for i in sel]))
-    for col, i in enumerate(sel):
-        c, r = _SERIES[i][2:]
-        coef[:c.size, col, 0], rows[:r.size, col] = c, np.searchsorted(used, r)
-    out = _NEG_J[used, None], coef, rows
-    # cached, so shared by every call: read-only
-    for v in out:
-        v.flags.writeable = False
+def _patched(out, mask, series, x, h):
+    """out, scipy's value at x and h, with series(x, h) where mask holds, run
+    on those elements only (a float for scalars): without any, scipy's cost."""
+    if not isinstance(out, np.ndarray):
+        return float(series(x, h) if mask else out)
+    if np.count_nonzero(mask):
+        out[mask] = series(x[mask], h[mask])
     return out
 
 
-def _scipy_differences(x, h, out, parts):
-    """Write scipy's values into out at the indices in parts, each of
-    betaln, psi and psi' at x, h and x + h taken at most once."""
-    if 0 in parts:
-        out[0] = sps.betaln(x, h)
-    s = x + h
-    if 1 in parts or 2 in parts:
-        psi_s = sps.digamma(s)
-        if 1 in parts:
-            out[1] = psi_s - sps.digamma(x)
-        if 2 in parts:
-            out[2] = psi_s - sps.digamma(h)
-    if 3 in parts or 4 in parts or 5 in parts:
-        psi1_s = sps.zeta(2, s)
-        if 5 in parts:
-            out[5] = psi1_s
-        if 3 in parts:
-            out[3] = psi1_s - sps.zeta(2, x)
-        if 4 in parts:
-            out[4] = psi1_s - sps.zeta(2, h)
-
-
-def _psi_sum_differences(x, h, message="ln B and the psi differences require finite x, h > 0",
-                         parts=range(6)):
-    """The differences at the sum s = x + h of ln Gamma and its derivatives
-    psi and psi', cancellation-free: (ln B(x, h), psi(s) - psi(x),
-    psi(s) - psi(h), psi'(s) - psi'(x), psi'(s) - psi'(h), psi'(s)), each
-    where its index is in `parts` and None elsewhere.
-
-    One check of x and h, raising ValueError(message), and scipy's values
-    (_scipy_differences); then per side u in (x, h), with v the other, one
-    gather of the rows where a series runs, one t = log1p(v/u) and one
-    table of u^-j and expm1(-j t) (the j of 1, ..., 15 the series read)
-    serve the Stirling series that replace scipy's values there: ln B
-    where u >= 10 and v <= 1, whose ln (u)_v the two series of ln Gamma
-    give term by term, 8 Bernoulli terms leaving ~1e-16 at u = 10; psi and
-    psi' where u >= 100, 4 terms.  The series of a side are summed
-    together, by one accumulate.  Arrays broadcast (see _positive_pair);
-    floats and 0-d arrays take the float path and give floats, bit for
-    bit as a one-element array would.
-    """
-    x, h = _positive_pair(x, h, message)
-    if not (isinstance(x, np.ndarray) and x.ndim):
-        return _float_sum_differences(float(x), float(h), parts)
-    out = [None] * 6
-    _scipy_differences(x, h, out, parts)
-    for side, (u, v) in enumerate(((x, h), (h, x))):
-        near = u >= 10.0
-        if not np.count_nonzero(near):
-            continue
-        # the ln B mask (u >= 10, v <= 1) and the psi one (u >= 100)
-        masks = (near & (v <= 1.0) if 0 in parts else False,
-                 u >= _PSI_ASYMPTOTIC if 1 + side in parts or 3 + side in parts else False)
-        counts = [np.count_nonzero(m) for m in masks]
-        sel = tuple(i for i, (k, which, _, _) in enumerate(_SERIES)
-                    if counts[which] and (k and k + side) in parts)
-        if not sel:
-            continue
-        on = masks[0] | masks[1]
-        u, v = u[on], v[on]
-        t = np.log1p(v / u)
-        neg_j, coef, rows = _stack(sel)
-        # each series' lead and its terms, (9, K, m): accumulating along the
-        # first axis adds each element's terms to it one at a time in
-        # series order
-        terms = coef * (u ** neg_j)[rows] * np.expm1(neg_j * t)[rows]
-        leads = np.array([_series_lead(_SERIES[i][0], u, v, t) for i in sel])
-        sums = np.add.accumulate(np.concatenate((leads[None], terms)))[-1]
-        for i, total in zip(sel, sums):
-            k, which = _SERIES[i][:2]
-            value = total if k else sps.gammaln(v) - total
-            k = k and k + side
-            # a series whose mask covers the side's rows is written without
-            # a gather
-            if counts[which] == u.size:
-                out[k][on] = value
-            else:
-                out[k][masks[which]] = value[masks[which][on]]
-    return tuple(out)
-
-
-def _float_sum_differences(x, h, parts):
-    """_psi_sum_differences at floats x and h: the series run over Python
-    floats, from the table as lists, and scipy's values are taken only
-    where no series replaces them."""
-    out = [None] * 6
-    todo = parts
-    # no series runs below max(x, h) = 10
-    if x >= 10.0 or h >= 10.0:
-        for side, (u, v) in enumerate(((x, h), (h, x))):
-            masks = (u >= 10.0 and v <= 1.0, u >= _PSI_ASYMPTOTIC)
-            t = None
-            for k, which, coef, rows in _SERIES:
-                if masks[which] and (k and k + side) in parts:
-                    if t is None:
-                        t = float(np.log1p(v / u))
-                        powers, expm1s = (u ** _NEG_J).tolist(), np.expm1(t * _NEG_J).tolist()
-                    total = _series_lead(k, u, v, t)
-                    for c, j in zip(coef.tolist(), rows.tolist()):
-                        total = total + c * powers[j] * expm1s[j]
-                    out[k and k + side] = total if k else sps.gammaln(v) - total
-        todo = [k for k in parts if out[k] is None]
-    _scipy_differences(x, h, out, todo)
-    for k in parts:
-        out[k] = float(out[k])
-    return tuple(out)
+def _bernoulli_sum(out, x, t, tail):
+    """out + sum_j coef_j x^-p_j expm1(-p_j t) for tail = (coef, -p), the
+    terms of each element added to it one at a time in series order."""
+    coef, neg_p = tail
+    x, t = np.asarray(x)[..., None], np.asarray(t)[..., None]
+    terms = coef * x**neg_p * np.expm1(neg_p * t)
+    for j in range(coef.size):
+        out = out + terms[..., j]
+    return out
 
 
 def log_beta(a, b):
@@ -257,7 +130,14 @@ def log_beta(a, b):
     Stirling series taken term by term in log1p(lo/hi): 8 Bernoulli terms
     leave ~1e-16 at hi = 10, and nothing in it cancels.
     """
-    return _psi_sum_differences(a, b, "log_beta requires finite a, b > 0", (0,))[0]
+    a, b, lo, hi = _positive_pair(a, b, "log_beta requires finite a, b > 0")
+    return _patched(sps.betaln(a, b), (lo <= 1.0) & (hi >= 10.0), _log_beta_lopsided, lo, hi)
+
+
+def _log_beta_lopsided(lo, hi):
+    t = np.log1p(lo / hi)
+    log_poch = (hi - 0.5) * t + lo * np.log(hi + lo) - lo
+    return sps.gammaln(lo) - _bernoulli_sum(log_poch, hi, t, _POCH_TAIL)
 
 
 def digamma_diff(x, h):
@@ -269,14 +149,54 @@ def digamma_diff(x, h):
     expm1(-2k log1p(h/x)).  Below that the direct difference keeps
     ~1e-16 * |psi(x)| absolute.
     """
-    return _psi_sum_differences(x, h, "digamma_diff requires finite x, h > 0", (1,))[1]
+    x, h, _, _ = _positive_pair(x, h, "digamma_diff requires finite x, h > 0")
+    direct = sps.digamma(x + h) - sps.digamma(x)
+    return _patched(direct, x >= _PSI_ASYMPTOTIC, _digamma_diff_asymptotic, x, h)
+
+
+def _digamma_diff_asymptotic(x, h, t=None):
+    if t is None:
+        t = np.log1p(h / x)
+    return _bernoulli_sum(t + h / (2.0 * x * (x + h)), x, t, _PSI_TAIL)
 
 
 def trigamma_diff(x, h):
     """psi'(x + h) - psi'(x) for x, h > 0, cancellation-free from x = 100
     on like digamma_diff: -h/(x(x + h)) + expm1(-2t)/(2x^2) + sum B_2k
     x^-(2k+1) expm1(-(2k+1) t) with t = log1p(h/x)."""
-    return _psi_sum_differences(x, h, "trigamma_diff requires finite x, h > 0", (3,))[3]
+    x, h, _, _ = _positive_pair(x, h, "trigamma_diff requires finite x, h > 0")
+    direct = sps.zeta(2, x + h) - sps.zeta(2, x)
+    return _patched(direct, x >= _PSI_ASYMPTOTIC, _trigamma_diff_asymptotic, x, h)
+
+
+def _trigamma_diff_asymptotic(x, h, t=None):
+    if t is None:
+        t = np.log1p(h / x)
+    return _bernoulli_sum(-h / (x * (x + h)), x, t, _PSI1_TAIL)
+
+
+def _psi_sum_differences(x, h):
+    """log_beta(x, h), digamma_diff(x, h), digamma_diff(h, x),
+    trigamma_diff(x, h), trigamma_diff(h, x) and psi'(x + h) =
+    zeta(2, x + h), bit for bit, from one check and scipy's psi and psi' at
+    x, h and x + h, each taken once.  Each side takes its asymptotic
+    patches where its own x >= 100, from one mask and one t = log1p(h/x)
+    shared by the digamma and trigamma series."""
+    x, h, lo, hi = _positive_pair(x, h, "ln B and the psi differences require finite x, h > 0")
+    log_b = _patched(sps.betaln(x, h), (lo <= 1.0) & (hi >= 10.0), _log_beta_lopsided, lo, hi)
+    s = x + h
+    psi_s, psi1_s = sps.digamma(s), sps.zeta(2, s)
+    # 0-d arrays for scalars, so one masked write serves both
+    out = [np.asarray(d) for d in (psi_s - sps.digamma(x), psi_s - sps.digamma(h),
+                                    psi1_s - sps.zeta(2, x), psi1_s - sps.zeta(2, h))]
+    for j, (u, v) in enumerate(((x, h), (h, x))):
+        big = u >= _PSI_ASYMPTOTIC
+        if np.count_nonzero(big):
+            u, v = np.asarray(u)[big], np.asarray(v)[big]
+            t = np.log1p(v / u)
+            out[j][big] = _digamma_diff_asymptotic(u, v, t)
+            out[j + 2][big] = _trigamma_diff_asymptotic(u, v, t)
+    return (log_b, *map(_float_or_array, out), _float_or_array(psi1_s))
 
 
 def log1mexp(u):

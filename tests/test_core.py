@@ -2,6 +2,7 @@
 finite-difference and quadrature cross-checks, and shape properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_base_cdf_overflow_guard():
     base = GompertzBase(1.0, 1.0)
     assert base_cdf(base, 800.0) == 1.0
     assert base_pdf(base, 800.0) == 0.0
+
+
+def test_base_w_overflows_to_inf_silently():
+    # the public w keeps its own errstate; the likelihood pass takes the
+    # unguarded form under the errstate of its caller
+    base = GompertzBase(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert base.w(800.0) == math.inf
+        w = base.w(np.array([1.0, 800.0]))
+        assert w[1] == math.inf
+        assert_allclose(w[0], math.expm1(1.0), rtol=1e-15)
 
 
 def test_pdf_gompertz_reduction():

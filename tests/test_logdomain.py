@@ -569,9 +569,8 @@ def test_psi_differences_reject_bad_arguments(fn, x, h):
     (1.0, np.array([[0.3], [150.0], [1e-4]])),
 ])
 def test_psi_sum_differences_match_the_single_calls(x, h):
-    # one check, one table per side and psi, psi' at x + h taken once must
-    # give ln B and the five psi values of the single calls bit for bit,
-    # floats as floats
+    # one check and psi, psi' at x + h taken once must give ln B and the
+    # five psi values of the single calls bit for bit, floats as floats
     got = _psi_sum_differences(x, h)
     psi1 = sps.zeta(2, x + h)
     ref = (log_beta(x, h), digamma_diff(x, h), digamma_diff(h, x), trigamma_diff(x, h),
@@ -581,30 +580,6 @@ def test_psi_sum_differences_match_the_single_calls(x, h):
         assert type(g) is type(r)
         assert np.shape(g) == np.shape(r)
         assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
-
-
-def test_float_path_matches_the_array_path():
-    # the helper's float path (Python floats, the table as lists) against
-    # one-element arrays, on a seeded battery over every regime: both
-    # sides past 100, lopsided pairs past 10 and 1e12, and neither; for
-    # each subset of outputs the public functions ask for, and all six
-    rng = np.random.default_rng(34)
-    pairs = np.concatenate([
-        np.exp(rng.uniform(-12.0, 30.0, (300, 2))),
-        np.column_stack([rng.uniform(1e-3, 1.0, 100), np.exp(rng.uniform(2.3, 28.0, 100))]),
-        np.column_stack([np.exp(rng.uniform(4.6, 28.0, 100)), rng.uniform(0.5, 150.0, 100)]),
-    ])
-    for parts in ((0,), (1,), (3,), range(6)):
-        for x, h in pairs:
-            for u, v in ((x, h), (h, x)):
-                got = _psi_sum_differences(float(u), float(v), parts=parts)
-                ref = _psi_sum_differences(np.array([u]), np.array([v]), parts=parts)
-                for k in range(6):
-                    if k in parts:
-                        assert type(got[k]) is float
-                        assert np.array([got[k]]).tobytes() == ref[k].tobytes(), (u, v, k)
-                    else:
-                        assert got[k] is None and ref[k] is None
 
 
 def test_special_function_columns_match_float_calls():
