@@ -416,7 +416,6 @@ def cmd_eval(ns):
     spec = model_spec(ns.model)
     params = make_submodel(ns.model, mapping)
     ys = _grid(ns)
-    # the three columns from one log-space pass
     pdf, cdf, hazard = core._pdf_cdf_hazard(params, ys)
     body = {"model": spec.name, "grid": ys, "pdf": pdf, "cdf": cdf, "hazard": hazard}
     columns = [body[k] for k in ("grid", "pdf", "cdf", "hazard")]

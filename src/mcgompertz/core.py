@@ -433,9 +433,9 @@ def hazard(p, y):
 
 
 def _pdf_cdf_hazard(p, y):
-    """(f, F, hazard) as arrays, from one log-space pass under one errstate:
-    each bit for bit what pdf, cdf and hazard give, for `mcg eval`, and
-    the hazard for hazard."""
+    """(f, F, hazard) as arrays from one log-space pass under one errstate,
+    bit for bit what pdf, cdf and hazard give: `hazard` takes the third,
+    `mcg eval` all three."""
     arr = _checked_y(y)
     with np.errstate(all="ignore"):
         lp, (F, S), (w, ln_g, _, ln_1mv) = _log_pdf_halves(p, arr)
