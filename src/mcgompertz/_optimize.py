@@ -28,6 +28,10 @@ _ACCEPT = 0.1
 # trust radius shrinks below _STEP_TOL.
 _GRAD_TOL = 1.0e-6
 _STEP_TOL = 1.0e-10
+# A boundary row with lam_1 <= 0 is hard where sigma* + lam_1 is at most
+# _HARD spacings of the floats at -lam_1: a float sigma there sets |s| no
+# closer to the radius than about 1/_HARD.
+_HARD = 1.0e9
 # the stop statuses of `minimize`, by code
 STOPS = ("gradient", "iteration limit", "radius", "not finite", "wall")
 
@@ -150,12 +154,13 @@ def _trust_region_step(g, B, radius):
     the Newton step when B is positive definite and the step fits, else
     s = -(B + sigma I)^-1 g on the boundary, with sigma >= max(0, -lam_1)
     solving the secular equation 1/|s(sigma)| = 1/radius by safeguarded
-    Newton.  In the hard case (g orthogonal to the lowest eigenspace and the
-    shifted step inside the radius) the step is completed along the lowest
-    eigenvector.  One batched eigh serves every row, and each row takes its
-    case by mask: only the rows whose Newton step does not serve go on,
-    only those of them with lam_1 <= 0 and |gt_1| <= 1e-12 |gt| (gt = Q^T g)
-    are tested for the hard case, and the boundary rows share one secular
+    Newton.  In the hard case (sigma* too close to -lam_1 for floats to
+    tell apart and the shifted step inside the radius) the step is
+    completed along the lowest eigenspace.  One batched eigh serves every
+    row, and each row takes its case by mask: only the rows whose Newton
+    step does not serve go on, only those of them with lam_1 <= 0 and
+    |gt_1| <= _HARD spacing(-lam_1) radius (gt = Q^T g) are tested for the
+    hard case, and the boundary rows share one secular
     iteration in which a row keeps its sigma once it has converged.  The
     safeguards of that iteration (moving the bracket, bisecting a step
     that leaves it, holding converged rows) run only in the iterations
@@ -187,19 +192,33 @@ def _boundary_steps(st, rows, lam, gt, rad):
     lo = np.maximum(0.0, -lam_1)
     gnorm = np.sqrt(gt2.sum(axis=-1))
     gt_1 = np.abs(gt[:, 0])
-    # a hard case needs |gt_1| <= 1e-12 |gt|: where column 0 falls outside
-    # the bottom eigenspace (an eigenvalue not finite), its hard step
-    # -gt_1/(lam_1 + lo) is -gt_1/0 or nan, and leaves no room
-    maybe = (lam_1 <= 0.0) & (gt_1 <= 1e-12 * gnorm)
+    # the hard case: sigma* - lo is at most |gt_b|/sqrt(room), gt_b the part
+    # of gt in the bottom eigenspace (eigenvalues within 1e-12 of lam_1) and
+    # room what the radius leaves beside the rest of the step, and a row is
+    # hard where that bound is at most `fine` (so |gt_1|/radius is too).  The
+    # rest is taken at sigma = lo, then again at lo + the bound, on the shifts
+    # lam - lam_1, which hold so small a gap exactly; the step is finished in
+    # the bottom eigenspace to |s| = radius, along -gt_b, or along v_1 where
+    # gt_b = 0 (Moré & Sorensen 1983).  A nan eigenvalue leaves room nan.
+    fine = _HARD * np.spacing(lo)
+    maybe = (lam_1 <= 0.0) & (gt_1 <= fine * rad)
     if np.count_nonzero(maybe):
         cand = np.flatnonzero(maybe)
-        lam_c, gt_c = lam[cand], gt[cand]
+        lam_c, gt_c, rad_c = lam[cand], gt[cand], rad[cand]
         bottom = lam_c - lam_c[:, :1] <= 1e-12 * np.abs(lam_c).max(axis=-1, keepdims=True)
-        hard_st = np.where(bottom, 0.0, -gt_c / np.where(bottom, 1.0, lam_c + lo[cand, None]))
-        room = rad[cand] * rad[cand] - (hard_st * hard_st).sum(axis=-1)
-        hard = (~bottom | (np.abs(gt_c) <= 1e-12 * gnorm[cand, None])).all(axis=-1) & (room >= 0.0)
+        shift = lam_c + lo[cand, None]
+        g_b = np.sqrt(np.where(bottom, gt_c * gt_c, 0.0).sum(axis=-1))
+        tilted = g_b > 0.0
+        gap = 0.0
+        for _ in range(2):
+            rest = np.where(bottom, 0.0, -gt_c / np.where(bottom, 1.0, shift + gap))
+            room = rad_c * rad_c - (rest * rest).sum(axis=-1)
+            gap = np.where(tilted, g_b / np.sqrt(room), 0.0)[:, None]
+        hard = (room >= 0.0) & (g_b <= fine[cand] * np.sqrt(room))
         if hard.any():
-            hard_st[:, 0] = np.sqrt(np.maximum(room, 0.0))
+            along = np.where(tilted[:, None], -gt_c / np.where(tilted, g_b, 1.0)[:, None],
+                             np.eye(lam.shape[1])[0])
+            hard_st = np.where(bottom, along * np.sqrt(np.maximum(room, 0.0))[:, None], rest)
             st[rows[cand[hard]]] = hard_st[hard]
             keep = np.ones(rows.size, dtype=bool)
             keep[cand[hard]] = False

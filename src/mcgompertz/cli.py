@@ -7,10 +7,12 @@ cdf, and hazard on a grid, and `curves` tabulates quantile-based shape
 measures as functions of c.
 
 Input data files hold one numeric value per line with an optional single
-header line.  JSON output carries floats at 17 significant digits and a
-top-level schema_version; all outputs are byte-identical for identical
-configurations.  Exit codes: 0 success, 2 input error, 3 fit did not
-converge (the result is still written), 4 internal numeric failure.
+header line.  Every float written, in JSON or CSV, has 17 significant
+digits; JSON output carries a top-level schema_version.  Only the commands
+that draw take `--seed`: the fitting starts and `sample`.  All outputs are
+byte-identical for identical configurations.  Exit codes: 0 success, 2
+input error, 3 fit did not converge (the result is still written), 4
+internal numeric failure.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from . import core
 from .family import make_submodel, model_spec
 from .inference import Dataset, OptimizerConfig, fit_mle
 from .selection import gof_report, lrt
-from .shape import curves_to_csv, shape_curves
+from .shape import shape_curves
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -187,27 +189,17 @@ def _fit_inputs(ns, names):
     return data, specs, opt
 
 
-def _estimates(fit):
-    return {k: float(v) for k, v in fit.estimates.items()}
-
-
-def _std_errors(fit):
-    if fit.std_errors is None:
-        return None
-    return {k: float(v) for k, v in fit.std_errors.items()}
-
-
 def _fit_payload(fit, data, opt):
     return {
         "model": fit.model.name,
         "data": data.label,
         "n_obs": data.n,
-        "estimates": _estimates(fit),
-        "std_errors": _std_errors(fit),
-        "neg_loglik": float(fit.neg_loglik),
-        "converged": bool(fit.converged),
-        "iterations": int(fit.iterations),
-        "grad_norm": float(fit.grad_norm),
+        "estimates": fit.estimates,
+        "std_errors": fit.std_errors,
+        "neg_loglik": fit.neg_loglik,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "grad_norm": fit.grad_norm,
         "optimizer": {
             "n_starts": opt.n_starts,
             "max_iter": opt.max_iter,
@@ -325,11 +317,11 @@ def cmd_gof(ns):
     report = gof_report(fit, data, full_fit=full_fit)
     body = {
         **report.to_dict(),
-        "estimates": _estimates(fit),
-        "std_errors": _std_errors(fit),
+        "estimates": fit.estimates,
+        "std_errors": fit.std_errors,
         "metadata": {
             "data": data.label,
-            "converged": bool(fit.converged),
+            "converged": fit.converged,
             "ks_pvalue_method": "asymptotic-kolmogorov",
             "ks_caveat": _KS_CAVEAT,
         },
@@ -352,11 +344,11 @@ def cmd_compare(ns):
         ladder.append(
             {
                 "model": spec.name,
-                "neg_loglik": float(sub.neg_loglik),
-                "converged": bool(sub.converged),
-                "lrt_stat": float(stat),
-                "lrt_df": int(df),
-                "lrt_pvalue": float(pval),
+                "neg_loglik": sub.neg_loglik,
+                "converged": sub.converged,
+                "lrt_stat": stat,
+                "lrt_df": df,
+                "lrt_pvalue": pval,
             }
         )
     body = {
@@ -364,9 +356,9 @@ def cmd_compare(ns):
         "n_obs": data.n,
         "full": {
             "model": full_spec.name,
-            "neg_loglik": float(full.neg_loglik),
-            "converged": bool(full.converged),
-            "estimates": _estimates(full),
+            "neg_loglik": full.neg_loglik,
+            "converged": full.converged,
+            "estimates": full.estimates,
         },
         "ladder": ladder,
     }
@@ -435,19 +427,10 @@ def cmd_curves(ns):
     if any(v <= 0.0 or not math.isfinite(v) for v in mapping.values()):
         raise InputError("curve parameters must be positive and finite")
     c_grid = _grid(ns)
-    rows = []
-    for measure in ("bowley", "moors"):
-        rows.extend(
-            shape_curves(
-                measure,
-                c_grid,
-                mapping["a"],
-                mapping["b"],
-                mapping["theta"],
-                mapping["gamma"],
-            )
-        )
-    _emit(ns, {"rows": rows}, default_fmt="csv", table=functools.partial(curves_to_csv, rows))
+    rows = [row for m in ("bowley", "moors") for row in shape_curves(m, c_grid, **mapping)]
+    header = ("c", "measure", "value", "a", "b", "theta", "gamma")
+    columns = [[row[k] for row in rows] for k in header]
+    _emit(ns, {"rows": rows}, default_fmt="csv", table=functools.partial(_csv, header, columns))
     return EXIT_OK
 
 
@@ -493,10 +476,10 @@ def _build_parser():
             help="add each fit's per-start optimizer trace under a "
             "diagnostics key",
         )
+        p.add_argument("--seed", type=int, default=0)
 
     def common_flags(p):
         p.add_argument("--out", default="", dest="output_path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="", dest="fmt")
 
     def grid_flags(p, lo, hi, n):
@@ -520,6 +503,7 @@ def _build_parser():
     p.add_argument("--model", default="mcg")
     p.add_argument("--params", required=True)
     p.add_argument("--n", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     common_flags(p)
 
     p = sub.add_parser("eval", help="tabulate pdf, cdf, hazard on a grid")

@@ -21,12 +21,7 @@ the driver's errstate and enters none of its own; ln B(a/c, b), the four
 psi differences and psi'(a/c + b) come from one (a/c, b) block with one
 check, psi and psi' at a/c + b taken once; the free-parameter
 embedding runs only on the models that need it; a repeated start runs
-once; and the end points reuse the driver's last evaluation.  With a
-trust-region step and driver that make few numpy calls, a pass takes
-~532 us on 2 vCPUs (casestudy `pass_s` over its 354 passes;
-`BENCH_pass_cost.json`, `BENCH_step_cost.json`).  The 8 fits of the
-paper's two applications (mcg, bg, kumg, mce on both datasets) take 354
-passes (`BENCH_wall_stop.json`).
+once; and the end points reuse the driver's last evaluation.
 """
 
 from __future__ import annotations

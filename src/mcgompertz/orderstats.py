@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _checked_y, _log_pdf_halves, base_cdf, cdf, cdf_survival, pdf
+from .core import _checked_y, _log_b, _log_pdf_halves, base_cdf, cdf, cdf_survival, pdf
 from .expansions import _component_moments, cdf_power_coeffs
 from .shape import _panel_integral
 from .specfun import _float_or_array, inc_beta_reg, log_beta
@@ -46,13 +46,21 @@ def _beta_weights(spec):
 
 
 def os_pdf(p, spec, y):
-    """Density of the i-th of n, f F^{i-1} (1-F)^{n-i} / B(i, n-i+1), from one pass."""
+    """Density of the i-th of n, f F^{i-1} (1-F)^{n-i} / B(i, n-i+1), from one
+    pass.  At w = 0 it is the limit of K y^{a i - 1}, as log_pdf's ln f is:
+    0 where a i > 1, +inf where a i < 1, and K = theta c^i / (a^{i-1}
+    B(a/c, b)^i B(i, n-i+1)) where a i = 1."""
     i, n = spec.i, spec.n
-    inv_beta = math.exp(-log_beta(i, n - i + 1))
+    lb = log_beta(i, n - i + 1)
     with np.errstate(all="ignore"):
-        lp, (F, S), _ = _log_pdf_halves(p, _checked_y(y))
+        lp, (F, S), (w, *_) = _log_pdf_halves(p, _checked_y(y))
         f, F, S = map(_float_or_array, (np.exp(lp), F, S))
-        return f * F ** (i - 1) * S ** (n - i) * inv_beta
+        out = f * F ** (i - 1) * S ** (n - i) * math.exp(-lb)
+        if w.size and w.min() == 0.0:
+            ln_k = p.base.log_dw(0.0) + i * (np.log(p.c) - _log_b(p)) - (i - 1) * np.log(p.a)
+            at_zero = np.where(p.a * i < 1.0, math.inf, np.exp(ln_k - lb))
+            out = _float_or_array(np.where(w == 0.0, np.where(p.a * i > 1.0, 0.0, at_zero), out))
+        return out
 
 
 def os_cdf(p, spec, y):

@@ -360,14 +360,3 @@ def shape_curves(measure, c_grid, a, b, theta, gamma):
     if bad is not None:
         raise bad
     return rows
-
-
-def curves_to_csv(rows):
-    """Render shape_curves rows as CSV text with a fixed column order."""
-    lines = ["c,measure,value,a,b,theta,gamma"]
-    for r in rows:
-        lines.append(
-            f"{r['c']!r},{r['measure']},{r['value']!r},{r['a']!r},{r['b']!r},"
-            f"{r['theta']!r},{r['gamma']!r}"
-        )
-    return "\n".join(lines) + "\n"

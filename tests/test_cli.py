@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import builtins
+import csv
 import io
 import json
 import math
@@ -33,8 +34,12 @@ from mcgompertz.cli import (
     InputError,
     main,
 )
+from mcgompertz import core
 from mcgompertz.core import McGParams, cdf as mcg_cdf
-from mcgompertz.selection import ks_test
+from mcgompertz.family import make_submodel
+from mcgompertz.inference import fit_mle
+from mcgompertz.selection import gof_report, ks_test, lrt
+from mcgompertz.shape import shape_curves
 
 
 def _run(tmp_path, *argv, name="out.txt"):
@@ -106,6 +111,112 @@ class TestFloatFormatting:
         assert rows == ["McG,217.375,true,,,", "BG,220.5,false,6.25,1,0.015625"]
 
 
+MCG = "a=0.5,b=0.8,c=2,theta=0.1,gamma=0.5"
+CURVES = "a=0.5,b=2,theta=0.1,gamma=0.5"
+
+
+def _library_floats(command):
+    """The floats the JSON of `OUTPUT_RUNS[command]` holds, by the key path
+    `_kv_csv` gives them, computed from the library."""
+    data = _read_dataset("aarset")
+    if command in ("fit", "gof"):
+        fit = fit_mle("bg", data)
+        ref = {"estimates": fit.estimates, "std_errors": fit.std_errors}
+        if command == "fit":
+            ref.update(neg_loglik=fit.neg_loglik, grad_norm=fit.grad_norm)
+        else:
+            ref.update(gof_report(fit, data, full_fit=fit_mle("mcg", data)).to_dict())
+    elif command == "compare":
+        full, sub = fit_mle("mcg", data), fit_mle("bg", data)
+        stat, _, pval = lrt(full, sub)
+        ref = {
+            "full": {"neg_loglik": full.neg_loglik, "estimates": full.estimates},
+            "ladder": [{"neg_loglik": sub.neg_loglik, "lrt_stat": stat, "lrt_pvalue": pval}],
+        }
+    elif command == "sample":
+        ref = {"values": core.sample(make_submodel("mcg", cli._parse_params(MCG)), 20, 7)}
+    elif command == "eval":
+        p, ys = make_submodel("mcg", cli._parse_params(MCG)), np.linspace(0.05, 5.0, 7)
+        ref = {"grid": ys, "pdf": core.pdf(p, ys), "cdf": core.cdf(p, ys),
+               "hazard": core.hazard(p, ys)}
+    else:
+        args = cli._parse_params(CURVES)
+        ref = {"rows": [row for m in ("bowley", "moors")
+                        for row in shape_curves(m, np.linspace(0.5, 5.0, 4), **args)]}
+    return dict(_floats(ref))
+
+
+def _floats(obj, path=""):
+    """(key path, value) of each float leaf of a nested payload."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _floats(v, f"{path}.{k}" if path else k)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, v in enumerate(obj):
+            yield from _floats(v, f"{path}[{i}]")
+    elif isinstance(obj, float):
+        yield path, obj
+
+
+class _Text(float):
+    """A JSON float that keeps the text it was parsed from."""
+
+    def __new__(cls, text):
+        out = super().__new__(cls, text)
+        out.text = text
+        return out
+
+
+# each command's run, and the JSON key path of the CSV cell in row i
+# (after the header) and column `col` where the CSV is a table
+OUTPUT_RUNS = {
+    "fit": (["fit", "--model", "bg", "--data", "aarset"], None),
+    "gof": (["gof", "--model", "bg", "--data", "aarset"], None),
+    "compare": (["compare", "--model", "mcg,bg", "--data", "aarset"],
+                lambda i, col: f"full.{col}" if i == 0 else f"ladder[{i - 1}].{col}"),
+    "sample": (["sample", "--params", MCG, "--n", "20", "--seed", "7"],
+               lambda i, col: f"values[{i}]"),
+    "eval": (["eval", "--params", MCG, "--grid-points", "7"],
+             lambda i, col: f"{'grid' if col == 'y' else col}[{i}]"),
+    "curves": (["curves", "--params", CURVES, "--grid-points", "4"],
+               lambda i, col: f"rows[{i}].{col}"),
+}
+
+
+class TestOutputFloats:
+    @pytest.mark.parametrize("command", list(OUTPUT_RUNS))
+    def test_every_float_is_the_formatted_library_value(self, command, capsys):
+        # every float a command writes, in JSON and in CSV, is the
+        # _fmt_floats text of the value the library computes, and the CSV
+        # carries the same text as the JSON for each value it holds
+        argv, csv_path = OUTPUT_RUNS[command]
+        ref = _library_floats(command)
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        in_json = dict(_floats(json.loads(capsys.readouterr().out, parse_float=_Text)))
+        assert in_json.keys() == ref.keys()
+        for path, value in in_json.items():
+            assert value.text == _fmt_floats([ref[path]])[0], path
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        if csv_path is None:
+            cells = {key: text for key, text in rows[1:]}
+        else:
+            cells = {csv_path(i, col): text for i, row in enumerate(rows[1:])
+                     for col, text in zip(rows[0], row)}
+        in_csv = {}
+        for path, text in cells.items():
+            try:
+                float(text)
+            except ValueError:
+                continue
+            if not text.lstrip("-").isdigit():
+                in_csv[path] = text
+        assert in_csv == {path: in_json[path].text for path in in_csv}
+        if command != "compare":
+            # the compare table leaves the full model's estimates to the JSON
+            assert in_csv.keys() == in_json.keys()
+
+
 class TestDataIngestion:
     def test_builtin_datasets(self):
         assert _read_dataset("aarset").n == 50
@@ -156,6 +267,12 @@ class TestExitCodes:
 
     def test_bad_params_is_input_error(self):
         assert main(["sample", "--params", "a=one"]) == EXIT_INPUT
+
+    def test_seed_only_where_it_is_read(self, capsys):
+        # eval and curves draw nothing, so they take no --seed
+        for command in ("eval", "curves"):
+            assert main([command, "--params", "a=1", "--seed", "1"]) == EXIT_INPUT
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -651,6 +768,18 @@ class TestCurves:
         assert measures == {"bowley", "moors"}
         for r in rows:
             assert math.isfinite(float(r[2]))
+
+    def test_csv_header_and_roundtrip(self, tmp_path):
+        code, text = _run(tmp_path, "curves", "--params", "a=0.5,b=0.5,theta=0.1,gamma=1.0",
+                          "--grid-min", "0.5", "--grid-max", "1.5", "--grid-points", "2")
+        assert code == EXIT_OK
+        rows = shape_curves("bowley", [0.5, 1.5], 0.5, 0.5, 0.1, 1.0)
+        assert text.splitlines()[0] == "c,measure,value,a,b,theta,gamma"
+        parsed = [r for r in csv.DictReader(io.StringIO(text)) if r["measure"] == "bowley"]
+        assert len(parsed) == 2
+        assert float(parsed[0]["c"]) == 0.5
+        assert parsed[1]["measure"] == "bowley"
+        assert float(parsed[1]["value"]) == pytest.approx(rows[1]["value"])
 
     def test_missing_c_rejected(self):
         code = main(["curves", "--params", "a=1,b=1,c=2,theta=1,gamma=1"])

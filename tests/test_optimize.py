@@ -190,7 +190,22 @@ def _step_rows(k, rng):
             # just short of that step, where the first Newton step from
             # the upper bound overshoots the bracket and is bisected
             add("upper", lam, gt, inside * (1.0 - 10.0 ** rng.uniform(-4.0, -2.0)))
+    # near-hard: as the hard case of dimension 1, but with |gt_1|/|gt| =
+    # 10^U(-12, -8), so that sigma* lies within ~1e-8 of -lam_1, closer
+    # than a secular iteration in sigma can resolve
+    for _ in range(6):
+        low = -rng.uniform(0.5, 2.0)
+        lam = np.r_[low, low + np.sort(rng.uniform(0.5, 4.0, k - 1))]
+        gt = np.r_[0.0, rng.normal(size=k - 1)]
+        inside = float(np.linalg.norm(gt[1:] / (lam[1:] - low)))
+        gt[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0) * np.linalg.norm(gt)
+        add("near-hard", lam, gt, inside * rng.uniform(1.2, 3.0))
     if k == 3:
+        # a near-hard row on which a secular iteration in sigma misses the
+        # radius: |s| = 1.000828 radius at radius 100, 0.999776 radius at 30
+        for radius in (100.0, 30.0):
+            add("near-hard", np.array([-1.0, 0.5, 2.0]), np.array([1e-11, 1.0, 1.0]), radius,
+                rotate=False)
         # the first Newton step from the upper bound (sigma 3.75) lands at
         # -1.59, past the pole at -lam_2 = -0.1; unbisected, the iteration
         # ends at sigma = -3.23, on the radius but with B + sigma I

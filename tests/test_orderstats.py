@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mcgompertz.core import McGParams, cdf, pdf, quantile, sample
+from mcgompertz.core import McEParams, McGParams, cdf, pdf, quantile, sample
 from mcgompertz.expansions import mixture_cdf
 from mcgompertz.orderstats import (
     OrderSpec,
@@ -65,6 +65,28 @@ class TestOsPdf:
         y = np.linspace(0.01, 4.0, 50)
         for n in (2, 5):
             assert os_pdf_identity_defect(GENERIC, n, y) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "p, spec, expected",
+        [
+            # a i = 1: theta c^i / (a^(i-1) B(a/c, b)^i B(i, n-i+1)), with
+            # B(x, 2) = 1/(x (x+1)) and B(x, 3) = 2/(x (x+1) (x+2))
+            (McGParams(0.5, 2.0, 1.5, 1.0, 0.5), OrderSpec(2, 4),
+             1.5**2 / (0.5 * (9.0 / 4.0) ** 2 / 12.0)),
+            (McEParams(0.25, 3.0, 0.7, 2.0), OrderSpec(4, 6),
+             2.0 * 0.7**4 / (0.25**3 * (2.0 / (5 / 14 * 19 / 14 * 33 / 14)) ** 4 / 60.0)),
+            # a i > 1 with a < 1, where f F^(i-1) is inf * 0
+            (McGParams(0.5, 2.0, 1.5, 1.0, 0.5), OrderSpec(3, 5), 0.0),
+            # a i < 1
+            (McGParams(0.25, 2.0, 1.5, 1.0, 0.5), OrderSpec(2, 5), math.inf),
+        ],
+    )
+    def test_limit_at_zero(self, p, spec, expected):
+        at_zero = os_pdf(p, spec, 0.0)
+        assert at_zero == pytest.approx(expected, rel=1e-12)
+        assert os_pdf(p, spec, np.array([0.0, 0.5]))[0] == at_zero
+        if 0.0 < expected < math.inf:
+            assert os_pdf(p, spec, 1e-300) == pytest.approx(expected, rel=1e-12)
 
     def test_second_of_five_against_simulation(self):
         # fitted-parameter set typical of device lifetimes: heavy left mode

@@ -1,7 +1,5 @@
 """Quadrature moment/entropy engines and quantile shape measures."""
 
-import csv
-import io
 import math
 from statistics import NormalDist
 
@@ -16,7 +14,6 @@ from mcgompertz.shape import (
     _PANEL_CUTS,
     _U_TINY,
     bowley,
-    curves_to_csv,
     mgf_numeric,
     moment_numeric,
     moors,
@@ -516,13 +513,3 @@ class TestShapeCurves:
 
     def test_empty_grid(self):
         assert shape_curves("moors", [], 0.5, 0.5, 0.1, 1.0) == []
-
-    def test_csv_header_and_roundtrip(self):
-        rows = shape_curves("bowley", [0.5, 1.5], 0.5, 0.5, 0.1, 1.0)
-        text = curves_to_csv(rows)
-        assert text.splitlines()[0] == "c,measure,value,a,b,theta,gamma"
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert len(parsed) == 2
-        assert float(parsed[0]["c"]) == 0.5
-        assert parsed[1]["measure"] == "bowley"
-        assert float(parsed[1]["value"]) == pytest.approx(rows[1]["value"])

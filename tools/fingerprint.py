@@ -18,9 +18,12 @@ between them.  The items are:
 - `dist/tails/<function>`: hazard and reversed_hazard at fixed points in
   tails the fits never reach (TAILS);
 - `mcg <argv>`: stdout, stderr, exit code and `--out` bytes of a fixed
-  list of CLI runs, among them runs that exit 2 on bad input; each `--out`
+  list of CLI runs, among them runs that exit 2 on bad input (`--seed`
+  given to `eval` and `curves`, which do not read it); each `--out`
   file is first filled with 64 KiB of stale bytes (STALE), so the line
   covers writing over a longer file;
+- `os/<case>/<function>`: `os_pdf` and `os_cdf` at the points OS_YS,
+  y = 0 among them, for the cases OS_CASES, as reprs;
 - `quad/<point>/<op>`: the value (and flags) of each quadrature-engine
   integral at the points QUAD_POINTS, as reprs, so a moved line shows its
   old and new value;
@@ -80,6 +83,8 @@ RUNS = (
     ["gof", "--model", "bg", "--data", FIVE],
     ["sample", "--params", "a"],
     ["fit", "--model", "nope", "--data", "aarset"],
+    ["eval", "--model", "mcg", "--params", AARSET_MCG, "--seed", "1"],
+    ["curves", "--params", "a=0.5,b=2,theta=0.1,gamma=0.5", "--seed", "1"],
 )
 # (params, y) cases per function: the survival underflowing on either side
 # of G^c = 1/2 (b = 2000 and b = 50), 1 - G^c normal, subnormal and 0 in
@@ -109,6 +114,17 @@ QUAD_POINTS = (
         0.0022128326672193116, 34.68829657763449, 0.008031376131796298,
         0.02055959180096699, 0.01284054871853585)),
 )
+
+# (label, parameters, order statistic) of the `os/` lines: a i = 1 on either
+# base, where os_pdf at y = 0 is finite; a i > 1 with a < 1, where f F^(i-1)
+# at y = 0 is inf * 0; and the aarset mcg optimum
+OS_CASES = (
+    ("gompertz_ai1", core.McGParams(0.5, 2.0, 1.5, 1.0, 0.5), orderstats.OrderSpec(2, 4)),
+    ("exp_ai1", core.McEParams(0.25, 3.0, 0.7, 2.0), orderstats.OrderSpec(4, 6)),
+    ("inf_times_zero", core.McGParams(0.5, 2.0, 1.5, 1.0, 0.5), orderstats.OrderSpec(3, 5)),
+    ("aarset_mcg", QUAD_POINTS[1][1], orderstats.OrderSpec(2, 5)),
+)
+OS_YS = np.array([0.0, 1e-300, 1e-3, 0.5, 2.0, 20.0])
 
 # the benchmark's parameter panel: the first three points above and the
 # aarset McE optimum
@@ -274,6 +290,9 @@ def main():
         (Path(tmp) / "five.csv").write_text(FIVE_POINTS, encoding="utf-8")
         for argv in RUNS:
             print(*_run_line(argv, tmp))
+    for label, p, spec in OS_CASES:
+        for fn in (orderstats.os_pdf, orderstats.os_cdf):
+            print(f"os/{label}/{fn.__name__}", *map(repr, fn(p, spec, OS_YS).tolist()))
     for label, p in QUAD_POINTS:
         for op, fn in _quad_ops(p):
             out = fn()
