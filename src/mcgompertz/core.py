@@ -5,9 +5,10 @@ McDonald (GB1) generator F = I(G^c; a/c, b) where I is the regularized
 incomplete beta function.  The base enters only through its cumulative
 hazard w(y), ln w'(y) and the inverse y(w): the Gompertz base has
 w = (theta/gamma)(e^{gamma y} - 1) (McGParams), and its gamma -> 0 limit,
-the exponential base, has w = theta*y (McEParams).  The limit gets its own
-parameter type instead of a tiny gamma, because (e^{gamma y} - 1)/gamma
-cancels catastrophically in doubles.  Every tail-sensitive quantity is
+the exponential base, has w = theta*y (McEParams).  The limit is the same
+base class at gamma = 0, branched where the closed form is 0/0, rather
+than a tiny gamma, at which (e^{gamma y} - 1)/gamma cancels
+catastrophically in doubles.  Every tail-sensitive quantity is
 assembled in log space: device-lifetime data push w(y) across hundreds of
 orders of magnitude, and the generator argument G^c can underflow while
 the cdf is still macroscopically far from 0.
@@ -32,7 +33,6 @@ from .specfun import (
 
 __all__ = [
     "GompertzBase",
-    "ExpBaseParams",
     "McGParams",
     "McEParams",
     "base_cdf",
@@ -80,13 +80,19 @@ def _trusted(cls, *values):
 
 @dataclass(frozen=True)
 class GompertzBase:
-    """Gompertz base law: cdf 1 - exp(-(theta/gamma)(e^{gamma y} - 1))."""
+    """Gompertz base law: cdf 1 - exp(-(theta/gamma)(e^{gamma y} - 1)).  At
+    gamma = 0, which only McEParams builds, it is the exponential base
+    1 - exp(-theta*y): w, y(w) and w's partials, 0/0 there, take its forms."""
 
     theta: float
     gamma: float
 
     def __post_init__(self):
         _check_positive(self, ("theta", "gamma"))
+
+    def _exponential(self):
+        # gamma = 0 comes as a float, never as a column of rates
+        return not isinstance(self.gamma, np.ndarray) and self.gamma == 0.0
 
     def w(self, y):
         """Cumulative hazard (theta/gamma)(e^{gamma y} - 1); +inf when it
@@ -96,6 +102,8 @@ class GompertzBase:
 
     def _w(self, y):
         """w(y) under the caller's errstate, as a likelihood pass takes it."""
+        if self._exponential():
+            return self.theta * y
         return (self.theta / self.gamma) * np.expm1(self.gamma * y)
 
     def log_dw(self, y):
@@ -104,6 +112,8 @@ class GompertzBase:
 
     def y_of_w(self, w):
         """The y with w(y) = w."""
+        if self._exponential():
+            return w / self.theta
         return np.log1p((self.gamma / self.theta) * w) / self.gamma
 
     def w_partials(self, y, w):
@@ -112,8 +122,23 @@ class GompertzBase:
         (dw, d2w, dlw, d2lw) of shapes (..., 2, n), (..., 2, 2, n), (..., 2)
         and (..., 2, 2), where the leading axes are those of (S, 1) rate
         columns (one row per start) and absent for float rates.  Overflow
-        gives inf, under the caller's errstate."""
+        gives inf, under the caller's errstate.
+
+        At gamma = 0 they are taken in theta alone: (dw, None, dlw, d2lw) of
+        shapes (..., 1, n), (..., 1) and (..., 1, 1), with None for the
+        second partials of w = theta*y, which vanish."""
         theta, gamma = self.theta, self.gamma
+        if self._exponential():
+            dw = np.broadcast_to(y, w.shape[:-1] + (1,) + w.shape[-1:])
+            # the partials 1/theta and -1/theta^2 of ln w' = ln theta per
+            # observation, in C order like every per-observation array, so
+            # a row's sum does not depend on the number of rows
+            inv = 1.0 / theta
+            lw = np.empty(w.shape[:-1] + (2,) + w.shape[-1:])
+            lw[..., 0, :] = inv
+            lw[..., 1, :] = -inv / theta
+            lw = lw.sum(axis=-1)
+            return dw, None, lw[..., :1], lw[..., 1:, None]
         gy = gamma * y
         egy = np.exp(gy)
         s = gy * egy - egy + 1.0
@@ -139,48 +164,6 @@ class GompertzBase:
 
 
 @dataclass(frozen=True)
-class ExpBaseParams:
-    """Exponential base, the gamma -> 0 limit of the Gompertz base:
-    cdf 1 - exp(-theta*y)."""
-
-    theta: float
-
-    def __post_init__(self):
-        _check_positive(self, ("theta",))
-
-    def w(self, y):
-        """Cumulative hazard theta*y."""
-        return self.theta * y
-
-    # the same under a pass's errstate: theta*y enters none of its own
-    _w = w
-
-    def log_dw(self, y):
-        """ln w'(y) = ln theta at every y."""
-        return np.log(self.theta) + np.zeros(np.shape(y))
-
-    def y_of_w(self, w):
-        """The y with w(y) = w."""
-        return w / self.theta
-
-    def w_partials(self, y, w):
-        """As GompertzBase.w_partials, in the rate theta: (dw, None, dlw,
-        d2lw) of shapes (..., 1, n), (..., 1) and (..., 1, 1), with None
-        for the second partials of w = theta*y, which vanish."""
-        dw = np.broadcast_to(y, w.shape[:-1] + (1,) + w.shape[-1:])
-        # the partials of ln w' = ln theta per observation, 1/theta and
-        # -1/theta^2, in C order like every per-observation array: a sum
-        # over the last axis then runs within each row, whatever the
-        # number of rows
-        inv = 1.0 / self.theta
-        lw = np.empty(w.shape[:-1] + (2,) + w.shape[-1:])
-        lw[..., 0, :] = inv
-        lw[..., 1, :] = -inv / self.theta
-        lw = lw.sum(axis=-1)
-        return dw, None, lw[..., :1], lw[..., 1:, None]
-
-
-@dataclass(frozen=True)
 class McGParams:
     """McDonald generator shapes (a, b, c) over a Gompertz base (theta,
     gamma).  All five parameters are strictly positive and finite."""
@@ -202,7 +185,8 @@ class McGParams:
 @dataclass(frozen=True)
 class McEParams:
     """Exponential-base analogue of McGParams: shapes a, b, c over rate
-    theta.  All four parameters are strictly positive and finite."""
+    theta, whose base is GompertzBase at gamma = 0.  All four parameters
+    are strictly positive and finite."""
 
     a: float
     b: float
@@ -213,8 +197,8 @@ class McEParams:
         _check_positive(self, ("a", "b", "c", "theta"))
 
     @property
-    def base(self) -> ExpBaseParams:
-        return _trusted(ExpBaseParams, self.theta)
+    def base(self) -> GompertzBase:
+        return _trusted(GompertzBase, self.theta, 0.0)
 
 
 def _checked_y(y):

@@ -3,16 +3,18 @@
 The five-parameter family contains every model here through two mechanisms:
 fixing or tying shape parameters (c=1 gives the beta generator, a=c the
 Kumaraswamy generator, a=b=c=1 the bare base) and sending gamma -> 0, which
-turns the Gompertz base into the exponential base 1 - exp(-theta*y).  The
-gamma -> 0 models are carried by McEParams, whose base is ExpBaseParams;
-the distribution functions of `core` take McGParams and McEParams alike.
-The `exp_limit_*` and `exp_base_*` names are aliases of those functions.
+turns the Gompertz base into the exponential base 1 - exp(-theta*y).  A
+model's constraints say all of it: the gamma -> 0 models, those with the
+constraint ("gamma", 0.0), are carried by McEParams, whose base is
+GompertzBase at gamma = 0, and the distribution functions of `core` take
+McGParams and McEParams alike.  The `exp_limit_*` and `exp_base_*` names
+are aliases of those functions.
 """
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .core import (
-    ExpBaseParams,
     GompertzBase,
     McEParams,
     McGParams,
@@ -30,35 +32,43 @@ from .specfun import inc_beta_reg
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named sub-model: which parameters are constrained and which are free."""
+    """A named sub-model, given by its constraints: ("p", value) fixes the
+    parameter p, ("p", "q") ties it to q.  Everything else is derived from
+    them: the parameter class, McEParams exactly when gamma is fixed at 0,
+    and the free parameters, the unconstrained fields of that class in
+    field order."""
 
     name: str
-    base: str  # "gompertz" or "exponential"
     constraints: tuple
-    free_params: tuple
+
+    @cached_property
+    def params_type(self):
+        """The parameter class of the base: McEParams or McGParams."""
+        return McEParams if ("gamma", 0.0) in self.constraints else McGParams
+
+    @cached_property
+    def free_params(self):
+        """The names of the free parameters, in field order."""
+        fixed = {pname for pname, _ in self.constraints}
+        return tuple(f.name for f in fields(self.params_type) if f.name not in fixed)
 
     @property
     def free_count(self):
         return len(self.free_params)
 
-    @property
-    def params_type(self):
-        """The parameter class of the base: McEParams or McGParams."""
-        return McEParams if self.base == "exponential" else McGParams
-
 
 MODELS = {
-    "mcg": ModelSpec("McG", "gompertz", (), ("a", "b", "c", "theta", "gamma")),
-    "bg": ModelSpec("BG", "gompertz", (("c", 1.0),), ("a", "b", "theta", "gamma")),
-    "kumg": ModelSpec("KumG", "gompertz", (("a", "c"),), ("b", "c", "theta", "gamma")),
-    "mce": ModelSpec("McE", "exponential", (("gamma", 0.0),), ("a", "b", "c", "theta")),
-    "bge": ModelSpec("BGE", "exponential", (("gamma", 0.0),), ("a", "b", "c", "theta")),
-    "gg": ModelSpec("GG", "gompertz", (("b", 1.0), ("c", 1.0)), ("a", "theta", "gamma")),
-    "ge": ModelSpec("GE", "exponential", (("b", 1.0), ("c", 1.0), ("gamma", 0.0)), ("a", "theta")),
-    "be": ModelSpec("BE", "exponential", (("c", 1.0), ("gamma", 0.0)), ("a", "b", "theta")),
-    "kume": ModelSpec("KumE", "exponential", (("a", "c"), ("gamma", 0.0)), ("b", "c", "theta")),
-    "g": ModelSpec("G", "gompertz", (("a", 1.0), ("b", 1.0), ("c", 1.0)), ("theta", "gamma")),
-    "e": ModelSpec("E", "exponential", (("a", 1.0), ("b", 1.0), ("c", 1.0), ("gamma", 0.0)), ("theta",)),
+    "mcg": ModelSpec("McG", ()),
+    "bg": ModelSpec("BG", (("c", 1.0),)),
+    "kumg": ModelSpec("KumG", (("a", "c"),)),
+    "mce": ModelSpec("McE", (("gamma", 0.0),)),
+    "bge": ModelSpec("BGE", (("gamma", 0.0),)),
+    "gg": ModelSpec("GG", (("b", 1.0), ("c", 1.0))),
+    "ge": ModelSpec("GE", (("b", 1.0), ("c", 1.0), ("gamma", 0.0))),
+    "be": ModelSpec("BE", (("c", 1.0), ("gamma", 0.0))),
+    "kume": ModelSpec("KumE", (("a", "c"), ("gamma", 0.0))),
+    "g": ModelSpec("G", (("a", 1.0), ("b", 1.0), ("c", 1.0))),
+    "e": ModelSpec("E", (("a", 1.0), ("b", 1.0), ("c", 1.0), ("gamma", 0.0))),
 }
 
 

@@ -34,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ._optimize import STOPS, minimize
-from .core import _log_pdf_terms, _trusted, log_pdf
+from .core import McGParams, _log_pdf_terms, _trusted, log_pdf
 from .family import ModelSpec, _full_values, make_submodel, model_spec
 from .specfun import _psi_sum_differences
 
@@ -408,7 +408,7 @@ def _gompertz_seed(y):
 
 def _seed_values(spec, y):
     seed = {name: 1.0 for name in spec.free_params}
-    if spec.base == "gompertz":
+    if spec.params_type is McGParams:
         theta, gamma = _gompertz_seed(y)
         seed["theta"] = theta
         if "gamma" in seed:

@@ -6,7 +6,6 @@ import scipy.special as sps
 
 from mcgompertz.core import GompertzBase, McGParams, base_cdf, base_pdf, cdf, log_pdf, pdf
 from mcgompertz.family import (
-    ExpBaseParams,
     McEParams,
     MODELS,
     exp_base_cdf,
@@ -40,6 +39,25 @@ class TestModelRegistry:
         for name, spec in MODELS.items():
             kinds = [f in ("a", "b", "c") for f in spec.free_params]
             assert kinds == sorted(kinds, reverse=True), name
+
+    def test_params_type_and_free_params_pinned(self):
+        # both are derived from the constraints; every fit, trace and CLI
+        # column reads them, so they are frozen here model by model
+        expected = {
+            "mcg": ("McGParams", ("a", "b", "c", "theta", "gamma")),
+            "bg": ("McGParams", ("a", "b", "theta", "gamma")),
+            "kumg": ("McGParams", ("b", "c", "theta", "gamma")),
+            "mce": ("McEParams", ("a", "b", "c", "theta")),
+            "bge": ("McEParams", ("a", "b", "c", "theta")),
+            "gg": ("McGParams", ("a", "theta", "gamma")),
+            "ge": ("McEParams", ("a", "theta")),
+            "be": ("McEParams", ("a", "b", "theta")),
+            "kume": ("McEParams", ("b", "c", "theta")),
+            "g": ("McGParams", ("theta", "gamma")),
+            "e": ("McEParams", ("theta",)),
+        }
+        got = {k: (s.params_type.__name__, s.free_params) for k, s in MODELS.items()}
+        assert got == expected
 
     def test_lookup_case_insensitive(self):
         assert model_spec("McG") is MODELS["mcg"]
@@ -143,7 +161,8 @@ class TestLatticeCoherence:
         np.testing.assert_allclose(
             exp_limit_pdf(e, YGRID), 0.4 * np.exp(-0.4 * YGRID), rtol=1e-12
         )
-        assert mce.base == ExpBaseParams(0.4)
+        assert mce.base == McEParams(1.0, 1.0, 1.0, 0.4).base
+        assert type(mce.base) is GompertzBase and mce.base.gamma == 0.0
 
 
 class TestExpLimit:
@@ -165,9 +184,27 @@ class TestExpLimit:
             assert rel < 1e-5, (a, b, c, th, rel)
 
     def test_base_functions(self):
-        base = ExpBaseParams(2.0)
+        base = McEParams(1.0, 1.0, 1.0, 2.0).base
         np.testing.assert_allclose(exp_base_cdf(base, 0.5), -math.expm1(-1.0), rtol=1e-15)
         np.testing.assert_allclose(exp_base_pdf(base, 0.5), 2.0 * math.exp(-1.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("theta", [2.0, 0.37, 1e-3, 13.1])
+    def test_gamma_zero_base_is_exponential_bit_for_bit(self, theta):
+        # GompertzBase at gamma = 0 takes the exponential forms, not the
+        # Gompertz closed forms, which are 0/0 there
+        base = McEParams(1.0, 1.0, 1.0, theta).base
+        y = np.linspace(0.0, 40.0, 401)
+        np.testing.assert_array_equal(base_cdf(base, y), -np.expm1(-theta * y))
+        # g = exp(ln w' - w), which is theta e^{-theta y} to within rounding
+        np.testing.assert_array_equal(base_pdf(base, y), np.exp(math.log(theta) - theta * y))
+        np.testing.assert_allclose(base_pdf(base, y), theta * np.exp(-theta * y), rtol=1e-13)
+        np.testing.assert_array_equal(base.y_of_w(theta * y), theta * y / theta)
+        np.testing.assert_array_equal(base.log_dw(y), np.full(y.shape, math.log(theta)))
+        dw, d2w, dlw, d2lw = base.w_partials(y, base.w(y))
+        np.testing.assert_array_equal(dw, y[None, :])
+        assert d2w is None
+        np.testing.assert_array_equal(dlw, [np.full(y.size, 1.0 / theta).sum()])
+        np.testing.assert_array_equal(d2lw, [[np.full(y.size, -(1.0 / theta) / theta).sum()]])
 
     def test_benchmark_loglik_at_published_exponential_fit(self, aarset):
         p = McEParams(0.8643, 0.0706, 2.7127, 0.2826)
@@ -252,5 +289,3 @@ class TestParamValidation:
             McEParams(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             McEParams(1.0, 1.0, 1.0, -2.0)
-        with pytest.raises(ValueError):
-            ExpBaseParams(math.inf)
