@@ -381,7 +381,7 @@ def cmd_sample(ns):
     if ns.n < 1:
         raise InputError("--n must be a positive integer")
     spec = model_spec(ns.model)
-    values = np.asarray(core.sample(make_submodel(ns.model, mapping), ns.n, ns.seed))
+    values = np.asarray(core.sample(make_submodel(spec, mapping), ns.n, ns.seed))
     body = {
         "model": spec.name,
         "n": ns.n,
@@ -406,7 +406,7 @@ def _grid(ns):
 def cmd_eval(ns):
     mapping = _parse_params(ns.params)
     spec = model_spec(ns.model)
-    params = make_submodel(ns.model, mapping)
+    params = make_submodel(spec, mapping)
     ys = _grid(ns)
     pdf, cdf, hazard = core._pdf_cdf_hazard(params, ys)
     body = {"model": spec.name, "grid": ys, "pdf": pdf, "cdf": cdf, "hazard": hazard}

@@ -7,8 +7,9 @@ turns the Gompertz base into the exponential base 1 - exp(-theta*y).  A
 model's constraints say all of it: the gamma -> 0 models, those with the
 constraint ("gamma", 0.0), are carried by McEParams, whose base is
 GompertzBase at gamma = 0, and the distribution functions of `core` take
-McGParams and McEParams alike.  The `exp_limit_*` and `exp_base_*` names
-are aliases of those functions.
+McGParams and McEParams alike.  `model_spec` and `make_submodel` take a
+registry name or a ModelSpec, in MODELS or not.  The `exp_limit_*` and
+`exp_base_*` names are aliases of those functions.
 """
 
 from dataclasses import dataclass, fields
@@ -72,23 +73,27 @@ MODELS = {
 }
 
 
-def model_spec(name):
-    """Look up a ModelSpec by (case-insensitive) name."""
-    key = str(name).lower()
+def model_spec(model):
+    """The ModelSpec of `model`: a ModelSpec as it is, in the registry or
+    not, or a name looked up (case-insensitively) in MODELS."""
+    if isinstance(model, ModelSpec):
+        return model
+    key = str(model).lower()
     if key not in MODELS:
         known = ", ".join(sorted(MODELS))
-        raise ValueError(f"unknown model {name!r}; known models: {known}")
+        raise ValueError(f"unknown model {model!r}; known models: {known}")
     return MODELS[key]
 
 
-def make_submodel(name, values):
-    """Embed a named sub-model into the full parameter space.
+def make_submodel(model, values):
+    """Embed a sub-model, a name or a ModelSpec (see `model_spec`), into the
+    full parameter space.
 
     `values` must supply exactly the free parameters of the model.  Returns
     McGParams for Gompertz-base models and McEParams for exponential-base
     models.
     """
-    spec = model_spec(name)
+    spec = model_spec(model)
     given = set(values)
     expected = set(spec.free_params)
     if given != expected:
@@ -129,10 +134,12 @@ def order_stat_identity_check(i, n, base, y):
 
     Returns the pair (model cdf at (a=i, b=n-i+1, c=1), exact order-statistic
     cdf I(G(y); i, n-i+1)).  The two are equal by construction: the c=1 model
-    with integer shapes is exactly the order-statistic law of the base.
+    with integer shapes is exactly the order-statistic law of the base, which
+    may be the exponential one (its model is then McEParams).
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    params = McGParams(float(i), float(n - i + 1), 1.0, base.theta, base.gamma)
+    head = (float(i), float(n - i + 1), 1.0, base.theta)
+    params = McEParams(*head) if base._exponential() else McGParams(*head, base.gamma)
     rhs = inc_beta_reg(base_cdf(base, y), float(i), float(n - i + 1))
     return cdf(params, y), rhs

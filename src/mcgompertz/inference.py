@@ -181,21 +181,16 @@ class FitResult:
 
     @property
     def params(self):
-        """Materialize the estimates as full McGParams/McEParams."""
-        return make_submodel(self.model.name, self.estimates)
-
-
-def _spec(model):
-    if isinstance(model, ModelSpec):
-        return model
-    return model_spec(model)
+        """Materialize the estimates as full McGParams/McEParams of
+        `model`, a registry row or not."""
+        return make_submodel(self.model, self.estimates)
 
 
 def _check_params(model, params):
     """The model's ModelSpec, once `params` is checked to be a parameter
     object that satisfies the sub-model constraints: each field equal to
     the one its free values give."""
-    spec = _spec(model)
+    spec = model_spec(model)
     if not isinstance(params, spec.params_type):
         raise TypeError(f"{spec.name} expects {spec.params_type.__name__}")
     expected = _full_values(spec, {f: getattr(params, f) for f in spec.free_params})
@@ -518,7 +513,7 @@ def fit_mle(model, data, config=None):
     raw minimum is returned with `converged=False`.  `trace` holds one
     StartRecord per start.
     """
-    spec = _spec(model)
+    spec = model_spec(model)
     cfg = config if config is not None else OptimizerConfig()
     y = data.array
     free = spec.free_params
@@ -541,7 +536,7 @@ def fit_mle(model, data, config=None):
     # the one check of the parameters; a start past exp overflow fails it
     with np.errstate(over="ignore"):
         p = np.exp(distinct)
-    make_submodel(spec.name, {f: p[:, j:j + 1] for j, f in enumerate(free)})
+    make_submodel(spec, {f: p[:, j:j + 1] for j, f in enumerate(free)})
     J = _embedding(spec)
     J = None if np.array_equal(J, np.eye(k)) else J
     # a start whose trial step takes a shape past the wall is on a ridge:

@@ -136,12 +136,8 @@ def _panel_quad(p, integrand):
     edges = lo[:, None] * (1.0 - frac) + hi[:, None] * frac
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     panel = np.arange(n_panels).repeat(_FIRST_SPLIT)
-    # the panels of each round's bisections; a panel has _FIRST_SPLIT + its
-    # bisections subintervals, and their total n_splits bounds every
-    # panel's, so they are counted per panel only once that bound could pass
-    # the cap
-    splits = []
-    n_splits = 0
+    # each panel's subintervals: _FIRST_SPLIT, plus one per bisection
+    count = np.full(n_panels, _FIRST_SPLIT)
     total = err_done = mag_done = 0.0
     exhausted = False
     while lo.size:
@@ -173,15 +169,14 @@ def _panel_quad(p, integrand):
         if stacked:
             refine = refine.any(0)
         split = panel[refine]
-        if _FIRST_SPLIT + n_splits + split.size > _MAX_SUBDIVISIONS:
-            grown = _FIRST_SPLIT + np.bincount(np.concatenate(splits + [split]), minlength=n_panels)
-            full = grown > _MAX_SUBDIVISIONS
-            if full.any():
-                exhausted = True
-                refine &= ~full[panel]
-                split = panel[refine]
-        splits.append(split)
-        n_splits += split.size
+        # a panel that this round's bisections take past the cap accepts its
+        # subintervals as they stand, so it is done and its count unread
+        count += np.bincount(split, minlength=n_panels)
+        full = count > _MAX_SUBDIVISIONS
+        if np.count_nonzero(full):
+            exhausted = True
+            refine &= ~full[panel]
+            split = panel[refine]
         keep = ~refine
         total += est.compress(keep, -1).sum(-1, keepdims=stacked)
         err_done += err.compress(keep, -1).sum(-1, keepdims=stacked)

@@ -278,6 +278,22 @@ class TestOrderStatIdentity:
         np.testing.assert_allclose(rhs, oracle, atol=1e-12)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("i,n", [(1, 1), (1, 3), (2, 5)])
+    def test_exponential_base_binomial_oracle(self, i, n):
+        # the base of McEParams is GompertzBase at gamma = 0; its c = 1
+        # model is an McEParams
+        base = McEParams(1.0, 1.0, 1.0, 0.5).base
+        ys = np.linspace(0.05, 8.0, 30)
+        lhs, rhs = order_stat_identity_check(i, n, base, ys)
+        G = base_cdf(base, ys)
+        np.testing.assert_allclose(G, -np.expm1(-0.5 * ys), rtol=1e-15)
+        oracle = sum(
+            math.comb(n, k) * G**k * (1.0 - G) ** (n - k) for k in range(i, n + 1)
+        )
+        np.testing.assert_allclose(lhs, oracle, atol=1e-12)
+        np.testing.assert_allclose(rhs, oracle, atol=1e-12)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             order_stat_identity_check(4, 3, GompertzBase(1.0, 1.0), 1.0)

@@ -1,5 +1,6 @@
 """Tests for maximum-likelihood machinery: likelihood, score, information, fitting."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 
 from mcgompertz import _optimize, inference
 from mcgompertz.core import McGParams, log_pdf, sample
-from mcgompertz.family import McEParams, exp_limit_log_pdf, make_submodel, model_spec
+from mcgompertz.family import McEParams, ModelSpec, exp_limit_log_pdf, make_submodel, model_spec
 from mcgompertz.inference import (
     Dataset,
     FitResult,
@@ -21,6 +22,7 @@ from mcgompertz.inference import (
     observed_info,
     score,
 )
+from mcgompertz.selection import gof_report
 
 # Published five-parameter point estimates for the two benchmark datasets.
 AARSET_MCG_POINT = McGParams(a=0.2619, b=0.0752, c=3.7652, theta=0.0012, gamma=0.0875)
@@ -428,6 +430,24 @@ class TestFitMle:
         p = aarset_mcg_fit.params
         assert isinstance(p, McGParams)
         assert p.a == aarset_mcg_fit.estimates["a"]
+
+    def test_spec_outside_the_registry(self, aarset_data, glass_data, aarset_mcg_fit):
+        # BG's constraints under another name: fits, params, gof and the
+        # embedding use the spec given and never look "BG1" up
+        spec = ModelSpec("BG1", (("c", 1.0),))
+        for data, full in ((aarset_data, aarset_mcg_fit), (glass_data, None)):
+            got, want = fit_mle(spec, data), fit_mle("bg", data)
+            assert got.model is spec
+            assert got.estimates == want.estimates
+            assert got.neg_loglik == want.neg_loglik
+            assert got.std_errors == want.std_errors
+            assert got.trace == want.trace
+            assert got.params == want.params
+            report = gof_report(got, data, full_fit=full)
+            assert report.lrt_df == (1 if full else None)
+            assert report == dataclasses.replace(gof_report(want, data, full_fit=full), model=spec)
+        values = {"a": 0.5, "b": 2.0, "theta": 0.1, "gamma": 0.3}
+        assert make_submodel(spec, values) == McGParams(0.5, 2.0, 1.0, 0.1, 0.3)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError):

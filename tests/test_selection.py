@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcgompertz.core import McGParams, cdf as mcg_cdf
-from mcgompertz.family import model_spec
+from mcgompertz.family import ModelSpec, model_spec
 from mcgompertz.inference import Dataset, FitResult, fit_mle
 from mcgompertz.selection import (
     GofReport,
@@ -27,9 +27,10 @@ def _dataset(arr, label=""):
     return Dataset(values=tuple(float(v) for v in arr), label=label)
 
 
-def _table_fit(name, neg_loglik):
-    """A FitResult shell carrying a published table value, for LRT math."""
-    spec = model_spec(name)
+def _table_fit(model, neg_loglik):
+    """A FitResult shell carrying a published table value, for LRT math.
+    `model` is a registry name or a ModelSpec."""
+    spec = model_spec(model)
     k = spec.free_count
     return FitResult(
         model=spec,
@@ -147,6 +148,15 @@ class TestLrt:
             lrt(_table_fit("bg", 10.0), _table_fit("mcg", 11.0))
         with pytest.raises(ValueError):
             lrt(_table_fit("mcg", 10.0), _table_fit("mcg", 10.0))
+
+    def test_rejects_nested_spec_that_is_no_smaller(self):
+        # ("a", 1.0) beside KumG's tie makes a strict superset of its
+        # constraints that fixes no further free parameter
+        kumg = ModelSpec("KumG", (("a", "c"),))
+        pinned = ModelSpec("KumG1", (("a", "c"), ("a", 1.0)))
+        assert pinned.free_count == kumg.free_count
+        with pytest.raises(ValueError, match="must have fewer free parameters"):
+            lrt(_table_fit(kumg, 10.0), _table_fit(pinned, 11.0))
 
     def test_negative_statistic_passes_through(self):
         stat, df, p = lrt(_table_fit("mcg", 12.0), _table_fit("bg", 11.0))

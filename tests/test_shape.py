@@ -193,6 +193,31 @@ class TestPanelEngine:
         assert got.tolist() == [0.0, value]
         assert str(stacked[0].message) == f"{single[0].message} in row 1"
 
+    # (value, estimated error) of moment_numeric(GOMPERTZ, 1) with the
+    # tolerances below, by cap: each cap is reached after a panel's first
+    # bisections, so these pin the rounds and panels where one is refused
+    _CAPPED = {
+        6: ("0.5963473623231941", "3.32e-17"),
+        9: ("0.5963473623231942", "4.1e-17"),
+        20: ("0.5963473623231942", "4.31e-17"),
+    }
+
+    @pytest.mark.parametrize("cap", sorted(_CAPPED))
+    def test_cap_reached_after_bisections(self, cap, monkeypatch):
+        monkeypatch.setattr(shape, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(shape, "_REL_TOL", 1e-17)
+        monkeypatch.setattr(shape, "_MAX_SUBDIVISIONS", cap)
+        value, err = self._CAPPED[cap]
+        text = f"a panel would exceed max_subdivisions={cap}; estimated error {err}"
+        with pytest.warns(integrate.IntegrationWarning) as single:
+            got = moment_numeric(GOMPERTZ, 1)
+        assert [repr(got), str(single[0].message)] == [value, text]
+        with pytest.warns(integrate.IntegrationWarning) as stacked:
+            rows = shape._panel_quad(GOMPERTZ, lambda u, y, lp: np.stack(
+                [np.zeros_like(u), shape._exp_or_zero(2.0 * u + lp)]))
+        assert [repr(v) for v in rows.tolist()] == ["0.0", value]
+        assert str(stacked[0].message) == f"{text} in row 1"
+
     @staticmethod
     def _stack(p):
         """shannon_closed's rows (E[Y], M(gamma), Shannon) with scalar

@@ -50,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mcgompertz import cli, core, expansions, inference, orderstats, shape, specfun  # noqa: E402
-from mcgompertz.family import MODELS  # noqa: E402
+from mcgompertz.family import MODELS, model_spec  # noqa: E402
 from mcgompertz.inference import OptimizerConfig, fit_mle  # noqa: E402
 
 DATASETS = ("aarset", "glass")
@@ -182,7 +182,7 @@ def _pass_lines():
     """The `pass/` lines, one per model over both data sets."""
     data = [cli._read_dataset(label).array for label in DATASETS]
     for name in MODELS:
-        spec = inference._spec(name)
+        spec = model_spec(name)
         J = inference._embedding(spec)
         J = None if np.array_equal(J, np.eye(spec.free_count)) else J
         rng = np.random.default_rng(34)
