@@ -303,7 +303,7 @@ def cmd_gof(ns):
     fit = fit_mle(spec, data, opt)
     full_spec = model_spec("mcg")
     full_fit = lrt_note = None
-    if spec.constraints:
+    if spec.free_count < full_spec.free_count:
         k = full_spec.free_count
         if data.n > k:
             full_fit = fit_mle(full_spec, data, opt)

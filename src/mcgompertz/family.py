@@ -4,12 +4,14 @@ The five-parameter family contains every model here through two mechanisms:
 fixing or tying shape parameters (c=1 gives the beta generator, a=c the
 Kumaraswamy generator, a=b=c=1 the bare base) and sending gamma -> 0, which
 turns the Gompertz base into the exponential base 1 - exp(-theta*y).  A
-model's constraints say all of it: the gamma -> 0 models, those with the
-constraint ("gamma", 0.0), are carried by McEParams, whose base is
-GompertzBase at gamma = 0, and the distribution functions of `core` take
-McGParams and McEParams alike.  `model_spec` and `make_submodel` take a
-registry name or a ModelSpec, in MODELS or not.  The `exp_limit_*` and
-`exp_base_*` names are aliases of those functions.
+model's constraints say all of it, and `ModelSpec.sources` alone reads them,
+once, into each field's free parameter or constant: the parameter class
+(McEParams, whose base is GompertzBase at gamma = 0, exactly when gamma is
+the constant 0), the free parameters, the embedding of a sub-model and the
+nesting of one model in another all follow from it.  The distribution
+functions of `core` take McGParams and McEParams alike.  `model_spec` and
+`make_submodel` take a registry name or a ModelSpec, in MODELS or not.  The
+`exp_limit_*` and `exp_base_*` names are aliases of those functions.
 """
 
 from dataclasses import dataclass, fields
@@ -31,31 +33,56 @@ from .core import (
 from .specfun import inc_beta_reg
 
 
+_FIELDS = tuple(f.name for f in fields(McGParams))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A named sub-model, given by its constraints: ("p", value) fixes the
-    parameter p, ("p", "q") ties it to q.  Everything else is derived from
-    them: the parameter class, McEParams exactly when gamma is fixed at 0,
-    and the free parameters, the unconstrained fields of that class in
-    field order."""
+    parameter p, ("p", "q") ties it to q.  They are read into `sources`,
+    and checked, when the spec is built; all else is derived from that."""
 
     name: str
     constraints: tuple
 
+    def __post_init__(self):
+        self.sources  # a malformed spec raises here, not at its first fit
+
+    @cached_property
+    def sources(self):
+        """Per McGParams field, the free field it takes (by name) or its
+        constant, ties followed to their end; raises ValueError for a
+        non-field, a field constrained twice or a tie to no free field."""
+        given = dict(self.constraints)
+        if not given.keys() <= set(_FIELDS) or len(given) < len(self.constraints):
+            raise ValueError(f"{self.name}: constraints must name distinct fields of {_FIELDS}")
+        sources = _FIELDS
+        for _ in _FIELDS:
+            sources = tuple(given.get(s, s) if isinstance(s, str) else s for s in sources)
+        for f, s in zip(_FIELDS, sources):
+            if isinstance(s, str) and (s in given or s not in _FIELDS):
+                raise ValueError(f"{self.name}: the tie of {f} ends at no free parameter")
+        return sources
+
     @cached_property
     def params_type(self):
         """The parameter class of the base: McEParams or McGParams."""
-        return McEParams if ("gamma", 0.0) in self.constraints else McGParams
+        return McEParams if self.sources[-1] == 0.0 else McGParams
 
     @cached_property
     def free_params(self):
         """The names of the free parameters, in field order."""
-        fixed = {pname for pname, _ in self.constraints}
-        return tuple(f.name for f in fields(self.params_type) if f.name not in fixed)
+        return tuple(f for f, s in zip(_FIELDS, self.sources) if s == f)
 
     @property
     def free_count(self):
         return len(self.free_params)
+
+    def nests(self, other):
+        """Whether `other` gives each field this model fixes or ties the same
+        value; a free gamma takes 0 among its values, so McG nests McE."""
+        theirs = dict(zip(_FIELDS, other.sources))
+        return all(theirs[f] == theirs.get(s, s) for f, s in zip(_FIELDS, self.sources) if s != f)
 
 
 MODELS = {
@@ -111,10 +138,8 @@ def make_submodel(model, values):
 def _full_values(spec, values):
     """The fields of spec's parameter type, in order, from its free values:
     a tied parameter takes its partner's value, a fixed one its constant."""
-    full = dict(values)
-    for pname, fixed in spec.constraints:
-        full[pname] = full[fixed] if isinstance(fixed, str) else fixed
-    return [full[f.name] for f in fields(spec.params_type)]
+    n_fields = len(fields(spec.params_type))
+    return [values[s] if isinstance(s, str) else s for s in spec.sources[:n_fields]]
 
 
 # The exponential-base models are evaluated by the base-generic functions

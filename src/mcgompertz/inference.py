@@ -194,13 +194,12 @@ def _check_params(model, params):
     if not isinstance(params, spec.params_type):
         raise TypeError(f"{spec.name} expects {spec.params_type.__name__}")
     expected = _full_values(spec, {f: getattr(params, f) for f in spec.free_params})
-    for f, want in zip(fields(params), expected):
+    for f, want, source in zip(fields(params), expected, spec.sources):
         actual = getattr(params, f.name)
         # a free field is its own expected value
         if actual is not want and actual != want:
-            fixed = dict(spec.constraints)[f.name]
             raise ValueError(
-                f"params violate the {spec.name} constraint {f.name} = {fixed}: "
+                f"params violate the {spec.name} constraint {f.name} = {source}: "
                 f"got {actual}"
             )
     return spec
@@ -325,14 +324,12 @@ def _embedding(spec):
     """The constant 0/1 matrix J mapping free-parameter differentials to
     full ones, so the free score is J^T U and the free Hessian J^T H J.
 
-    Its rows are the full values of the unit free points: a free or tied
-    coordinate takes its free parameter's unit vector, so an equality tie
-    such as a = c puts two ones in that parameter's column, and a fixed
-    one is constant, a zero row.
+    Row i has a one in the column of the free parameter that field i
+    takes, so an equality tie such as a = c puts two ones in that
+    parameter's column, and a fixed field is a zero row.
     """
-    k = spec.free_count
-    rows = _full_values(spec, dict(zip(spec.free_params, np.eye(k))))
-    return np.array([r if isinstance(r, np.ndarray) else np.zeros(k) for r in rows])
+    sources = spec.sources[:len(fields(spec.params_type))]
+    return np.array([[s == f for f in spec.free_params] for s in sources], float)
 
 
 def log_likelihood(model, params, data):

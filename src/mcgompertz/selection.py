@@ -90,18 +90,16 @@ def ks_test(data, cdf_fn):
 def lrt(full, nested):
     """Likelihood ratio test of a nested fit against an encompassing fit.
 
-    Both arguments are FitResults on the same dataset; the nested model's
-    constraint set must strictly contain the full model's. Returns
-    (statistic, df, p-value). A materially negative statistic is returned
-    as-is so the caller can see the optimizer failure it implies; its
-    p-value is computed from the statistic floored at zero.
+    Both arguments are FitResults on the same dataset; the full model must
+    nest the other (`ModelSpec.nests`: KumG nests G, for one, since G is
+    KumG at a = c = 1, b = 1) and have more free parameters; df is the
+    difference. Returns (statistic, df, p-value). A materially negative
+    statistic is returned as-is so the caller can see the optimizer
+    failure it implies; its p-value is computed from the statistic
+    floored at zero.
     """
-    full_cons = set(full.model.constraints)
-    nested_cons = set(nested.model.constraints)
-    if not full_cons < nested_cons:
-        raise ValueError(
-            f"{nested.model.name} is not nested inside {full.model.name}"
-        )
+    if not full.model.nests(nested.model):
+        raise ValueError(f"{nested.model.name} is not nested inside {full.model.name}")
     df = full.model.free_count - nested.model.free_count
     if df <= 0:
         raise ValueError("nested model must have fewer free parameters")

@@ -592,6 +592,14 @@ class TestCompare:
         assert lines[1].startswith("GG,")
         assert lines[2].startswith("G,")
 
+    def test_tied_model_nests_its_constant_points(self, tmp_path):
+        # G and E are KumG at a = c = 1, b = 1 (and gamma -> 0 for E)
+        code, text = _run(
+            tmp_path, "compare", "--model", "kumg,g,e", "--data", "aarset", name="cmp.json"
+        )
+        assert code == EXIT_OK
+        assert [row["lrt_df"] for row in json.loads(text)["ladder"]] == [2, 3]
+
 
 class TestSample:
     def test_draws_match_exact_cdf(self, tmp_path):

@@ -8,6 +8,7 @@ from mcgompertz.core import GompertzBase, McGParams, base_cdf, base_pdf, cdf, lo
 from mcgompertz.family import (
     McEParams,
     MODELS,
+    ModelSpec,
     exp_base_cdf,
     exp_base_pdf,
     exp_limit_cdf,
@@ -71,6 +72,46 @@ class TestModelRegistry:
         lhs = make_submodel("bge", {"a": 0.5, "b": 2.0, "c": 1.5, "theta": 0.7})
         rhs = make_submodel("mce", {"a": 0.5, "b": 2.0, "c": 1.5, "theta": 0.7})
         assert lhs == rhs
+
+
+class TestModelSpecSources:
+    def test_registry_sources_pinned(self):
+        # the one reading of the constraints; the parameter class, the free
+        # parameters, the embedding and the nesting test all come from it
+        expected = {
+            "mcg": ("a", "b", "c", "theta", "gamma"),
+            "bg": ("a", "b", 1.0, "theta", "gamma"),
+            "kumg": ("c", "b", "c", "theta", "gamma"),
+            "mce": ("a", "b", "c", "theta", 0.0),
+            "bge": ("a", "b", "c", "theta", 0.0),
+            "gg": ("a", 1.0, 1.0, "theta", "gamma"),
+            "ge": ("a", 1.0, 1.0, "theta", 0.0),
+            "be": ("a", "b", 1.0, "theta", 0.0),
+            "kume": ("c", "b", "c", "theta", 0.0),
+            "g": (1.0, 1.0, 1.0, "theta", "gamma"),
+            "e": (1.0, 1.0, 1.0, "theta", 0.0),
+        }
+        assert {k: s.sources for k, s in MODELS.items()} == expected
+
+    def test_unknown_field_raises_at_construction(self):
+        # a typo must not leave the full model to be fitted
+        with pytest.raises(ValueError, match="distinct fields"):
+            ModelSpec("X", (("d", 1.0),))
+
+    def test_tie_to_a_later_constant(self):
+        values = dict(a=1, theta=2, gamma=0.5)
+        late = make_submodel(ModelSpec("Z", (("c", "b"), ("b", 1.0))), values)
+        early = make_submodel(ModelSpec("Z", (("b", 1.0), ("c", "b"))), values)
+        assert late == early == McGParams(1, 1.0, 1.0, 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [(("a", "c"), ("c", "a")), (("a", "c"), ("a", 1.0)), (("a", "d"),)],
+        ids=["cycle", "constrained-twice", "tie-to-non-field"],
+    )
+    def test_malformed_spec_raises_at_construction(self, constraints):
+        with pytest.raises(ValueError):
+            ModelSpec("X", constraints)
 
 
 class TestMakeSubmodel:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcgompertz.core import McGParams, cdf as mcg_cdf
-from mcgompertz.family import ModelSpec, model_spec
+from mcgompertz.family import MODELS, ModelSpec, model_spec
 from mcgompertz.inference import Dataset, FitResult, fit_mle
 from mcgompertz.selection import (
     GofReport,
@@ -116,6 +116,46 @@ class TestKsTest:
         assert stat == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+# (full, nested) for every registry pair where the first model strictly
+# nests the second, read off the README constraint table: the nested model
+# satisfies every constraint of the full one and has fewer free parameters
+STRICT_NESTING = {
+    *(("mcg", m) for m in ("bg", "kumg", "mce", "bge", "gg", "kume", "be", "ge", "g", "e")),
+    *(("bg", m) for m in ("gg", "be", "ge", "g", "e")),
+    *(("kumg", m) for m in ("kume", "g", "e")),
+    *(("mce", m) for m in ("kume", "be", "ge", "e")),
+    *(("bge", m) for m in ("kume", "be", "ge", "e")),
+    *(("gg", m) for m in ("ge", "g", "e")),
+    ("kume", "e"), ("be", "ge"), ("be", "e"), ("ge", "e"), ("g", "e"),
+}
+
+
+class TestNesting:
+    def test_registry_table(self):
+        got = {
+            (f, n)
+            for f, full in MODELS.items()
+            for n, nested in MODELS.items()
+            if full.nests(nested) and nested.free_count < full.free_count
+        }
+        assert len(STRICT_NESTING) == 34
+        assert got == STRICT_NESTING
+
+    @pytest.mark.parametrize(
+        "full, nested, df", [("kumg", "g", 2), ("kumg", "e", 3), ("kume", "e", 2)]
+    )
+    def test_ties_nest_their_constant_points(self, full, nested, df):
+        # G is KumG at a = c = 1, b = 1: the tie holds at the constants
+        assert lrt(_table_fit(full, 10.0), _table_fit(nested, 11.0))[1] == df
+
+    def test_kumg_g_on_device_data(self, aarset):
+        data = _dataset(aarset)
+        kumg, g = fit_mle("kumg", data), fit_mle("g", data)
+        stat, df, _ = lrt(kumg, g)
+        assert df == 2
+        assert stat == 2.0 * (g.neg_loglik - kumg.neg_loglik)
+
+
 class TestLrt:
     def test_identical_fits(self):
         full = _table_fit("mcg", 100.0)
@@ -150,13 +190,13 @@ class TestLrt:
             lrt(_table_fit("mcg", 10.0), _table_fit("mcg", 10.0))
 
     def test_rejects_nested_spec_that_is_no_smaller(self):
-        # ("a", 1.0) beside KumG's tie makes a strict superset of its
-        # constraints that fixes no further free parameter
-        kumg = ModelSpec("KumG", (("a", "c"),))
-        pinned = ModelSpec("KumG1", (("a", "c"), ("a", 1.0)))
-        assert pinned.free_count == kumg.free_count
+        # McE and BGE are one model: each nests the other, with df 0
+        assert MODELS["mce"].nests(MODELS["bge"])
         with pytest.raises(ValueError, match="must have fewer free parameters"):
-            lrt(_table_fit(kumg, 10.0), _table_fit(pinned, 11.0))
+            lrt(_table_fit("mce", 10.0), _table_fit("bge", 11.0))
+        # a constrains a twice, so no spec of it can be built
+        with pytest.raises(ValueError):
+            ModelSpec("KumG1", (("a", "c"), ("a", 1.0)))
 
     def test_negative_statistic_passes_through(self):
         stat, df, p = lrt(_table_fit("mcg", 12.0), _table_fit("bg", 11.0))
